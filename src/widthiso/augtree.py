@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .errors import InvalidDecompositionError
-from .graph import Graph, induced_subgraph, neighbors_of_set
+from .graph import Graph, induced_subgraph
 from .tdd import TreeDistanceDecomposition, validate_tdd
 
 BAG = "bag"
@@ -136,11 +136,18 @@ def build_augmented_tree(
             children[par].append(idx)
         return idx
 
+    adj = g._adj
+    bag_kids: list[list[int]] = [[] for _ in d.bags]
+    for child, par in enumerate(d.parent):
+        if child != d.root:
+            bag_kids[par].append(child)
+
     def add_bag(bag_id: int, par: int) -> int:
         node = new_node(BAG, d.bags[bag_id], par, bag_id)
+        inside = set(d.bags[bag_id])
         groups: dict[tuple[int, ...], list[int]] = {}
-        for child in d.children(bag_id):
-            sep = tuple(sorted(set(d.bags[bag_id]) & set(neighbors_of_set(g, d.bags[child]))))
+        for child in bag_kids[bag_id]:
+            sep = tuple(sorted({y for v in d.bags[child] for y in adj[v] if y in inside}))
             groups.setdefault(sep, []).append(child)
         for sep in sorted(groups):
             sep_node = new_node(SEP, sep, node, None)
@@ -167,7 +174,7 @@ def build_augmented_tree(
         if kinds[node] == BAG:
             inside = set(vertices[node])
             bag_edges.append(
-                tuple(sorted(e for e in g.edges if e[0] in inside and e[1] in inside))
+                tuple((u, w) for u in vertices[node] for w in adj[u] if w > u and w in inside)
             )
         else:
             bag_edges.append(None)

@@ -1,8 +1,9 @@
 """Command-line interface exposing every operation.
 
 Exit codes: 0 for yes/success, 1 for a non-isomorphic verdict, 2 for usage,
-format or width errors.  All labels read or written here are 1-based;
---json swaps the human output for a single-line record of the form
+format or width errors, 3 for an internal error (any other exception).  All
+labels read or written here are 1-based; --json swaps the human output for a
+single-line record of the form
 {"command": ..., "inputs": ..., "verdict": ..., "witness": ...}.
 """
 
@@ -277,6 +278,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

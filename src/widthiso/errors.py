@@ -48,3 +48,11 @@ class InvalidParamsError(GraphError):
 
 class FormatError(GraphError):
     pass
+
+
+class InternalError(Exception):
+    """A broken internal invariant: a bug in this package, not bad input.
+
+    Deliberately not a GraphError, so callers that handle input errors do
+    not mistake it for one.
+    """

@@ -104,7 +104,7 @@ def _bip_pairs(tree: AugmentedTree, sep_node: int, child_node: int) -> tuple[tup
             sorted(
                 (m, w)
                 for m in tree.vertices[sep_node]
-                for w in tree.graph.neighbors(m)
+                for w in tree.graph._adj[m]
                 if w in inside
             )
         )
@@ -162,11 +162,9 @@ def _trace(
         head.extend(sorted(pos[m] for m in tree.vertices[s]))
         kids = tree.children[s]
         head.append(len(kids))
-        child_blocks = sorted(
-            _child_block(tree, s, b, pos, rel_depth) for b in kids
-        )
-        block = tuple(head) + tuple(x for cb in child_blocks for x in cb)
-        blocks.append(block)
+        for cb in sorted(_child_block(tree, s, b, pos, rel_depth) for b in kids):
+            head.extend(cb)
+        blocks.append(tuple(head))
     blocks.sort()
     for block in blocks:
         out.extend(block)
@@ -308,7 +306,13 @@ class _CanonState(NamedTuple):
 
 @lru_cache(maxsize=None)
 def _canon_state(g: Graph, k: int) -> _CanonState | None:
-    """Least trace over all admissible root sets; None when none fits k."""
+    """Least trace over all admissible root sets; None when none fits k.
+
+    Every trace starts (0, |S|, ...): relative depth 0, then the root bag's
+    size.  So any admissible root set of size s has a smaller trace than
+    every root set of size > s, and the search stops after the first size
+    that admits one.
+    """
     if not is_connected(g):
         raise DisconnectedGraphError("canonization needs a connected graph")
     best: _CanonState | None = None
@@ -321,6 +325,8 @@ def _canon_state(g: Graph, k: int) -> _CanonState | None:
             trace, sigma = _min_trace(tree, 0, _orderings(s))
             if best is None or trace < best.trace:
                 best = _CanonState(trace, s, d, tree, sigma)
+        if best is not None:
+            break
     return best
 
 

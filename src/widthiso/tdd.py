@@ -25,7 +25,12 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable
 
-from .errors import DisconnectedGraphError, EmptySetError, RootHasNoParentError
+from .errors import (
+    DisconnectedGraphError,
+    EmptySetError,
+    InternalError,
+    RootHasNoParentError,
+)
 from .graph import (
     Graph,
     connected_components,
@@ -91,13 +96,14 @@ def _levels(g: Graph, s: tuple[int, ...]) -> list[int]:
     """BFS layer of every vertex from the root set; -1 if unreachable."""
     from collections import deque
 
+    adj = g._adj
     level = [-1] * g.vertex_count
     queue = deque(s)
     for v in s:
         level[v] = 0
     while queue:
         x = queue.popleft()
-        for y in g.neighbors(x):
+        for y in adj[x]:
             if level[y] < 0:
                 level[y] = level[x] + 1
                 queue.append(y)
@@ -105,53 +111,69 @@ def _levels(g: Graph, s: tuple[int, ...]) -> list[int]:
 
 
 def _build(g: Graph, s: tuple[int, ...], cap: int | None) -> TreeDistanceDecomposition | None:
-    """Construct the minimal decomposition; None once a bag exceeds cap."""
+    """Construct the minimal decomposition; None once a bag exceeds cap.
+
+    One BFS and one union-find pass over the adjacency lists: O(n + m) per
+    root set up to the slowly growing factor of the path-compressed
+    union-find.
+    """
     if cap is not None and len(s) > cap:
         return None
+    adj = g._adj
     level = _levels(g, s)
-    max_depth = max(level)
+    layers: list[list[int]] = [[] for _ in range(max(level) + 1)]
+    for v, d in enumerate(level):
+        if d > 0:
+            layers[d].append(v)
 
-    # Components of the subgraph on {v : level >= d} group the depth-d bags.
+    # Union-find from the deepest level upward: once level d is merged, the
+    # classes are the components of the subgraph on {v : level >= d}, and the
+    # level-d vertices of one class form one depth-d bag.
+    up = list(range(g.vertex_count))
+
+    def find(x: int) -> int:
+        root = x
+        while up[root] != root:
+            root = up[root]
+        while up[x] != root:
+            up[x], x = root, up[x]
+        return root
+
     bags: list[tuple[int, ...]] = [s]
     depth: list[int] = [0]
-    parent: list[int] = [0]
-    bag_of = {v: 0 for v in s}
-    for d in range(1, max_depth + 1):
-        inside = {v for v in range(g.vertex_count) if level[v] >= d}
-        seen: set[int] = set()
-        for start in sorted(inside):
-            if start in seen:
-                continue
-            comp = [start]
-            seen.add(start)
-            stack = [start]
-            while stack:
-                x = stack.pop()
-                for y in g.neighbors(x):
-                    if y in inside and y not in seen:
-                        seen.add(y)
-                        comp.append(y)
-                        stack.append(y)
-            bag = tuple(sorted(v for v in comp if level[v] == d))
+    bag_of = [0] * g.vertex_count
+    for d in range(len(layers) - 1, 0, -1):
+        layer = layers[d]
+        for v in layer:
+            for y in adj[v]:
+                if level[y] >= d:
+                    a, b = find(v), find(y)
+                    if a != b:
+                        up[a] = b
+        groups: dict[int, list[int]] = {}
+        for v in layer:
+            groups.setdefault(find(v), []).append(v)
+        for bag in groups.values():
             if cap is not None and len(bag) > cap:
                 return None
-            # Any neighbor one level up sits in the parent bag.
-            up = next(
-                y for v in bag for y in g.neighbors(v) if level[y] == d - 1
-            )
-            bag_id = len(bags)
-            bags.append(bag)
-            depth.append(d)
-            parent.append(bag_of[up])
             for v in bag:
-                bag_of[v] = bag_id
+                bag_of[v] = len(bags)
+            bags.append(tuple(bag))
+            depth.append(d)
 
-    # Renumber in depth-first discovery order, children by least vertex.
-    kids: list[list[int]] = [[] for _ in bags]
+    # Any neighbor one level up sits in the parent bag.
+    parent = [0] * len(bags)
     for i in range(1, len(bags)):
-        kids[parent[i]].append(i)
-    for lst in kids:
-        lst.sort(key=lambda i: bags[i][0])
+        v = bags[i][0]
+        parent[i] = bag_of[next(y for y in adj[v] if level[y] == depth[i] - 1)]
+
+    # Renumber in depth-first discovery order, children by least vertex:
+    # visiting vertices in ascending order meets each bag at its least one.
+    kids: list[list[int]] = [[] for _ in bags]
+    for v in range(g.vertex_count):
+        i = bag_of[v]
+        if i and bags[i][0] == v:
+            kids[parent[i]].append(i)
     order: list[int] = []
     stack = [0]
     while stack:
@@ -175,7 +197,8 @@ def build_minimal_tdd(g: Graph, s: Iterable[int]) -> TreeDistanceDecomposition:
     if not is_connected(g):
         raise DisconnectedGraphError("tree distance decompositions need a connected graph")
     built = _build(g, root, cap=None)
-    assert built is not None
+    if built is None:
+        raise InternalError("uncapped build returned no decomposition")
     return built
 
 

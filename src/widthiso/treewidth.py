@@ -20,6 +20,7 @@ from itertools import combinations, permutations
 from typing import Callable, Iterable, Sequence
 
 from .errors import (
+    InternalError,
     InvalidDecompositionError,
     SizeMismatchError,
     WidthExceededError,
@@ -507,7 +508,8 @@ class _IsoSearch:
                 self._audit_pop(root)
                 if ok:
                     perm = tuple(self.mapping[v] for v in range(self.g.vertex_count))
-                    assert _is_isomorphism(self.g, self.h, perm), "search must return verified maps"
+                    if not _is_isomorphism(self.g, self.h, perm):
+                        raise InternalError("search returned a map that is not an isomorphism")
                     return perm
                 self._rollback(mark)
         return None
@@ -806,7 +808,8 @@ def iso_one_decomp(
         for new_v, new_w in enumerate(sub_map):
             total[g_back[new_v]] = h_back[new_w]
     perm = tuple(total[v] for v in range(g.vertex_count))
-    assert _is_isomorphism(g, h, perm)
+    if not _is_isomorphism(g, h, perm):
+        raise InternalError("blockwise match returned a map that is not an isomorphism")
     return perm
 
 

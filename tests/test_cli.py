@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from widthiso import Graph
+from widthiso import Graph, InternalError, cli
 from widthiso.cli import main
 from widthiso.formats import parse_graph, write_graph
 
@@ -142,3 +142,17 @@ def test_bad_file_exits_with_usage_error(tmp_path, capsys):
 def test_missing_file_exits_with_usage_error(tmp_path, capsys):
     assert main(["tdd-width", str(tmp_path / "nope.gr"), "-k", "1"]) == 2
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("exc", [RuntimeError("boom"), InternalError("broken invariant")])
+def test_internal_error_exits_3(files, capsys, monkeypatch, exc):
+    tmp, write = files
+    a = write("p4.gr", path_graph(4))
+
+    def broken(*args):
+        raise exc
+
+    monkeypatch.setattr(cli, "iso_tdw", broken)
+    assert main(["iso-tdw", a, a, "-k", "1"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("internal error:") and str(exc) in err

@@ -1,0 +1,114 @@
+"""Invariants of the tdw canonisation fast path.
+
+The minimal decomposition builder is checked against the definition, the
+canonisation search that stops at the first admissible root-set size is
+checked against the minimum over every root set, and the canonical bytes
+and maps of a few fixed graphs are pinned.
+"""
+
+import hashlib
+import random
+from itertools import combinations
+
+import pytest
+
+from widthiso import (
+    Graph,
+    build_augmented_tree,
+    build_minimal_tdd,
+    canon_tdw,
+    canonical_map,
+    tree_distance_width,
+    validate_tdd,
+)
+from widthiso.isoorder import _canon_state, _min_trace, _orderings
+from widthiso.tdd import _build
+
+from helpers import random_narrow_graph
+
+
+def _random_connected(rng: random.Random, n: int) -> Graph:
+    """A random spanning tree plus extra edges of a random density."""
+    p = rng.choice([0.0, 0.1, 0.25, 0.5])
+    edges = [(rng.randrange(v), v) for v in range(1, n)]
+    edges += [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+    return Graph(n, edges)
+
+
+def _graphs(seed: int, count: int, max_n: int) -> list[Graph]:
+    rng = random.Random(seed)
+    out = []
+    for i in range(count):
+        n = rng.randint(1, max_n)
+        out.append(random_narrow_graph(rng, max(n, 2)) if i % 2 else _random_connected(rng, n))
+    return out
+
+
+@pytest.mark.parametrize("g", _graphs(2024, 16, 12), ids=lambda g: f"n{g.vertex_count}m{g.edge_count}")
+def test_build_matches_definition(g):
+    for size in range(1, min(3, g.vertex_count) + 1):
+        for s in combinations(range(g.vertex_count), size):
+            d = _build(g, s, None)
+            assert validate_tdd(g, d) == []
+            width = build_minimal_tdd(g, s).width()
+            for cap in range(1, 5):
+                assert (_build(g, s, cap) is None) == (width > cap)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_early_stop_keeps_least_trace(k):
+    for g in _graphs(77 + k, 24, 9):
+        traces = []
+        for size in range(1, min(k, g.vertex_count) + 1):
+            for s in combinations(range(g.vertex_count), size):
+                d = _build(g, s, k)
+                if d is not None:
+                    tree = build_augmented_tree(g, d, check=False)
+                    traces.append(_min_trace(tree, 0, _orderings(s))[0])
+        state = _canon_state(g, k)
+        if traces:
+            assert state is not None and state.trace == min(traces)
+        else:
+            assert state is None
+
+
+# (name, n, edges, k, sha256 of canon_tdw hex, canonical_map, tree_distance_width)
+GOLDEN = [
+    ("path5", 5, [(0, 1), (1, 2), (2, 3), (3, 4)], 1,
+     "3018b3ec7aaf368f9287c2d8f4c1d7eced8c9b6263f825e9b6149ddb01fc7089",
+     (0, 1, 2, 3, 4), 1),
+    ("path9_k3", 9, [(0, 7), (0, 8), (1, 5), (1, 8), (2, 5), (2, 6), (3, 7), (4, 6)], 3,
+     "0dca8d02472b1ed1e5b2e28e05783fb7803a18c6ddf0dfd0b039902fab3e5ec7",
+     (2, 4, 6, 0, 8, 5, 7, 1, 3), 1),
+    ("caterpillar", 9, [(0, 1), (0, 4), (1, 2), (1, 5), (1, 6), (2, 3), (2, 7), (3, 8)], 2,
+     "7a260e214620bc35ad39de969b538cd4a62f2e93155d8785fbdac8f147285255",
+     (7, 4, 2, 1, 8, 5, 6, 3, 0), 1),
+    ("c4", 4, [(0, 1), (0, 3), (1, 2), (2, 3)], 2,
+     "d0fa387a430b884266a838fcd88ee4c6eff735787d6580f7b07ea452eb734929",
+     (0, 1, 3, 2), 2),
+    ("k4", 4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)], 2,
+     "1cb234bd6a3020e66902df72f8c7840c9cf121769a0e34b7d059ad5830fb96a2",
+     (0, 1, 2, 3), 2),
+    ("layered8", 8,
+     [(0, 2), (0, 4), (0, 5), (0, 7), (1, 4), (1, 5), (1, 6), (2, 5), (3, 7), (4, 5), (5, 6)], 2,
+     "ece872fe7744b7ea4f7a4af235fc79bde3dbd6fc2c43835d40e8ecbc569eb463",
+     (4, 0, 5, 7, 3, 2, 1, 6), 2),
+    ("layered12", 12,
+     [(0, 1), (0, 4), (0, 11), (1, 4), (1, 6), (1, 8), (2, 3), (2, 5), (3, 7), (3, 9), (3, 10),
+      (4, 6), (5, 10), (7, 11), (9, 11)], 2,
+     "f9d9d1d0c70d0b4c0d27b624beb002ac144f005466eb070d69f1e7347a2422de",
+     (7, 8, 1, 3, 9, 0, 11, 4, 10, 5, 2, 6), 2),
+    ("layered16", 16,
+     [(0, 7), (0, 13), (1, 2), (1, 9), (1, 15), (3, 8), (3, 10), (3, 14), (4, 10), (4, 12),
+      (5, 9), (5, 13), (5, 15), (6, 11), (6, 12), (7, 8), (8, 14), (9, 13), (9, 15), (11, 12)], 2,
+     "a5c13fae32d25a855bdf144fc1dbb4811c5bfdcd06a4ca9bf4b2a07a548279d7",
+     (6, 1, 0, 9, 12, 4, 14, 7, 8, 2, 11, 15, 13, 5, 10, 3), 2),
+]
+
+
+@pytest.mark.parametrize("name,n,edges,k,digest,cmap,tdw", GOLDEN, ids=[c[0] for c in GOLDEN])
+def test_golden_canonical_bytes(name, n, edges, k, digest, cmap, tdw):
+    g = Graph(n, edges)
+    assert hashlib.sha256(canon_tdw(g, k).hex.encode()).hexdigest() == digest
+    assert canonical_map(g, k) == cmap
+    assert tree_distance_width(g, k) == tdw
