@@ -36,7 +36,6 @@ class AugmentedTree:
         "vertices",
         "parent",
         "children",
-        "bag_ids",
         "bag_edges",
         "sizes",
         "_trace_memo",
@@ -50,7 +49,6 @@ class AugmentedTree:
         vertices: tuple[tuple[int, ...], ...],
         parent: tuple[int, ...],
         children: tuple[tuple[int, ...], ...],
-        bag_ids: tuple[int | None, ...],
         bag_edges: tuple[tuple[tuple[int, int], ...] | None, ...],
         sizes: tuple[int, ...],
     ) -> None:
@@ -60,7 +58,6 @@ class AugmentedTree:
         self.vertices = vertices
         self.parent = parent
         self.children = children
-        self.bag_ids = bag_ids
         self.bag_edges = bag_edges
         self.sizes = sizes
         self._trace_memo: dict = {}
@@ -91,12 +88,25 @@ class AugmentedTree:
         return out
 
     def to_debug_text(self, node: int = 0, fmt: Callable[[int], object] = lambda v: v) -> str:
-        tag = "B" if self.is_bag(node) else "S"
-        label = f"{tag}({','.join(str(fmt(v)) for v in self.vertices[node])})"
-        kids = self.children[node]
-        if not kids:
-            return label
-        return label + "(" + " ".join(self.to_debug_text(b, fmt) for b in kids) + ")"
+        """Nested labels, B(...) for bags and S(...) for separating sets."""
+        parts: list[str] = []
+        stack: list[int | str] = [node]
+        while stack:
+            item = stack.pop()
+            if isinstance(item, str):
+                parts.append(item)
+                continue
+            tag = "B" if self.is_bag(item) else "S"
+            parts.append(f"{tag}({','.join(str(fmt(v)) for v in self.vertices[item])})")
+            kids = self.children[item]
+            if kids:
+                parts.append("(")
+                stack.append(")")
+                for i, b in enumerate(reversed(kids)):
+                    if i:
+                        stack.append(" ")
+                    stack.append(b)
+        return "".join(parts)
 
 
 @dataclass(frozen=True)
@@ -123,39 +133,37 @@ def build_augmented_tree(
     vertices: list[tuple[int, ...]] = []
     parent: list[int] = []
     children: list[list[int]] = []
-    bag_ids: list[int | None] = []
+    bag_edges: list[tuple[tuple[int, int], ...] | None] = []
 
-    def new_node(kind: str, verts: tuple[int, ...], par: int, bag_id: int | None) -> int:
-        idx = len(kinds)
-        kinds.append(kind)
+    # Preorder over an explicit stack.  An entry is (bag id, parent node,
+    # None) for a bag and (separating set, parent node, child bag ids) for a
+    # separating-set node, which is numbered only when popped: after the
+    # whole subtree of the set before it.
+    adj = g._adj
+    stack: list[tuple] = [(d.root, 0, None)]
+    while stack:
+        item, par, sep_kids = stack.pop()
+        node = len(kinds)
+        verts = d.bags[item] if sep_kids is None else item
+        kinds.append(BAG if sep_kids is None else SEP)
         vertices.append(verts)
         parent.append(par)
         children.append([])
-        bag_ids.append(bag_id)
-        if par != idx:
-            children[par].append(idx)
-        return idx
-
-    adj = g._adj
-    bag_kids: list[list[int]] = [[] for _ in d.bags]
-    for child, par in enumerate(d.parent):
-        if child != d.root:
-            bag_kids[par].append(child)
-
-    def add_bag(bag_id: int, par: int) -> int:
-        node = new_node(BAG, d.bags[bag_id], par, bag_id)
-        inside = set(d.bags[bag_id])
+        if par != node:
+            children[par].append(node)
+        if sep_kids is not None:
+            bag_edges.append(None)
+            for b in reversed(sorted(sep_kids, key=d.bags.__getitem__)):
+                stack.append((b, node, None))
+            continue
+        inside = set(verts)
+        bag_edges.append(tuple((u, w) for u in verts for w in adj[u] if w > u and w in inside))
         groups: dict[tuple[int, ...], list[int]] = {}
-        for child in bag_kids[bag_id]:
+        for child in d.child_lists[item]:
             sep = tuple(sorted({y for v in d.bags[child] for y in adj[v] if y in inside}))
             groups.setdefault(sep, []).append(child)
-        for sep in sorted(groups):
-            sep_node = new_node(SEP, sep, node, None)
-            for child in sorted(groups[sep], key=lambda b: d.bags[b]):
-                add_bag(child, sep_node)
-        return node
-
-    add_bag(d.root, 0)
+        for sep in reversed(sorted(groups)):
+            stack.append((sep, node, groups[sep]))
 
     # A subtree's size counts each associated vertex once: separating sets
     # live inside the parent bag, child components are pairwise disjoint.
@@ -169,16 +177,6 @@ def build_augmented_tree(
         else:
             sizes[node] = len(vertices[node]) + sum(sizes[b] for b in children[node])
 
-    bag_edges: list[tuple[tuple[int, int], ...] | None] = []
-    for node in range(len(kinds)):
-        if kinds[node] == BAG:
-            inside = set(vertices[node])
-            bag_edges.append(
-                tuple((u, w) for u in vertices[node] for w in adj[u] if w > u and w in inside)
-            )
-        else:
-            bag_edges.append(None)
-
     return AugmentedTree(
         graph=g,
         decomposition=d,
@@ -186,7 +184,6 @@ def build_augmented_tree(
         vertices=tuple(vertices),
         parent=tuple(parent),
         children=tuple(tuple(c) for c in children),
-        bag_ids=tuple(bag_ids),
         bag_edges=tuple(bag_edges),
         sizes=tuple(sizes),
     )

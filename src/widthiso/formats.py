@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from .errors import FormatError
 from .graph import Graph
-from .tdd import TreeDistanceDecomposition, decomposition_records
+from .tdd import TreeDistanceDecomposition
 from .treewidth import TreeDecomposition
 
 
@@ -150,9 +150,9 @@ def parse_tree_decomposition(text: str) -> tuple[TreeDecomposition, int]:
 def format_tdd_records(d: TreeDistanceDecomposition) -> str:
     """One line per bag, ascending id: 'b <bag_id> <depth> <v1> <v2> ...'."""
     lines = []
-    for rec in decomposition_records(d):
-        fields = ["b", str(rec.bag_id + 1), str(rec.bag_depth)]
-        fields.extend(str(v + 1) for v in rec.vertices)
+    for i, bag in enumerate(d.bags):
+        fields = ["b", str(i + 1), str(d.depth[i])]
+        fields.extend(str(v + 1) for v in bag)
         lines.append(" ".join(fields))
     return "\n".join(lines) + "\n"
 

@@ -15,7 +15,7 @@ comparing two subtrees is comparing their minimal traces:
   * a difference in the bag edge lists is a first-step difference,
   * then subtree sizes, then child counts,
   * then the ordered child blocks, where separating-set positions come
-    first, bipartite edge positions second and the recursive trace last.
+    first, bipartite edge positions second and the child's own trace last.
 
 Equality of minimal traces holds exactly when the two subgraphs admit an
 isomorphism mapping bag onto bag, separating set onto separating set, which
@@ -28,6 +28,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from itertools import combinations, permutations
+from operator import itemgetter
 from typing import Iterable, NamedTuple, Sequence
 
 from .augtree import AugmentedTree, SubtreeHandle, build_augmented_tree
@@ -112,78 +113,102 @@ def _bip_pairs(tree: AugmentedTree, sep_node: int, child_node: int) -> tuple[tup
     return cached
 
 
-def _child_block(
-    tree: AugmentedTree,
-    sep_node: int,
-    child_node: int,
-    parent_pos: dict[int, int],
-    rel_depth: int,
+def _bip_code(
+    pos: dict[int, int], child_pos: dict[int, int], pairs: tuple[tuple[int, int], ...]
 ) -> tuple[int, ...]:
-    """Least (bipartite positions, child trace) over the child's orderings."""
-    pairs = _bip_pairs(tree, sep_node, child_node)
-    best: tuple[int, ...] | None = None
-    for phi in _orderings(tree.vertices[child_node]):
-        child_pos = {v: i for i, v in enumerate(phi)}
-        bip = sorted((parent_pos[m], child_pos[w]) for m, w in pairs)
-        head = [len(bip)]
-        for a, b in bip:
-            head.append(a)
-            head.append(b)
-        block = tuple(head) + _trace(tree, child_node, phi, rel_depth + 2)
-        if best is None or block < best:
-            best = block
-    assert best is not None
-    return best
-
-
-def _trace(
-    tree: AugmentedTree, node: int, sigma: tuple[int, ...], rel_depth: int
-) -> tuple[int, ...]:
-    key = (node, sigma, rel_depth)
-    cached = tree._trace_memo.get(key)
-    if cached is not None:
-        return cached
-    pos = {v: i for i, v in enumerate(sigma)}
-    bag_edges = tree.bag_edges[node]
-    assert bag_edges is not None
-    edge_pos = sorted(
-        (pos[u], pos[v]) if pos[u] < pos[v] else (pos[v], pos[u]) for u, v in bag_edges
-    )
-    out: list[int] = [rel_depth, len(sigma), len(edge_pos)]
-    for a, b in edge_pos:
+    """Bipartite edges as sorted (parent, child) position pairs, length-prefixed."""
+    out = [len(pairs)]
+    for a, b in sorted((pos[m], child_pos[w]) for m, w in pairs):
         out.append(a)
         out.append(b)
-    seps = tree.children[node]
-    out.append(tree.sizes[node])
-    out.append(len(seps))
-    blocks: list[tuple[int, ...]] = []
-    for s in seps:
+    return tuple(out)
+
+
+def _sep_blocks(
+    tree: AugmentedTree, node: int, sigma: tuple[int, ...], rel_depth: int
+) -> list[tuple[tuple[int, ...], list[tuple]]]:
+    """Separating-set blocks of a bag node under sigma, least first.
+
+    Each block comes with its children's least (block, child, ordering)
+    entries in block order.  A child block is the pair (bipartite code,
+    child trace), which orders like their concatenation because the code is
+    length-prefixed.  The children's traces must already be memoised.
+    """
+    pos = {v: i for i, v in enumerate(sigma)}
+    memo = tree._trace_memo
+    blocks = []
+    for s in tree.children[node]:
         head = [len(tree.vertices[s])]
         head.extend(sorted(pos[m] for m in tree.vertices[s]))
         kids = tree.children[s]
         head.append(len(kids))
-        for cb in sorted(_child_block(tree, s, b, pos, rel_depth) for b in kids):
-            head.extend(cb)
-        blocks.append(tuple(head))
-    blocks.sort()
-    for block in blocks:
-        out.extend(block)
-    result = tuple(out)
-    tree._trace_memo[key] = result
-    return result
+        entries = []
+        for b in kids:
+            pairs = _bip_pairs(tree, s, b)
+            best = None
+            for phi, trace in memo[b, rel_depth + 2].items():
+                block = (_bip_code(pos, {v: i for i, v in enumerate(phi)}, pairs), trace)
+                if best is None or block < best[0]:
+                    best = (block, b, phi)
+            entries.append(best)
+        entries.sort(key=itemgetter(0))
+        for (code, trace), _, _ in entries:
+            head.extend(code)
+            head.extend(trace)
+        blocks.append((tuple(head), entries))
+    blocks.sort(key=itemgetter(0))
+    return blocks
+
+
+def _traces(
+    tree: AugmentedTree, node: int, rel_depth: int
+) -> dict[tuple[int, ...], tuple[int, ...]]:
+    """Trace of the subtree under every ordering of its bag, in ordering order.
+
+    One bottom-up pass over an explicit stack: every bag node below is
+    traced and memoised at its relative depth before its parent.
+    """
+    memo = tree._trace_memo
+    todo = []
+    stack = [(node, rel_depth)]
+    while stack:
+        key = stack.pop()
+        if key in memo:
+            continue
+        todo.append(key)
+        b, r = key
+        for s in tree.children[b]:
+            for c in tree.children[s]:
+                stack.append((c, r + 2))
+    for key in reversed(todo):
+        b, r = key
+        traces = {}
+        for sigma in _orderings(tree.vertices[b]):
+            pos = {v: i for i, v in enumerate(sigma)}
+            edge_pos = sorted(
+                (pos[u], pos[v]) if pos[u] < pos[v] else (pos[v], pos[u])
+                for u, v in tree.bag_edges[b]
+            )
+            out = [r, len(sigma), len(edge_pos)]
+            for x, y in edge_pos:
+                out.append(x)
+                out.append(y)
+            out.append(tree.sizes[b])
+            out.append(len(tree.children[b]))
+            for block, _ in _sep_blocks(tree, b, sigma, r):
+                out.extend(block)
+            traces[sigma] = tuple(out)
+        memo[key] = traces
+    return memo[node, rel_depth]
 
 
 def _min_trace(
     tree: AugmentedTree, node: int, sigmas: Sequence[tuple[int, ...]]
 ) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    best_trace: tuple[int, ...] | None = None
-    best_sigma: tuple[int, ...] | None = None
-    for sigma in sigmas:
-        t = _trace(tree, node, sigma, 0)
-        if best_trace is None or t < best_trace:
-            best_trace, best_sigma = t, sigma
-    assert best_trace is not None and best_sigma is not None
-    return best_trace, best_sigma
+    """Least trace over sigmas and the first ordering reaching it."""
+    traces = _traces(tree, node, 0)
+    sigma = min(sigmas, key=traces.__getitem__)
+    return traces[sigma], sigma
 
 
 def compare_augmented(
@@ -263,11 +288,9 @@ def restrict_theta(
     rpairs = _bip_pairs(sep_right.tree, sep_right.node, child_right.node)
     pairs = []
     for phi_l in _orderings(left_bag):
-        cl = {v: i for i, v in enumerate(phi_l)}
-        enc_l = sorted((lpos[m], cl[w]) for m, w in lpairs)
+        enc_l = _bip_code(lpos, {v: i for i, v in enumerate(phi_l)}, lpairs)
         for phi_r in _orderings(right_bag):
-            cr = {v: i for i, v in enumerate(phi_r)}
-            if enc_l == sorted((rpos[m], cr[w]) for m, w in rpairs):
+            if enc_l == _bip_code(rpos, {v: i for i, v in enumerate(phi_r)}, rpairs):
                 pairs.append(
                     (BagOrdering(left_bag, phi_l), BagOrdering(right_bag, phi_r))
                 )
@@ -367,45 +390,15 @@ def canonical_map(g: Graph, k: int) -> tuple[int, ...]:
         raise WidthExceededError(f"tree distance width exceeds {k}")
     tree = state.tree
     positions: dict[int, int] = {}
-    counter = [0]
-
-    def assign(node: int, sigma: tuple[int, ...], rel_depth: int) -> None:
+    stack = [(0, state.sigma, 0)]
+    while stack:
+        node, sigma, rel_depth = stack.pop()
         for v in sigma:
-            positions[v] = counter[0]
-            counter[0] += 1
-        pos = {v: i for i, v in enumerate(sigma)}
-        sep_entries = []
-        for s in tree.children[node]:
-            head = [len(tree.vertices[s])]
-            head.extend(sorted(pos[m] for m in tree.vertices[s]))
-            kids = tree.children[s]
-            head.append(len(kids))
-            child_entries = []
-            for b in kids:
-                best_block: tuple[int, ...] | None = None
-                best_phi: tuple[int, ...] | None = None
-                pairs = _bip_pairs(tree, s, b)
-                for phi in _orderings(tree.vertices[b]):
-                    child_pos = {v: i for i, v in enumerate(phi)}
-                    bip = sorted((pos[m], child_pos[w]) for m, w in pairs)
-                    block_head = [len(bip)]
-                    for x, y in bip:
-                        block_head.append(x)
-                        block_head.append(y)
-                    block = tuple(block_head) + _trace(tree, b, phi, rel_depth + 2)
-                    if best_block is None or block < best_block:
-                        best_block, best_phi = block, phi
-                assert best_block is not None and best_phi is not None
-                child_entries.append((best_block, b, best_phi))
-            child_entries.sort(key=lambda entry: entry[0])
-            block = tuple(head) + tuple(
-                x for entry in child_entries for x in entry[0]
-            )
-            sep_entries.append((block, child_entries))
-        sep_entries.sort(key=lambda entry: entry[0])
-        for _, child_entries in sep_entries:
-            for _, b, phi in child_entries:
-                assign(b, phi, rel_depth + 2)
-
-    assign(0, state.sigma, 0)
+            positions[v] = len(positions)
+        below = [
+            (b, phi, rel_depth + 2)
+            for _, entries in _sep_blocks(tree, node, sigma, rel_depth)
+            for _, b, phi in entries
+        ]
+        stack.extend(reversed(below))
     return tuple(positions[v] for v in range(g.vertex_count))

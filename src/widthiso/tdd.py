@@ -22,6 +22,7 @@ conditions they evaluate.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 from typing import Iterable
 
@@ -34,11 +35,9 @@ from .errors import (
 from .graph import (
     Graph,
     connected_components,
-    induced_subgraph,
     is_connected,
     neighbors_of_set,
     reachable_avoiding,
-    set_distance,
     vertex_set,
 )
 
@@ -58,8 +57,17 @@ class TreeDistanceDecomposition:
     def bag_count(self) -> int:
         return len(self.bags)
 
+    @cached_property
+    def child_lists(self) -> tuple[tuple[int, ...], ...]:
+        """Child bag ids of every bag, ascending; built once per decomposition."""
+        kids: list[list[int]] = [[] for _ in self.bags]
+        for j, p in enumerate(self.parent):
+            if j != self.root:
+                kids[p].append(j)
+        return tuple(tuple(c) for c in kids)
+
     def children(self, i: int) -> tuple[int, ...]:
-        return tuple(j for j in range(len(self.bags)) if self.parent[j] == i and j != self.root)
+        return self.child_lists[i]
 
     def vertex_bag(self) -> dict[int, int]:
         out: dict[int, int] = {}
@@ -68,28 +76,15 @@ class TreeDistanceDecomposition:
                 out[v] = i
         return out
 
-    def subtree_bag_ids(self, i: int) -> tuple[int, ...]:
-        ids = [i]
-        stack = [i]
-        while stack:
-            a = stack.pop()
-            for b in self.children(a):
-                ids.append(b)
-                stack.append(b)
-        return tuple(sorted(ids))
 
-
-@dataclass(frozen=True)
-class DecompositionRecord:
-    bag_id: int
-    bag_depth: int
-    vertices: tuple[int, ...]
-
-
-def decomposition_records(d: TreeDistanceDecomposition) -> list[DecompositionRecord]:
-    return [
-        DecompositionRecord(i, d.depth[i], d.bags[i]) for i in range(len(d.bags))
-    ]
+def _find(up: list[int], x: int) -> int:
+    """Union-find root of x, compressing the path walked."""
+    root = x
+    while up[root] != root:
+        root = up[root]
+    while up[x] != root:
+        up[x], x = root, up[x]
+    return root
 
 
 def _levels(g: Graph, s: tuple[int, ...]) -> list[int]:
@@ -130,15 +125,6 @@ def _build(g: Graph, s: tuple[int, ...], cap: int | None) -> TreeDistanceDecompo
     # classes are the components of the subgraph on {v : level >= d}, and the
     # level-d vertices of one class form one depth-d bag.
     up = list(range(g.vertex_count))
-
-    def find(x: int) -> int:
-        root = x
-        while up[root] != root:
-            root = up[root]
-        while up[x] != root:
-            up[x], x = root, up[x]
-        return root
-
     bags: list[tuple[int, ...]] = [s]
     depth: list[int] = [0]
     bag_of = [0] * g.vertex_count
@@ -147,12 +133,12 @@ def _build(g: Graph, s: tuple[int, ...], cap: int | None) -> TreeDistanceDecompo
         for v in layer:
             for y in adj[v]:
                 if level[y] >= d:
-                    a, b = find(v), find(y)
+                    a, b = _find(up, v), _find(up, y)
                     if a != b:
                         up[a] = b
         groups: dict[int, list[int]] = {}
         for v in layer:
-            groups.setdefault(find(v), []).append(v)
+            groups.setdefault(_find(up, v), []).append(v)
         for bag in groups.values():
             if cap is not None and len(bag) > cap:
                 return None
@@ -286,7 +272,9 @@ def validate_tdd(g: Graph, d: TreeDistanceDecomposition) -> list[str]:
     seen: dict[int, int] = {}
     for i, bag in enumerate(d.bags):
         for v in bag:
-            if v in seen:
+            if not 0 <= v < g.vertex_count:
+                problems.append(f"partition: bag {i} holds {v}, which is not a vertex")
+            elif v in seen:
                 problems.append(f"partition: vertex {v} appears in bags {seen[v]} and {i}")
             seen[v] = i
     for v in range(g.vertex_count):
@@ -295,29 +283,43 @@ def validate_tdd(g: Graph, d: TreeDistanceDecomposition) -> list[str]:
     if problems:
         return problems
 
-    root_bag = d.bags[d.root]
+    level = _levels(g, d.bags[d.root])
     for i, bag in enumerate(d.bags):
         for v in bag:
-            dist = set_distance(g, root_bag, v)
-            if dist != d.depth[i]:
+            if level[v] != d.depth[i]:
+                dist = level[v] if level[v] >= 0 else None
                 problems.append(
                     f"depth: vertex {v} in bag {i} at depth {d.depth[i]} but distance is {dist}"
                 )
 
+    # Each edge joins the subgraph of every subtree holding its lowest common
+    # bag.  Merging bags deepest first, after bag i's edges the union-find
+    # classes inside its subtree are the components of that subgraph, and
+    # parts[i] counts them.
+    edges_at: list[list[tuple[int, int]]] = [[] for _ in d.bags]
     for u, v in sorted(g.edges):
         bu, bv = seen[u], seen[v]
-        if bu == bv:
-            continue
-        if d.parent[bu] == bv or d.parent[bv] == bu:
-            continue
-        problems.append(f"edge-locality: edge ({u}, {v}) spans non-adjacent bags {bu} and {bv}")
+        if bu != bv and d.parent[bu] != bv and d.parent[bv] != bu:
+            problems.append(f"edge-locality: edge ({u}, {v}) spans non-adjacent bags {bu} and {bv}")
+        while bu != bv:
+            if d.depth[bu] >= d.depth[bv]:
+                bu = d.parent[bu]
+            else:
+                bv = d.parent[bv]
+        edges_at[bu].append((u, v))
 
+    up = list(range(g.vertex_count))
+    parts = [len(bag) for bag in d.bags]
+    for i in sorted(range(n_bags), key=d.depth.__getitem__, reverse=True):
+        for u, v in edges_at[i]:
+            a, b = _find(up, u), _find(up, v)
+            if a != b:
+                up[a] = b
+                parts[i] -= 1
+        if i != d.root:
+            parts[d.parent[i]] += parts[i]
     for i in range(n_bags):
-        union: list[int] = []
-        for b in d.subtree_bag_ids(i):
-            union.extend(d.bags[b])
-        sub, _ = induced_subgraph(g, union)
-        if not is_connected(sub):
+        if parts[i] != 1:
             problems.append(f"minimality: subtree of bag {i} induces a disconnected subgraph")
     return problems
 

@@ -36,6 +36,16 @@ def test_spider_separator_dedup():
     assert len(t.children[root_seps[0]]) == 2
 
 
+def test_separating_sets_numbered_in_preorder():
+    # the root bag {0, 1} has three separating sets; each set's node is
+    # numbered after the whole subtree of the set before it
+    g = Graph(7, [(0, 1), (0, 2), (1, 3), (0, 4), (1, 4), (2, 5), (3, 6)])
+    t = _tree(g, [0, 1])
+    assert t.to_debug_text() == "B(0,1)(S(0)(B(2)(S(2)(B(5)))) S(0,1)(B(4)) S(1)(B(3)(S(3)(B(6)))))"
+    assert t.vertices == ((0, 1), (0,), (2,), (2,), (5,), (0, 1), (4,), (1,), (3,), (3,), (6,))
+    assert t.parent == (0, 0, 1, 2, 3, 0, 5, 0, 7, 8, 9)
+
+
 def test_single_bag_tree():
     g = cycle_graph(3)
     t = build_augmented_tree(g, build_minimal_tdd(g, [0, 1, 2]))

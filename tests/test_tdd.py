@@ -7,7 +7,6 @@ from widthiso import (
     RootHasNoParentError,
     TreeDistanceDecomposition,
     build_minimal_tdd,
-    decomposition_records,
     enumerate_connected_graphs,
     first_child,
     next_sibling,
@@ -85,14 +84,6 @@ def test_build_minimal_tdd_errors():
         build_minimal_tdd(path_graph(3), [])
 
 
-def test_records_match_bags():
-    d = build_minimal_tdd(SPIDER, [0])
-    recs = decomposition_records(d)
-    assert [r.bag_id for r in recs] == list(range(len(d.bags)))
-    assert all(r.vertices == d.bags[r.bag_id] for r in recs)
-    assert all(r.bag_depth == d.depth[r.bag_id] for r in recs)
-
-
 def test_validate_tdd_accepts_built():
     for g, root in [
         (path_graph(5), [0]),
@@ -127,6 +118,17 @@ def test_validate_tdd_detects_wrong_depth():
     g = Graph(4, [(0, 1), (1, 2), (1, 3)])  # vertex 3 is at distance 2, not 3
     problems = validate_tdd(g, d)
     assert any("depth" in p and "3" in p for p in problems)
+
+
+def test_validate_tdd_reports_foreign_vertex():
+    d = TreeDistanceDecomposition(
+        bags=((0,), (1, 2), (3,)),
+        parent=(0, 0, 1),
+        depth=(0, 1, 2),
+        root=0,
+    )
+    problems = validate_tdd(path_graph(3), d)
+    assert problems == ["partition: bag 2 holds 3, which is not a vertex"]
 
 
 def test_tree_distance_width_path():

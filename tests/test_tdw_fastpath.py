@@ -3,28 +3,37 @@
 The minimal decomposition builder is checked against the definition, the
 canonisation search that stops at the first admissible root-set size is
 checked against the minimum over every root set, and the canonical bytes
-and maps of a few fixed graphs are pinned.
+and maps of a few fixed graphs are pinned.  Deep paths check that no tdw
+traversal depends on the interpreter's recursion limit.
 """
 
 import hashlib
+import inspect
 import random
+import sys
 from itertools import combinations
 
 import pytest
 
 from widthiso import (
     Graph,
+    OrderResult,
     build_augmented_tree,
     build_minimal_tdd,
     canon_tdw,
     canonical_map,
+    compare_augmented,
+    full_theta,
+    iso_tdw,
     tree_distance_width,
     validate_tdd,
 )
+from widthiso.cli import main
+from widthiso.formats import write_graph
 from widthiso.isoorder import _canon_state, _min_trace, _orderings
 from widthiso.tdd import _build
 
-from helpers import random_narrow_graph
+from helpers import path_graph, random_narrow_graph
 
 
 def _random_connected(rng: random.Random, n: int) -> Graph:
@@ -112,3 +121,32 @@ def test_golden_canonical_bytes(name, n, edges, k, digest, cmap, tdw):
     assert hashlib.sha256(canon_tdw(g, k).hex.encode()).hexdigest() == digest
     assert canonical_map(g, k) == cmap
     assert tree_distance_width(g, k) == tdw
+
+
+def test_deep_path_end_to_end(tmp_path, capsys):
+    n = 1100
+    g = path_graph(n)
+    d = build_minimal_tdd(g, [0])
+    assert validate_tdd(g, d) == []
+    tree = build_augmented_tree(g, d)
+    text = "".join(f"B({v})(S({v})(" for v in range(n - 1)) + f"B({n - 1})" + ")" * (2 * n - 2)
+    assert tree.to_debug_text() == text
+    h = tree.handle()
+    assert compare_augmented(g, h, g, h, full_theta(h, h)) is OrderResult.EQUAL
+    path = tmp_path / "deep.gr"
+    path.write_text(write_graph(g))
+    assert main(["augtree", str(path), "--root", "1"]) == 0
+    assert capsys.readouterr().out.startswith("B(1)(S(1)(B(2)(S(2)")
+
+
+def test_tdw_route_needs_no_recursion_depth():
+    g = path_graph(150)
+    expected = (canon_tdw(g, 1), canonical_map(g, 1), iso_tdw(g, g, 1))
+    _canon_state.cache_clear()
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 100)
+    try:
+        got = (canon_tdw(g, 1), canonical_map(g, 1), iso_tdw(g, g, 1))
+    finally:
+        sys.setrecursionlimit(limit)
+    assert got == expected
