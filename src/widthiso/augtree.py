@@ -115,6 +115,25 @@ class SubtreeHandle:
     node: int
 
 
+def bag_split(
+    g: Graph, d: TreeDistanceDecomposition, i: int
+) -> tuple[tuple[tuple[int, int], ...], dict[tuple[int, ...], list[int]]]:
+    """Edges inside bag i, and its child bags grouped by separating set.
+
+    A child bag's separating set is the part of bag i adjacent to it; the
+    groups keep the child bags in ascending id order.
+    """
+    adj = g._adj
+    bag = d.bags[i]
+    inside = set(bag)
+    edges = tuple((u, w) for u in bag for w in adj[u] if w > u and w in inside)
+    groups: dict[tuple[int, ...], list[int]] = {}
+    for child in d.child_lists[i]:
+        sep = tuple(sorted({y for v in d.bags[child] for y in adj[v] if y in inside}))
+        groups.setdefault(sep, []).append(child)
+    return edges, groups
+
+
 def build_augmented_tree(
     g: Graph, d: TreeDistanceDecomposition, check: bool = True
 ) -> AugmentedTree:
@@ -139,7 +158,6 @@ def build_augmented_tree(
     # None) for a bag and (separating set, parent node, child bag ids) for a
     # separating-set node, which is numbered only when popped: after the
     # whole subtree of the set before it.
-    adj = g._adj
     stack: list[tuple] = [(d.root, 0, None)]
     while stack:
         item, par, sep_kids = stack.pop()
@@ -156,12 +174,8 @@ def build_augmented_tree(
             for b in reversed(sorted(sep_kids, key=d.bags.__getitem__)):
                 stack.append((b, node, None))
             continue
-        inside = set(verts)
-        bag_edges.append(tuple((u, w) for u in verts for w in adj[u] if w > u and w in inside))
-        groups: dict[tuple[int, ...], list[int]] = {}
-        for child in d.child_lists[item]:
-            sep = tuple(sorted({y for v in d.bags[child] for y in adj[v] if y in inside}))
-            groups.setdefault(sep, []).append(child)
+        edges, groups = bag_split(g, d, item)
+        bag_edges.append(edges)
         for sep in reversed(sorted(groups)):
             stack.append((sep, node, groups[sep]))
 

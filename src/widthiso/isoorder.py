@@ -24,6 +24,7 @@ is what makes the minimum over all root sets a canonical form.
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -31,9 +32,10 @@ from itertools import combinations, permutations
 from operator import itemgetter
 from typing import Iterable, NamedTuple, Sequence
 
-from .augtree import AugmentedTree, SubtreeHandle, build_augmented_tree
+from .augtree import AugmentedTree, SubtreeHandle, bag_split, build_augmented_tree
 from .errors import (
     DisconnectedGraphError,
+    InternalError,
     NoAdmissibleMappingError,
     WidthExceededError,
 )
@@ -124,6 +126,35 @@ def _bip_code(
     return tuple(out)
 
 
+def _header(
+    rel_depth: int,
+    pos: dict[int, int],
+    edges: tuple[tuple[int, int], ...],
+    size: int,
+    n_seps: int,
+) -> list[int]:
+    """Trace fields ahead of the blocks: relative depth, bag size, the bag's
+    edges as length-prefixed position pairs, subtree size, separating-set count."""
+    edge_pos = sorted(
+        (pos[u], pos[v]) if pos[u] < pos[v] else (pos[v], pos[u]) for u, v in edges
+    )
+    out = [rel_depth, len(pos), len(edge_pos)]
+    for x, y in edge_pos:
+        out.append(x)
+        out.append(y)
+    out.append(size)
+    out.append(n_seps)
+    return out
+
+
+def _sep_head(pos: dict[int, int], sep: tuple[int, ...], n_kids: int) -> list[int]:
+    """Head of a separating-set block: |sep|, its sorted positions, #kids."""
+    head = [len(sep)]
+    head.extend(sorted(pos[m] for m in sep))
+    head.append(n_kids)
+    return head
+
+
 def _sep_blocks(
     tree: AugmentedTree, node: int, sigma: tuple[int, ...], rel_depth: int
 ) -> list[tuple[tuple[int, ...], list[tuple]]]:
@@ -138,10 +169,8 @@ def _sep_blocks(
     memo = tree._trace_memo
     blocks = []
     for s in tree.children[node]:
-        head = [len(tree.vertices[s])]
-        head.extend(sorted(pos[m] for m in tree.vertices[s]))
         kids = tree.children[s]
-        head.append(len(kids))
+        head = _sep_head(pos, tree.vertices[s], len(kids))
         entries = []
         for b in kids:
             pairs = _bip_pairs(tree, s, b)
@@ -182,24 +211,39 @@ def _traces(
                 stack.append((c, r + 2))
     for key in reversed(todo):
         b, r = key
+        edges = tree.bag_edges[b]
+        n_seps = len(tree.children[b])
         traces = {}
         for sigma in _orderings(tree.vertices[b]):
             pos = {v: i for i, v in enumerate(sigma)}
-            edge_pos = sorted(
-                (pos[u], pos[v]) if pos[u] < pos[v] else (pos[v], pos[u])
-                for u, v in tree.bag_edges[b]
-            )
-            out = [r, len(sigma), len(edge_pos)]
-            for x, y in edge_pos:
-                out.append(x)
-                out.append(y)
-            out.append(tree.sizes[b])
-            out.append(len(tree.children[b]))
+            out = _header(r, pos, edges, tree.sizes[b], n_seps)
             for block, _ in _sep_blocks(tree, b, sigma, r):
                 out.extend(block)
             traces[sigma] = tuple(out)
         memo[key] = traces
     return memo[node, rel_depth]
+
+
+def _root_prefix(g: Graph, d: TreeDistanceDecomposition) -> tuple[int, ...]:
+    """Opening of the root set's minimal trace, read from the decomposition.
+
+    The header of the root bag (depth 0, the whole graph as subtree) and,
+    when there is a separating set, the least block head.  Blocks are sorted
+    and each head is self-delimiting, so the first block starts with the
+    least head; minimised over the root bag's orderings this tuple is an
+    exact prefix of the least trace, and comparing two root sets' prefixes
+    orders their traces whenever the prefixes differ.
+    """
+    edges, groups = bag_split(g, d, d.root)
+    best = None
+    for sigma in _orderings(d.bags[d.root]):
+        pos = {v: i for i, v in enumerate(sigma)}
+        out = _header(0, pos, edges, g.vertex_count, len(groups))
+        if groups:
+            out.extend(min(_sep_head(pos, sep, len(kids)) for sep, kids in groups.items()))
+        if best is None or out < best:
+            best = out
+    return tuple(best)
 
 
 def _min_trace(
@@ -312,11 +356,11 @@ class CanonicalForm:
 
 
 def _serialize(trace: tuple[int, ...]) -> bytes:
-    out = bytearray()
-    for x in trace:
-        assert 0 <= x < 1 << 32
-        out += x.to_bytes(4, "big")
-    return bytes(out)
+    """Each value as 4 big-endian bytes; InternalError outside [0, 2**32)."""
+    try:
+        return struct.pack(">%dI" % len(trace), *trace)
+    except struct.error as exc:
+        raise InternalError(f"trace value does not fit 32 bits: {exc}") from exc
 
 
 class _CanonState(NamedTuple):
@@ -327,23 +371,40 @@ class _CanonState(NamedTuple):
     sigma: tuple[int, ...]
 
 
-@lru_cache(maxsize=None)
+# Graphs whose canonisation state stays cached; each entry keeps its
+# augmented tree with the whole trace memo.  Large enough for all-pairs
+# iso_tdw over the 434 connected graphs with n <= 7 and width <= 2.
+_CANON_CACHE_SIZE = 512
+
+
+@lru_cache(maxsize=_CANON_CACHE_SIZE)
 def _canon_state(g: Graph, k: int) -> _CanonState | None:
     """Least trace over all admissible root sets; None when none fits k.
 
     Every trace starts (0, |S|, ...): relative depth 0, then the root bag's
     size.  So any admissible root set of size s has a smaller trace than
     every root set of size > s, and the search stops after the first size
-    that admits one.
+    that admits one.  Within a size, only the root sets whose root prefix
+    (see _root_prefix) is least get an augmented tree and a trace; the
+    others cannot win.  The first minimiser in combinations order wins.
     """
     if not is_connected(g):
         raise DisconnectedGraphError("canonization needs a connected graph")
     best: _CanonState | None = None
     for size in range(1, min(k, g.vertex_count) + 1):
+        least = None
+        survivors = []
         for s in combinations(range(g.vertex_count), size):
             d = _build(g, s, cap=k)
             if d is None:
                 continue
+            prefix = _root_prefix(g, d)
+            if least is None or prefix < least:
+                least = prefix
+                survivors = [(s, d)]
+            elif prefix == least:
+                survivors.append((s, d))
+        for s, d in survivors:
             tree = build_augmented_tree(g, d, check=False)
             trace, sigma = _min_trace(tree, 0, _orderings(s))
             if best is None or trace < best.trace:

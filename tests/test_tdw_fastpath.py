@@ -2,7 +2,8 @@
 
 The minimal decomposition builder is checked against the definition, the
 canonisation search that stops at the first admissible root-set size is
-checked against the minimum over every root set, and the canonical bytes
+checked against the minimum over every root set, the root prefix that
+prunes root sets is checked against the full trace, and the canonical bytes
 and maps of a few fixed graphs are pinned.  Deep paths check that no tdw
 traversal depends on the interpreter's recursion limit.
 """
@@ -17,6 +18,7 @@ import pytest
 
 from widthiso import (
     Graph,
+    InternalError,
     OrderResult,
     build_augmented_tree,
     build_minimal_tdd,
@@ -28,9 +30,18 @@ from widthiso import (
     tree_distance_width,
     validate_tdd,
 )
+from widthiso import isoorder
 from widthiso.cli import main
 from widthiso.formats import write_graph
-from widthiso.isoorder import _canon_state, _min_trace, _orderings
+from widthiso.generate import random_relabel
+from widthiso.isoorder import (
+    _CANON_CACHE_SIZE,
+    _canon_state,
+    _min_trace,
+    _orderings,
+    _root_prefix,
+    _serialize,
+)
 from widthiso.tdd import _build
 
 from helpers import path_graph, random_narrow_graph
@@ -67,18 +78,80 @@ def test_build_matches_definition(g):
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_early_stop_keeps_least_trace(k):
     for g in _graphs(77 + k, 24, 9):
-        traces = []
+        found = []
         for size in range(1, min(k, g.vertex_count) + 1):
             for s in combinations(range(g.vertex_count), size):
                 d = _build(g, s, k)
                 if d is not None:
                     tree = build_augmented_tree(g, d, check=False)
-                    traces.append(_min_trace(tree, 0, _orderings(s))[0])
+                    found.append((*_min_trace(tree, 0, _orderings(s)), s))
         state = _canon_state(g, k)
-        if traces:
-            assert state is not None and state.trace == min(traces)
+        if found:
+            least = min(trace for trace, _, _ in found)
+            first = next(f for f in found if f[0] == least)
+            assert state is not None
+            assert (state.trace, state.sigma, state.root_set) == first
         else:
             assert state is None
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_root_prefix_opens_min_trace(k):
+    rng = random.Random(500 + k)
+    checked = 0
+    for _ in range(60):
+        g = _random_connected(rng, rng.randint(1, 12))
+        for size in range(1, min(k, g.vertex_count) + 1):
+            for s in combinations(range(g.vertex_count), size):
+                d = _build(g, s, k)
+                if d is None:
+                    continue
+                prefix = _root_prefix(g, d)
+                tree = build_augmented_tree(g, d, check=False)
+                trace, _ = _min_trace(tree, 0, _orderings(s))
+                assert trace[: len(prefix)] == prefix
+                checked += 1
+    assert checked >= 100
+
+
+def test_path_traces_only_its_ends(monkeypatch):
+    g, _ = random_relabel(path_graph(60), seed=9)
+    built = []
+
+    def counting(*args, **kwargs):
+        built.append(args[1].bags[0])
+        return build_augmented_tree(*args, **kwargs)
+
+    monkeypatch.setattr(isoorder, "build_augmented_tree", counting)
+    _canon_state.cache_clear()
+    canon_tdw(g, 1)
+    assert len(built) == 2
+    assert sorted(built) == sorted((v,) for v in range(60) if g.degree(v) == 1)
+
+
+def test_serialize_rejects_values_outside_32_bits():
+    assert _serialize((0, 1, (1 << 32) - 1)) == bytes(4) + bytes([0, 0, 0, 1]) + b"\xff" * 4
+    for bad in ((1 << 32,), (3, -1)):
+        with pytest.raises(InternalError):
+            _serialize(bad)
+
+
+def test_canon_cache_is_bounded_and_eviction_keeps_output():
+    assert _canon_state.cache_info().maxsize == _CANON_CACHE_SIZE < float("inf")
+    _canon_state.cache_clear()
+    g, _ = random_relabel(path_graph(9), seed=3)
+    expected = (canon_tdw(g, 1), canonical_map(g, 1))
+    others = set()
+    seed = 0
+    while len(others) < _CANON_CACHE_SIZE:
+        h, _ = random_relabel(path_graph(7), seed=seed)
+        others.add(h)
+        seed += 1
+    for h in others:
+        canon_tdw(h, 1)
+    misses = _canon_state.cache_info().misses
+    assert (canon_tdw(g, 1), canonical_map(g, 1)) == expected
+    assert _canon_state.cache_info().misses == misses + 1
 
 
 # (name, n, edges, k, sha256 of canon_tdw hex, canonical_map, tree_distance_width)
