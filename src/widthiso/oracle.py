@@ -12,6 +12,7 @@ from functools import lru_cache
 from itertools import combinations
 from typing import Sequence
 
+from .errors import InternalError
 from .graph import Graph
 
 
@@ -106,7 +107,8 @@ def brute_force_iso(g: Graph, h: Graph) -> tuple[int, ...] | None:
     if not extend(0):
         return None
     perm = tuple(mapping[v] for v in range(n))
-    assert is_isomorphism(g, h, perm)
+    if not is_isomorphism(g, h, perm):
+        raise InternalError("backtracking returned a map that is not an isomorphism")
     return perm
 
 

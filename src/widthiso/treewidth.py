@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations, permutations
 from typing import Callable, Iterable, Sequence
 
@@ -51,14 +52,18 @@ class TreeDecomposition:
     def width(self) -> int:
         return max(len(bag) for bag in self.bags) - 1
 
-    def neighbors(self, i: int) -> tuple[int, ...]:
-        out = []
+    @cached_property
+    def tree_adjacency(self) -> dict[int, tuple[int, ...]]:
+        """Neighbour bag ids of every bag, ascending; built once per decomposition."""
+        adj: dict[int, list[int]] = {i: [] for i in range(len(self.bags))}
         for a, b in self.tree_edges:
-            if a == i:
-                out.append(b)
-            elif b == i:
-                out.append(a)
-        return tuple(sorted(out))
+            adj.setdefault(a, []).append(b)
+            if b != a:
+                adj.setdefault(b, []).append(a)
+        return {i: tuple(sorted(nbrs)) for i, nbrs in adj.items()}
+
+    def neighbors(self, i: int) -> tuple[int, ...]:
+        return self.tree_adjacency.get(i, ())
 
     def rooted(self, root: int) -> tuple[dict[int, int], dict[int, list[int]]]:
         """Parent and children maps when the bag tree hangs from root."""
@@ -110,35 +115,38 @@ def validate_tree_decomposition(g: Graph, d: TreeDecomposition) -> list[str]:
     if problems:
         return problems
 
-    covered = set()
-    for bag in d.bags:
-        covered.update(bag)
+    holders: dict[int, set[int]] = {}  # vertex -> ids of the bags holding it
+    for i, bag in enumerate(d.bags):
+        for v in bag:
+            holders.setdefault(v, set()).add(i)
     for v in range(g.vertex_count):
-        if v not in covered:
+        if v not in holders:
             problems.append(f"coverage: vertex {v} is in no bag")
     for u, v in sorted(g.edges):
-        if not any(u in bag and v in bag for bag in d.bags):
+        if holders.get(u, set()).isdisjoint(holders.get(v, ())):
             problems.append(f"edge-coverage: edge ({u}, {v}) is inside no bag")
+    # The bag tree is a tree here, so the bags holding v form a subtree
+    # exactly when |holders(v)| - 1 tree edges join two of them.
+    joins = dict.fromkeys(holders, 0)
+    for a, b in d.tree_edges:
+        for v in set(d.bags[a]).intersection(d.bags[b]):
+            joins[v] += 1
     for v in range(g.vertex_count):
-        holding = [i for i, bag in enumerate(d.bags) if v in bag]
-        if not holding:
-            continue
-        block = set(holding)
-        seen = {holding[0]}
-        queue = deque([holding[0]])
-        while queue:
-            a = queue.popleft()
-            for b in d.neighbors(a):
-                if b in block and b not in seen:
-                    seen.add(b)
-                    queue.append(b)
-        if seen != block:
+        if v in holders and joins[v] != len(holders[v]) - 1:
             problems.append(f"connectivity: bags holding vertex {v} do not form a subtree")
     return problems
 
 
+def _inner_edges(g: Graph, verts: set[int] | frozenset[int]) -> int:
+    """Number of edges of g with both ends in verts."""
+    adj = g._adj
+    return sum(1 for v in verts for w in adj[v] if w in verts) // 2
+
+
 class _Rooted:
-    """Rooted view of one decomposition with per-subtree vertex sets."""
+    """Rooted view of one decomposition with per-subtree vertex sets and
+    per-bag invariants: the sorted degrees of each bag's vertices and the
+    number of edges inside each bag."""
 
     def __init__(self, g: Graph, d: TreeDecomposition, root: int) -> None:
         self.g = g
@@ -159,6 +167,9 @@ class _Rooted:
             for b in self.children[a]:
                 verts |= self.subtree_verts[b]
             self.subtree_verts[a] = frozenset(verts)
+        self.degree = [len(nbrs) for nbrs in g._adj]
+        self.bag_profile = [sorted(self.degree[v] for v in bag) for bag in self.bags]
+        self.bag_inner = [_inner_edges(g, set(bag)) for bag in self.bags]
 
     def lex_key(self, parent_id: int, child_id: int):
         fresh = self.subtree_verts[child_id] - set(self.bags[parent_id])
@@ -169,7 +180,7 @@ class _Rooted:
     def profile(self, child_id: int) -> tuple:
         """Cheap isomorphism invariant of a rooted subtree."""
         verts = self.subtree_verts[child_id]
-        inner_edges = sum(1 for u, v in self.g.edges if u in verts and v in verts)
+        inner_edges = _inner_edges(self.g, verts)
         shapes = []
         stack = [(child_id, 0)]
         while stack:
@@ -279,15 +290,6 @@ class _RespectMatcher:
     def __init__(self, left: _Rooted, right: _Rooted) -> None:
         self.L = left
         self.R = right
-        left_univ = left.subtree_verts[left.root]
-        right_univ = right.subtree_verts[right.root]
-        self.ldeg = {
-            v: sum(1 for w in left.g.neighbors(v) if w in left_univ) for v in left_univ
-        }
-        self.rdeg = {
-            v: sum(1 for w in right.g.neighbors(v) if w in right_univ)
-            for v in right_univ
-        }
         self.fwd: dict[int, int] = {}
         self.back: dict[int, int] = {}
         self.journal: list[int] = []
@@ -328,8 +330,8 @@ class _RespectMatcher:
             self.R.g,
             bag_b,
             forced,
-            self.ldeg.__getitem__,
-            self.rdeg.__getitem__,
+            self.L.degree.__getitem__,
+            self.R.degree.__getitem__,
         ):
             mark = self._apply(ext)
             if mark is None:
@@ -414,6 +416,7 @@ class _IsoSearch:
         self.h = h
         self.k = k
         self.L = rooted
+        self.hdeg = [len(nbrs) for nbrs in h._adj]
         self.mapping: dict[int, int] = {}
         self.journal: list[int] = []
         self.frames: list[tuple[int, dict[int, int]]] = []
@@ -447,7 +450,8 @@ class _IsoSearch:
                 a = self.L.parent[a]
         live = {v for _, ext in self.frames for v in ext}
         expected = {v for a in path for v in self.L.bags[a]}
-        assert live == expected, "frame stack must cover exactly the root path"
+        if live != expected:
+            raise InternalError("frame stack must cover exactly the root path")
         if pop_audit_hook is not None:
             pop_audit_hook(list(self.frames))
 
@@ -489,17 +493,21 @@ class _IsoSearch:
     def run(self) -> tuple[int, ...] | None:
         root = self.L.root
         bag = self.L.bags[root]
-        profile = sorted(self.g.degree(v) for v in bag)
-        inner = sum(1 for u, v in self.g.edges if u in set(bag) and v in set(bag))
+        profile = self.L.bag_profile[root]
+        hdeg = self.hdeg
         n = self.h.vertex_count
-        for cand in combinations(range(n), len(bag)):
-            if sorted(self.h.degree(w) for w in cand) != profile:
+        # A vertex whose degree is not in the profile is in no candidate, so
+        # the candidates over the rest come out in the same (lexicographic)
+        # order, only fewer.
+        degrees = set(profile)
+        pool = [w for w in range(n) if hdeg[w] in degrees]
+        for cand in combinations(pool, len(bag)):
+            if sorted(hdeg[w] for w in cand) != profile:
                 continue
-            cset = set(cand)
-            if sum(1 for u, v in self.h.edges if u in cset and v in cset) != inner:
+            if _inner_edges(self.h, set(cand)) != self.L.bag_inner[root]:
                 continue
             for ext in _bag_bijections(
-                self.g, bag, self.h, cand, {}, self.g.degree, self.h.degree
+                self.g, bag, self.h, cand, {}, self.L.degree.__getitem__, hdeg.__getitem__
             ):
                 mark = self._assign(ext.items())
                 self.frames.append((root, ext))
@@ -542,17 +550,19 @@ class _IsoSearch:
         pinned_img = set(pinned.values())
         fresh_count = len(bag_i) - len(pinned)
         target_interior = len(self.L.subtree_verts[i]) - len(bag_i)
-        g_profile = sorted(self.g.degree(v) for v in bag_i)
-        inner = sum(
-            1 for u, v in self.g.edges if u in set(bag_i) and v in set(bag_i)
-        )
+        g_profile = self.L.bag_profile[i]
+        hdeg = self.hdeg
         img_bag_a = set(phi.values())
-        for combo in combinations(sorted(available), fresh_count):
+        # Every mapped vertex keeps its degree, so the fresh vertices of the
+        # image carry the degrees of the unpinned vertices of bag i.
+        degrees = {self.L.degree[v] for v in bag_i if v not in pinned}
+        pool = [w for w in sorted(available) if hdeg[w] in degrees]
+        for combo in combinations(pool, fresh_count):
             cut = tuple(sorted(pinned_img | set(combo)))
-            if sorted(self.h.degree(w) for w in cut) != g_profile:
+            if sorted(hdeg[w] for w in cut) != g_profile:
                 continue
             cset = set(cut)
-            if sum(1 for u, v in self.h.edges if u in cset and v in cset) != inner:
+            if _inner_edges(self.h, cset) != self.L.bag_inner[i]:
                 continue
             for interior in self._claim_choices(available, img_bag_a, cset, set(combo), target_interior):
                 choice = (cut, tuple(sorted(interior)))
@@ -592,7 +602,7 @@ class _IsoSearch:
         queue = deque(seeds)
         while queue:
             x = queue.popleft()
-            for y in self.h.neighbors(x):
+            for y in self.h._adj[x]:
                 if y in working and y not in reach:
                     reach.add(y)
                     queue.append(y)
@@ -607,7 +617,7 @@ class _IsoSearch:
             stack = [start]
             while stack:
                 x = stack.pop()
-                for y in self.h.neighbors(x):
+                for y in self.h._adj[x]:
                     if y in loose and y not in seen:
                         seen.add(y)
                         comp.add(y)
@@ -647,7 +657,13 @@ class _IsoSearch:
         found: dict[int, int] | None = None
         region = frozenset(cut) | interior
         for ext in _bag_bijections(
-            self.g, self.L.bags[i], self.h, cut, pinned, self.g.degree, self.h.degree
+            self.g,
+            self.L.bags[i],
+            self.h,
+            cut,
+            pinned,
+            self.L.degree.__getitem__,
+            self.hdeg.__getitem__,
         ):
             mark = self._assign(ext.items())
             self.frames.append((i, ext))
@@ -758,7 +774,7 @@ def iso_one_decomp(
         sub, relabel = induced_subgraph(g, comp)
         part_d = _restrict_decomposition(d_g, set(comp), relabel)
         back = {new: old for old, new in relabel.items()}
-        g_parts.append((sub, part_d, back))
+        g_parts.append((sub, _Rooted(sub, part_d, part_d.root), back))
     h_parts = []
     for comp in h_comps:
         sub, relabel = induced_subgraph(h, comp)
@@ -770,12 +786,11 @@ def iso_one_decomp(
     def pair_map(gi: int, hj: int) -> tuple[int, ...] | None:
         key = (gi, hj)
         if key not in pair_memo:
-            sub_g, part_d, _ = g_parts[gi]
+            sub_g, rooted, _ = g_parts[gi]
             sub_h, _ = h_parts[hj]
             if sub_g.vertex_count != sub_h.vertex_count or sub_g.edge_count != sub_h.edge_count:
                 pair_memo[key] = None
             else:
-                rooted = _Rooted(sub_g, part_d, part_d.root if part_d.root is not None else 0)
                 pair_memo[key] = _IsoSearch(sub_g, rooted, sub_h, k).run()
         return pair_memo[key]
 
@@ -802,7 +817,8 @@ def iso_one_decomp(
     total: dict[int, int] = {}
     for gi, hj in enumerate(assignment):
         sub_map = pair_map(gi, hj)
-        assert sub_map is not None
+        if sub_map is None:
+            raise InternalError("an assigned component pair has no map")
         _, _, g_back = g_parts[gi]
         _, h_back = h_parts[hj]
         for new_v, new_w in enumerate(sub_map):
@@ -846,66 +862,103 @@ def compute_tree_decomposition(g: Graph, k: int) -> TreeDecomposition | None:
     )
 
 
+class _FillGraph:
+    """The graph left by an elimination prefix, with its fill edges: each
+    eliminated vertex's remaining neighbours are made pairwise adjacent.
+
+    A remaining vertex's neighbours here are its closure neighbours, the
+    remaining vertices it reaches through eliminated ones.  Eliminating a
+    vertex with at most k neighbours changes O(k^2) entries, which are
+    logged so that the search can undo eliminations in stack order.
+    """
+
+    def __init__(self, g: Graph) -> None:
+        self.nbrs = [set(a) for a in g._adj]
+        self.eliminated: set[int] = set()
+        self.log: list[tuple[int, list[tuple[int, set[int]]]]] = []
+
+    def eliminate(self, v: int) -> None:
+        """Eliminate remaining v: its neighbours become pairwise adjacent."""
+        nv = self.nbrs[v]
+        added_to = []
+        for w in nv:
+            nw = self.nbrs[w]
+            added = nv - nw
+            added.discard(w)
+            nw |= added
+            nw.discard(v)
+            added_to.append((w, added))
+        self.eliminated.add(v)
+        self.log.append((v, added_to))
+
+    def restore(self) -> None:
+        """Undo the last elimination."""
+        v, added_to = self.log.pop()
+        for w, added in added_to:
+            nw = self.nbrs[w]
+            nw -= added
+            nw.add(v)
+        self.eliminated.discard(v)
+
+
 def _eliminate(
     g: Graph, k: int
 ) -> tuple[list[tuple[int, ...]], list[tuple[int, int]], int] | None:
-    """Elimination-order decomposition of a connected graph, or None."""
+    """Elimination-order decomposition of a connected graph, or None.
+
+    Depth first over elimination states (the sets eliminated so far) on an
+    explicit stack: a state tries the remaining vertices in ascending order
+    and descends into the first with at most k closure neighbours; a state
+    all of whose moves fail is memoised as failed.
+    """
     n = g.vertex_count
     if n <= k + 1:
         return [tuple(range(n))], [], 0
-
-    def closure_neighbors(eliminated: frozenset[int], v: int) -> set[int]:
-        seen = {v}
-        out: set[int] = set()
-        stack = [v]
-        while stack:
-            x = stack.pop()
-            for y in g.neighbors(x):
-                if y in seen:
-                    continue
-                seen.add(y)
-                if y in eliminated:
-                    stack.append(y)
-                else:
-                    out.add(y)
-        return out
-
-    failed: set[frozenset[int]] = set()
-
-    def search(eliminated: frozenset[int]) -> list[int] | None:
-        if n - len(eliminated) <= k + 1:
-            return []
-        if eliminated in failed:
-            return None
-        for v in range(n):
-            if v in eliminated:
+    fill = _FillGraph(g)
+    nbrs, eliminated = fill.nbrs, fill.eliminated
+    failed: set[int] = set()  # failed states as bit masks of eliminated vertices
+    order: list[int] = []
+    # One frame per state on the current path: its bit mask and an iterator
+    # over the vertices it has yet to try.
+    frames = [(0, iter(range(n)))]
+    while frames:
+        mask, untried = frames[-1]
+        for v in untried:
+            if v in eliminated or len(nbrs[v]) > k:
                 continue
-            if len(closure_neighbors(eliminated, v)) <= k:
-                rest = search(eliminated | {v})
-                if rest is not None:
-                    return [v] + rest
-        failed.add(eliminated)
+            child = mask | 1 << v
+            done = n - len(eliminated) - 1 <= k + 1
+            if done or child not in failed:
+                break
+        else:
+            failed.add(mask)
+            frames.pop()
+            if order:
+                order.pop()
+                fill.restore()
+            continue
+        order.append(v)
+        fill.eliminate(v)
+        if done:
+            break
+        frames.append((child, iter(range(n))))
+    else:
         return None
-
-    order = search(frozenset())
-    if order is None:
-        return None
+    # An eliminated vertex's neighbours no longer change: they are its
+    # closure neighbours at the time it was eliminated.
+    bags = [tuple(sorted(nbrs[v] | {v})) for v in order]
     order_pos = {v: i for i, v in enumerate(order)}
-    bags: list[tuple[int, ...]] = []
-    edges: list[tuple[int, int]] = []
-    eliminated: frozenset[int] = frozenset()
-    for v in order:
-        bags.append(tuple(sorted({v} | closure_neighbors(eliminated, v))))
-        eliminated = eliminated | {v}
     final = tuple(sorted(set(range(n)) - set(order)))
     final_id = len(bags)
     bags.append(final)
+    edges: list[tuple[int, int]] = []
     for i, v in enumerate(order):
         rest = [u for u in bags[i] if u != v]
         # Closure neighbors are never eliminated before v, so every
         # attachment points at a later bag or the final one.
         target = min((order_pos.get(u, final_id) for u in rest), default=final_id)
-        assert target > i
+        if target <= i:
+            raise InternalError(f"elimination bag {i} attaches to earlier bag {target}")
         edges.append((i, target))
     return bags, edges, final_id
 

@@ -3,6 +3,7 @@ import pytest
 import widthiso.treewidth as treewidth_module
 from widthiso import (
     Graph,
+    InternalError,
     InvalidDecompositionError,
     SizeMismatchError,
     TreeDecomposition,
@@ -184,6 +185,19 @@ def test_iso_one_decomp_frame_audits_fire():
         treewidth_module.pop_audit_hook = None
     assert perm is not None
     assert calls  # every frame pop ran the path-coverage audit
+
+
+def test_frame_audit_rejects_stack_off_the_root_path():
+    # C4_DECOMP rooted at bag 0 is the path 0 - 1 - 2; a stack holding only
+    # bag 1's map leaves the root bag's vertex 0 uncovered.
+    search = treewidth_module._IsoSearch(
+        C4, treewidth_module._Rooted(C4, C4_DECOMP, 0), C4, 2
+    )
+    search.frames = [(1, {1: 1, 2: 2, 3: 3})]
+    with pytest.raises(InternalError, match="root path"):
+        search._audit_pop(2)
+    search.frames = [(0, {0: 0, 1: 1, 3: 3}), (1, {2: 2})]
+    search._audit_pop(2)
 
 
 def test_compute_tree_decomposition_tree():
