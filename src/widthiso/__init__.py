@@ -8,35 +8,25 @@ from .errors import (
     FormatError,
     GraphError,
     InternalError,
-    InvalidBipartitionError,
     InvalidDecompositionError,
     InvalidParamsError,
-    InvalidQueryError,
     InvalidVertexError,
     NoAdmissibleMappingError,
-    RootHasNoParentError,
     SizeMismatchError,
     WidthExceededError,
 )
 from .graph import (
-    Bipartite,
     Graph,
     connected_components,
     distance,
-    induced_bipartite,
     induced_subgraph,
     is_connected,
-    neighbors_of_set,
-    reachable_avoiding,
     set_distance,
     vertex_set,
 )
 from .tdd import (
     TreeDistanceDecomposition,
     build_minimal_tdd,
-    first_child,
-    next_sibling,
-    parent_bag,
     tree_distance_width,
     validate_tdd,
 )
@@ -44,11 +34,8 @@ from .augtree import (
     AugmentedTree,
     SubtreeHandle,
     build_augmented_tree,
-    subtree_graph,
-    subtree_size,
 )
 from .isoorder import (
-    BagOrdering,
     CanonicalForm,
     OrderResult,
     ThetaSet,
@@ -57,12 +44,10 @@ from .isoorder import (
     compare_augmented,
     full_theta,
     iso_tdw,
-    restrict_theta,
 )
 from .treewidth import (
     TreeDecomposition,
     compute_tree_decomposition,
-    is_valid_child_bag,
     iso_one_decomp,
     iso_respecting_both,
     iso_tw,
@@ -85,8 +70,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AugmentedTree",
-    "BagOrdering",
-    "Bipartite",
     "CanonicalForm",
     "DisconnectedGraphError",
     "EmptySetError",
@@ -95,14 +78,11 @@ __all__ = [
     "GraphError",
     "InstanceBundle",
     "InternalError",
-    "InvalidBipartitionError",
     "InvalidDecompositionError",
     "InvalidParamsError",
-    "InvalidQueryError",
     "InvalidVertexError",
     "NoAdmissibleMappingError",
     "OrderResult",
-    "RootHasNoParentError",
     "SizeMismatchError",
     "SubtreeHandle",
     "ThetaSet",
@@ -121,31 +101,21 @@ __all__ = [
     "connected_components",
     "distance",
     "enumerate_connected_graphs",
-    "first_child",
     "full_theta",
     "generate_partial_ktree",
     "identity_permutation",
-    "induced_bipartite",
     "induced_subgraph",
     "inverse_permutation",
     "is_connected",
     "is_isomorphism",
     "is_permutation",
-    "is_valid_child_bag",
     "iso_one_decomp",
     "iso_respecting_both",
     "iso_tdw",
     "iso_tw",
     "lex_subtree_order",
-    "neighbors_of_set",
-    "next_sibling",
-    "parent_bag",
     "random_relabel",
-    "reachable_avoiding",
-    "restrict_theta",
     "set_distance",
-    "subtree_graph",
-    "subtree_size",
     "tree_distance_width",
     "validate_tdd",
     "validate_tree_decomposition",

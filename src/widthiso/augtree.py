@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .errors import InvalidDecompositionError
-from .graph import Graph, induced_subgraph
+from .graph import Graph
 from .tdd import TreeDistanceDecomposition, validate_tdd
 
 BAG = "bag"
@@ -76,16 +76,6 @@ class AugmentedTree:
         if not (0 <= node < len(self.kinds)):
             raise ValueError(f"node {node} out of range")
         return SubtreeHandle(self, node)
-
-    def subtree_nodes(self, node: int) -> list[int]:
-        out = [node]
-        stack = [node]
-        while stack:
-            a = stack.pop()
-            for b in self.children[a]:
-                out.append(b)
-                stack.append(b)
-        return out
 
     def to_debug_text(self, node: int = 0, fmt: Callable[[int], object] = lambda v: v) -> str:
         """Nested labels, B(...) for bags and S(...) for separating sets."""
@@ -201,17 +191,3 @@ def build_augmented_tree(
         bag_edges=tuple(bag_edges),
         sizes=tuple(sizes),
     )
-
-
-def subtree_graph(h: SubtreeHandle) -> tuple[Graph, dict[int, int]]:
-    """Induced subgraph on every vertex associated to a node of the subtree."""
-    tree = h.tree
-    verts: set[int] = set()
-    for node in tree.subtree_nodes(h.node):
-        verts.update(tree.vertices[node])
-    return induced_subgraph(tree.graph, verts)
-
-
-def subtree_size(h: SubtreeHandle) -> int:
-    """Number of distinct vertices associated to the subtree's nodes."""
-    return h.tree.sizes[h.node]

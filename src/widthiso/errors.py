@@ -10,19 +10,7 @@ class EmptySetError(GraphError):
     pass
 
 
-class InvalidQueryError(GraphError):
-    pass
-
-
-class InvalidBipartitionError(GraphError):
-    pass
-
-
 class DisconnectedGraphError(GraphError):
-    pass
-
-
-class RootHasNoParentError(GraphError):
     pass
 
 

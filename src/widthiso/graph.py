@@ -1,5 +1,6 @@
 """Undirected simple graphs on dense 0-based labels, plus the distance,
-separator and component primitives the decomposition algorithms consume.
+component and induced-subgraph primitives the decomposition algorithms
+consume.
 
 Vertex sets are accepted as arbitrary iterables of labels and are always
 returned as ascending tuples; the fixed iteration order settles every
@@ -9,15 +10,9 @@ tie-break downstream, so all algorithms built on top are deterministic.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from typing import Iterable
 
-from .errors import (
-    EmptySetError,
-    InvalidBipartitionError,
-    InvalidQueryError,
-    InvalidVertexError,
-)
+from .errors import EmptySetError, InvalidVertexError
 
 
 class Graph:
@@ -135,15 +130,6 @@ def set_distance(g: Graph, s: Iterable[int], u: int) -> int | None:
     return None
 
 
-def neighbors_of_set(g: Graph, s: Iterable[int]) -> tuple[int, ...]:
-    """All vertices adjacent to s but not in s, ascending."""
-    inside = set(vertex_set(g, s))
-    out: set[int] = set()
-    for v in inside:
-        out.update(g._adj[v])
-    return tuple(sorted(out - inside))
-
-
 def connected_components(g: Graph, removed: Iterable[int] = ()) -> list[tuple[int, ...]]:
     """Components of the graph induced on V minus removed, sorted by least member."""
     gone = set(vertex_set(g, removed))
@@ -166,65 +152,10 @@ def connected_components(g: Graph, removed: Iterable[int] = ()) -> list[tuple[in
     return parts
 
 
-def reachable_avoiding(
-    g: Graph, source: Iterable[int], target: int, forbidden: Iterable[int]
-) -> bool:
-    """True iff some path joins a source vertex to target using no forbidden vertex.
-
-    Source vertices inside the forbidden set are ignored.
-    """
-    g.check_vertex(target)
-    blocked = set(vertex_set(g, forbidden))
-    if target in blocked:
-        raise InvalidQueryError(f"target {target} is itself forbidden")
-    seeds = [v for v in vertex_set(g, source) if v not in blocked]
-    if target in seeds:
-        return True
-    seen = set(seeds) | blocked
-    queue = deque(seeds)
-    while queue:
-        x = queue.popleft()
-        for y in g._adj[x]:
-            if y == target:
-                return True
-            if y not in seen:
-                seen.add(y)
-                queue.append(y)
-    return False
-
-
 def is_connected(g: Graph) -> bool:
     if g.vertex_count <= 1:
         return True
     return len(connected_components(g)) == 1
-
-
-@dataclass(frozen=True)
-class Bipartite:
-    """The bipartite subgraph induced between two disjoint vertex sets.
-
-    Edges are stored with the u-side endpoint first, so the bipartition is
-    part of the object; only edges crossing the two sides are kept.
-    """
-
-    u_side: tuple[int, ...]
-    w_side: tuple[int, ...]
-    edges: frozenset[tuple[int, int]]
-
-    def undirected_edges(self) -> frozenset[tuple[int, int]]:
-        return frozenset((u, w) if u < w else (w, u) for u, w in self.edges)
-
-
-def induced_bipartite(g: Graph, u_side: Iterable[int], w_side: Iterable[int]) -> Bipartite:
-    """Keep exactly the g-edges with one endpoint on each side."""
-    us = vertex_set(g, u_side)
-    ws = vertex_set(g, w_side)
-    overlap = set(us) & set(ws)
-    if overlap:
-        raise InvalidBipartitionError(f"sides overlap on {sorted(overlap)}")
-    wset = set(ws)
-    cross = frozenset((u, w) for u in us for w in g._adj[u] if w in wset)
-    return Bipartite(us, ws, cross)
 
 
 def induced_subgraph(g: Graph, keep: Iterable[int]) -> tuple[Graph, dict[int, int]]:
@@ -233,7 +164,8 @@ def induced_subgraph(g: Graph, keep: Iterable[int]) -> tuple[Graph, dict[int, in
     relabel = {v: i for i, v in enumerate(kept)}
     edges = [
         (relabel[u], relabel[v])
-        for u, v in g.edges
-        if u in relabel and v in relabel
+        for u in kept
+        for v in g._adj[u]
+        if v > u and v in relabel
     ]
     return Graph(len(kept), edges), relabel

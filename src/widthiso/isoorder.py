@@ -30,7 +30,7 @@ from enum import Enum
 from functools import lru_cache
 from itertools import combinations, permutations
 from operator import itemgetter
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from .augtree import AugmentedTree, SubtreeHandle, bag_split, build_augmented_tree
 from .errors import (
@@ -50,48 +50,25 @@ class OrderResult(Enum):
 
 
 @dataclass(frozen=True)
-class BagOrdering:
-    """One arrangement of a bag's vertices; position i holds sequence[i]."""
-
-    bag: tuple[int, ...]
-    sequence: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if tuple(sorted(self.sequence)) != self.bag:
-            raise ValueError(f"sequence {self.sequence} is not an arrangement of {self.bag}")
-
-
-@dataclass(frozen=True)
 class ThetaSet:
-    """Admissible pairs of bag orderings for a left/right comparison."""
+    """Admissible bag-ordering pairs for a left/right comparison.
 
-    pairs: tuple[tuple[BagOrdering, BagOrdering], ...]
+    Every ordering of the sorted bag left pairs with every ordering of the
+    sorted bag right; the set is empty when the bag sizes differ.
+    """
 
-    def __post_init__(self) -> None:
-        for left, right in self.pairs:
-            if len(left.sequence) != len(right.sequence):
-                raise ValueError("paired orderings must have equal length")
+    left: tuple[int, ...]
+    right: tuple[int, ...]
 
     def __bool__(self) -> bool:
-        return bool(self.pairs)
-
-    @staticmethod
-    def full(left_bag: Iterable[int], right_bag: Iterable[int]) -> "ThetaSet":
-        """Every pairing of arrangements; empty when the bag sizes differ."""
-        lb = tuple(sorted(left_bag))
-        rb = tuple(sorted(right_bag))
-        if len(lb) != len(rb):
-            return ThetaSet(())
-        pairs = tuple(
-            (BagOrdering(lb, ls), BagOrdering(rb, rs))
-            for ls in permutations(lb)
-            for rs in permutations(rb)
-        )
-        return ThetaSet(pairs)
+        return len(self.left) == len(self.right)
 
 
 def full_theta(left: SubtreeHandle, right: SubtreeHandle) -> ThetaSet:
-    return ThetaSet.full(left.tree.vertices[left.node], right.tree.vertices[right.node])
+    return ThetaSet(
+        tuple(sorted(left.tree.vertices[left.node])),
+        tuple(sorted(right.tree.vertices[right.node])),
+    )
 
 
 def _orderings(bag: tuple[int, ...]) -> list[tuple[int, ...]]:
@@ -264,8 +241,8 @@ def compare_augmented(
 ) -> OrderResult:
     """Order two bag-node subtrees under the admissible ordering pairs.
 
-    Each side is minimized over its own orderings occurring in theta; for the
-    unrestricted product this is exactly the least achievable comparison.
+    Each side's trace is minimised over all orderings of its bag, which is
+    the least comparison the unrestricted pairs in theta achieve.
     """
     for g, handle in ((g_left, left), (g_right, right)):
         if handle.tree.graph != g:
@@ -274,71 +251,16 @@ def compare_augmented(
             raise ValueError("comparison starts at bag nodes")
     if not theta:
         raise NoAdmissibleMappingError("no admissible ordering pairs")
-    left_bag = left.tree.vertices[left.node]
-    right_bag = right.tree.vertices[right.node]
-    left_sigmas = []
-    right_sigmas = []
-    for lo, ro in theta.pairs:
-        if lo.bag != left_bag or ro.bag != right_bag:
-            raise ValueError("theta orderings must arrange the compared bags")
-        left_sigmas.append(lo.sequence)
-        right_sigmas.append(ro.sequence)
-    t_left, _ = _min_trace(left.tree, left.node, sorted(set(left_sigmas)))
-    t_right, _ = _min_trace(right.tree, right.node, sorted(set(right_sigmas)))
+    bags = (left.tree.vertices[left.node], right.tree.vertices[right.node])
+    if (theta.left, theta.right) != bags:
+        raise ValueError("theta orderings must arrange the compared bags")
+    t_left, _ = _min_trace(left.tree, left.node, _orderings(theta.left))
+    t_right, _ = _min_trace(right.tree, right.node, _orderings(theta.right))
     if t_left < t_right:
         return OrderResult.LESS
     if t_left > t_right:
         return OrderResult.GREATER
     return OrderResult.EQUAL
-
-
-def restrict_theta(
-    sep_left: SubtreeHandle,
-    child_left: SubtreeHandle,
-    sigma_left: BagOrdering,
-    sep_right: SubtreeHandle,
-    child_right: SubtreeHandle,
-    sigma_right: BagOrdering,
-) -> ThetaSet:
-    """Ordering pairs of two child bags consistent with their parents.
-
-    A pair is admitted when matching positions turns the left bipartite
-    graph (separating set against child bag) into the right one, i.e. the
-    position-matching map extends the parents' partial isomorphism; the
-    separating sets must sit on equal positions to begin with.
-    """
-    for sep, child, sigma in (
-        (sep_left, child_left, sigma_left),
-        (sep_right, child_right, sigma_right),
-    ):
-        tree = sep.tree
-        if tree.is_bag(sep.node):
-            raise ValueError("sep handles must point at separating-set nodes")
-        if child.tree is not tree or child.node not in tree.children[sep.node]:
-            raise ValueError("child must hang under the separating-set node")
-        if sigma.bag != tree.vertices[tree.parent[sep.node]]:
-            raise ValueError("sigma must arrange the owning bag")
-    lpos = {v: i for i, v in enumerate(sigma_left.sequence)}
-    rpos = {v: i for i, v in enumerate(sigma_right.sequence)}
-    lsep = sorted(lpos[m] for m in sep_left.tree.vertices[sep_left.node])
-    rsep = sorted(rpos[m] for m in sep_right.tree.vertices[sep_right.node])
-    if lsep != rsep:
-        return ThetaSet(())
-    left_bag = child_left.tree.vertices[child_left.node]
-    right_bag = child_right.tree.vertices[child_right.node]
-    if len(left_bag) != len(right_bag):
-        return ThetaSet(())
-    lpairs = _bip_pairs(sep_left.tree, sep_left.node, child_left.node)
-    rpairs = _bip_pairs(sep_right.tree, sep_right.node, child_right.node)
-    pairs = []
-    for phi_l in _orderings(left_bag):
-        enc_l = _bip_code(lpos, {v: i for i, v in enumerate(phi_l)}, lpairs)
-        for phi_r in _orderings(right_bag):
-            if enc_l == _bip_code(rpos, {v: i for i, v in enumerate(phi_r)}, rpairs):
-                pairs.append(
-                    (BagOrdering(left_bag, phi_l), BagOrdering(right_bag, phi_r))
-                )
-    return ThetaSet(tuple(pairs))
 
 
 @dataclass(frozen=True, order=True)

@@ -12,11 +12,6 @@ left after deleting every vertex closer than d to S.  Two vertices at the
 same depth share a bag exactly when they are connected without going nearer
 the root, which is forced anyway whenever they are adjacent (equal-depth
 bags are never tree-adjacent, so an edge between them would be uncoverable).
-
-The navigation functions parent_bag / first_child / next_sibling answer
-purely local queries from the bag contents alone, without materializing the
-decomposition; see their docstrings for the exact neighborhood/reachability
-conditions they evaluate.
 """
 
 from __future__ import annotations
@@ -26,20 +21,8 @@ from functools import cached_property
 from itertools import combinations
 from typing import Iterable
 
-from .errors import (
-    DisconnectedGraphError,
-    EmptySetError,
-    InternalError,
-    RootHasNoParentError,
-)
-from .graph import (
-    Graph,
-    connected_components,
-    is_connected,
-    neighbors_of_set,
-    reachable_avoiding,
-    vertex_set,
-)
+from .errors import DisconnectedGraphError, EmptySetError, InternalError
+from .graph import Graph, is_connected, vertex_set
 
 
 @dataclass(frozen=True)
@@ -68,14 +51,6 @@ class TreeDistanceDecomposition:
 
     def children(self, i: int) -> tuple[int, ...]:
         return self.child_lists[i]
-
-    def vertex_bag(self) -> dict[int, int]:
-        out: dict[int, int] = {}
-        for i, bag in enumerate(self.bags):
-            for v in bag:
-                out[v] = i
-        return out
-
 
 def _find(up: list[int], x: int) -> int:
     """Union-find root of x, compressing the path walked."""
@@ -186,61 +161,6 @@ def build_minimal_tdd(g: Graph, s: Iterable[int]) -> TreeDistanceDecomposition:
     if built is None:
         raise InternalError("uncapped build returned no decomposition")
     return built
-
-
-def parent_bag(g: Graph, s: Iterable[int], x: Iterable[int]) -> tuple[int, ...]:
-    """Neighbors of x that stay reachable from s once x is deleted.
-
-    For most bags this is the whole parent bag; a parent-bag vertex that
-    touches the subtree below x only through other parent vertices is not
-    adjacent to x and is not reported.
-    """
-    root = vertex_set(g, s)
-    bag = vertex_set(g, x)
-    if bag == root:
-        raise RootHasNoParentError("the root bag has no parent")
-    return tuple(
-        v for v in neighbors_of_set(g, bag) if reachable_avoiding(g, root, v, bag)
-    )
-
-
-def _child_groups(g: Graph, s: tuple[int, ...], x: tuple[int, ...]) -> list[tuple[int, ...]]:
-    """Unreachable neighbors of x grouped by their component of g minus x."""
-    loose = [
-        v for v in neighbors_of_set(g, x) if not reachable_avoiding(g, s, v, x)
-    ]
-    if not loose:
-        return []
-    comp_of: dict[int, int] = {}
-    for idx, comp in enumerate(connected_components(g, x)):
-        for v in comp:
-            comp_of[v] = idx
-    groups: dict[int, list[int]] = {}
-    for v in loose:
-        groups.setdefault(comp_of[v], []).append(v)
-    return sorted((tuple(sorted(vs)) for vs in groups.values()), key=lambda b: b[0])
-
-
-def first_child(g: Graph, s: Iterable[int], x: Iterable[int]) -> tuple[int, ...] | None:
-    """The child bag holding the least-labeled neighbor of x cut off by x."""
-    root = vertex_set(g, s)
-    bag = vertex_set(g, x)
-    groups = _child_groups(g, root, bag)
-    return groups[0] if groups else None
-
-
-def next_sibling(g: Graph, s: Iterable[int], x: Iterable[int]) -> tuple[int, ...] | None:
-    """Among the children of parent_bag(x), the next one by least label."""
-    root = vertex_set(g, s)
-    bag = vertex_set(g, x)
-    if bag == root:
-        raise RootHasNoParentError("the root bag has no siblings")
-    p = parent_bag(g, root, bag)
-    mine = bag[0]
-    for group in _child_groups(g, root, tuple(p)):
-        if group[0] > mine:
-            return group
-    return None
 
 
 def validate_tdd(g: Graph, d: TreeDistanceDecomposition) -> list[str]:

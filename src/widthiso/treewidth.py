@@ -30,12 +30,8 @@ from .graph import (
     Graph,
     connected_components,
     induced_subgraph,
-    vertex_set,
 )
-
-# Called with the live frame list after every frame pop when set; the frames
-# always cover exactly the root-to-current-bag path.
-pop_audit_hook: Callable[[list], None] | None = None
+from .oracle import is_isomorphism
 
 
 @dataclass(frozen=True)
@@ -206,45 +202,6 @@ def lex_subtree_order(
     return sorted(children, key=lambda c: rooted.lex_key(r, c))
 
 
-def is_valid_child_bag(
-    h: Graph,
-    parent_bag: Iterable[int],
-    child_bag: Iterable[int],
-    claimed_component: Iterable[int],
-) -> bool:
-    """Check a guessed child bag against its claimed subinstance.
-
-    The claim must be the child bag plus exactly the vertices that the bag
-    cuts off from the remainder of the parent bag, and nothing may leak out
-    of the claim except into the child or parent bag.
-    """
-    parent = set(vertex_set(h, parent_bag))
-    child = set(vertex_set(h, child_bag))
-    claimed = set(vertex_set(h, claimed_component))
-    rest = parent - child
-    if rest:
-        seen = set(child)
-        queue = deque(v for v in rest if v not in child)
-        seen.update(queue)
-        while queue:
-            x = queue.popleft()
-            for y in h.neighbors(x):
-                if y not in seen:
-                    seen.add(y)
-                    queue.append(y)
-        cutoff = set(range(h.vertex_count)) - seen
-    else:
-        cutoff = set()
-    if claimed != child | cutoff:
-        return False
-    allowed = claimed | parent
-    for v in claimed - child:
-        for w in h.neighbors(v):
-            if w not in allowed:
-                return False
-    return True
-
-
 def _bag_bijections(
     g: Graph,
     g_bag: Sequence[int],
@@ -399,12 +356,6 @@ def iso_respecting_both(
     return False
 
 
-def _respects_pinned(left: _Rooted, top_l: int, top_r: int, pinned: dict[int, int]) -> bool:
-    """Same-decomposition sibling test with the parent overlap pinned."""
-    matcher = _RespectMatcher(left, left)
-    return matcher.match(top_l, top_r, pinned)
-
-
 _MISS = object()
 
 
@@ -422,7 +373,6 @@ class _IsoSearch:
         self.frames: list[tuple[int, dict[int, int]]] = []
         self.memo: dict = {}
         self.class_cache: dict[int, list[list[int]]] = {}
-        self.pop_audits = 0
 
     # -- bookkeeping ---------------------------------------------------
 
@@ -439,7 +389,6 @@ class _IsoSearch:
             del self.mapping[self.journal.pop()]
 
     def _audit_pop(self, popped_bag: int) -> None:
-        self.pop_audits += 1
         path = []
         if self.frames:
             a = self.frames[-1][0]
@@ -452,8 +401,6 @@ class _IsoSearch:
         expected = {v for a in path for v in self.L.bags[a]}
         if live != expected:
             raise InternalError("frame stack must cover exactly the root path")
-        if pop_audit_hook is not None:
-            pop_audit_hook(list(self.frames))
 
     # -- child classes ---------------------------------------------------
 
@@ -478,7 +425,7 @@ class _IsoSearch:
                 if keys[idx] != key:
                     continue
                 pinned = {v: v for v in overlap}
-                if _respects_pinned(self.L, members[0], c, pinned):
+                if _RespectMatcher(self.L, self.L).match(members[0], c, pinned):
                     members.append(c)
                     placed = True
                     break
@@ -516,7 +463,7 @@ class _IsoSearch:
                 self._audit_pop(root)
                 if ok:
                     perm = tuple(self.mapping[v] for v in range(self.g.vertex_count))
-                    if not _is_isomorphism(self.g, self.h, perm):
+                    if not is_isomorphism(self.g, self.h, perm):
                         raise InternalError("search returned a map that is not an isomorphism")
                     return perm
                 self._rollback(mark)
@@ -695,44 +642,54 @@ class _IsoSearch:
         self.journal[:] = [v for v in self.journal if v not in keys]
 
 
-def _is_isomorphism(g: Graph, h: Graph, perm: Sequence[int]) -> bool:
-    if sorted(perm) != list(range(g.vertex_count)):
-        return False
-    if g.edge_count != h.edge_count:
-        return False
-    for u, v in g.edges:
-        if not h.has_edge(perm[u], perm[v]):
-            return False
-    return True
+def _split_decomposition(
+    d: TreeDecomposition, comps: Sequence[tuple[int, ...]]
+) -> list[TreeDecomposition]:
+    """Restriction of d to each component, in one pass over the bags.
 
-
-def _restrict_decomposition(
-    d: TreeDecomposition, comp: set[int], relabel: dict[int, int]
-) -> TreeDecomposition:
-    """Restriction of a decomposition to one component, bags relabeled."""
-    kept = [i for i, bag in enumerate(d.bags) if any(v in comp for v in bag)]
-    kept_set = set(kept)
-    new_id = {old: new for new, old in enumerate(kept)}
-    bags = tuple(
-        tuple(sorted(relabel[v] for v in d.bags[old] if v in comp)) for old in kept
-    )
-    edges = frozenset(
-        (min(new_id[a], new_id[b]), max(new_id[a], new_id[b]))
-        for a, b in d.tree_edges
-        if a in kept_set and b in kept_set
-    )
+    A part keeps the bags meeting its component in id order, each cut down
+    to the component and relabelled to positions in it, and the tree edges
+    between kept bags.  Its root is the kept bag nearest the root of d, the
+    least id on ties.
+    """
+    where: dict[int, tuple[int, int]] = {}
+    for ci, comp in enumerate(comps):
+        for pos, v in enumerate(comp):
+            where[v] = (ci, pos)
     anchor = d.root if d.root is not None else 0
     parent, _ = d.rooted(anchor)
-    depth = {}
-    for node in kept:
-        steps = 0
-        a = node
-        while a != anchor:
-            a = parent[a]
-            steps += 1
-        depth[node] = steps
-    top = min(kept, key=lambda i: (depth[i], i))
-    return TreeDecomposition(bags=bags, tree_edges=edges, root=new_id[top])
+    depth = {anchor: 0}
+    for b, a in parent.items():  # breadth-first: a parent precedes its children
+        if b != anchor:
+            depth[b] = depth[a] + 1
+    bags: list[list[tuple[int, ...]]] = [[] for _ in comps]
+    roots = [-1] * len(comps)
+    ids: list[dict[int, int]] = []  # per bag of d: part -> id of its piece
+    for i, bag in enumerate(d.bags):
+        pieces: dict[int, list[int]] = {}
+        for v in bag:
+            ci, pos = where[v]
+            pieces.setdefault(ci, []).append(pos)
+        ids.append({})
+        for ci, piece in pieces.items():
+            if roots[ci] < 0 or depth[i] < depth[roots[ci]]:
+                roots[ci] = i
+            ids[i][ci] = len(bags[ci])
+            bags[ci].append(tuple(sorted(piece)))
+    edges: list[set[tuple[int, int]]] = [set() for _ in comps]
+    for a, b in d.tree_edges:
+        for ci, na in ids[a].items():
+            nb = ids[b].get(ci)
+            if nb is not None:
+                edges[ci].add((min(na, nb), max(na, nb)))
+    return [
+        TreeDecomposition(
+            bags=tuple(bags[ci]),
+            tree_edges=frozenset(edges[ci]),
+            root=ids[roots[ci]][ci],
+        )
+        for ci in range(len(comps))
+    ]
 
 
 def iso_one_decomp(
@@ -769,62 +726,25 @@ def iso_one_decomp(
         return _IsoSearch(g, rooted, h, k).run()
 
     # Componentwise: solve each piece on its induced subgraph, then stitch.
-    g_parts = []
-    for comp in g_comps:
-        sub, relabel = induced_subgraph(g, comp)
-        part_d = _restrict_decomposition(d_g, set(comp), relabel)
-        back = {new: old for old, new in relabel.items()}
-        g_parts.append((sub, _Rooted(sub, part_d, part_d.root), back))
-    h_parts = []
-    for comp in h_comps:
-        sub, relabel = induced_subgraph(h, comp)
-        back = {new: old for old, new in relabel.items()}
-        h_parts.append((sub, back))
-
-    pair_memo: dict[tuple[int, int], tuple[int, ...] | None] = {}
-
-    def pair_map(gi: int, hj: int) -> tuple[int, ...] | None:
-        key = (gi, hj)
-        if key not in pair_memo:
-            sub_g, rooted, _ = g_parts[gi]
-            sub_h, _ = h_parts[hj]
-            if sub_g.vertex_count != sub_h.vertex_count or sub_g.edge_count != sub_h.edge_count:
-                pair_memo[key] = None
-            else:
-                pair_memo[key] = _IsoSearch(sub_g, rooted, sub_h, k).run()
-        return pair_memo[key]
-
-    used: set[int] = set()
-    assignment: list[int] = []
-
-    def assign(gi: int) -> bool:
-        if gi == len(g_parts):
-            return True
-        for hj in range(len(h_parts)):
-            if hj in used:
-                continue
-            if pair_map(gi, hj) is not None:
-                used.add(hj)
-                assignment.append(hj)
-                if assign(gi + 1):
-                    return True
-                assignment.pop()
-                used.discard(hj)
-        return False
-
-    if not assign(0):
-        return None
+    # Isomorphism of components is an equivalence, so matching each g part
+    # to the first free h part isomorphic to it never has to be undone.
+    free = [(induced_subgraph(h, comp)[0], comp) for comp in h_comps]
     total: dict[int, int] = {}
-    for gi, hj in enumerate(assignment):
-        sub_map = pair_map(gi, hj)
-        if sub_map is None:
-            raise InternalError("an assigned component pair has no map")
-        _, _, g_back = g_parts[gi]
-        _, h_back = h_parts[hj]
-        for new_v, new_w in enumerate(sub_map):
-            total[g_back[new_v]] = h_back[new_w]
+    for comp, part_d in zip(g_comps, _split_decomposition(d_g, g_comps)):
+        sub_g, _ = induced_subgraph(g, comp)
+        rooted = _Rooted(sub_g, part_d, part_d.root)
+        for idx, (sub_h, h_comp) in enumerate(free):
+            if sub_g.vertex_count == sub_h.vertex_count and sub_g.edge_count == sub_h.edge_count:
+                sub_map = _IsoSearch(sub_g, rooted, sub_h, k).run()
+                if sub_map is not None:
+                    break
+        else:
+            return None
+        del free[idx]
+        for v, w in zip(comp, sub_map):
+            total[v] = h_comp[w]
     perm = tuple(total[v] for v in range(g.vertex_count))
-    if not _is_isomorphism(g, h, perm):
+    if not is_isomorphism(g, h, perm):
         raise InternalError("blockwise match returned a map that is not an isomorphism")
     return perm
 

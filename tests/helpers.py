@@ -1,10 +1,21 @@
-"""Shared builders for the test suite."""
+"""Shared builders for the test suite, and reference implementations that
+the engines are checked against."""
 
 from __future__ import annotations
 
 import random
+from collections import deque
+from typing import Iterable
 
-from widthiso import Graph, is_connected, tree_distance_width
+from widthiso import (
+    Graph,
+    SubtreeHandle,
+    connected_components,
+    induced_subgraph,
+    is_connected,
+    tree_distance_width,
+    vertex_set,
+)
 
 
 def path_graph(n: int) -> Graph:
@@ -92,3 +103,105 @@ def random_narrow_graph(rng: random.Random, n: int) -> Graph:
         g = Graph(n, edges)
         if is_connected(g) and tree_distance_width(g, 2) is not None:
             return g
+
+
+# -- reference implementations ------------------------------------------------
+
+
+def neighbors_of_set(g: Graph, s: Iterable[int]) -> tuple[int, ...]:
+    """All vertices adjacent to s but not in s, ascending."""
+    inside = set(vertex_set(g, s))
+    out: set[int] = set()
+    for v in inside:
+        out.update(g.neighbors(v))
+    return tuple(sorted(out - inside))
+
+
+def reachable_avoiding(
+    g: Graph, source: Iterable[int], target: int, forbidden: Iterable[int]
+) -> bool:
+    """True iff some path joins a source vertex to target using no forbidden vertex.
+
+    Source vertices inside the forbidden set are ignored.
+    """
+    g.check_vertex(target)
+    blocked = set(vertex_set(g, forbidden))
+    if target in blocked:
+        raise ValueError(f"target {target} is itself forbidden")
+    seeds = [v for v in vertex_set(g, source) if v not in blocked]
+    if target in seeds:
+        return True
+    seen = set(seeds) | blocked
+    queue = deque(seeds)
+    while queue:
+        x = queue.popleft()
+        for y in g.neighbors(x):
+            if y == target:
+                return True
+            if y not in seen:
+                seen.add(y)
+                queue.append(y)
+    return False
+
+
+def parent_bag(g: Graph, s: Iterable[int], x: Iterable[int]) -> tuple[int, ...]:
+    """Neighbors of bag x that stay reachable from the root set s once x is deleted.
+
+    The paper's local parent query.  For most bags this is the whole parent
+    bag; a parent-bag vertex that touches the subtree below x only through
+    other parent vertices is not adjacent to x and is not reported.
+    """
+    root = vertex_set(g, s)
+    bag = vertex_set(g, x)
+    if bag == root:
+        raise ValueError("the root bag has no parent")
+    return tuple(
+        v for v in neighbors_of_set(g, bag) if reachable_avoiding(g, root, v, bag)
+    )
+
+
+def child_groups(g: Graph, s: tuple[int, ...], x: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """Neighbors of x cut off from s by x, grouped by their component of g minus x."""
+    loose = [
+        v for v in neighbors_of_set(g, x) if not reachable_avoiding(g, s, v, x)
+    ]
+    if not loose:
+        return []
+    comp_of: dict[int, int] = {}
+    for idx, comp in enumerate(connected_components(g, x)):
+        for v in comp:
+            comp_of[v] = idx
+    groups: dict[int, list[int]] = {}
+    for v in loose:
+        groups.setdefault(comp_of[v], []).append(v)
+    return sorted((tuple(sorted(vs)) for vs in groups.values()), key=lambda b: b[0])
+
+
+def first_child(g: Graph, s: Iterable[int], x: Iterable[int]) -> tuple[int, ...] | None:
+    """The child bag holding the least-labeled neighbor of x cut off by x."""
+    groups = child_groups(g, vertex_set(g, s), vertex_set(g, x))
+    return groups[0] if groups else None
+
+
+def next_sibling(g: Graph, s: Iterable[int], x: Iterable[int]) -> tuple[int, ...] | None:
+    """Among the children of parent_bag(x), the next one by least label."""
+    root = vertex_set(g, s)
+    bag = vertex_set(g, x)
+    if bag == root:
+        raise ValueError("the root bag has no siblings")
+    for group in child_groups(g, root, parent_bag(g, root, bag)):
+        if group[0] > bag[0]:
+            return group
+    return None
+
+
+def subtree_graph(h: SubtreeHandle) -> tuple[Graph, dict[int, int]]:
+    """Induced subgraph on every vertex associated to a node of the subtree."""
+    tree = h.tree
+    verts: set[int] = set()
+    stack = [h.node]
+    while stack:
+        node = stack.pop()
+        verts.update(tree.vertices[node])
+        stack.extend(tree.children[node])
+    return induced_subgraph(tree.graph, verts)

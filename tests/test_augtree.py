@@ -8,12 +8,9 @@ from widthiso import (
     build_minimal_tdd,
     enumerate_connected_graphs,
     random_relabel,
-    reachable_avoiding,
-    subtree_graph,
-    subtree_size,
 )
 
-from helpers import cycle_graph, path_graph
+from helpers import cycle_graph, path_graph, reachable_avoiding, subtree_graph
 
 SPIDER = Graph(5, [(0, 1), (1, 3), (0, 2), (2, 4)])  # legs 0-1-3 and 0-2-4
 
@@ -84,11 +81,11 @@ def test_subtree_graph_examples():
 def test_subtree_size_examples():
     c4 = cycle_graph(4)
     t = _tree(c4, [0])
-    assert subtree_size(t.handle(0)) == 4
-    assert subtree_size(t.handle(t.children[0][0])) == 4
+    assert t.sizes[0] == 4
+    assert t.sizes[t.children[0][0]] == 4
     leaves = [i for i in range(t.node_count()) if t.is_bag(i) and not t.children[i]]
     for leaf in leaves:
-        assert subtree_size(t.handle(leaf)) == len(t.vertices[leaf])
+        assert t.sizes[leaf] == len(t.vertices[leaf])
 
 
 def _pool():
@@ -122,14 +119,12 @@ def test_alternation_and_degree_invariants():
 def test_sizes_match_subtree_graphs_and_shrink():
     for g, root in _pool():
         t = _tree(g, root)
-        assert subtree_size(t.handle(0)) == g.vertex_count
+        assert t.sizes[0] == g.vertex_count
         for node in range(t.node_count()):
             sub, _ = subtree_graph(t.handle(node))
-            assert sub.vertex_count == subtree_size(t.handle(node))
+            assert sub.vertex_count == t.sizes[node]
             if node != t.root:
-                assert subtree_size(t.handle(node)) <= subtree_size(
-                    t.handle(t.parent[node])
-                )
+                assert t.sizes[node] <= t.sizes[t.parent[node]]
 
 
 def test_separating_sets_cut_children_from_root():

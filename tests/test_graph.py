@@ -5,21 +5,24 @@ import pytest
 from widthiso import (
     EmptySetError,
     Graph,
-    InvalidBipartitionError,
-    InvalidQueryError,
     InvalidVertexError,
     connected_components,
     distance,
     enumerate_connected_graphs,
-    induced_bipartite,
     induced_subgraph,
     is_connected,
-    neighbors_of_set,
-    reachable_avoiding,
     set_distance,
 )
 
-from helpers import cycle_graph, path_graph, random_graph, star_graph, complete_graph
+from helpers import (
+    complete_graph,
+    cycle_graph,
+    neighbors_of_set,
+    path_graph,
+    random_graph,
+    reachable_avoiding,
+    star_graph,
+)
 
 
 def test_graph_construction_rejects_bad_edges():
@@ -85,21 +88,8 @@ def test_reachable_avoiding():
     assert reachable_avoiding(g, [2], 2, [])
     c4 = cycle_graph(4)
     assert reachable_avoiding(c4, [0], 2, [1])
-    with pytest.raises(InvalidQueryError):
+    with pytest.raises(ValueError):
         reachable_avoiding(g, [0], 1, [1])
-
-
-def test_induced_bipartite():
-    tri = cycle_graph(3)
-    b = induced_bipartite(tri, [0], [1, 2])
-    assert b.undirected_edges() == frozenset({(0, 1), (0, 2)})
-    empty_side = induced_bipartite(tri, [], [1, 2])
-    assert not empty_side.edges
-    c4 = cycle_graph(4)
-    full = induced_bipartite(c4, [0, 2], [1, 3])
-    assert full.undirected_edges() == c4.edges
-    with pytest.raises(InvalidBipartitionError):
-        induced_bipartite(tri, [0, 1], [1, 2])
 
 
 def test_induced_subgraph():
@@ -154,26 +144,6 @@ def test_components_partition_and_reachability():
                 source = [0] if 0 not in set(removed) else []
                 expected = bool(source) and part_of.get(source[0]) == part_of.get(target)
                 assert reachable_avoiding(g, source, target, removed) == expected
-
-
-def test_bipartite_agrees_with_induced_subgraph():
-    for g in _metric_pool():
-        n = g.vertex_count
-        if n < 3:
-            continue
-        u_side = tuple(range(0, n, 2))
-        w_side = tuple(range(1, n, 2))
-        b = induced_bipartite(g, u_side, w_side)
-        sub, relabel = induced_subgraph(g, u_side + w_side)
-        back = {new: old for old, new in relabel.items()}
-        sub_edges = {
-            (min(back[u], back[v]), max(back[u], back[v])) for u, v in sub.edges
-        }
-        us, ws = set(u_side), set(w_side)
-        internal = {
-            e for e in sub_edges if (e[0] in us) == (e[1] in us)
-        }
-        assert b.undirected_edges() == sub_edges - internal
 
 
 def test_complete_graph_builder_sanity():

@@ -4,7 +4,6 @@ import random
 import pytest
 
 from widthiso import (
-    BagOrdering,
     DisconnectedGraphError,
     Graph,
     NoAdmissibleMappingError,
@@ -24,7 +23,6 @@ from widthiso import (
     is_isomorphism,
     iso_tdw,
     random_relabel,
-    restrict_theta,
 )
 
 from helpers import (
@@ -79,7 +77,7 @@ def test_compare_empty_theta_rejected():
     g = path_graph(3)
     t = _tree(g, [0])
     with pytest.raises(NoAdmissibleMappingError):
-        compare_augmented(g, t.handle(), g, t.handle(), ThetaSet(()))
+        compare_augmented(g, t.handle(), g, t.handle(), ThetaSet((0,), ()))
 
 
 def test_full_theta_empty_for_mismatched_bags():
@@ -99,54 +97,6 @@ def test_compare_is_deterministic_and_antisymmetric():
         back = full_theta(tb.handle(), ta.handle())
         r_back = compare_augmented(gb, tb.handle(), ga, ta.handle(), back)
         assert r1.value == -r_back.value
-
-
-def test_restrict_theta_pairs_induce_bipartite_isomorphisms():
-    g = cycle_graph(4)
-    h = cycle_graph(4)
-    tg = _tree(g, [0])
-    th = _tree(h, [1])
-    sep_g = tg.children[0][0]
-    sep_h = th.children[0][0]
-    child_g = tg.children[sep_g][0]
-    child_h = th.children[sep_h][0]
-    sigma_g = BagOrdering(tg.vertices[0], tg.vertices[0])
-    sigma_h = BagOrdering(th.vertices[0], th.vertices[0])
-    theta = restrict_theta(
-        tg.handle(sep_g), tg.handle(child_g), sigma_g,
-        th.handle(sep_h), th.handle(child_h), sigma_h,
-    )
-    assert theta.pairs
-    sep_set_g = tg.vertices[sep_g]
-    sep_set_h = th.vertices[sep_h]
-    for left, right in theta.pairs:
-        vertex_map = dict(zip(sigma_g.sequence, sigma_h.sequence))
-        vertex_map.update(zip(left.sequence, right.sequence))
-        for m in sep_set_g:
-            for w in left.bag:
-                assert g.has_edge(m, w) == h.has_edge(vertex_map[m], vertex_map[w])
-
-
-def test_restrict_theta_empty_on_mismatched_separators():
-    g = path_graph(3)
-    tg = _tree(g, [0, 1])
-    sep = tg.children[0][0]
-    child = tg.children[sep][0]
-    bag = tg.vertices[0]
-    assert tg.vertices[sep] == (1,)
-    straight = BagOrdering(bag, bag)
-    flipped = BagOrdering(bag, tuple(reversed(bag)))
-    # flipping one side moves the separator {1} to a different position
-    theta = restrict_theta(
-        tg.handle(sep), tg.handle(child), straight,
-        tg.handle(sep), tg.handle(child), flipped,
-    )
-    assert not theta.pairs
-    agreeing = restrict_theta(
-        tg.handle(sep), tg.handle(child), straight,
-        tg.handle(sep), tg.handle(child), straight,
-    )
-    assert agreeing.pairs
 
 
 def test_canon_single_vertex():

@@ -4,7 +4,8 @@ The minimal decomposition builder is checked against the definition, the
 canonisation search that stops at the first admissible root-set size is
 checked against the minimum over every root set, the root prefix that
 prunes root sets is checked against the full trace, and the canonical bytes
-and maps of a few fixed graphs are pinned.  Deep paths check that no tdw
+and maps of a few fixed graphs and the augmented-tree order over a fixed
+pool are pinned.  Deep paths check that no tdw
 traversal depends on the interpreter's recursion limit.
 """
 
@@ -12,19 +13,21 @@ import hashlib
 import inspect
 import random
 import sys
-from itertools import combinations
+from itertools import chain, combinations, islice
 
 import pytest
 
 from widthiso import (
     Graph,
     InternalError,
+    NoAdmissibleMappingError,
     OrderResult,
     build_augmented_tree,
     build_minimal_tdd,
     canon_tdw,
     canonical_map,
     compare_augmented,
+    enumerate_connected_graphs,
     full_theta,
     iso_tdw,
     tree_distance_width,
@@ -194,6 +197,36 @@ def test_golden_canonical_bytes(name, n, edges, k, digest, cmap, tdw):
     assert hashlib.sha256(canon_tdw(g, k).hex.encode()).hexdigest() == digest
     assert canonical_map(g, k) == cmap
     assert tree_distance_width(g, k) == tdw
+
+
+# sha256 of the compare_augmented values over every ordered pair of the
+# criterion-6 pool (the first 55 connected graphs with 4 to 6 vertices,
+# rooted at [0]), space-separated in row-major order.
+COMPARE_DIGEST = "def1b471cd89488fe815817a1b411bd7275a6349f68062b3a878ea0c45c943eb"
+
+
+def test_golden_compare_augmented_matrix():
+    graphs = chain.from_iterable(enumerate_connected_graphs(n) for n in (4, 5, 6))
+    handles = [
+        (g, build_augmented_tree(g, build_minimal_tdd(g, [0])).handle())
+        for g in islice(graphs, 55)
+    ]
+    text = " ".join(
+        str(compare_augmented(ga, a, gb, b, full_theta(a, b)).value)
+        for ga, a in handles
+        for gb, b in handles
+    )
+    assert hashlib.sha256(text.encode()).hexdigest() == COMPARE_DIGEST
+
+
+def test_theta_empty_for_bags_of_different_sizes():
+    g = path_graph(4)
+    one = build_augmented_tree(g, build_minimal_tdd(g, [0])).handle()
+    two = build_augmented_tree(g, build_minimal_tdd(g, [1, 2])).handle()
+    theta = full_theta(one, two)
+    assert not theta
+    with pytest.raises(NoAdmissibleMappingError):
+        compare_augmented(g, one, g, two, theta)
 
 
 def test_deep_path_end_to_end(tmp_path, capsys):

@@ -13,7 +13,6 @@ from widthiso import (
     generate_partial_ktree,
     is_connected,
     is_isomorphism,
-    is_valid_child_bag,
     iso_one_decomp,
     iso_respecting_both,
     iso_tw,
@@ -128,16 +127,6 @@ def test_lex_subtree_order_stale_children_first():
     assert lex_subtree_order(g, d, 0, [1, 2]) == [2, 1]
 
 
-def test_is_valid_child_bag_examples():
-    assert is_valid_child_bag(C4, [0, 1, 3], [1, 3], [1, 2, 3])
-    p4 = path_graph(4)
-    # component {1, 2, 3} leaks the edge (0, 1) around the bag {2}
-    assert not is_valid_child_bag(p4, [0, 1], [2], [1, 2, 3])
-    assert is_valid_child_bag(p4, [0, 1], [2], [2, 3])
-    # no progress is structurally fine
-    assert is_valid_child_bag(C4, [0, 1], [0, 1], [0, 1])
-
-
 def test_iso_one_decomp_c4_identity():
     perm = iso_one_decomp(C4, C4_DECOMP, C4, 2)
     assert perm is not None and is_isomorphism(C4, C4, perm)
@@ -176,13 +165,26 @@ def test_iso_one_decomp_disconnected_components():
     assert perm is not None and is_isomorphism(g, h, perm)
 
 
-def test_iso_one_decomp_frame_audits_fire():
+def test_iso_one_decomp_many_components():
+    # 1,200 components; matching them must not recurse once per component
+    n = 2400
+    g = Graph(n, [(2 * i, 2 * i + 1) for i in range(n // 2)])
+    d = compute_tree_decomposition(g, 1)
+    h, _ = random_relabel(g, 5)
+    perm = iso_one_decomp(g, d, h, 1)
+    assert perm is not None and is_isomorphism(g, h, perm)
+
+
+def test_iso_one_decomp_frame_audits_fire(monkeypatch):
     calls = []
-    treewidth_module.pop_audit_hook = calls.append
-    try:
-        perm = iso_one_decomp(C4, C4_DECOMP, C4, 2)
-    finally:
-        treewidth_module.pop_audit_hook = None
+    audit = treewidth_module._IsoSearch._audit_pop
+
+    def counting(self, popped_bag):
+        calls.append(popped_bag)
+        audit(self, popped_bag)
+
+    monkeypatch.setattr(treewidth_module._IsoSearch, "_audit_pop", counting)
+    perm = iso_one_decomp(C4, C4_DECOMP, C4, 2)
     assert perm is not None
     assert calls  # every frame pop ran the path-coverage audit
 
