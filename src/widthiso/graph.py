@@ -93,20 +93,7 @@ def vertex_set(g: Graph, members: Iterable[int]) -> tuple[int, ...]:
 def distance(g: Graph, u: int, v: int) -> int | None:
     """Shortest-path length from u to v; None if they are in different components."""
     g.check_vertex(u)
-    g.check_vertex(v)
-    if u == v:
-        return 0
-    dist = {u: 0}
-    queue = deque([u])
-    while queue:
-        x = queue.popleft()
-        for y in g._adj[x]:
-            if y not in dist:
-                dist[y] = dist[x] + 1
-                if y == v:
-                    return dist[y]
-                queue.append(y)
-    return None
+    return set_distance(g, (u,), v)
 
 
 def set_distance(g: Graph, s: Iterable[int], u: int) -> int | None:

@@ -288,7 +288,6 @@ def _serialize(trace: tuple[int, ...]) -> bytes:
 class _CanonState(NamedTuple):
     trace: tuple[int, ...]
     root_set: tuple[int, ...]
-    decomposition: TreeDistanceDecomposition
     tree: AugmentedTree
     sigma: tuple[int, ...]
 
@@ -330,7 +329,7 @@ def _canon_state(g: Graph, k: int) -> _CanonState | None:
             tree = build_augmented_tree(g, d, check=False)
             trace, sigma = _min_trace(tree, 0, _orderings(s))
             if best is None or trace < best.trace:
-                best = _CanonState(trace, s, d, tree, sigma)
+                best = _CanonState(trace, s, tree, sigma)
         if best is not None:
             break
     return best

@@ -18,7 +18,7 @@ from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations, permutations
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .errors import (
     InternalError,
@@ -97,17 +97,8 @@ def validate_tree_decomposition(g: Graph, d: TreeDecomposition) -> list[str]:
         problems.append(
             f"structure: {len(d.tree_edges)} tree edges on {n_bags} bags is not a tree"
         )
-    else:
-        reach = {0}
-        queue = deque([0])
-        while queue:
-            a = queue.popleft()
-            for b in d.neighbors(a):
-                if b not in reach:
-                    reach.add(b)
-                    queue.append(b)
-        if len(reach) != n_bags:
-            problems.append("structure: bag tree is disconnected")
+    elif len(d.rooted(0)[0]) != n_bags:
+        problems.append("structure: bag tree is disconnected")
     if problems:
         return problems
 
@@ -146,19 +137,12 @@ class _Rooted:
 
     def __init__(self, g: Graph, d: TreeDecomposition, root: int) -> None:
         self.g = g
-        self.d = d
         self.root = root
         self.bags = d.bags
         self.parent, self.children = d.rooted(root)
-        order = [root]
-        stack = [root]
-        while stack:
-            a = stack.pop()
-            for b in self.children[a]:
-                order.append(b)
-                stack.append(b)
         self.subtree_verts: dict[int, frozenset[int]] = {}
-        for a in reversed(order):
+        # rooted() fills parent breadth first, so children come after parents.
+        for a in reversed(self.parent):
             verts = set(self.bags[a])
             for b in self.children[a]:
                 verts |= self.subtree_verts[b]
@@ -203,13 +187,8 @@ def lex_subtree_order(
 
 
 def _bag_bijections(
-    g: Graph,
-    g_bag: Sequence[int],
-    h: Graph,
-    h_bag: Sequence[int],
-    pinned: dict[int, int],
-    g_degree: Callable[[int], int],
-    h_degree: Callable[[int], int],
+    g: Graph, g_bag: Sequence[int], h: Graph, h_bag: Sequence[int], pinned: dict[int, int],
+    g_degree: Sequence[int], h_degree: Sequence[int],
 ):
     """Bijections g_bag -> h_bag extending pinned and preserving bag edges."""
     pinned_img = set(pinned.values())
@@ -221,7 +200,7 @@ def _bag_bijections(
         mapping = dict(pinned)
         ok = True
         for v, w in zip(fresh_g, image):
-            if g_degree(v) != h_degree(w):
+            if g_degree[v] != h_degree[w]:
                 ok = False
                 break
             mapping[v] = w
@@ -279,57 +258,47 @@ class _RespectMatcher:
         bag_b = self.R.bags[b]
         if len(bag_a) != len(bag_b):
             return False
-        if len(self.L.children[a]) != len(self.R.children[b]):
+        kids = self.L.children[a]
+        if len(kids) != len(self.R.children[b]):
             return False
         for ext in _bag_bijections(
-            self.L.g,
-            bag_a,
-            self.R.g,
-            bag_b,
-            forced,
-            self.L.degree.__getitem__,
-            self.R.degree.__getitem__,
+            self.L.g, bag_a, self.R.g, bag_b, forced, self.L.degree, self.R.degree
         ):
             mark = self._apply(ext)
             if mark is None:
                 continue
-            if self._match_children(a, b, list(self.L.children[a]), list(self.R.children[b]), 0, set()):
-                return True
+            # levels[0] yields all children of b once; levels[j] pairs the j-th
+            # child of a, yields the children of b left unused, and tries its
+            # next pairing when resumed.
+            levels = [iter((frozenset(self.R.children[b]),))]
+            while levels:
+                unused = next(levels[-1], None)
+                if unused is None:
+                    levels.pop()
+                elif len(levels) > len(kids):
+                    return True
+                else:
+                    levels.append(self._pairings(a, b, kids[len(levels) - 1], unused))
             self._rollback(mark)
         return False
 
-    def _match_children(
-        self,
-        a: int,
-        b: int,
-        kids_l: list[int],
-        kids_r: list[int],
-        idx: int,
-        used: set[int],
-    ) -> bool:
-        if idx == len(kids_l):
-            return True
-        c = kids_l[idx]
-        overlap = [v for v in self.L.bags[c] if v in set(self.L.bags[a])]
-        forced = {v: self.fwd[v] for v in overlap}
+    def _pairings(self, a: int, b: int, c: int, unused: frozenset[int]):
+        """Pair child c of a with each unused child of b in turn, yielding the
+        children still unused; resuming undoes the pairing."""
+        bag_a = set(self.L.bags[a])
+        forced = {v: self.fwd[v] for v in self.L.bags[c] if v in bag_a}
         forced_img = set(forced.values())
         size = len(self.L.subtree_verts[c])
-        for j, c2 in enumerate(kids_r):
-            if j in used:
+        bag_b = set(self.R.bags[b])
+        for c2 in self.R.children[b]:
+            if c2 not in unused or len(self.R.subtree_verts[c2]) != size:
                 continue
-            if len(self.R.subtree_verts[c2]) != size:
-                continue
-            if set(self.R.bags[c2]) & set(self.R.bags[b]) != forced_img:
+            if set(self.R.bags[c2]) & bag_b != forced_img:
                 continue
             mark = len(self.journal)
-            used.add(j)
-            if self.match(c, c2, forced) and self._match_children(
-                a, b, kids_l, kids_r, idx + 1, used
-            ):
-                return True
-            used.discard(j)
+            if self.match(c, c2, forced):
+                yield unused - {c2}
             self._rollback(mark)
-        return False
 
 
 def iso_respecting_both(
@@ -349,7 +318,11 @@ def iso_respecting_both(
         return False
     root_g = d_g.root if d_g.root is not None else 0
     left = _Rooted(g, d_g, root_g)
+    # match() rejects a root whose bag size or child count differs from root_g's.
+    shape = (len(d_g.bags[root_g]), len(d_g.neighbors(root_g)))
     for root_h in range(d_h.bag_count()):
+        if (len(d_h.bags[root_h]), len(d_h.neighbors(root_h))) != shape:
+            continue
         right = _Rooted(h, d_h, root_h)
         if _RespectMatcher(left, right).match(root_g, root_h, {}):
             return True
@@ -362,10 +335,9 @@ _MISS = object()
 class _IsoSearch:
     """Backtracking isomorphism search from a rooted decomposition of g into h."""
 
-    def __init__(self, g: Graph, rooted: _Rooted, h: Graph, k: int) -> None:
+    def __init__(self, g: Graph, rooted: _Rooted, h: Graph) -> None:
         self.g = g
         self.h = h
-        self.k = k
         self.L = rooted
         self.hdeg = [len(nbrs) for nbrs in h._adj]
         self.mapping: dict[int, int] = {}
@@ -453,9 +425,7 @@ class _IsoSearch:
                 continue
             if _inner_edges(self.h, set(cand)) != self.L.bag_inner[root]:
                 continue
-            for ext in _bag_bijections(
-                self.g, bag, self.h, cand, {}, self.L.degree.__getitem__, hdeg.__getitem__
-            ):
+            for ext in _bag_bijections(self.g, bag, self.h, cand, {}, self.L.degree, hdeg):
                 mark = self._assign(ext.items())
                 self.frames.append((root, ext))
                 ok = self._match_into(root, frozenset(range(n)))
@@ -471,26 +441,29 @@ class _IsoSearch:
 
     def _match_into(self, a: int, region: frozenset[int]) -> bool:
         phi = self.frames[-1][1]
-        img_bag = set(phi.values())
-        available = set(region) - img_bag
-        kids: list[tuple[int, int]] = []
-        for class_id, members in enumerate(self._classes(a)):
-            for c in members:
-                kids.append((c, class_id))
-        return self._match_kids(a, kids, 0, available, phi, {})
+        kids = [(c, cls) for cls, members in enumerate(self._classes(a)) for c in members]
+        prev_choice: dict[int, tuple] = {}
+        # levels[0] yields the free region once; levels[j] places the j-th
+        # child, yields the region left available, and tries its next
+        # placement when resumed.
+        levels = [iter((set(region) - set(phi.values()),))]
+        while levels:
+            available = next(levels[-1], None)
+            if available is None:
+                levels.pop()
+            elif len(levels) <= len(kids):
+                i, class_id = kids[len(levels) - 1]
+                levels.append(self._placements(a, i, class_id, available, phi, prev_choice))
+            elif not available:
+                return True
+        return False
 
-    def _match_kids(
-        self,
-        a: int,
-        kids: list[tuple[int, int]],
-        idx: int,
-        available: set[int],
-        phi: dict[int, int],
+    def _placements(
+        self, a: int, i: int, class_id: int, available: set[int], phi: dict[int, int],
         prev_choice: dict[int, tuple],
-    ) -> bool:
-        if idx == len(kids):
-            return not available
-        i, class_id = kids[idx]
+    ):
+        """Place the subtree at child i of a inside available in each way in
+        turn, yielding what is left available; resuming undoes the placement."""
         bag_a = set(self.L.bags[a])
         bag_i = self.L.bags[i]
         pinned = {v: phi[v] for v in bag_i if v in bag_a}
@@ -516,26 +489,20 @@ class _IsoSearch:
                 prev = prev_choice.get(class_id)
                 if prev is not None and choice < prev:
                     continue
+                # The subtree's vertices outside bag a are unmapped before the
+                # placement, so they are exactly the journal entries after mark.
+                mark = len(self.journal)
                 if self._place_child(i, cut, interior, pinned):
-                    rest = available - set(combo) - interior
-                    old = prev_choice.get(class_id)
                     prev_choice[class_id] = choice
-                    if self._match_kids(a, kids, idx + 1, rest, phi, prev_choice):
-                        return True
-                    if old is None:
+                    yield available - set(combo) - interior
+                    if prev is None:
                         del prev_choice[class_id]
                     else:
-                        prev_choice[class_id] = old
-                    self._unplace_child(i, pinned)
-        return False
+                        prev_choice[class_id] = prev
+                    self._rollback(mark)
 
     def _claim_choices(
-        self,
-        available: set[int],
-        img_bag_a: set[int],
-        cut: set[int],
-        combo: set[int],
-        target: int,
+        self, available: set[int], img_bag_a: set[int], cut: set[int], combo: set[int], target: int
     ):
         """Unions of separated components of the right size, in label order.
 
@@ -572,23 +539,20 @@ class _IsoSearch:
             comps.append(frozenset(comp))
 
         sizes = [len(c) for c in comps]
-        chosen: list[int] = []
-
-        def pick(pos: int, remaining: int):
+        left = [0] * (len(comps) + 1)  # left[pos]: total size of comps[pos:]
+        for pos in reversed(range(len(comps))):
+            left[pos] = left[pos + 1] + sizes[pos]
+        # Depth first over include/exclude decisions: the exclude branch is
+        # pushed first, so index subsets come out in lexicographic order.
+        stack = [(0, target, ())]
+        while stack:
+            pos, remaining, chosen = stack.pop()
             if remaining == 0:
-                yield frozenset().union(*(comps[i] for i in chosen)) if chosen else frozenset()
-                return
-            if pos == len(comps):
-                return
-            if sum(sizes[pos:]) < remaining:
-                return
-            if sizes[pos] <= remaining:
-                chosen.append(pos)
-                yield from pick(pos + 1, remaining - sizes[pos])
-                chosen.pop()
-            yield from pick(pos + 1, remaining)
-
-        yield from pick(0, target)
+                yield frozenset().union(*(comps[c] for c in chosen))
+            elif left[pos] >= remaining:
+                stack.append((pos + 1, remaining, chosen))
+                if sizes[pos] <= remaining:
+                    stack.append((pos + 1, remaining - sizes[pos], chosen + (pos,)))
 
     def _place_child(
         self, i: int, cut: tuple[int, ...], interior: frozenset[int], pinned: dict[int, int]
@@ -604,13 +568,7 @@ class _IsoSearch:
         found: dict[int, int] | None = None
         region = frozenset(cut) | interior
         for ext in _bag_bijections(
-            self.g,
-            self.L.bags[i],
-            self.h,
-            cut,
-            pinned,
-            self.L.degree.__getitem__,
-            self.hdeg.__getitem__,
+            self.g, self.L.bags[i], self.h, cut, pinned, self.L.degree, self.hdeg
         ):
             mark = self._assign(ext.items())
             self.frames.append((i, ext))
@@ -631,15 +589,6 @@ class _IsoSearch:
             return False
         self._assign(found.items())
         return True
-
-    def _unplace_child(self, i: int, pinned: dict[int, int]) -> None:
-        # Subtree assignments are always newer than any pending rollback
-        # mark, so filtering them out keeps mark positions valid.
-        keys = set(self.L.subtree_verts[i]) - set(pinned)
-        for v in keys:
-            if v in self.mapping:
-                del self.mapping[v]
-        self.journal[:] = [v for v in self.journal if v not in keys]
 
 
 def _split_decomposition(
@@ -723,7 +672,7 @@ def iso_one_decomp(
     if len(g_comps) == 1:
         root = d_g.root if d_g.root is not None else 0
         rooted = _Rooted(g, d_g, root)
-        return _IsoSearch(g, rooted, h, k).run()
+        return _IsoSearch(g, rooted, h).run()
 
     # Componentwise: solve each piece on its induced subgraph, then stitch.
     # Isomorphism of components is an equivalence, so matching each g part
@@ -735,7 +684,7 @@ def iso_one_decomp(
         rooted = _Rooted(sub_g, part_d, part_d.root)
         for idx, (sub_h, h_comp) in enumerate(free):
             if sub_g.vertex_count == sub_h.vertex_count and sub_g.edge_count == sub_h.edge_count:
-                sub_map = _IsoSearch(sub_g, rooted, sub_h, k).run()
+                sub_map = _IsoSearch(sub_g, rooted, sub_h).run()
                 if sub_map is not None:
                     break
         else:

@@ -193,7 +193,7 @@ def test_frame_audit_rejects_stack_off_the_root_path():
     # C4_DECOMP rooted at bag 0 is the path 0 - 1 - 2; a stack holding only
     # bag 1's map leaves the root bag's vertex 0 uncovered.
     search = treewidth_module._IsoSearch(
-        C4, treewidth_module._Rooted(C4, C4_DECOMP, 0), C4, 2
+        C4, treewidth_module._Rooted(C4, C4_DECOMP, 0), C4
     )
     search.frames = [(1, {1: 1, 2: 2, 3: 3})]
     with pytest.raises(InternalError, match="root path"):

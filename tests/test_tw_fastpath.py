@@ -5,7 +5,8 @@ witness maps are pinned by SHA-256 digests over seeded partial k-trees: the
 bag candidates must come out in lexicographic order and the elimination
 search must try vertices in ascending order, or the first decomposition and
 the first witness found would change.  Deep paths check that the
-elimination search does not depend on the interpreter's recursion limit.
+elimination search does not depend on the interpreter's recursion limit;
+a star checks that neither matcher recurses once per child of a bag.
 """
 
 import hashlib
@@ -17,10 +18,12 @@ import pytest
 
 from widthiso import (
     Graph,
+    is_isomorphism,
     TreeDecomposition,
     compute_tree_decomposition,
     generate_partial_ktree,
     iso_one_decomp,
+    iso_respecting_both,
     random_relabel,
     validate_tree_decomposition,
 )
@@ -74,6 +77,54 @@ def test_golden_partial_ktrees(k):
     assert _digest(_outputs(k)) == GOLDEN[k]
 
 
+def _relabel_decomposition(d: TreeDecomposition, perm) -> TreeDecomposition:
+    bags = tuple(tuple(sorted(perm[v] for v in bag)) for bag in d.bags)
+    return TreeDecomposition(bags=bags, tree_edges=d.tree_edges, root=d.root)
+
+
+def _respect_outputs(k: int) -> list:
+    """iso_respecting_both on the generator decomposition of a partial
+    k-tree against its relabelled copy, its computed decomposition and an
+    unrelated partial k-tree with the same edge count, and on the computed
+    decompositions of the graph and its relabelled copy."""
+    rng = random.Random(5000 + k)
+    out = []
+    for _ in range(25):
+        n = rng.randint(k + 4, 10 + 2 * k)
+        ratio = rng.choice([0.6, 0.8, 1.0])
+        bundle = generate_partial_ktree(n, k, ratio, rng.randrange(1 << 30))
+        g, d = bundle.graph, bundle.decomposition
+        h, perm = random_relabel(g, rng.randrange(1, 1 << 30))
+        computed = compute_tree_decomposition(g, k)
+        partner = None
+        for _ in range(40):
+            other = generate_partial_ktree(n, k, ratio, rng.randrange(1 << 30))
+            if other.graph.edge_count == g.edge_count:
+                partner = other
+                break
+        row = [
+            iso_respecting_both(g, d, h, _relabel_decomposition(d, perm)),
+            iso_respecting_both(g, d, g, computed),
+            iso_respecting_both(g, computed, h, compute_tree_decomposition(h, k)),
+        ]
+        if partner is not None:
+            row.append(iso_respecting_both(g, d, partner.graph, partner.decomposition))
+        out.append(tuple(row))
+    return out
+
+
+RESPECT_GOLDEN = {
+    1: "df7ba187b3e9edcd155d4c32b9654bc098d4d4ca4985fca04f9f10d391c137b5",
+    2: "f7ab62a24a88822149916960f16ac9c1c6bb29f16b5d6a64c672a776feddd28d",
+    3: "2bf2fde695fb720e625df7ff35a1d26555277347c4be51ab0664249762ac3473",
+}
+
+
+@pytest.mark.parametrize("k", sorted(RESPECT_GOLDEN))
+def test_golden_respecting_both(k):
+    assert _digest(_respect_outputs(k)) == RESPECT_GOLDEN[k]
+
+
 def test_symmetric_graphs_keep_their_first_witness():
     # Graphs with many automorphisms admit many witnesses; the search must
     # return the first one in candidate order.
@@ -106,3 +157,34 @@ def test_deep_paths_decompose_without_recursion():
     for g, d in zip(graphs, decomps):
         assert d is not None and d.width() == 1 and d.bag_count() == n - 1
         assert validate_tree_decomposition(g, d) == []
+
+
+def _with_default_recursion_limit(fn, *args):
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        return fn(*args)
+    finally:
+        sys.setrecursionlimit(limit)
+
+
+def test_wide_bag_matches_children_without_recursion():
+    # Every leaf bag of the star hangs from one bag: about 1,200 children.
+    n = 1200
+    g = Graph(n, [(0, v) for v in range(1, n)])
+    d = compute_tree_decomposition(g, 1)
+    assert max(len(d.neighbors(i)) for i in range(d.bag_count())) >= n - 2
+    h, _ = random_relabel(g, 17)
+    perm = _with_default_recursion_limit(iso_one_decomp, g, d, h, 1)
+    assert perm is not None and is_isomorphism(g, h, perm)
+    assert _with_default_recursion_limit(iso_respecting_both, g, d, g, d)
+
+
+def test_deep_path_search_frames_per_level():
+    # The search still recurses once per decomposition level, in a fixed
+    # number of frames; one more frame per level overflows the default limit.
+    g = path_graph(300)
+    d = compute_tree_decomposition(g, 1)
+    h, _ = random_relabel(g, 23)
+    perm = _with_default_recursion_limit(iso_one_decomp, g, d, h, 1)
+    assert perm is not None and is_isomorphism(g, h, perm)
