@@ -31,7 +31,6 @@ class AugmentedTree:
 
     __slots__ = (
         "graph",
-        "decomposition",
         "kinds",
         "vertices",
         "parent",
@@ -44,7 +43,6 @@ class AugmentedTree:
     def __init__(
         self,
         graph: Graph,
-        decomposition: TreeDistanceDecomposition,
         kinds: tuple[str, ...],
         vertices: tuple[tuple[int, ...], ...],
         parent: tuple[int, ...],
@@ -53,7 +51,6 @@ class AugmentedTree:
         sizes: tuple[int, ...],
     ) -> None:
         self.graph = graph
-        self.decomposition = decomposition
         self.kinds = kinds
         self.vertices = vertices
         self.parent = parent
@@ -183,7 +180,6 @@ def build_augmented_tree(
 
     return AugmentedTree(
         graph=g,
-        decomposition=d,
         kinds=tuple(kinds),
         vertices=tuple(vertices),
         parent=tuple(parent),

@@ -29,7 +29,7 @@ from .graph import Graph
 from .isoorder import canon_tdw, canonical_map, iso_tdw
 from .oracle import brute_force_iso
 from .tdd import build_minimal_tdd, tree_distance_width
-from .treewidth import TreeDecomposition, iso_one_decomp, iso_tw
+from .treewidth import TreeDecomposition, iso_one_decomp, iso_respecting_both, iso_tw
 
 
 def _read_graph(path: str) -> Graph:
@@ -77,6 +77,47 @@ def _map_lines(perm: Sequence[int]) -> str:
     return "\n".join(f"map {v + 1} {w + 1}" for v, w in enumerate(perm))
 
 
+def _engine_inputs(args) -> list:
+    """Engine arguments of an isomorphism command, read in command-line order:
+    each graph followed by its decomposition if one is given, then k if any."""
+    inputs: list = []
+    for side in ("left", "right"):
+        g = _read_graph(getattr(args, side))
+        inputs.append(g)
+        path = getattr(args, f"{side}_decomposition", None)
+        if path is not None:
+            inputs.append(_read_decomposition(path, g))
+    if getattr(args, "k", None) is not None:
+        inputs.append(args.k)
+    return inputs
+
+
+def _verdict_command(engine):
+    """Handler for a command whose engine answers yes or no."""
+
+    def run(args) -> int:
+        same = engine(*_engine_inputs(args))
+        verdict = "isomorphic" if same else "non-isomorphic"
+        _emit(args, verdict, human=verdict)
+        return 0 if same else 1
+
+    return run
+
+
+def _map_command(engine):
+    """Handler for a command whose engine returns an isomorphism or None."""
+
+    def run(args) -> int:
+        perm = engine(*_engine_inputs(args))
+        if perm is None:
+            _emit(args, "non-isomorphic", human="non-isomorphic")
+            return 1
+        _emit(args, "isomorphic", witness=[p + 1 for p in perm], human=_map_lines(perm))
+        return 0
+
+    return run
+
+
 def _cmd_tdd_build(args) -> int:
     g = _read_graph(args.graph)
     d = build_minimal_tdd(g, _parse_root(args.root, g))
@@ -104,15 +145,6 @@ def _cmd_augtree(args) -> int:
     return 0
 
 
-def _cmd_iso_tdw(args) -> int:
-    g = _read_graph(args.left)
-    h = _read_graph(args.right)
-    same = iso_tdw(g, h, args.k)
-    _emit(args, "isomorphic" if same else "non-isomorphic",
-          human="isomorphic" if same else "non-isomorphic")
-    return 0 if same else 1
-
-
 def _cmd_canon_tdw(args) -> int:
     g = _read_graph(args.graph)
     form = canon_tdw(g, args.k)
@@ -124,51 +156,6 @@ def _cmd_canon_tdw(args) -> int:
         witness={"canon": form.hex, "map": [p + 1 for p in mapping]},
         human=f"{form.hex}\n{image}",
     )
-    return 0
-
-
-def _cmd_iso_both(args) -> int:
-    g = _read_graph(args.left)
-    dg = _read_decomposition(args.left_decomposition, g)
-    h = _read_graph(args.right)
-    dh = _read_decomposition(args.right_decomposition, h)
-    from .treewidth import iso_respecting_both
-
-    same = iso_respecting_both(g, dg, h, dh)
-    _emit(args, "isomorphic" if same else "non-isomorphic",
-          human="isomorphic" if same else "non-isomorphic")
-    return 0 if same else 1
-
-
-def _cmd_iso_one(args) -> int:
-    g = _read_graph(args.left)
-    dg = _read_decomposition(args.left_decomposition, g)
-    h = _read_graph(args.right)
-    perm = iso_one_decomp(g, dg, h, args.k)
-    if perm is None:
-        _emit(args, "non-isomorphic", human="non-isomorphic")
-        return 1
-    _emit(args, "isomorphic", witness=[p + 1 for p in perm], human=_map_lines(perm))
-    return 0
-
-
-def _cmd_iso_tw(args) -> int:
-    g = _read_graph(args.left)
-    h = _read_graph(args.right)
-    same = iso_tw(g, h, args.k)
-    _emit(args, "isomorphic" if same else "non-isomorphic",
-          human="isomorphic" if same else "non-isomorphic")
-    return 0 if same else 1
-
-
-def _cmd_iso_brute(args) -> int:
-    g = _read_graph(args.left)
-    h = _read_graph(args.right)
-    perm = brute_force_iso(g, h)
-    if perm is None:
-        _emit(args, "non-isomorphic", human="non-isomorphic")
-        return 1
-    _emit(args, "isomorphic", witness=[p + 1 for p in perm], human=_map_lines(perm))
     return 0
 
 
@@ -226,7 +213,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("graph")
     p.add_argument("--root", required=True)
 
-    p = add("iso-tdw", _cmd_iso_tdw, help="isomorphism via tree distance decompositions")
+    p = add("iso-tdw", _verdict_command(iso_tdw),
+            help="isomorphism via tree distance decompositions")
     p.add_argument("left")
     p.add_argument("right")
     p.add_argument("-k", type=int, required=True)
@@ -235,24 +223,26 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("graph")
     p.add_argument("-k", type=int, required=True)
 
-    p = add("iso-both", _cmd_iso_both, help="decomposition-respecting isomorphism")
+    p = add("iso-both", _verdict_command(iso_respecting_both),
+            help="decomposition-respecting isomorphism")
     p.add_argument("left")
     p.add_argument("left_decomposition")
     p.add_argument("right")
     p.add_argument("right_decomposition")
 
-    p = add("iso-one", _cmd_iso_one, help="isomorphism with one decomposition given")
+    p = add("iso-one", _map_command(iso_one_decomp),
+            help="isomorphism with one decomposition given")
     p.add_argument("left")
     p.add_argument("left_decomposition")
     p.add_argument("right")
     p.add_argument("-k", type=int, required=True)
 
-    p = add("iso-tw", _cmd_iso_tw, help="bounded-treewidth isomorphism")
+    p = add("iso-tw", _verdict_command(iso_tw), help="bounded-treewidth isomorphism")
     p.add_argument("left")
     p.add_argument("right")
     p.add_argument("-k", type=int, required=True)
 
-    p = add("iso-brute", _cmd_iso_brute, help="brute-force oracle")
+    p = add("iso-brute", _map_command(brute_force_iso), help="brute-force oracle")
     p.add_argument("left")
     p.add_argument("right")
 

@@ -102,19 +102,24 @@ def set_distance(g: Graph, s: Iterable[int], u: int) -> int | None:
     if not src:
         raise EmptySetError("set_distance needs a nonempty source set")
     g.check_vertex(u)
-    dist = {v: 0 for v in src}
-    if u in dist:
-        return 0
-    queue = deque(src)
+    level = _levels(g, src)[u]
+    return level if level >= 0 else None
+
+
+def _levels(g: Graph, s: Iterable[int]) -> list[int]:
+    """BFS layer of every vertex from the root set; -1 if unreachable."""
+    adj = g._adj
+    level = [-1] * g.vertex_count
+    queue = deque(s)
+    for v in queue:
+        level[v] = 0
     while queue:
         x = queue.popleft()
-        for y in g._adj[x]:
-            if y not in dist:
-                dist[y] = dist[x] + 1
-                if y == u:
-                    return dist[y]
+        for y in adj[x]:
+            if level[y] < 0:
+                level[y] = level[x] + 1
                 queue.append(y)
-    return None
+    return level
 
 
 def connected_components(g: Graph, removed: Iterable[int] = ()) -> list[tuple[int, ...]]:

@@ -74,10 +74,9 @@ def brute_force_iso(g: Graph, h: Graph) -> tuple[int, ...] | None:
     mapping: dict[int, int] = {}
     used: set[int] = set()
 
-    def extend(idx: int) -> bool:
-        if idx == n:
-            return True
-        u = order[idx]
+    def images(u: int):
+        """Images of u in label order, each checked against the vertices
+        mapped when it is asked for."""
         du = g.degree(u)
         for w in range(n):
             if w in used or h.degree(w) != du:
@@ -94,18 +93,24 @@ def brute_force_iso(g: Graph, h: Graph) -> tuple[int, ...] | None:
                     if h.has_edge(w, y) and not g.has_edge(u, x):
                         ok = False
                         break
-            if not ok:
-                continue
-            mapping[u] = w
-            used.add(w)
-            if extend(idx + 1):
-                return True
-            del mapping[u]
-            used.discard(w)
-        return False
+            if ok:
+                yield w
 
-    if not extend(0):
-        return None
+    # Depth first on an explicit stack: tries[i] resumes the images of
+    # order[i], which stays mapped while tries holds an entry after it.
+    tries: list = []
+    while len(mapping) < n:
+        if len(tries) == len(mapping):
+            tries.append(images(order[len(mapping)]))
+        w = next(tries[-1], None)
+        if w is None:
+            tries.pop()
+            if not tries:
+                return None
+            used.discard(mapping.pop(order[len(tries) - 1]))
+        else:
+            mapping[order[len(tries) - 1]] = w
+            used.add(w)
     perm = tuple(mapping[v] for v in range(n))
     if not is_isomorphism(g, h, perm):
         raise InternalError("backtracking returned a map that is not an isomorphism")

@@ -22,7 +22,7 @@ from itertools import combinations
 from typing import Iterable
 
 from .errors import DisconnectedGraphError, EmptySetError, InternalError
-from .graph import Graph, is_connected, vertex_set
+from .graph import Graph, _levels, is_connected, vertex_set
 
 
 @dataclass(frozen=True)
@@ -60,24 +60,6 @@ def _find(up: list[int], x: int) -> int:
     while up[x] != root:
         up[x], x = root, up[x]
     return root
-
-
-def _levels(g: Graph, s: tuple[int, ...]) -> list[int]:
-    """BFS layer of every vertex from the root set; -1 if unreachable."""
-    from collections import deque
-
-    adj = g._adj
-    level = [-1] * g.vertex_count
-    queue = deque(s)
-    for v in s:
-        level[v] = 0
-    while queue:
-        x = queue.popleft()
-        for y in adj[x]:
-            if level[y] < 0:
-                level[y] = level[x] + 1
-                queue.append(y)
-    return level
 
 
 def _build(g: Graph, s: tuple[int, ...], cap: int | None) -> TreeDistanceDecomposition | None:

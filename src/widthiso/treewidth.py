@@ -220,6 +220,26 @@ def _bag_bijections(
             yield mapping
 
 
+def _drive(task) -> bool:
+    """Run a task to its result on one explicit stack.
+
+    A task is a generator: it yields each sub-task whose result it needs,
+    receives that result back, and returns its own.  Pending tasks wait on
+    a list, so a task tree of any depth runs in a fixed number of frames.
+    """
+    stack = [task]
+    result = None
+    while True:
+        try:
+            stack.append(stack[-1].send(result))
+            result = None
+        except StopIteration as done:
+            stack.pop()
+            if not stack:
+                return done.value
+            result = done.value
+
+
 class _RespectMatcher:
     """Blockwise tree-aligned matcher between two rooted decompositions."""
 
@@ -253,13 +273,11 @@ class _RespectMatcher:
             w = self.fwd.pop(v)
             del self.back[w]
 
-    def match(self, a: int, b: int, forced: dict[int, int]) -> bool:
+    def match(self, a: int, b: int, forced: dict[int, int]):
+        """Task: map the subtree at a onto the subtree at b, extending forced."""
         bag_a = self.L.bags[a]
         bag_b = self.R.bags[b]
-        if len(bag_a) != len(bag_b):
-            return False
-        kids = self.L.children[a]
-        if len(kids) != len(self.R.children[b]):
+        if len(bag_a) != len(bag_b) or len(self.L.children[a]) != len(self.R.children[b]):
             return False
         for ext in _bag_bijections(
             self.L.g, bag_a, self.R.g, bag_b, forced, self.L.degree, self.R.degree
@@ -267,24 +285,19 @@ class _RespectMatcher:
             mark = self._apply(ext)
             if mark is None:
                 continue
-            # levels[0] yields all children of b once; levels[j] pairs the j-th
-            # child of a, yields the children of b left unused, and tries its
-            # next pairing when resumed.
-            levels = [iter((frozenset(self.R.children[b]),))]
-            while levels:
-                unused = next(levels[-1], None)
-                if unused is None:
-                    levels.pop()
-                elif len(levels) > len(kids):
-                    return True
-                else:
-                    levels.append(self._pairings(a, b, kids[len(levels) - 1], unused))
+            if (yield self._pairings(a, b, 0, frozenset(self.R.children[b]))):
+                return True
             self._rollback(mark)
         return False
 
-    def _pairings(self, a: int, b: int, c: int, unused: frozenset[int]):
-        """Pair child c of a with each unused child of b in turn, yielding the
-        children still unused; resuming undoes the pairing."""
+    def _pairings(self, a: int, b: int, j: int, unused: frozenset[int]):
+        """Task: pair the children of a from the j-th on with the unused
+        children of b, each with the first that matches and leaves the rest
+        pairable."""
+        kids = self.L.children[a]
+        if j == len(kids):
+            return True
+        c = kids[j]
         bag_a = set(self.L.bags[a])
         forced = {v: self.fwd[v] for v in self.L.bags[c] if v in bag_a}
         forced_img = set(forced.values())
@@ -296,9 +309,11 @@ class _RespectMatcher:
             if set(self.R.bags[c2]) & bag_b != forced_img:
                 continue
             mark = len(self.journal)
-            if self.match(c, c2, forced):
-                yield unused - {c2}
+            ok = yield self.match(c, c2, forced)
+            if ok and (yield self._pairings(a, b, j + 1, unused - {c2})):
+                return True
             self._rollback(mark)
+        return False
 
 
 def iso_respecting_both(
@@ -324,7 +339,7 @@ def iso_respecting_both(
         if (len(d_h.bags[root_h]), len(d_h.neighbors(root_h))) != shape:
             continue
         right = _Rooted(h, d_h, root_h)
-        if _RespectMatcher(left, right).match(root_g, root_h, {}):
+        if _drive(_RespectMatcher(left, right).match(root_g, root_h, {})):
             return True
     return False
 
@@ -392,16 +407,14 @@ class _IsoSearch:
         for c in kids:
             overlap = tuple(v for v in self.L.bags[c] if v in set(self.L.bags[a]))
             key = (overlap, self.L.profile(c))
-            placed = False
-            for idx, members in enumerate(classes):
-                if keys[idx] != key:
-                    continue
-                pinned = {v: v for v in overlap}
-                if _RespectMatcher(self.L, self.L).match(members[0], c, pinned):
+            pinned = {v: v for v in overlap}
+            for members, other in zip(classes, keys):
+                if other == key and _drive(
+                    _RespectMatcher(self.L, self.L).match(members[0], c, pinned)
+                ):
                     members.append(c)
-                    placed = True
                     break
-            if not placed:
+            else:
                 classes.append([c])
                 keys.append(key)
         self.class_cache[a] = classes
@@ -412,23 +425,12 @@ class _IsoSearch:
     def run(self) -> tuple[int, ...] | None:
         root = self.L.root
         bag = self.L.bags[root]
-        profile = self.L.bag_profile[root]
-        hdeg = self.hdeg
         n = self.h.vertex_count
-        # A vertex whose degree is not in the profile is in no candidate, so
-        # the candidates over the rest come out in the same (lexicographic)
-        # order, only fewer.
-        degrees = set(profile)
-        pool = [w for w in range(n) if hdeg[w] in degrees]
-        for cand in combinations(pool, len(bag)):
-            if sorted(hdeg[w] for w in cand) != profile:
-                continue
-            if _inner_edges(self.h, set(cand)) != self.L.bag_inner[root]:
-                continue
-            for ext in _bag_bijections(self.g, bag, self.h, cand, {}, self.L.degree, hdeg):
+        for cand, _ in self._cuts(root, {}, range(n)):
+            for ext in _bag_bijections(self.g, bag, self.h, cand, {}, self.L.degree, self.hdeg):
                 mark = self._assign(ext.items())
                 self.frames.append((root, ext))
-                ok = self._match_into(root, frozenset(range(n)))
+                ok = _drive(self._match_into(root, frozenset(range(n))))
                 self.frames.pop()
                 self._audit_pop(root)
                 if ok:
@@ -439,70 +441,72 @@ class _IsoSearch:
                 self._rollback(mark)
         return None
 
-    def _match_into(self, a: int, region: frozenset[int]) -> bool:
+    def _cuts(self, i: int, pinned: dict[int, int], available: Iterable[int]):
+        """Candidate images of bag i: pinned's image plus fresh vertices from
+        available, in lexicographic order of the fresh part, with bag i's
+        sorted degrees and number of inner edges.  Yields (image, fresh)."""
+        bag = self.L.bags[i]
+        hdeg = self.hdeg
+        pinned_img = set(pinned.values())
+        # Every mapped vertex keeps its degree, so the fresh vertices carry the
+        # degrees of the unpinned vertices of bag i; leaving out every other
+        # vertex only drops candidates, the rest keep their order.
+        degrees = {self.L.degree[v] for v in bag if v not in pinned}
+        pool = [w for w in sorted(available) if hdeg[w] in degrees]
+        for fresh in combinations(pool, len(bag) - len(pinned)):
+            cut = tuple(sorted(pinned_img.union(fresh))) if pinned else fresh
+            if sorted([hdeg[w] for w in cut]) != self.L.bag_profile[i]:
+                continue
+            if _inner_edges(self.h, set(cut)) != self.L.bag_inner[i]:
+                continue
+            yield cut, fresh
+
+    def _match_into(self, a: int, region: frozenset[int]):
+        """Task: place the subtrees of a's children so that, with the image
+        of bag a on top of the stack, they use up region exactly."""
         phi = self.frames[-1][1]
         kids = [(c, cls) for cls, members in enumerate(self._classes(a)) for c in members]
-        prev_choice: dict[int, tuple] = {}
-        # levels[0] yields the free region once; levels[j] places the j-th
-        # child, yields the region left available, and tries its next
-        # placement when resumed.
-        levels = [iter((set(region) - set(phi.values()),))]
-        while levels:
-            available = next(levels[-1], None)
-            if available is None:
-                levels.pop()
-            elif len(levels) <= len(kids):
-                i, class_id = kids[len(levels) - 1]
-                levels.append(self._placements(a, i, class_id, available, phi, prev_choice))
-            elif not available:
-                return True
-        return False
+        return self._placements(a, kids, 0, set(region) - set(phi.values()), phi, None)
 
     def _placements(
-        self, a: int, i: int, class_id: int, available: set[int], phi: dict[int, int],
-        prev_choice: dict[int, tuple],
+        self, a: int, kids: list[tuple[int, int]], j: int, available: set[int],
+        phi: dict[int, int], prev: tuple | None,
     ):
-        """Place the subtree at child i of a inside available in each way in
-        turn, yielding what is left available; resuming undoes the placement."""
-        bag_a = set(self.L.bags[a])
+        """Task: place the subtree at the j-th child of a inside available in
+        each way in turn until the later children fit in what is left.
+
+        Members of a class are adjacent in kids and take their placements in
+        ascending order, so prev, the placement of the child before, bounds
+        this one from below when the two share a class.
+        """
+        if j == len(kids):
+            return not available
+        i, class_id = kids[j]
+        if j == 0 or kids[j - 1][1] != class_id:
+            prev = None
         bag_i = self.L.bags[i]
-        pinned = {v: phi[v] for v in bag_i if v in bag_a}
-        pinned_img = set(pinned.values())
-        fresh_count = len(bag_i) - len(pinned)
+        pinned = {v: phi[v] for v in bag_i if v in self.L.bags[a]}
         target_interior = len(self.L.subtree_verts[i]) - len(bag_i)
-        g_profile = self.L.bag_profile[i]
-        hdeg = self.hdeg
         img_bag_a = set(phi.values())
-        # Every mapped vertex keeps its degree, so the fresh vertices of the
-        # image carry the degrees of the unpinned vertices of bag i.
-        degrees = {self.L.degree[v] for v in bag_i if v not in pinned}
-        pool = [w for w in sorted(available) if hdeg[w] in degrees]
-        for combo in combinations(pool, fresh_count):
-            cut = tuple(sorted(pinned_img | set(combo)))
-            if sorted(hdeg[w] for w in cut) != g_profile:
-                continue
-            cset = set(cut)
-            if _inner_edges(self.h, cset) != self.L.bag_inner[i]:
-                continue
-            for interior in self._claim_choices(available, img_bag_a, cset, set(combo), target_interior):
+        for cut, fresh in self._cuts(i, pinned, available):
+            taken = set(fresh)
+            for interior in self._claim_choices(available, img_bag_a, set(cut), taken, target_interior):
                 choice = (cut, tuple(sorted(interior)))
-                prev = prev_choice.get(class_id)
                 if prev is not None and choice < prev:
                     continue
                 # The subtree's vertices outside bag a are unmapped before the
                 # placement, so they are exactly the journal entries after mark.
                 mark = len(self.journal)
-                if self._place_child(i, cut, interior, pinned):
-                    prev_choice[class_id] = choice
-                    yield available - set(combo) - interior
-                    if prev is None:
-                        del prev_choice[class_id]
-                    else:
-                        prev_choice[class_id] = prev
-                    self._rollback(mark)
+                if not (yield self._place_child(i, cut, interior, pinned)):
+                    continue
+                rest = available - taken - interior
+                if (yield self._placements(a, kids, j + 1, rest, phi, choice)):
+                    return True
+                self._rollback(mark)
+        return False
 
     def _claim_choices(
-        self, available: set[int], img_bag_a: set[int], cut: set[int], combo: set[int], target: int
+        self, available: set[int], img_bag_a: set[int], cut: set[int], taken: set[int], target: int
     ):
         """Unions of separated components of the right size, in label order.
 
@@ -520,7 +524,7 @@ class _IsoSearch:
                 if y in working and y not in reach:
                     reach.add(y)
                     queue.append(y)
-        loose = (available - combo) - reach
+        loose = (available - taken) - reach
         comps: list[frozenset[int]] = []
         seen: set[int] = set()
         for start in sorted(loose):
@@ -556,35 +560,28 @@ class _IsoSearch:
 
     def _place_child(
         self, i: int, cut: tuple[int, ...], interior: frozenset[int], pinned: dict[int, int]
-    ) -> bool:
-        """Try to map the subtree at i onto cut plus interior; keep on success."""
+    ):
+        """Task: map the subtree at i onto cut plus interior; keep it on success."""
         key = (i, cut, interior, tuple(sorted(pinned.items())))
-        hit = self.memo.get(key, _MISS)
-        if hit is None:
-            return False
-        if hit is not _MISS:
-            self._assign(hit.items())
-            return True
-        found: dict[int, int] | None = None
-        region = frozenset(cut) | interior
-        for ext in _bag_bijections(
-            self.g, self.L.bags[i], self.h, cut, pinned, self.L.degree, self.hdeg
-        ):
-            mark = self._assign(ext.items())
-            self.frames.append((i, ext))
-            ok = self._match_into(i, region)
-            self.frames.pop()
-            self._audit_pop(i)
-            if ok:
-                found = {
-                    v: self.mapping[v]
-                    for v in self.L.subtree_verts[i]
-                    if v not in pinned
-                }
+        found = self.memo.get(key, _MISS)
+        if found is _MISS:
+            found = None
+            region = frozenset(cut) | interior
+            for ext in _bag_bijections(
+                self.g, self.L.bags[i], self.h, cut, pinned, self.L.degree, self.hdeg
+            ):
+                mark = self._assign(ext.items())
+                self.frames.append((i, ext))
+                ok = yield self._match_into(i, region)
+                self.frames.pop()
+                self._audit_pop(i)
+                if ok:
+                    verts = self.L.subtree_verts[i]
+                    found = {v: self.mapping[v] for v in verts if v not in pinned}
+                    self._rollback(mark)
+                    break
                 self._rollback(mark)
-                break
-            self._rollback(mark)
-        self.memo[key] = found
+            self.memo[key] = found
         if found is None:
             return False
         self._assign(found.items())

@@ -1,3 +1,6 @@
+import inspect
+import sys
+
 import pytest
 
 from widthiso import (
@@ -48,6 +51,19 @@ def test_brute_force_petersen_relabeling():
     h, _ = random_relabel(g, 12345)
     perm = brute_force_iso(g, h)
     assert perm is not None and is_isomorphism(g, h, perm)
+
+
+def test_brute_force_deep_search_without_recursion():
+    # The search maps one vertex per level; 1,500 levels run on an explicit
+    # stack, well past a recursion limit of the current depth + 100.
+    g = path_graph(1500)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 100)
+    try:
+        perm = brute_force_iso(g, g)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert perm == tuple(range(1500))
 
 
 def test_brute_force_symmetry():

@@ -4,9 +4,10 @@ Decompositions, the rejection one width below, and the iso_one_decomp
 witness maps are pinned by SHA-256 digests over seeded partial k-trees: the
 bag candidates must come out in lexicographic order and the elimination
 search must try vertices in ascending order, or the first decomposition and
-the first witness found would change.  Deep paths check that the
-elimination search does not depend on the interpreter's recursion limit;
-a star checks that neither matcher recurses once per child of a bag.
+the first witness found would change.  Deep paths check that neither the
+elimination search nor the two matchers depend on the interpreter's
+recursion limit; a star checks that neither matcher recurses once per child
+of a bag.
 """
 
 import hashlib
@@ -181,10 +182,20 @@ def test_wide_bag_matches_children_without_recursion():
 
 
 def test_deep_path_search_frames_per_level():
-    # The search still recurses once per decomposition level, in a fixed
-    # number of frames; one more frame per level overflows the default limit.
-    g = path_graph(300)
+    # Both matchers run on an explicit stack: no Python frame per
+    # decomposition level, so hundreds of levels fit under a recursion limit
+    # of the current depth + 100.
+    g = path_graph(600)
     d = compute_tree_decomposition(g, 1)
     h, _ = random_relabel(g, 23)
-    perm = _with_default_recursion_limit(iso_one_decomp, g, d, h, 1)
+    long_path = path_graph(2000)
+    d_long = compute_tree_decomposition(long_path, 1)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 100)
+    try:
+        perm = iso_one_decomp(g, d, h, 1)
+        same = iso_respecting_both(long_path, d_long, long_path, d_long)
+    finally:
+        sys.setrecursionlimit(limit)
     assert perm is not None and is_isomorphism(g, h, perm)
+    assert same
