@@ -51,6 +51,8 @@ def parse_graph(text: str) -> Graph:
             if len(parts) != 4 or parts[1] != "tw":
                 raise FormatError(f"line {lineno}: expected 'p tw <n> <m>'")
             n, m = _ints(parts[2:], lineno)
+            if n < 0 or m < 0:
+                raise FormatError(f"line {lineno}: negative count in 'p tw {n} {m}'")
         elif parts[0] == "e":
             if n is None:
                 raise FormatError(f"line {lineno}: e line before p line")
@@ -121,12 +123,16 @@ def parse_tree_decomposition(text: str) -> tuple[TreeDecomposition, int]:
         elif parts[0] == "t":
             if header is None:
                 raise FormatError(f"line {lineno}: t line before p line")
+            if len(parts) != 3:
+                raise FormatError(f"line {lineno}: expected 't <id1> <id2>'")
             a, b = _ints(parts[1:], lineno)
             n_bags = header[0]
             if not (1 <= a <= n_bags and 1 <= b <= n_bags):
                 raise FormatError(f"line {lineno}: tree edge outside 1..{n_bags}")
             tree_edges.append((min(a, b) - 1, max(a, b) - 1))
         elif parts[0] == "r":
+            if len(parts) != 2:
+                raise FormatError(f"line {lineno}: expected 'r <id>'")
             (root_id,) = _ints(parts[1:], lineno)
             root = root_id - 1
         else:

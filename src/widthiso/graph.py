@@ -125,22 +125,26 @@ def _levels(g: Graph, s: Iterable[int]) -> list[int]:
 def connected_components(g: Graph, removed: Iterable[int] = ()) -> list[tuple[int, ...]]:
     """Components of the graph induced on V minus removed, sorted by least member."""
     gone = set(vertex_set(g, removed))
-    seen: set[int] = set(gone)
-    parts: list[tuple[int, ...]] = []
-    for start in range(g.vertex_count):
+    return [tuple(sorted(c)) for c in _components(g, set(range(g.vertex_count)) - gone)]
+
+
+def _components(g: Graph, verts: set[int]) -> list[list[int]]:
+    """Components of the subgraph induced on verts, sorted by least member;
+    each lists its least member first, the rest in breadth-first order."""
+    adj = g._adj
+    seen: set[int] = set()
+    parts: list[list[int]] = []
+    for start in sorted(verts):
         if start in seen:
             continue
-        comp = [start]
         seen.add(start)
-        queue = deque([start])
-        while queue:
-            x = queue.popleft()
-            for y in g._adj[x]:
-                if y not in seen:
+        comp = [start]
+        for x in comp:  # comp grows while it is read: a breadth-first search
+            for y in adj[x]:
+                if y in verts and y not in seen:
                     seen.add(y)
                     comp.append(y)
-                    queue.append(y)
-        parts.append(tuple(sorted(comp)))
+        parts.append(comp)
     return parts
 
 

@@ -28,6 +28,7 @@ from .errors import (
 )
 from .graph import (
     Graph,
+    _components,
     connected_components,
     induced_subgraph,
 )
@@ -124,6 +125,12 @@ def validate_tree_decomposition(g: Graph, d: TreeDecomposition) -> list[str]:
     return problems
 
 
+def _require_valid(g: Graph, d: TreeDecomposition, prefix: str = "") -> None:
+    problems = validate_tree_decomposition(g, d)
+    if problems:
+        raise InvalidDecompositionError(prefix + "; ".join(problems))
+
+
 def _inner_edges(g: Graph, verts: set[int] | frozenset[int]) -> int:
     """Number of edges of g with both ends in verts."""
     adj = g._adj
@@ -131,44 +138,60 @@ def _inner_edges(g: Graph, verts: set[int] | frozenset[int]) -> int:
 
 
 class _Rooted:
-    """Rooted view of one decomposition with per-subtree vertex sets and
-    per-bag invariants: the sorted degrees of each bag's vertices and the
-    number of edges inside each bag."""
+    """Rooted view of one decomposition with per-bag invariants (the sorted
+    degrees of each bag's vertices and the number of edges inside it) and
+    per-subtree facts from one bottom-up pass: size is the subtree's vertex
+    count; profile is that count, the number of edges inside the subtree
+    and a rank code of its bag tree's shape; sort_key is (1, the least
+    subtree vertex outside the parent's bag), or (0, the bag itself) when
+    there is none.
+    """
 
     def __init__(self, g: Graph, d: TreeDecomposition, root: int) -> None:
         self.g = g
         self.root = root
-        self.bags = d.bags
+        self.bags = bags = d.bags
         self.parent, self.children = d.rooted(root)
-        self.subtree_verts: dict[int, frozenset[int]] = {}
-        # rooted() fills parent breadth first, so children come after parents.
-        for a in reversed(self.parent):
-            verts = set(self.bags[a])
-            for b in self.children[a]:
-                verts |= self.subtree_verts[b]
-            self.subtree_verts[a] = frozenset(verts)
         self.degree = [len(nbrs) for nbrs in g._adj]
-        self.bag_profile = [sorted(self.degree[v] for v in bag) for bag in self.bags]
-        self.bag_inner = [_inner_edges(g, set(bag)) for bag in self.bags]
-
-    def lex_key(self, parent_id: int, child_id: int):
-        fresh = self.subtree_verts[child_id] - set(self.bags[parent_id])
-        if not fresh:
-            return (0, self.bags[child_id])
-        return (1, (min(fresh),))
-
-    def profile(self, child_id: int) -> tuple:
-        """Cheap isomorphism invariant of a rooted subtree."""
-        verts = self.subtree_verts[child_id]
-        inner_edges = _inner_edges(self.g, verts)
-        shapes = []
-        stack = [(child_id, 0)]
-        while stack:
-            a, dep = stack.pop()
-            shapes.append((dep, len(self.bags[a])))
+        self.bag_profile = [sorted(self.degree[v] for v in bag) for bag in bags]
+        self.bag_inner = [_inner_edges(g, set(bag)) for bag in bags]
+        self.size = [0] * len(bags)
+        self.profile: list[tuple[int, int, int]] = [(0, 0, 0)] * len(bags)
+        self.sort_key: list[tuple] = [()] * len(bags)
+        # Each vertex and each edge is counted at its top bag, the one nearest
+        # the root that holds it (for an edge: both ends).  The top bags of a
+        # child's subtree count exactly its vertices and edges that are not
+        # in the parent's bag.
+        top: dict[int, int] = {}
+        for a in self.parent:  # breadth first, so parents come first
+            for v in bags[a]:
+                top.setdefault(v, a)
+        n = g.vertex_count
+        below = [0] * len(bags)  # vertices counted in the subtree
+        below_edges = [0] * len(bags)
+        least = [n] * len(bags)  # least vertex counted in the subtree, n if none
+        for v in range(n):
+            below[top[v]] += 1
+            if least[top[v]] == n:
+                least[top[v]] = v
+        for u, v in g.edges:
+            # The bags holding u and v meet, so one top bag lies below the
+            # other and holds both ends.
+            below_edges[top[v] if u in bags[top[v]] else top[u]] += 1
+        shapes: dict[tuple, int] = {}
+        for a in reversed(self.parent):
+            size, inner, codes = len(bags[a]), self.bag_inner[a], []
             for b in self.children[a]:
-                stack.append((b, dep + 1))
-        return (len(verts), inner_edges, tuple(sorted(shapes)))
+                size += below[b]
+                inner += below_edges[b]
+                codes.append(self.profile[b][2])
+                below[a] += below[b]
+                below_edges[a] += below_edges[b]
+                least[a] = min(least[a], least[b])
+            shape = shapes.setdefault((len(bags[a]), tuple(sorted(codes))), len(shapes))
+            self.size[a] = size
+            self.profile[a] = (size, inner, shape)
+            self.sort_key[a] = (1, least[a]) if least[a] < n else (0, bags[a])
 
 
 def lex_subtree_order(
@@ -179,11 +202,12 @@ def lex_subtree_order(
     A child whose subtree adds no vertex beyond the bag of r sorts first,
     tie-broken by its bag content.
     """
+    _require_valid(g, d)
     rooted = _Rooted(g, d, r)
     for c in children:
         if rooted.parent.get(c) != r:
             raise ValueError(f"bag {c} is not a child of bag {r}")
-    return sorted(children, key=lambda c: rooted.lex_key(r, c))
+    return sorted(children, key=rooted.sort_key.__getitem__)
 
 
 def _bag_bijections(
@@ -240,38 +264,42 @@ def _drive(task) -> bool:
             result = done.value
 
 
+class _VertexMap:
+    """Injective partial vertex map whose extensions are journaled, so that
+    they can be undone in stack order."""
+
+    def __init__(self) -> None:
+        self.fwd: dict[int, int] = {}
+        self.back: dict[int, int] = {}
+        self.journal: list[int] = []
+
+    def extend(self, pairs: Iterable[tuple[int, int]]) -> int | None:
+        """Add pairs not yet in the map; the mark to undo them with, or None,
+        with nothing added, when a pair clashes with the map."""
+        mark = len(self.journal)
+        for v, w in pairs:
+            cur = self.fwd.get(v)
+            if cur is None and w not in self.back:
+                self.fwd[v] = w
+                self.back[w] = v
+                self.journal.append(v)
+            elif cur != w:
+                self.undo(mark)
+                return None
+        return mark
+
+    def undo(self, mark: int) -> None:
+        while len(self.journal) > mark:
+            del self.back[self.fwd.pop(self.journal.pop())]
+
+
 class _RespectMatcher:
     """Blockwise tree-aligned matcher between two rooted decompositions."""
 
     def __init__(self, left: _Rooted, right: _Rooted) -> None:
         self.L = left
         self.R = right
-        self.fwd: dict[int, int] = {}
-        self.back: dict[int, int] = {}
-        self.journal: list[int] = []
-
-    def _apply(self, mapping: dict[int, int]) -> int | None:
-        mark = len(self.journal)
-        for v, w in mapping.items():
-            cur = self.fwd.get(v)
-            if cur is not None:
-                if cur != w:
-                    self._rollback(mark)
-                    return None
-                continue
-            if w in self.back:
-                self._rollback(mark)
-                return None
-            self.fwd[v] = w
-            self.back[w] = v
-            self.journal.append(v)
-        return mark
-
-    def _rollback(self, mark: int) -> None:
-        while len(self.journal) > mark:
-            v = self.journal.pop()
-            w = self.fwd.pop(v)
-            del self.back[w]
+        self.map = _VertexMap()
 
     def match(self, a: int, b: int, forced: dict[int, int]):
         """Task: map the subtree at a onto the subtree at b, extending forced."""
@@ -282,12 +310,12 @@ class _RespectMatcher:
         for ext in _bag_bijections(
             self.L.g, bag_a, self.R.g, bag_b, forced, self.L.degree, self.R.degree
         ):
-            mark = self._apply(ext)
+            mark = self.map.extend(ext.items())
             if mark is None:
                 continue
             if (yield self._pairings(a, b, 0, frozenset(self.R.children[b]))):
                 return True
-            self._rollback(mark)
+            self.map.undo(mark)
         return False
 
     def _pairings(self, a: int, b: int, j: int, unused: frozenset[int]):
@@ -299,20 +327,20 @@ class _RespectMatcher:
             return True
         c = kids[j]
         bag_a = set(self.L.bags[a])
-        forced = {v: self.fwd[v] for v in self.L.bags[c] if v in bag_a}
+        forced = {v: self.map.fwd[v] for v in self.L.bags[c] if v in bag_a}
         forced_img = set(forced.values())
-        size = len(self.L.subtree_verts[c])
+        size = self.L.size[c]
         bag_b = set(self.R.bags[b])
         for c2 in self.R.children[b]:
-            if c2 not in unused or len(self.R.subtree_verts[c2]) != size:
+            if c2 not in unused or self.R.size[c2] != size:
                 continue
             if set(self.R.bags[c2]) & bag_b != forced_img:
                 continue
-            mark = len(self.journal)
+            mark = len(self.map.journal)
             ok = yield self.match(c, c2, forced)
             if ok and (yield self._pairings(a, b, j + 1, unused - {c2})):
                 return True
-            self._rollback(mark)
+            self.map.undo(mark)
         return False
 
 
@@ -325,10 +353,8 @@ def iso_respecting_both(
     opposing root; the trees are then matched node against node, extending
     the vertex map bag by bag.
     """
-    for graph, dec, name in ((g, d_g, "first"), (h, d_h, "second")):
-        problems = validate_tree_decomposition(graph, dec)
-        if problems:
-            raise InvalidDecompositionError(f"{name} decomposition: " + "; ".join(problems))
+    _require_valid(g, d_g, "first decomposition: ")
+    _require_valid(h, d_h, "second decomposition: ")
     if d_g.bag_count() != d_h.bag_count():
         return False
     root_g = d_g.root if d_g.root is not None else 0
@@ -355,25 +381,19 @@ class _IsoSearch:
         self.h = h
         self.L = rooted
         self.hdeg = [len(nbrs) for nbrs in h._adj]
-        self.mapping: dict[int, int] = {}
-        self.journal: list[int] = []
+        self.map = _VertexMap()
         self.frames: list[tuple[int, dict[int, int]]] = []
         self.memo: dict = {}
         self.class_cache: dict[int, list[list[int]]] = {}
 
     # -- bookkeeping ---------------------------------------------------
 
-    def _assign(self, items: Iterable[tuple[int, int]]) -> int:
-        mark = len(self.journal)
-        for v, w in items:
-            if v not in self.mapping:
-                self.mapping[v] = w
-                self.journal.append(v)
+    def _extend(self, pairs: Iterable[tuple[int, int]]) -> int:
+        # Images always come from the unconsumed region, so they never clash.
+        mark = self.map.extend(pairs)
+        if mark is None:
+            raise InternalError("search mapped two vertices onto one")
         return mark
-
-    def _rollback(self, mark: int) -> None:
-        while len(self.journal) > mark:
-            del self.mapping[self.journal.pop()]
 
     def _audit_pop(self, popped_bag: int) -> None:
         path = []
@@ -401,12 +421,13 @@ class _IsoSearch:
         cached = self.class_cache.get(a)
         if cached is not None:
             return cached
-        kids = sorted(self.L.children[a], key=lambda c: self.L.lex_key(a, c))
+        kids = sorted(self.L.children[a], key=self.L.sort_key.__getitem__)
+        bag_a = set(self.L.bags[a])
         classes: list[list[int]] = []
         keys: list[tuple] = []
         for c in kids:
-            overlap = tuple(v for v in self.L.bags[c] if v in set(self.L.bags[a]))
-            key = (overlap, self.L.profile(c))
+            overlap = tuple(v for v in self.L.bags[c] if v in bag_a)
+            key = (overlap, self.L.profile[c])
             pinned = {v: v for v in overlap}
             for members, other in zip(classes, keys):
                 if other == key and _drive(
@@ -423,22 +444,13 @@ class _IsoSearch:
     # -- search ----------------------------------------------------------
 
     def run(self) -> tuple[int, ...] | None:
-        root = self.L.root
-        bag = self.L.bags[root]
         n = self.h.vertex_count
-        for cand, _ in self._cuts(root, {}, range(n)):
-            for ext in _bag_bijections(self.g, bag, self.h, cand, {}, self.L.degree, self.hdeg):
-                mark = self._assign(ext.items())
-                self.frames.append((root, ext))
-                ok = _drive(self._match_into(root, frozenset(range(n))))
-                self.frames.pop()
-                self._audit_pop(root)
-                if ok:
-                    perm = tuple(self.mapping[v] for v in range(self.g.vertex_count))
-                    if not is_isomorphism(self.g, self.h, perm):
-                        raise InternalError("search returned a map that is not an isomorphism")
-                    return perm
-                self._rollback(mark)
+        for cand, _ in self._cuts(self.L.root, {}, range(n)):
+            if _drive(self._map_bag(self.L.root, cand, frozenset(range(n)), {})):
+                perm = tuple(self.map.fwd[v] for v in range(self.g.vertex_count))
+                if not is_isomorphism(self.g, self.h, perm):
+                    raise InternalError("search returned a map that is not an isomorphism")
+                return perm
         return None
 
     def _cuts(self, i: int, pinned: dict[int, int], available: Iterable[int]):
@@ -461,12 +473,25 @@ class _IsoSearch:
                 continue
             yield cut, fresh
 
-    def _match_into(self, a: int, region: frozenset[int]):
-        """Task: place the subtrees of a's children so that, with the image
-        of bag a on top of the stack, they use up region exactly."""
-        phi = self.frames[-1][1]
-        kids = [(c, cls) for cls, members in enumerate(self._classes(a)) for c in members]
-        return self._placements(a, kids, 0, set(region) - set(phi.values()), phi, None)
+    def _map_bag(
+        self, i: int, image: Sequence[int], region: frozenset[int], pinned: dict[int, int]
+    ):
+        """Task: map bag i onto image, extending pinned, in each way in turn
+        until the subtrees of i's children use up the rest of region exactly."""
+        for ext in _bag_bijections(
+            self.g, self.L.bags[i], self.h, image, pinned, self.L.degree, self.hdeg
+        ):
+            mark = self._extend(ext.items())
+            self.frames.append((i, ext))
+            kids = [(c, cls) for cls, members in enumerate(self._classes(i)) for c in members]
+            available = set(region) - set(ext.values())
+            ok = yield self._placements(i, kids, 0, available, ext, None)
+            self.frames.pop()
+            self._audit_pop(i)
+            if ok:
+                return True
+            self.map.undo(mark)
+        return False
 
     def _placements(
         self, a: int, kids: list[tuple[int, int]], j: int, available: set[int],
@@ -486,62 +511,35 @@ class _IsoSearch:
             prev = None
         bag_i = self.L.bags[i]
         pinned = {v: phi[v] for v in bag_i if v in self.L.bags[a]}
-        target_interior = len(self.L.subtree_verts[i]) - len(bag_i)
+        target_interior = self.L.size[i] - len(bag_i)
         img_bag_a = set(phi.values())
         for cut, fresh in self._cuts(i, pinned, available):
             taken = set(fresh)
-            for interior in self._claim_choices(available, img_bag_a, set(cut), taken, target_interior):
+            for interior in self._claim_choices(available, img_bag_a, set(cut), target_interior):
                 choice = (cut, tuple(sorted(interior)))
                 if prev is not None and choice < prev:
                     continue
                 # The subtree's vertices outside bag a are unmapped before the
                 # placement, so they are exactly the journal entries after mark.
-                mark = len(self.journal)
+                mark = len(self.map.journal)
                 if not (yield self._place_child(i, cut, interior, pinned)):
                     continue
                 rest = available - taken - interior
                 if (yield self._placements(a, kids, j + 1, rest, phi, choice)):
                     return True
-                self._rollback(mark)
+                self.map.undo(mark)
         return False
 
-    def _claim_choices(
-        self, available: set[int], img_bag_a: set[int], cut: set[int], taken: set[int], target: int
-    ):
+    def _claim_choices(self, available: set[int], img_bag_a: set[int], cut: set[int], target: int):
         """Unions of separated components of the right size, in label order.
 
         A component counts as separated when, once the candidate bag is
         removed, it cannot reach the rest of the current bag image inside
-        the unconsumed region.
+        the unconsumed region: it is a component of the region and the bag
+        image minus the cut that avoids the bag image.
         """
         working = (available | img_bag_a) - cut
-        seeds = img_bag_a - cut
-        reach = set(seeds)
-        queue = deque(seeds)
-        while queue:
-            x = queue.popleft()
-            for y in self.h._adj[x]:
-                if y in working and y not in reach:
-                    reach.add(y)
-                    queue.append(y)
-        loose = (available - taken) - reach
-        comps: list[frozenset[int]] = []
-        seen: set[int] = set()
-        for start in sorted(loose):
-            if start in seen:
-                continue
-            comp = {start}
-            seen.add(start)
-            stack = [start]
-            while stack:
-                x = stack.pop()
-                for y in self.h._adj[x]:
-                    if y in loose and y not in seen:
-                        seen.add(y)
-                        comp.add(y)
-                        stack.append(y)
-            comps.append(frozenset(comp))
-
+        comps = [c for c in _components(self.h, working) if img_bag_a.isdisjoint(c)]
         sizes = [len(c) for c in comps]
         left = [0] * (len(comps) + 1)  # left[pos]: total size of comps[pos:]
         for pos in reversed(range(len(comps))):
@@ -565,26 +563,16 @@ class _IsoSearch:
         key = (i, cut, interior, tuple(sorted(pinned.items())))
         found = self.memo.get(key, _MISS)
         if found is _MISS:
-            found = None
-            region = frozenset(cut) | interior
-            for ext in _bag_bijections(
-                self.g, self.L.bags[i], self.h, cut, pinned, self.L.degree, self.hdeg
-            ):
-                mark = self._assign(ext.items())
-                self.frames.append((i, ext))
-                ok = yield self._match_into(i, region)
-                self.frames.pop()
-                self._audit_pop(i)
-                if ok:
-                    verts = self.L.subtree_verts[i]
-                    found = {v: self.mapping[v] for v in verts if v not in pinned}
-                    self._rollback(mark)
-                    break
-                self._rollback(mark)
-            self.memo[key] = found
+            mark = len(self.map.journal)
+            ok = yield self._map_bag(i, cut, frozenset(cut) | interior, pinned)
+            # On success the journal after mark holds the subtree's vertices
+            # outside pinned, the ones _placements undoes.
+            fwd = self.map.fwd
+            self.memo[key] = [(v, fwd[v]) for v in self.map.journal[mark:]] if ok else None
+            return ok
         if found is None:
             return False
-        self._assign(found.items())
+        self._extend(found)
         return True
 
 
@@ -648,9 +636,7 @@ def iso_one_decomp(
     tree with failed subproblems memoized.  Disconnected inputs are matched
     component by component.
     """
-    problems = validate_tree_decomposition(g, d_g)
-    if problems:
-        raise InvalidDecompositionError("; ".join(problems))
+    _require_valid(g, d_g)
     if d_g.width() > k:
         raise InvalidDecompositionError(f"decomposition width {d_g.width()} exceeds {k}")
     if g.vertex_count != h.vertex_count:
@@ -666,6 +652,7 @@ def iso_one_decomp(
     h_comps = connected_components(h)
     if sorted(len(c) for c in g_comps) != sorted(len(c) for c in h_comps):
         return None
+    # A connected g skips induced_subgraph, which would rebuild both graphs.
     if len(g_comps) == 1:
         root = d_g.root if d_g.root is not None else 0
         rooted = _Rooted(g, d_g, root)

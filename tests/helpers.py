@@ -10,6 +10,7 @@ from typing import Iterable
 from widthiso import (
     Graph,
     SubtreeHandle,
+    TreeDecomposition,
     connected_components,
     induced_subgraph,
     is_connected,
@@ -193,6 +194,22 @@ def next_sibling(g: Graph, s: Iterable[int], x: Iterable[int]) -> tuple[int, ...
         if group[0] > bag[0]:
             return group
     return None
+
+
+def subtree_vertex_sets(d: TreeDecomposition, root: int) -> dict[int, frozenset[int]]:
+    """Every vertex in the bags of each subtree when d hangs from root,
+    gathered by a separate walk below every bag."""
+    parent, children = d.rooted(root)
+    out: dict[int, frozenset[int]] = {}
+    for a in parent:
+        verts: set[int] = set()
+        stack = [a]
+        while stack:
+            b = stack.pop()
+            verts.update(d.bags[b])
+            stack.extend(children[b])
+        out[a] = frozenset(verts)
+    return out
 
 
 def subtree_graph(h: SubtreeHandle) -> tuple[Graph, dict[int, int]]:

@@ -133,10 +133,11 @@ def test_json_mode(files, capsys):
 
 
 def test_bad_file_exits_with_usage_error(tmp_path, capsys):
-    bad = tmp_path / "bad.gr"
-    bad.write_text("p tw 2 1\ne 1 7\n")
-    assert main(["tdd-width", str(bad), "-k", "1"]) == 2
-    assert "error" in capsys.readouterr().err
+    for text in ("p tw 2 1\ne 1 7\n", "p tw -1 0\n"):
+        bad = tmp_path / "bad.gr"
+        bad.write_text(text)
+        assert main(["tdd-width", str(bad), "-k", "1"]) == 2
+        assert "error" in capsys.readouterr().err
 
 
 def test_missing_file_exits_with_usage_error(tmp_path, capsys):

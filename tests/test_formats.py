@@ -35,6 +35,8 @@ def test_graph_parse_errors():
         parse_graph("p tw 2 1\ne 1 1\n")
     with pytest.raises(FormatError):
         parse_graph("p tw 2 2\ne 1 2\ne 2 1\n")
+    with pytest.raises(FormatError):
+        parse_graph("p tw -1 0\n")  # negative vertex count
 
 
 def test_decomposition_round_trip():
@@ -65,6 +67,10 @@ def test_decomposition_parse_errors():
         parse_tree_decomposition("p td 1 2 3\nb 1 5\n")  # vertex out of range
     with pytest.raises(FormatError):
         parse_tree_decomposition("p td 1 2 3\nb 1 1\nb 1 2\n")  # duplicate bag
+    with pytest.raises(FormatError):
+        parse_tree_decomposition("p td 2 2 3\nb 1 1\nb 2 2\nt 1\n")  # short tree edge
+    with pytest.raises(FormatError):
+        parse_tree_decomposition("p td 1 2 3\nb 1 1\nr 1 1\n")  # long root line
 
 
 def test_tdd_records_render_one_based():

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 import widthiso.treewidth as treewidth_module
@@ -21,7 +23,13 @@ from widthiso import (
     validate_tree_decomposition,
 )
 
-from helpers import complete_graph, cycle_graph, path_graph, spider_graph
+from helpers import (
+    complete_graph,
+    cycle_graph,
+    path_graph,
+    spider_graph,
+    subtree_vertex_sets,
+)
 
 C4 = cycle_graph(4)
 C4_DECOMP = TreeDecomposition(
@@ -125,6 +133,51 @@ def test_lex_subtree_order_stale_children_first():
     assert validate_tree_decomposition(g, d) == []
     # neither child adds fresh vertices; ties break on bag content
     assert lex_subtree_order(g, d, 0, [1, 2]) == [2, 1]
+
+
+def test_lex_subtree_order_rejects_invalid_decomposition():
+    # Vertex 0 sits in bags 0 and 2 but not in bag 1 between them.
+    g = Graph(4, [(0, 1), (0, 3)])
+    d = TreeDecomposition(
+        bags=((0, 1), (2,), (0, 3)),
+        tree_edges=frozenset({(0, 1), (1, 2)}),
+    )
+    with pytest.raises(InvalidDecompositionError):
+        lex_subtree_order(g, d, 1, [0, 2])
+
+
+def _seeded_decompositions():
+    rng = random.Random(61)
+    for k in (1, 2, 3):
+        for _ in range(12):
+            n = rng.randint(k + 2, 14 + k)
+            bundle = generate_partial_ktree(n, k, rng.choice([0.4, 0.7, 1.0]), rng.randrange(1 << 30))
+            yield bundle.graph, bundle.decomposition
+            yield bundle.graph, compute_tree_decomposition(bundle.graph, k)
+
+
+def test_subtree_counts_match_naive_vertex_sets():
+    for g, d in _seeded_decompositions():
+        for root in range(d.bag_count()):
+            rooted = treewidth_module._Rooted(g, d, root)
+            for a, verts in subtree_vertex_sets(d, root).items():
+                inner = sum(1 for u, v in g.edges if u in verts and v in verts)
+                assert rooted.size[a] == len(verts)
+                assert rooted.profile[a][:2] == (len(verts), inner)
+
+
+def test_lex_subtree_order_matches_naive_key():
+    for g, d in _seeded_decompositions():
+        for root in range(d.bag_count()):
+            verts = subtree_vertex_sets(d, root)
+            above = set(d.bags[root])
+
+            def naive_key(c):
+                fresh = verts[c] - above
+                return (1, (min(fresh),)) if fresh else (0, d.bags[c])
+
+            kids = list(d.neighbors(root))
+            assert lex_subtree_order(g, d, root, kids) == sorted(kids, key=naive_key)
 
 
 def test_iso_one_decomp_c4_identity():

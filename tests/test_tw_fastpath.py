@@ -7,16 +7,19 @@ search must try vertices in ascending order, or the first decomposition and
 the first witness found would change.  Deep paths check that neither the
 elimination search nor the two matchers depend on the interpreter's
 recursion limit; a star checks that neither matcher recurses once per child
-of a bag.
+of a bag; a 2,000-bag path checks that the rooted view of a decomposition
+keeps counts, not a vertex set per subtree.
 """
 
 import hashlib
 import inspect
 import random
 import sys
+import tracemalloc
 
 import pytest
 
+import widthiso.treewidth as treewidth_module
 from widthiso import (
     Graph,
     is_isomorphism,
@@ -199,3 +202,17 @@ def test_deep_path_search_frames_per_level():
         sys.setrecursionlimit(limit)
     assert perm is not None and is_isomorphism(g, h, perm)
     assert same
+
+
+def test_rooted_view_of_deep_path_stays_small():
+    # Subtree facts are counts gathered bottom up, not vertex sets, so the
+    # rooted view of a 2,000-bag path takes memory linear in its bags.
+    g = path_graph(2000)
+    d = compute_tree_decomposition(g, 1)
+    tracemalloc.start()
+    try:
+        treewidth_module._Rooted(g, d, d.root)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
