@@ -37,7 +37,7 @@ class AugmentedTree:
         "children",
         "bag_edges",
         "sizes",
-        "_trace_memo",
+        "_tracer",
     )
 
     def __init__(
@@ -57,7 +57,7 @@ class AugmentedTree:
         self.children = children
         self.bag_edges = bag_edges
         self.sizes = sizes
-        self._trace_memo: dict = {}
+        self._tracer = None  # isoorder's trace table for this graph, made on first use
 
     @property
     def root(self) -> int:

@@ -148,6 +148,53 @@ def _components(g: Graph, verts: set[int]) -> list[list[int]]:
     return parts
 
 
+def _articulation_counts(g: Graph) -> list[int]:
+    """Number of components of g minus v, for every vertex v.
+
+    One iterative Hopcroft–Tarjan depth-first pass: a DFS child w of v
+    whose subtree reaches no higher than v (low[w] >= disc[v]) becomes its
+    own component once v is gone; every other child stays joined to v's
+    parent side, which only a non-root vertex has.
+    """
+    adj = g._adj
+    n = g.vertex_count
+    disc = [-1] * n
+    low = [0] * n
+    cut_off = [0] * n
+    roots = []
+    clock = 0
+    for root in range(n):
+        if disc[root] >= 0:
+            continue
+        roots.append(root)
+        disc[root] = low[root] = clock
+        clock += 1
+        stack = [(root, -1, iter(adj[root]))]
+        while stack:
+            v, parent, untried = stack[-1]
+            for w in untried:
+                if disc[w] < 0:
+                    disc[w] = low[w] = clock
+                    clock += 1
+                    stack.append((w, v, iter(adj[w])))
+                    break
+                if w != parent and disc[w] < low[v]:
+                    low[v] = disc[w]
+            else:
+                stack.pop()
+                if parent >= 0:
+                    if low[v] < low[parent]:
+                        low[parent] = low[v]
+                    if low[v] >= disc[parent]:
+                        cut_off[parent] += 1
+    # Besides the len(roots) - 1 other components: the parent side, which a
+    # DFS root lacks, and the cut-off children.
+    counts = [len(roots) + c for c in cut_off]
+    for root in roots:
+        counts[root] -= 1
+    return counts
+
+
 def is_connected(g: Graph) -> bool:
     if g.vertex_count <= 1:
         return True

@@ -20,6 +20,17 @@ comparing two subtrees is comparing their minimal traces:
 Equality of minimal traces holds exactly when the two subgraphs admit an
 isomorphism mapping bag onto bag, separating set onto separating set, which
 is what makes the minimum over all root sets a canonical form.
+
+Traces are computed without their depth fields and interned.  Aligned
+fields of two compared traces sit at the same depth, so dropping the depths
+keeps the order.  A depth-free trace is stored as its bag's own fields, each
+child trace replaced by its id in one table where equal traces share one id.
+Two traces are ordered by walking their fields and descending into the
+first pair of child ids that differ, which decides because traces are
+prefix-free.  The subtree below a bag B whose parent bag is P is the
+component of G - P holding B, so its traces depend on (B, P) alone and one
+table serves every root set of a graph.  Depths appear only in the
+serialised trace, which is written out for the winning root set alone.
 """
 
 from __future__ import annotations
@@ -27,19 +38,19 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
-from itertools import combinations, permutations
+from functools import cmp_to_key, lru_cache
+from itertools import combinations, groupby, permutations
 from operator import itemgetter
-from typing import NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
-from .augtree import AugmentedTree, SubtreeHandle, bag_split, build_augmented_tree
+from .augtree import AugmentedTree, SubtreeHandle, build_augmented_tree
 from .errors import (
     DisconnectedGraphError,
     InternalError,
     NoAdmissibleMappingError,
     WidthExceededError,
 )
-from .graph import Graph, is_connected
+from .graph import Graph, _articulation_counts, is_connected
 from .tdd import TreeDistanceDecomposition, _build
 
 
@@ -75,25 +86,8 @@ def _orderings(bag: tuple[int, ...]) -> list[tuple[int, ...]]:
     return list(permutations(sorted(bag)))
 
 
-def _bip_pairs(tree: AugmentedTree, sep_node: int, child_node: int) -> tuple[tuple[int, int], ...]:
-    key = ("bip", sep_node, child_node)
-    cached = tree._trace_memo.get(key)
-    if cached is None:
-        inside = set(tree.vertices[child_node])
-        cached = tuple(
-            sorted(
-                (m, w)
-                for m in tree.vertices[sep_node]
-                for w in tree.graph._adj[m]
-                if w in inside
-            )
-        )
-        tree._trace_memo[key] = cached
-    return cached
-
-
 def _bip_code(
-    pos: dict[int, int], child_pos: dict[int, int], pairs: tuple[tuple[int, int], ...]
+    pos: dict[int, int], child_pos: dict[int, int], pairs: list[tuple[int, int]]
 ) -> tuple[int, ...]:
     """Bipartite edges as sorted (parent, child) position pairs, length-prefixed."""
     out = [len(pairs)]
@@ -104,18 +98,18 @@ def _bip_code(
 
 
 def _header(
-    rel_depth: int,
     pos: dict[int, int],
-    edges: tuple[tuple[int, int], ...],
+    edges: Sequence[tuple[int, int]],
     size: int,
     n_seps: int,
 ) -> list[int]:
-    """Trace fields ahead of the blocks: relative depth, bag size, the bag's
-    edges as length-prefixed position pairs, subtree size, separating-set count."""
+    """Trace fields after the depth and ahead of the blocks: bag size, the
+    bag's edges as length-prefixed position pairs, subtree size,
+    separating-set count."""
     edge_pos = sorted(
         (pos[u], pos[v]) if pos[u] < pos[v] else (pos[v], pos[u]) for u, v in edges
     )
-    out = [rel_depth, len(pos), len(edge_pos)]
+    out = [len(pos), len(edge_pos)]
     for x, y in edge_pos:
         out.append(x)
         out.append(y)
@@ -132,92 +126,222 @@ def _sep_head(pos: dict[int, int], sep: tuple[int, ...], n_kids: int) -> list[in
     return head
 
 
-def _sep_blocks(
-    tree: AugmentedTree, node: int, sigma: tuple[int, ...], rel_depth: int
-) -> list[tuple[tuple[int, ...], list[tuple]]]:
-    """Separating-set blocks of a bag node under sigma, least first.
+class _Tracer:
+    """Interned depth-free traces of the bag subtrees of one graph.
 
-    Each block comes with its children's least (block, child, ordering)
-    entries in block order.  A child block is the pair (bipartite code,
-    child trace), which orders like their concatenation because the code is
-    length-prefixed.  The children's traces must already be memoised.
+    fields[i] holds trace i's own fields with each child trace written as
+    ~id, a negative number (every other field is >= 0); equal traces share
+    one id.  memo maps (bag, parent bag) to the trace id under each ordering
+    of the bag, in _orderings order; the root bag's parent bag is None.
     """
-    pos = {v: i for i, v in enumerate(sigma)}
-    memo = tree._trace_memo
-    blocks = []
-    for s in tree.children[node]:
-        kids = tree.children[s]
-        head = _sep_head(pos, tree.vertices[s], len(kids))
-        entries = []
-        for b in kids:
-            pairs = _bip_pairs(tree, s, b)
-            best = None
-            for phi, trace in memo[b, rel_depth + 2].items():
-                block = (_bip_code(pos, {v: i for i, v in enumerate(phi)}, pairs), trace)
-                if best is None or block < best[0]:
-                    best = (block, b, phi)
-            entries.append(best)
-        entries.sort(key=itemgetter(0))
-        for (code, trace), _, _ in entries:
-            head.extend(code)
-            head.extend(trace)
-        blocks.append((tuple(head), entries))
-    blocks.sort(key=itemgetter(0))
-    return blocks
 
+    def __init__(self) -> None:
+        self.fields: list[tuple[int, ...]] = []
+        self.ids: dict[tuple[int, ...], int] = {}
+        self.memo: dict[tuple, dict[tuple[int, ...], int]] = {}
+        self.sort_key = cmp_to_key(self.cmp)
 
-def _traces(
-    tree: AugmentedTree, node: int, rel_depth: int
-) -> dict[tuple[int, ...], tuple[int, ...]]:
-    """Trace of the subtree under every ordering of its bag, in ordering order.
+    def intern(self, fields: tuple[int, ...]) -> int:
+        i = self.ids.get(fields)
+        if i is None:
+            i = self.ids[fields] = len(self.fields)
+            self.fields.append(fields)
+        return i
 
-    One bottom-up pass over an explicit stack: every bag node below is
-    traced and memoised at its relative depth before its parent.
-    """
-    memo = tree._trace_memo
-    todo = []
-    stack = [(node, rel_depth)]
-    while stack:
-        key = stack.pop()
-        if key in memo:
-            continue
-        todo.append(key)
-        b, r = key
+    def cmp(self, x: Sequence[int], y: Sequence[int]) -> int:
+        """-1, 0 or 1 as field sequence x orders before, like or after y.
+
+        Up to their first difference the sequences are aligned, so where one
+        holds a child id the other does too.  Traces are prefix-free, so
+        those two children's traces decide, and the loop goes on inside them.
+        """
+        if x == y:
+            return 0
+        while True:
+            for p, q in zip(x, y):
+                if p != q:
+                    break
+            else:
+                return -1 if len(x) < len(y) else 1
+            if p >= 0:
+                return -1 if p < q else 1
+            x, y = self.fields[~p], self.fields[~q]
+
+    def less(self, a: int, b: int) -> bool:
+        """Whether trace a orders strictly before trace b."""
+        return a != b and self.cmp(self.fields[a], self.fields[b]) < 0
+
+    def least(self, traces: dict[tuple[int, ...], int], sigmas: Iterable[tuple[int, ...]]):
+        """The first ordering among sigmas whose trace is least."""
+        best = None
+        for sigma in sigmas:
+            if best is None or self.less(traces[sigma], traces[best]):
+                best = sigma
+        return best
+
+    def traces(self, tree: AugmentedTree, node: int) -> dict[tuple[int, ...], int]:
+        """Trace id of the subtree at a bag node under every ordering of its bag.
+
+        The subtree below a bag B whose parent bag is P is the component of
+        G - P holding B, so its depth-free traces depend on (B, P) alone.
+        Bag nodes whose pair is in the memo are not entered; the others are
+        traced deepest first, from an explicit stack.
+        """
+        verts = tree.vertices
+        memo = self.memo
+        up = tree.parent[tree.parent[node]]
+        start = (verts[node], verts[up] if node != tree.root else None)
+        todo = []
+        stack = [(node, start)]
+        while stack:
+            b, key = stack.pop()
+            if key in memo:
+                continue
+            todo.append((b, key))
+            for s in tree.children[b]:
+                for c in tree.children[s]:
+                    stack.append((c, (verts[c], verts[b])))
+        for b, key in reversed(todo):
+            kids = self.kids(tree, b)
+            memo[key] = {
+                sigma: self.intern(self.local(tree, b, sigma, kids)[0])
+                for sigma in _orderings(verts[b])
+            }
+        return memo[start]
+
+    def kids(self, tree: AugmentedTree, b: int) -> list[tuple[tuple[int, ...], list[tuple]]]:
+        """Per separating set under bag node b, its vertices and, per child
+        bag, the child node, the edges from the set into it and its traces."""
+        adj = tree.graph._adj
+        verts = tree.vertices
+        out = []
         for s in tree.children[b]:
+            sep = verts[s]
+            group = []
             for c in tree.children[s]:
-                stack.append((c, r + 2))
-    for key in reversed(todo):
-        b, r = key
-        edges = tree.bag_edges[b]
-        n_seps = len(tree.children[b])
-        traces = {}
-        for sigma in _orderings(tree.vertices[b]):
-            pos = {v: i for i, v in enumerate(sigma)}
-            out = _header(r, pos, edges, tree.sizes[b], n_seps)
-            for block, _ in _sep_blocks(tree, b, sigma, r):
-                out.extend(block)
-            traces[sigma] = tuple(out)
-        memo[key] = traces
-    return memo[node, rel_depth]
+                inside = set(verts[c])
+                pairs = [(m, w) for m in sep for w in adj[m] if w in inside]
+                group.append((c, pairs, self.memo[verts[c], verts[b]]))
+            out.append((sep, group))
+        return out
+
+    def local(
+        self, tree: AugmentedTree, b: int, sigma: tuple[int, ...], kids: list
+    ) -> tuple[tuple[int, ...], list[tuple[tuple[int, ...], list[tuple]]]]:
+        """Depth-free fields of bag node b's trace under sigma, and its
+        separating-set blocks least first.
+
+        Each block comes with its children's least (entry, child node,
+        ordering) in entry order; an entry is the bipartite code followed by
+        the child's trace id, which orders like the child block because the
+        code is length-prefixed.  Ties keep the augmented tree's order.
+        """
+        pos = {v: i for i, v in enumerate(sigma)}
+        out = _header(pos, tree.bag_edges[b], tree.sizes[b], len(kids))
+        sort_key = self.sort_key
+        blocks = []
+        for sep, group in kids:
+            head = _sep_head(pos, sep, len(group))
+            entries = []
+            for c, pairs, traces in group:
+                best = None
+                for phi, i in traces.items():
+                    entry = _bip_code(pos, {v: j for j, v in enumerate(phi)}, pairs) + (~i,)
+                    if best is None or self.cmp(entry, best[0]) < 0:
+                        best = (entry, c, phi)
+                entries.append(best)
+            entries.sort(key=lambda e: sort_key(e[0]))
+            for entry, _, _ in entries:
+                head.extend(entry)
+            blocks.append((tuple(head), entries))
+        blocks.sort(key=lambda block: sort_key(block[0]))
+        for head, _ in blocks:
+            out.extend(head)
+        return tuple(out), blocks
+
+    def flat(self, i: int) -> tuple[int, ...]:
+        """Trace i written out in full at relative depth 0: each bag's fields
+        after its depth, each child trace in place of its id."""
+        out = [0]
+        stack = [(iter(self.fields[i]), 0)]
+        while stack:
+            fields, depth = stack[-1]
+            for x in fields:
+                if x < 0:
+                    out.append(depth + 2)
+                    stack.append((iter(self.fields[~x]), depth + 2))
+                    break
+                out.append(x)
+            else:
+                stack.pop()
+        return tuple(out)
 
 
-def _root_prefix(g: Graph, d: TreeDistanceDecomposition) -> tuple[int, ...]:
-    """Opening of the root set's minimal trace, read from the decomposition.
+def _sep_counts(
+    g: Graph, s: tuple[int, ...], splits: list[int], cap: int
+) -> dict[tuple[int, ...], int] | None:
+    """Separating sets of the root bag s, each with its number of child
+    bags; None when a child bag is seen to hold more than cap vertices.
 
-    The header of the root bag (depth 0, the whole graph as subtree) and,
+    The child bags of the root are the components of G - S, each cut down to
+    its neighbours of S, and the component C hangs from N(C) ∩ S.  A single
+    vertex v separates all splits[v] components of G - v, and its
+    neighbours cannot fit when there are more than cap per component.
+    """
+    if len(s) == 1:
+        v = s[0]
+        if len(g._adj[v]) > cap * splits[v]:
+            return None
+        return {s: splits[v]} if splits[v] else {}
+    adj = g._adj
+    inside = set(s)
+    seen = [False] * g.vertex_count
+    for v in s:
+        seen[v] = True
+    counts: dict[tuple[int, ...], int] = {}
+    for start in range(g.vertex_count):
+        if seen[start]:
+            continue
+        seen[start] = True
+        comp = [start]
+        sep = set()
+        bag = 0
+        for x in comp:  # comp grows while it is read: a breadth-first search
+            near = False
+            for y in adj[x]:
+                if y in inside:
+                    sep.add(y)
+                    near = True
+                elif not seen[y]:
+                    seen[y] = True
+                    comp.append(y)
+            bag += near
+        if bag > cap:
+            return None
+        key = tuple(sorted(sep))
+        counts[key] = counts.get(key, 0) + 1
+    return counts
+
+
+def _root_prefix(g: Graph, s: tuple[int, ...], seps: dict[tuple[int, ...], int]) -> tuple[int, ...]:
+    """Opening of root set s's minimal trace, from its separating sets.
+
+    Depth 0, the header of the root bag (the whole graph as subtree) and,
     when there is a separating set, the least block head.  Blocks are sorted
     and each head is self-delimiting, so the first block starts with the
     least head; minimised over the root bag's orderings this tuple is an
     exact prefix of the least trace, and comparing two root sets' prefixes
     orders their traces whenever the prefixes differ.
     """
-    edges, groups = bag_split(g, d, d.root)
+    adj = g._adj
+    inside = set(s)
+    edges = [(u, w) for u in s for w in adj[u] if w > u and w in inside]
     best = None
-    for sigma in _orderings(d.bags[d.root]):
+    for sigma in _orderings(s):
         pos = {v: i for i, v in enumerate(sigma)}
-        out = _header(0, pos, edges, g.vertex_count, len(groups))
-        if groups:
-            out.extend(min(_sep_head(pos, sep, len(kids)) for sep, kids in groups.items()))
+        out = [0, *_header(pos, edges, g.vertex_count, len(seps))]
+        if seps:
+            out.extend(min(_sep_head(pos, sep, count) for sep, count in seps.items()))
         if best is None or out < best:
             best = out
     return tuple(best)
@@ -227,9 +351,12 @@ def _min_trace(
     tree: AugmentedTree, node: int, sigmas: Sequence[tuple[int, ...]]
 ) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Least trace over sigmas and the first ordering reaching it."""
-    traces = _traces(tree, node, 0)
-    sigma = min(sigmas, key=traces.__getitem__)
-    return traces[sigma], sigma
+    tracer = tree._tracer
+    if tracer is None:
+        tracer = tree._tracer = _Tracer()
+    traces = tracer.traces(tree, node)
+    sigma = tracer.least(traces, sigmas)
+    return tracer.flat(traces[sigma]), sigma
 
 
 def compare_augmented(
@@ -290,11 +417,14 @@ class _CanonState(NamedTuple):
     root_set: tuple[int, ...]
     tree: AugmentedTree
     sigma: tuple[int, ...]
+    tracer: _Tracer
 
 
-# Graphs whose canonisation state stays cached; each entry keeps its
-# augmented tree with the whole trace memo.  Large enough for all-pairs
-# iso_tdw over the 434 connected graphs with n <= 7 and width <= 2.
+# Graphs whose canonisation state stays cached; each entry keeps the
+# winning augmented tree and the interned depth-free traces of every root
+# set traced, one table entry per (bag, parent bag) pair and bag ordering.
+# Large enough for all-pairs iso_tdw over the 434 connected graphs with
+# n <= 7 and width <= 2.
 _CANON_CACHE_SIZE = 512
 
 
@@ -305,34 +435,44 @@ def _canon_state(g: Graph, k: int) -> _CanonState | None:
     Every trace starts (0, |S|, ...): relative depth 0, then the root bag's
     size.  So any admissible root set of size s has a smaller trace than
     every root set of size > s, and the search stops after the first size
-    that admits one.  Within a size, only the root sets whose root prefix
-    (see _root_prefix) is least get an augmented tree and a trace; the
-    others cannot win.  The first minimiser in combinations order wins.
+    that admits one.  Within a size, root sets are ranked by their root
+    prefix (see _root_prefix), which the components of G - S give without a
+    decomposition; a root set whose depth-1 bags already exceed k drops out
+    there.  Decompositions are built one equal-prefix group at a time, and
+    only the first group with an admissible member is traced; the others
+    cannot win.  One tracer serves all of them, and the first minimiser in
+    combinations order wins.
     """
     if not is_connected(g):
         raise DisconnectedGraphError("canonization needs a connected graph")
-    best: _CanonState | None = None
-    for size in range(1, min(k, g.vertex_count) + 1):
-        least = None
-        survivors = []
-        for s in combinations(range(g.vertex_count), size):
-            d = _build(g, s, cap=k)
-            if d is None:
-                continue
-            prefix = _root_prefix(g, d)
-            if least is None or prefix < least:
-                least = prefix
-                survivors = [(s, d)]
-            elif prefix == least:
-                survivors.append((s, d))
+    n = g.vertex_count
+    splits = _articulation_counts(g)
+    tracer = _Tracer()
+    for size in range(1, min(k, n) + 1):
+        ranked = sorted(
+            (
+                (_root_prefix(g, s, seps), s)
+                for s in combinations(range(n), size)
+                if (seps := _sep_counts(g, s, splits, k)) is not None
+            ),
+            key=itemgetter(0),
+        )
+        survivors: list[tuple[tuple[int, ...], TreeDistanceDecomposition]] = []
+        for _, group in groupby(ranked, key=itemgetter(0)):
+            survivors = [(s, d) for _, s in group if (d := _build(g, s, cap=k)) is not None]
+            if survivors:
+                break
+        best = None
         for s, d in survivors:
             tree = build_augmented_tree(g, d, check=False)
-            trace, sigma = _min_trace(tree, 0, _orderings(s))
-            if best is None or trace < best.trace:
-                best = _CanonState(trace, s, tree, sigma)
+            traces = tracer.traces(tree, 0)
+            sigma = tracer.least(traces, _orderings(s))
+            if best is None or tracer.less(traces[sigma], best[0]):
+                best = (traces[sigma], s, tree, sigma)
         if best is not None:
-            break
-    return best
+            trace_id, s, tree, sigma = best
+            return _CanonState(tracer.flat(trace_id), s, tree, sigma, tracer)
+    return None
 
 
 def iso_tdw(g: Graph, h: Graph, k: int) -> bool:
@@ -370,17 +510,13 @@ def canonical_map(g: Graph, k: int) -> tuple[int, ...]:
     state = _canon_state(g, k)
     if state is None:
         raise WidthExceededError(f"tree distance width exceeds {k}")
-    tree = state.tree
+    tree, tracer = state.tree, state.tracer
     positions: dict[int, int] = {}
-    stack = [(0, state.sigma, 0)]
+    stack = [(0, state.sigma)]
     while stack:
-        node, sigma, rel_depth = stack.pop()
+        node, sigma = stack.pop()
         for v in sigma:
             positions[v] = len(positions)
-        below = [
-            (b, phi, rel_depth + 2)
-            for _, entries in _sep_blocks(tree, node, sigma, rel_depth)
-            for _, b, phi in entries
-        ]
-        stack.extend(reversed(below))
+        _, blocks = tracer.local(tree, node, sigma, tracer.kids(tree, node))
+        stack.extend(reversed([(b, phi) for _, entries in blocks for _, b, phi in entries]))
     return tuple(positions[v] for v in range(g.vertex_count))

@@ -396,17 +396,28 @@ class _IsoSearch:
         return mark
 
     def _audit_pop(self, popped_bag: int) -> None:
-        path = []
-        if self.frames:
-            a = self.frames[-1][0]
-            while True:
-                path.append(a)
-                if a == self.L.root:
-                    break
-                a = self.L.parent[a]
-        live = {v for _, ext in self.frames for v in ext}
-        expected = {v for a in path for v in self.L.bags[a]}
-        if live != expected:
+        """The frames left must cover exactly the bags on the root path.
+
+        Checked in O(k) per pop against the new top frame only: the popped
+        bag hangs below it, its map covers its bag outside the frame below,
+        and that frame holds its parent bag (or the top is the root bag,
+        alone on the stack).  A frame is checked whenever one of its
+        children is popped, so each frame with a child is checked before it
+        is popped itself.
+        """
+        L = self.L
+        frames = self.frames
+        if not frames:
+            ok = popped_bag == L.root
+        else:
+            a, ext = frames[-1]
+            bag = set(L.bags[a])
+            if len(frames) > 1:
+                ok = frames[-2][0] == L.parent[a] and bag - set(L.bags[L.parent[a]]) <= ext.keys()
+            else:
+                ok = a == L.root and bag <= ext.keys()
+            ok = ok and L.parent[popped_bag] == a and ext.keys() <= bag
+        if not ok:
             raise InternalError("frame stack must cover exactly the root path")
 
     # -- child classes ---------------------------------------------------

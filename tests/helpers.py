@@ -17,6 +17,9 @@ from widthiso import (
     tree_distance_width,
     vertex_set,
 )
+from widthiso.augtree import bag_split
+from widthiso.isoorder import _header, _orderings, _sep_head
+from widthiso.tdd import TreeDistanceDecomposition
 
 
 def path_graph(n: int) -> Graph:
@@ -222,3 +225,21 @@ def subtree_graph(h: SubtreeHandle) -> tuple[Graph, dict[int, int]]:
         verts.update(tree.vertices[node])
         stack.extend(tree.children[node])
     return induced_subgraph(tree.graph, verts)
+
+
+def root_prefix(g: Graph, d: TreeDistanceDecomposition) -> tuple[int, ...]:
+    """Opening of the root set's minimal trace, read from its decomposition.
+
+    Depth 0, the header of the root bag and, when there is a separating
+    set, the least block head, minimised over the root bag's orderings.
+    """
+    edges, groups = bag_split(g, d, d.root)
+    best = None
+    for sigma in _orderings(d.bags[d.root]):
+        pos = {v: i for i, v in enumerate(sigma)}
+        out = [0, *_header(pos, edges, g.vertex_count, len(groups))]
+        if groups:
+            out.extend(min(_sep_head(pos, sep, len(kids)) for sep, kids in groups.items()))
+        if best is None or out < best:
+            best = out
+    return tuple(best)

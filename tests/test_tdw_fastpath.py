@@ -3,16 +3,20 @@
 The minimal decomposition builder is checked against the definition, the
 canonisation search that stops at the first admissible root-set size is
 checked against the minimum over every root set, the root prefix that
-prunes root sets is checked against the full trace, and the canonical bytes
-and maps of a few fixed graphs and the augmented-tree order over a fixed
-pool are pinned.  Deep paths check that no tdw
-traversal depends on the interpreter's recursion limit.
+ranks root sets (read from the components of G - S) is checked against the
+decomposition-based reference and the full trace, the articulation counts
+behind the single-vertex prefixes against a component count, and the
+canonical bytes and maps of a few fixed graphs and the augmented-tree order
+over a fixed pool are pinned.  Deep paths and a deep spider check that no
+tdw traversal depends on the interpreter's recursion limit, and that a
+relabelled 4,000-vertex path is canonised in bounded memory.
 """
 
 import hashlib
 import inspect
 import random
 import sys
+import tracemalloc
 from itertools import chain, combinations, islice
 
 import pytest
@@ -27,8 +31,12 @@ from widthiso import (
     canon_tdw,
     canonical_map,
     compare_augmented,
+    compose_permutations,
+    connected_components,
     enumerate_connected_graphs,
     full_theta,
+    inverse_permutation,
+    is_isomorphism,
     iso_tdw,
     tree_distance_width,
     validate_tdd,
@@ -43,11 +51,22 @@ from widthiso.isoorder import (
     _min_trace,
     _orderings,
     _root_prefix,
+    _sep_counts,
     _serialize,
 )
+from widthiso.graph import _articulation_counts
 from widthiso.tdd import _build
 
-from helpers import path_graph, random_narrow_graph
+from helpers import (
+    complete_graph,
+    cycle_graph,
+    path_graph,
+    random_graph,
+    random_narrow_graph,
+    root_prefix,
+    spider_graph,
+    star_graph,
+)
 
 
 def _random_connected(rng: random.Random, n: int) -> Graph:
@@ -104,17 +123,44 @@ def test_root_prefix_opens_min_trace(k):
     checked = 0
     for _ in range(60):
         g = _random_connected(rng, rng.randint(1, 12))
+        splits = _articulation_counts(g)
         for size in range(1, min(k, g.vertex_count) + 1):
             for s in combinations(range(g.vertex_count), size):
-                d = _build(g, s, k)
-                if d is None:
+                d = _build(g, s, None)
+                prefix = _root_prefix(g, s, _sep_counts(g, s, splits, g.vertex_count))
+                assert prefix == root_prefix(g, d)
+                if _sep_counts(g, s, splits, k) is None:
+                    assert d.width() > k
+                if d.width() > k:
                     continue
-                prefix = _root_prefix(g, d)
                 tree = build_augmented_tree(g, d, check=False)
                 trace, _ = _min_trace(tree, 0, _orderings(s))
                 assert trace[: len(prefix)] == prefix
                 checked += 1
     assert checked >= 100
+
+
+ARTICULATION_GRAPHS = [
+    Graph(1),
+    Graph(2),
+    Graph(2, [(0, 1)]),
+    path_graph(7),
+    star_graph(5),
+    spider_graph(1, 2, 3),
+    *(cycle_graph(n) for n in (3, 4, 7)),
+    *(complete_graph(n) for n in (3, 4, 6)),
+    *(random_graph(n, p, seed) for n, p, seed in ((9, 0.15, 1), (12, 0.2, 2), (14, 0.3, 3))),
+    *(_random_connected(random.Random(seed), 14) for seed in range(6)),
+]
+
+
+@pytest.mark.parametrize(
+    "g", ARTICULATION_GRAPHS, ids=lambda g: f"n{g.vertex_count}m{g.edge_count}"
+)
+def test_articulation_counts_match_components(g):
+    assert _articulation_counts(g) == [
+        len(connected_components(g, [v])) for v in range(g.vertex_count)
+    ]
 
 
 def test_path_traces_only_its_ends(monkeypatch):
@@ -248,11 +294,28 @@ def test_deep_path_end_to_end(tmp_path, capsys):
 def test_tdw_route_needs_no_recursion_depth():
     g = path_graph(150)
     expected = (canon_tdw(g, 1), canonical_map(g, 1), iso_tdw(g, g, 1))
+    # Relabelled deep inputs must also stay under 100 MB of traced memory,
+    # and each map must carry the input onto the original's canonical labels.
+    deep = [path_graph(4000), spider_graph(666, 666, 667)]
+    originals = [(canon_tdw(d, 1), canonical_map(d, 1)) for d in deep]
+    relabelled = [random_relabel(d, seed=11)[0] for d in deep]
     _canon_state.cache_clear()
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(len(inspect.stack(0)) + 100)
     try:
         got = (canon_tdw(g, 1), canonical_map(g, 1), iso_tdw(g, g, 1))
+        deep_got = []
+        for h in relabelled:
+            tracemalloc.start()
+            try:
+                deep_got.append((canon_tdw(h, 1), canonical_map(h, 1)))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 100 * 2**20
     finally:
         sys.setrecursionlimit(limit)
     assert got == expected
+    for d, h, (form, perm), (d_form, d_map) in zip(deep, relabelled, deep_got, originals):
+        assert form == d_form
+        assert is_isomorphism(h, d, compose_permutations(inverse_permutation(d_map), perm))
