@@ -4,7 +4,10 @@ Each bag node of a minimal tree distance decomposition gets one child node
 per distinct set X_a intersect N(X_b) over its child bags b; that set is the
 smallest piece of the parent bag cutting b's subtree off from the root.
 Child bags producing the same separating set hang under the same node, so
-bag levels and separating-set levels strictly alternate.
+bag levels and separating-set levels strictly alternate.  bag_split is the
+one code that splits a bag; canonisation traces decompositions through it
+directly, and the tree is the paper-level view for the CLI ``augtree``
+command and compare_augmented.
 """
 
 from __future__ import annotations
@@ -25,17 +28,17 @@ class AugmentedTree:
 
     Node 0 is the bag node of the decomposition root.  Per node we keep its
     kind, the associated vertices (bag contents or separating set), parent
-    and children links, the bag-internal edges for bag nodes, and the number
-    of distinct graph vertices associated to the subtree.
+    and children links, and the number of distinct graph vertices associated
+    to the subtree; the decomposition it was built from is kept as well.
     """
 
     __slots__ = (
         "graph",
+        "decomposition",
         "kinds",
         "vertices",
         "parent",
         "children",
-        "bag_edges",
         "sizes",
         "_tracer",
     )
@@ -43,19 +46,19 @@ class AugmentedTree:
     def __init__(
         self,
         graph: Graph,
+        decomposition: TreeDistanceDecomposition,
         kinds: tuple[str, ...],
         vertices: tuple[tuple[int, ...], ...],
         parent: tuple[int, ...],
         children: tuple[tuple[int, ...], ...],
-        bag_edges: tuple[tuple[tuple[int, int], ...] | None, ...],
         sizes: tuple[int, ...],
     ) -> None:
         self.graph = graph
+        self.decomposition = decomposition
         self.kinds = kinds
         self.vertices = vertices
         self.parent = parent
         self.children = children
-        self.bag_edges = bag_edges
         self.sizes = sizes
         self._tracer = None  # isoorder's trace table for this graph, made on first use
 
@@ -104,21 +107,22 @@ class SubtreeHandle:
 
 def bag_split(
     g: Graph, d: TreeDistanceDecomposition, i: int
-) -> tuple[tuple[tuple[int, int], ...], dict[tuple[int, ...], list[int]]]:
-    """Edges inside bag i, and its child bags grouped by separating set.
+) -> tuple[tuple[tuple[int, int], ...], list[tuple[tuple[int, ...], list]]]:
+    """Edges inside bag i, and its separating sets in ascending order.
 
-    A child bag's separating set is the part of bag i adjacent to it; the
-    groups keep the child bags in ascending id order.
+    A child bag's separating set is the part of bag i adjacent to it.  Each
+    set comes with its child bags sorted by bag content, each child bag with
+    its edges from the set as (set vertex, child vertex) pairs.
     """
     adj = g._adj
-    bag = d.bags[i]
-    inside = set(bag)
-    edges = tuple((u, w) for u in bag for w in adj[u] if w > u and w in inside)
-    groups: dict[tuple[int, ...], list[int]] = {}
-    for child in d.child_lists[i]:
-        sep = tuple(sorted({y for v in d.bags[child] for y in adj[v] if y in inside}))
-        groups.setdefault(sep, []).append(child)
-    return edges, groups
+    bags = d.bags
+    inside = set(bags[i])
+    edges = tuple((u, w) for u in bags[i] for w in adj[u] if w > u and w in inside)
+    groups: dict[tuple[int, ...], list] = {}
+    for child in sorted(d.child_lists[i], key=bags.__getitem__):
+        pairs = [(m, w) for w in bags[child] for m in adj[w] if m in inside]
+        groups.setdefault(tuple(sorted({m for m, _ in pairs})), []).append((child, pairs))
+    return edges, sorted(groups.items())
 
 
 def build_augmented_tree(
@@ -139,51 +143,42 @@ def build_augmented_tree(
     vertices: list[tuple[int, ...]] = []
     parent: list[int] = []
     children: list[list[int]] = []
-    bag_edges: list[tuple[tuple[int, int], ...] | None] = []
+    # A subtree's size counts each associated vertex once: separating sets
+    # live inside the parent bag, child components are pairwise disjoint.
+    below = d.subtree_sizes
+    sizes: list[int] = []
 
     # Preorder over an explicit stack.  An entry is (bag id, parent node,
-    # None) for a bag and (separating set, parent node, child bag ids) for a
+    # None) for a bag and (separating set, parent node, child bags) for a
     # separating-set node, which is numbered only when popped: after the
     # whole subtree of the set before it.
     stack: list[tuple] = [(d.root, 0, None)]
     while stack:
-        item, par, sep_kids = stack.pop()
+        item, par, kids = stack.pop()
         node = len(kinds)
-        verts = d.bags[item] if sep_kids is None else item
-        kinds.append(BAG if sep_kids is None else SEP)
-        vertices.append(verts)
         parent.append(par)
         children.append([])
         if par != node:
             children[par].append(node)
-        if sep_kids is not None:
-            bag_edges.append(None)
-            for b in reversed(sorted(sep_kids, key=d.bags.__getitem__)):
-                stack.append((b, node, None))
+        if kids is not None:
+            kinds.append(SEP)
+            vertices.append(item)
+            sizes.append(len(item) + sum(below[c] for c, _ in kids))
+            for c, _ in reversed(kids):
+                stack.append((c, node, None))
             continue
-        edges, groups = bag_split(g, d, item)
-        bag_edges.append(edges)
-        for sep in reversed(sorted(groups)):
-            stack.append((sep, node, groups[sep]))
-
-    # A subtree's size counts each associated vertex once: separating sets
-    # live inside the parent bag, child components are pairwise disjoint.
-    sizes = [0] * len(kinds)
-    for node in range(len(kinds) - 1, -1, -1):
-        if kinds[node] == BAG:
-            below = sum(
-                sizes[b] for s in children[node] for b in children[s]
-            )
-            sizes[node] = len(vertices[node]) + below
-        else:
-            sizes[node] = len(vertices[node]) + sum(sizes[b] for b in children[node])
+        kinds.append(BAG)
+        vertices.append(d.bags[item])
+        sizes.append(below[item])
+        for sep, group in reversed(bag_split(g, d, item)[1]):
+            stack.append((sep, node, group))
 
     return AugmentedTree(
         graph=g,
+        decomposition=d,
         kinds=tuple(kinds),
         vertices=tuple(vertices),
         parent=tuple(parent),
         children=tuple(tuple(c) for c in children),
-        bag_edges=tuple(bag_edges),
         sizes=tuple(sizes),
     )

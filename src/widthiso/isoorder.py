@@ -1,12 +1,15 @@
 """Isomorphism order on augmented trees, the isomorphism decision for
 bounded tree distance width graphs, and canonization.
 
-The order is realized through canonical traces.  The trace of a subtree
-rooted at a bag node, under a fixed ordering of that bag, is an integer
-sequence listing relative depth, bag size, the bag's edges as position
-pairs, the subtree's vertex count, and one block per separating-set child.
-A separating-set block carries the set's positions in the bag ordering and
-one block per child bag; a child block is the bipartite edges between the
+The order is realized through canonical traces, read from minimal tree
+distance decompositions directly, each bag split by augtree.bag_split.  The
+augmented tree is the paper-level view for the CLI ``augtree`` command and
+compare_augmented, which traces the decomposition the tree was built from.
+The trace of a subtree rooted at a bag, under a fixed ordering of that bag,
+is an integer sequence listing relative depth, bag size, the bag's edges as
+position pairs, the subtree's vertex count, and one block per separating
+set.  A separating-set block carries the set's positions in the bag ordering
+and one block per child bag; a child block is the bipartite edges between the
 separating set and the child bag as position pairs, followed by the child's
 own trace minimized over the child bag's orderings.  Every variable-length
 field is length-prefixed, so equal sequences mean equal structure, and
@@ -43,7 +46,7 @@ from itertools import combinations, groupby, permutations
 from operator import itemgetter
 from typing import Iterable, NamedTuple, Sequence
 
-from .augtree import AugmentedTree, SubtreeHandle, build_augmented_tree
+from .augtree import AugmentedTree, SubtreeHandle, bag_split
 from .errors import (
     DisconnectedGraphError,
     InternalError,
@@ -179,73 +182,58 @@ class _Tracer:
                 best = sigma
         return best
 
-    def traces(self, tree: AugmentedTree, node: int) -> dict[tuple[int, ...], int]:
-        """Trace id of the subtree at a bag node under every ordering of its bag.
+    def traces(
+        self, g: Graph, d: TreeDistanceDecomposition, i: int
+    ) -> dict[tuple[int, ...], int]:
+        """Trace id of the subtree at bag i of d under every ordering of the bag.
 
         The subtree below a bag B whose parent bag is P is the component of
         G - P holding B, so its depth-free traces depend on (B, P) alone.
-        Bag nodes whose pair is in the memo are not entered; the others are
+        Bags whose pair is in the memo are not entered; the others are
         traced deepest first, from an explicit stack.
         """
-        verts = tree.vertices
+        bags = d.bags
         memo = self.memo
-        up = tree.parent[tree.parent[node]]
-        start = (verts[node], verts[up] if node != tree.root else None)
+        start = (bags[i], bags[d.parent[i]] if i != d.root else None)
         todo = []
-        stack = [(node, start)]
+        stack = [(i, start)]
         while stack:
             b, key = stack.pop()
             if key in memo:
                 continue
             todo.append((b, key))
-            for s in tree.children[b]:
-                for c in tree.children[s]:
-                    stack.append((c, (verts[c], verts[b])))
+            for c in d.child_lists[b]:
+                stack.append((c, (bags[c], bags[b])))
         for b, key in reversed(todo):
-            kids = self.kids(tree, b)
+            split = bag_split(g, d, b)
             memo[key] = {
-                sigma: self.intern(self.local(tree, b, sigma, kids)[0])
-                for sigma in _orderings(verts[b])
+                sigma: self.intern(self.local(d, b, split, sigma)[0])
+                for sigma in _orderings(bags[b])
             }
         return memo[start]
 
-    def kids(self, tree: AugmentedTree, b: int) -> list[tuple[tuple[int, ...], list[tuple]]]:
-        """Per separating set under bag node b, its vertices and, per child
-        bag, the child node, the edges from the set into it and its traces."""
-        adj = tree.graph._adj
-        verts = tree.vertices
-        out = []
-        for s in tree.children[b]:
-            sep = verts[s]
-            group = []
-            for c in tree.children[s]:
-                inside = set(verts[c])
-                pairs = [(m, w) for m in sep for w in adj[m] if w in inside]
-                group.append((c, pairs, self.memo[verts[c], verts[b]]))
-            out.append((sep, group))
-        return out
-
     def local(
-        self, tree: AugmentedTree, b: int, sigma: tuple[int, ...], kids: list
+        self, d: TreeDistanceDecomposition, b: int, split: tuple, sigma: tuple[int, ...]
     ) -> tuple[tuple[int, ...], list[tuple[tuple[int, ...], list[tuple]]]]:
-        """Depth-free fields of bag node b's trace under sigma, and its
-        separating-set blocks least first.
+        """Depth-free fields of bag b's trace under sigma, from the bag's
+        split, and its separating-set blocks least first.
 
-        Each block comes with its children's least (entry, child node,
+        Each block comes with its children's least (entry, child bag,
         ordering) in entry order; an entry is the bipartite code followed by
         the child's trace id, which orders like the child block because the
-        code is length-prefixed.  Ties keep the augmented tree's order.
+        code is length-prefixed.  Ties keep the split's order.
         """
+        edges, seps = split
         pos = {v: i for i, v in enumerate(sigma)}
-        out = _header(pos, tree.bag_edges[b], tree.sizes[b], len(kids))
+        out = _header(pos, edges, d.subtree_sizes[b], len(seps))
         sort_key = self.sort_key
         blocks = []
-        for sep, group in kids:
+        for sep, group in seps:
             head = _sep_head(pos, sep, len(group))
             entries = []
-            for c, pairs, traces in group:
+            for c, pairs in group:
                 best = None
-                for phi, i in traces.items():
+                for phi, i in self.memo[d.bags[c], d.bags[b]].items():
                     entry = _bip_code(pos, {v: j for j, v in enumerate(phi)}, pairs) + (~i,)
                     if best is None or self.cmp(entry, best[0]) < 0:
                         best = (entry, c, phi)
@@ -354,7 +342,8 @@ def _min_trace(
     tracer = tree._tracer
     if tracer is None:
         tracer = tree._tracer = _Tracer()
-    traces = tracer.traces(tree, node)
+    d = tree.decomposition
+    traces = tracer.traces(tree.graph, d, d.bags.index(tree.vertices[node]))
     sigma = tracer.least(traces, sigmas)
     return tracer.flat(traces[sigma]), sigma
 
@@ -378,7 +367,7 @@ def compare_augmented(
             raise ValueError("comparison starts at bag nodes")
     if not theta:
         raise NoAdmissibleMappingError("no admissible ordering pairs")
-    bags = (left.tree.vertices[left.node], right.tree.vertices[right.node])
+    bags = tuple(tuple(sorted(h.tree.vertices[h.node])) for h in (left, right))
     if (theta.left, theta.right) != bags:
         raise ValueError("theta orderings must arrange the compared bags")
     t_left, _ = _min_trace(left.tree, left.node, _orderings(theta.left))
@@ -415,13 +404,13 @@ def _serialize(trace: tuple[int, ...]) -> bytes:
 class _CanonState(NamedTuple):
     trace: tuple[int, ...]
     root_set: tuple[int, ...]
-    tree: AugmentedTree
+    d: TreeDistanceDecomposition
     sigma: tuple[int, ...]
     tracer: _Tracer
 
 
 # Graphs whose canonisation state stays cached; each entry keeps the
-# winning augmented tree and the interned depth-free traces of every root
+# winning decomposition and the interned depth-free traces of every root
 # set traced, one table entry per (bag, parent bag) pair and bag ordering.
 # Large enough for all-pairs iso_tdw over the 434 connected graphs with
 # n <= 7 and width <= 2.
@@ -440,8 +429,9 @@ def _canon_state(g: Graph, k: int) -> _CanonState | None:
     decomposition; a root set whose depth-1 bags already exceed k drops out
     there.  Decompositions are built one equal-prefix group at a time, and
     only the first group with an admissible member is traced; the others
-    cannot win.  One tracer serves all of them, and the first minimiser in
-    combinations order wins.
+    cannot win.  Each admissible decomposition is traced directly by one
+    tracer that serves all of them, and the first minimiser in combinations
+    order wins.
     """
     if not is_connected(g):
         raise DisconnectedGraphError("canonization needs a connected graph")
@@ -464,14 +454,13 @@ def _canon_state(g: Graph, k: int) -> _CanonState | None:
                 break
         best = None
         for s, d in survivors:
-            tree = build_augmented_tree(g, d, check=False)
-            traces = tracer.traces(tree, 0)
+            traces = tracer.traces(g, d, d.root)
             sigma = tracer.least(traces, _orderings(s))
             if best is None or tracer.less(traces[sigma], best[0]):
-                best = (traces[sigma], s, tree, sigma)
+                best = (traces[sigma], s, d, sigma)
         if best is not None:
-            trace_id, s, tree, sigma = best
-            return _CanonState(tracer.flat(trace_id), s, tree, sigma, tracer)
+            trace_id, s, d, sigma = best
+            return _CanonState(tracer.flat(trace_id), s, d, sigma, tracer)
     return None
 
 
@@ -503,20 +492,21 @@ def canon_tdw(g: Graph, k: int) -> CanonicalForm:
 def canonical_map(g: Graph, k: int) -> tuple[int, ...]:
     """A relabeling onto canonical positions realizing canon_tdw(g, k).
 
-    Positions follow the depth-first traversal of the winning augmented tree
-    under the minimizing orderings; exact ties keep the first minimizer in
-    lexicographic ordering order, so the map is deterministic.
+    Positions follow the depth-first traversal of the winning decomposition,
+    children in their least block order, under the minimizing orderings;
+    exact ties keep the first minimizer in lexicographic ordering order, so
+    the map is deterministic.
     """
     state = _canon_state(g, k)
     if state is None:
         raise WidthExceededError(f"tree distance width exceeds {k}")
-    tree, tracer = state.tree, state.tracer
+    d, tracer = state.d, state.tracer
     positions: dict[int, int] = {}
-    stack = [(0, state.sigma)]
+    stack = [(d.root, state.sigma)]
     while stack:
-        node, sigma = stack.pop()
+        b, sigma = stack.pop()
         for v in sigma:
             positions[v] = len(positions)
-        _, blocks = tracer.local(tree, node, sigma, tracer.kids(tree, node))
-        stack.extend(reversed([(b, phi) for _, entries in blocks for _, b, phi in entries]))
+        _, blocks = tracer.local(d, b, bag_split(g, d, b), sigma)
+        stack.extend(reversed([(c, phi) for _, entries in blocks for _, c, phi in entries]))
     return tuple(positions[v] for v in range(g.vertex_count))

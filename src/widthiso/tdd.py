@@ -52,6 +52,17 @@ class TreeDistanceDecomposition:
     def children(self, i: int) -> tuple[int, ...]:
         return self.child_lists[i]
 
+    @cached_property
+    def subtree_sizes(self) -> tuple[int, ...]:
+        """Vertices in the subtree below every bag, from one bottom-up pass."""
+        order = [self.root]
+        for i in order:  # order grows while it is read: a breadth-first walk
+            order.extend(self.child_lists[i])
+        sizes = [len(bag) for bag in self.bags]
+        for i in reversed(order[1:]):
+            sizes[self.parent[i]] += sizes[i]
+        return tuple(sizes)
+
 def _find(up: list[int], x: int) -> int:
     """Union-find root of x, compressing the path walked."""
     root = x

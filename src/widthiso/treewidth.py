@@ -830,10 +830,12 @@ def _eliminate(
 def iso_tw(g: Graph, h: Graph, k: int) -> bool:
     """Bounded-treewidth isomorphism: decompose one side, then search.
 
-    If g does not fit width k the roles are swapped; when neither graph has
-    a width-k decomposition the bound itself is reported as exceeded.
+    Graphs with different degree sequences (so also different vertex or
+    edge counts) are not isomorphic, and nothing is decomposed for them.
+    Otherwise, if g does not fit width k the roles are swapped; when neither
+    graph has a width-k decomposition the bound itself is reported as exceeded.
     """
-    if g.vertex_count != h.vertex_count:
+    if g.degree_sequence() != h.degree_sequence():
         return False
     d_g = compute_tree_decomposition(g, k)
     if d_g is not None:

@@ -233,13 +233,13 @@ def root_prefix(g: Graph, d: TreeDistanceDecomposition) -> tuple[int, ...]:
     Depth 0, the header of the root bag and, when there is a separating
     set, the least block head, minimised over the root bag's orderings.
     """
-    edges, groups = bag_split(g, d, d.root)
+    edges, seps = bag_split(g, d, d.root)
     best = None
     for sigma in _orderings(d.bags[d.root]):
         pos = {v: i for i, v in enumerate(sigma)}
-        out = [0, *_header(pos, edges, g.vertex_count, len(groups))]
-        if groups:
-            out.extend(min(_sep_head(pos, sep, len(kids)) for sep, kids in groups.items()))
+        out = [0, *_header(pos, edges, g.vertex_count, len(seps))]
+        if seps:
+            out.extend(min(_sep_head(pos, sep, len(kids)) for sep, kids in seps))
         if best is None or out < best:
             best = out
     return tuple(best)

@@ -9,6 +9,7 @@ from widthiso import (
     NoAdmissibleMappingError,
     OrderResult,
     ThetaSet,
+    TreeDistanceDecomposition,
     WidthExceededError,
     apply_permutation,
     brute_force_iso,
@@ -23,6 +24,7 @@ from widthiso import (
     is_isomorphism,
     iso_tdw,
     random_relabel,
+    validate_tdd,
 )
 
 from helpers import (
@@ -84,6 +86,32 @@ def test_full_theta_empty_for_mismatched_bags():
     small = _tree(path_graph(3), [0])
     big = _tree(cycle_graph(4), [0, 1])
     assert not full_theta(small.handle(), big.handle())
+
+
+def test_compare_on_a_decomposition_build_would_not_produce():
+    """Bags stored as unsorted tuples, ids out of depth-first order and a
+    root id other than 0: every bag node still compares EQUAL to its twin in
+    the tree of the built decomposition."""
+    g = random_narrow_graph(random.Random(3), 14)
+    d = build_minimal_tdd(g, [0, 1])
+    ids = list(range(len(d.bags)))
+    random.Random(5).shuffle(ids)
+    bags, parent, depth = [()] * len(ids), [0] * len(ids), [0] * len(ids)
+    for old, i in enumerate(ids):
+        bags[i], parent[i], depth[i] = d.bags[old][::-1], ids[d.parent[old]], d.depth[old]
+    odd = TreeDistanceDecomposition(tuple(bags), tuple(parent), tuple(depth), root=ids[0])
+    assert validate_tdd(g, odd) == []
+    assert odd.root != 0 and odd.bags[odd.root] == (1, 0)
+    assert any(parent[i] > i for i in range(len(ids)) if i != odd.root)
+    built, twin = _tree(g, [0, 1]), build_augmented_tree(g, odd)
+    node_of = {
+        tuple(sorted(built.vertices[x])): x for x in range(built.node_count()) if built.is_bag(x)
+    }
+    for x in range(twin.node_count()):
+        if twin.is_bag(x):
+            a, b = twin.handle(x), built.handle(node_of[tuple(sorted(twin.vertices[x]))])
+            assert twin.sizes[x] == built.sizes[b.node]
+            assert compare_augmented(g, a, g, b, full_theta(a, b)) is OrderResult.EQUAL
 
 
 def test_compare_is_deterministic_and_antisymmetric():

@@ -1,4 +1,5 @@
 import inspect
+import random
 import sys
 
 import pytest
@@ -14,6 +15,8 @@ from widthiso import (
     is_connected,
     is_isomorphism,
     is_permutation,
+    iso_tdw,
+    iso_tw,
     random_relabel,
 )
 
@@ -93,3 +96,27 @@ def test_enumerator_members_are_connected_and_distinct():
         for i in range(len(graphs)):
             for j in range(i + 1, len(graphs)):
                 assert brute_force_iso(graphs[i], graphs[j]) is None
+
+
+def test_tree_engines_agree_with_the_oracle():
+    """iso_tdw and iso_tw at width 1 agree with brute_force_iso on random
+    trees, each against a relabelled copy or a relabelled twin with one
+    leaf moved."""
+    rng = random.Random(2026)
+    verdicts = set()
+    for trial in range(200):
+        n = rng.randint(2, 12)
+        edges = [(rng.randrange(v), v) for v in range(1, n)]
+        twin = edges
+        if trial % 2 and n >= 3:
+            g = Graph(n, edges)
+            leaf = rng.choice([v for v in range(n) if g.degree(v) == 1])
+            (old,) = g.neighbors(leaf)
+            new = rng.choice([v for v in range(n) if v not in (leaf, old)])
+            twin = [e for e in edges if leaf not in e] + [(leaf, new)]
+        g = Graph(n, edges)
+        h, _ = random_relabel(Graph(n, twin), seed=trial)
+        expected = brute_force_iso(g, h) is not None
+        assert iso_tdw(g, h, 1) == iso_tw(g, h, 1) == expected, (edges, twin)
+        verdicts.add(expected)
+    assert verdicts == {False, True}

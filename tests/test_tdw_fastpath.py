@@ -167,11 +167,11 @@ def test_path_traces_only_its_ends(monkeypatch):
     g, _ = random_relabel(path_graph(60), seed=9)
     built = []
 
-    def counting(*args, **kwargs):
-        built.append(args[1].bags[0])
-        return build_augmented_tree(*args, **kwargs)
+    def counting(g, s, cap):
+        built.append(s)
+        return _build(g, s, cap)
 
-    monkeypatch.setattr(isoorder, "build_augmented_tree", counting)
+    monkeypatch.setattr(isoorder, "_build", counting)
     _canon_state.cache_clear()
     canon_tdw(g, 1)
     assert len(built) == 2

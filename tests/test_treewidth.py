@@ -311,6 +311,17 @@ def test_iso_tw_size_mismatch_is_false():
     assert not iso_tw(path_graph(3), path_graph(4), 1)
 
 
+def test_iso_tw_compares_invariants_before_decomposing(monkeypatch):
+    def refuse(g, k):
+        raise AssertionError("decomposed although the invariants differ")
+
+    monkeypatch.setattr(treewidth_module, "compute_tree_decomposition", refuse)
+    grid = Graph(30, [(r * 6 + c, r * 6 + c + 1) for r in range(5) for c in range(5)]
+                 + [(r * 6 + c, r * 6 + c + 6) for r in range(4) for c in range(6)])
+    assert not iso_tw(grid, path_graph(30), 4)  # edge counts differ
+    assert not iso_tw(spider_graph(1, 1, 2), path_graph(5), 1)  # degree sequences differ
+
+
 def test_respecting_iso_implies_plain_iso():
     from widthiso import enumerate_connected_graphs
 
