@@ -27,7 +27,6 @@ from .graph import (
 from .tdd import (
     TreeDistanceDecomposition,
     build_minimal_tdd,
-    tree_distance_width,
     validate_tdd,
 )
 from .augtree import (
@@ -44,6 +43,7 @@ from .isoorder import (
     compare_augmented,
     full_theta,
     iso_tdw,
+    tree_distance_width,
 )
 from .treewidth import (
     TreeDecomposition,

@@ -1,5 +1,9 @@
-"""Isomorphism order on augmented trees, the isomorphism decision for
-bounded tree distance width graphs, and canonization.
+"""Isomorphism order on augmented trees, and for bounded tree distance width
+graphs the isomorphism decision, canonization and the width itself.
+
+One search over root sets serves the last three: _root_search returns the
+first group of root sets that fit the width bound.  Canonization traces that
+group; tree_distance_width is the least bound at which the search finds one.
 
 The order is realized through canonical traces, read from minimal tree
 distance decompositions directly, each bag split by augtree.bag_split.  The
@@ -335,6 +339,49 @@ def _root_prefix(g: Graph, s: tuple[int, ...], seps: dict[tuple[int, ...], int])
     return tuple(best)
 
 
+def _root_search(
+    g: Graph, k: int
+) -> list[tuple[tuple[int, ...], TreeDistanceDecomposition]] | None:
+    """The root sets that fit k and may carry the least trace, with their
+    decompositions; None when no root set fits k.
+
+    Every trace starts (0, |S|, ...), so sizes are tried in increasing
+    order.  Within a size, root sets are ranked by their root prefix (see
+    _root_prefix), read from the components of G - S, where a root set whose
+    depth-1 bags exceed k drops out.  Decompositions are built one
+    equal-prefix group at a time, and the first group with an admissible
+    member is returned, its admissible members only, in combinations order.
+    The empty graph's one root set is empty and has nothing to decompose."""
+    if not is_connected(g):
+        raise DisconnectedGraphError("tree distance decompositions need a connected graph")
+    n = g.vertex_count
+    if n == 0:
+        return [] if k >= 0 else None
+    splits = _articulation_counts(g)
+    for size in range(1, min(k, n) + 1):
+        ranked = sorted(
+            (
+                (_root_prefix(g, s, seps), s)
+                for s in combinations(range(n), size)
+                if (seps := _sep_counts(g, s, splits, k)) is not None
+            ),
+            key=itemgetter(0),
+        )
+        for _, ties in groupby(ranked, key=itemgetter(0)):
+            group = [(s, d) for _, s in ties if (d := _build(g, s, cap=k)) is not None]
+            if group:
+                return group
+    return None
+
+
+def tree_distance_width(g: Graph, k_max: int) -> int | None:
+    """Least width of a tree distance decomposition of g, None above k_max:
+    the least cap w at which _root_search finds a root set, since a
+    decomposition of width w has a root set of size <= w."""
+    widths = range(min(k_max, g.vertex_count) + 1)
+    return next((w for w in widths if _root_search(g, w) is not None), None)
+
+
 def _min_trace(
     tree: AugmentedTree, node: int, sigmas: Sequence[tuple[int, ...]]
 ) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -404,7 +451,7 @@ def _serialize(trace: tuple[int, ...]) -> bytes:
 class _CanonState(NamedTuple):
     trace: tuple[int, ...]
     root_set: tuple[int, ...]
-    d: TreeDistanceDecomposition
+    d: TreeDistanceDecomposition | None
     sigma: tuple[int, ...]
     tracer: _Tracer
 
@@ -419,49 +466,23 @@ _CANON_CACHE_SIZE = 512
 
 @lru_cache(maxsize=_CANON_CACHE_SIZE)
 def _canon_state(g: Graph, k: int) -> _CanonState | None:
-    """Least trace over all admissible root sets; None when none fits k.
-
-    Every trace starts (0, |S|, ...): relative depth 0, then the root bag's
-    size.  So any admissible root set of size s has a smaller trace than
-    every root set of size > s, and the search stops after the first size
-    that admits one.  Within a size, root sets are ranked by their root
-    prefix (see _root_prefix), which the components of G - S give without a
-    decomposition; a root set whose depth-1 bags already exceed k drops out
-    there.  Decompositions are built one equal-prefix group at a time, and
-    only the first group with an admissible member is traced; the others
-    cannot win.  Each admissible decomposition is traced directly by one
-    tracer that serves all of them, and the first minimiser in combinations
-    order wins.
-    """
-    if not is_connected(g):
-        raise DisconnectedGraphError("canonization needs a connected graph")
-    n = g.vertex_count
-    splits = _articulation_counts(g)
+    """Least trace over the group _root_search returns, traced by one tracer
+    that serves every root set; the first minimiser in combinations order
+    wins.  None when no root set fits k; the empty graph's trace is empty."""
+    group = _root_search(g, k)
+    if group is None:
+        return None
     tracer = _Tracer()
-    for size in range(1, min(k, n) + 1):
-        ranked = sorted(
-            (
-                (_root_prefix(g, s, seps), s)
-                for s in combinations(range(n), size)
-                if (seps := _sep_counts(g, s, splits, k)) is not None
-            ),
-            key=itemgetter(0),
-        )
-        survivors: list[tuple[tuple[int, ...], TreeDistanceDecomposition]] = []
-        for _, group in groupby(ranked, key=itemgetter(0)):
-            survivors = [(s, d) for _, s in group if (d := _build(g, s, cap=k)) is not None]
-            if survivors:
-                break
-        best = None
-        for s, d in survivors:
-            traces = tracer.traces(g, d, d.root)
-            sigma = tracer.least(traces, _orderings(s))
-            if best is None or tracer.less(traces[sigma], best[0]):
-                best = (traces[sigma], s, d, sigma)
-        if best is not None:
-            trace_id, s, d, sigma = best
-            return _CanonState(tracer.flat(trace_id), s, d, sigma, tracer)
-    return None
+    best = None
+    for s, d in group:
+        traces = tracer.traces(g, d, d.root)
+        sigma = tracer.least(traces, _orderings(s))
+        if best is None or tracer.less(traces[sigma], best[0]):
+            best = (traces[sigma], s, d, sigma)
+    if best is None:
+        return _CanonState((), (), None, (), tracer)
+    trace_id, s, d, sigma = best
+    return _CanonState(tracer.flat(trace_id), s, d, sigma, tracer)
 
 
 def iso_tdw(g: Graph, h: Graph, k: int) -> bool:
@@ -502,7 +523,7 @@ def canonical_map(g: Graph, k: int) -> tuple[int, ...]:
         raise WidthExceededError(f"tree distance width exceeds {k}")
     d, tracer = state.d, state.tracer
     positions: dict[int, int] = {}
-    stack = [(d.root, state.sigma)]
+    stack = [(d.root, state.sigma)] if d is not None else []
     while stack:
         b, sigma = stack.pop()
         for v in sigma:

@@ -1,4 +1,5 @@
-"""Minimal tree distance decompositions of connected graphs.
+"""Building and validating minimal tree distance decompositions of connected
+graphs.  The search over root sets, and with it the width, is in isoorder.
 
 A tree distance decomposition rooted at a vertex set S partitions V into
 disjoint bags; the bag holding v sits at tree depth d(S, v) and every edge
@@ -18,7 +19,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
 from typing import Iterable
 
 from .errors import DisconnectedGraphError, EmptySetError, InternalError
@@ -236,26 +236,3 @@ def validate_tdd(g: Graph, d: TreeDistanceDecomposition) -> list[str]:
             problems.append(f"minimality: subtree of bag {i} induces a disconnected subgraph")
     return problems
 
-
-def tree_distance_width(g: Graph, k_max: int) -> int | None:
-    """Least width over all root sets of size <= k_max; None above the bound.
-
-    Root sets larger than k_max cannot help: the root bag alone already
-    forces the width past the bound.
-    """
-    if not is_connected(g):
-        raise DisconnectedGraphError("tree distance width needs a connected graph")
-    best: int | None = None
-    cap = k_max
-    for size in range(1, min(k_max, g.vertex_count) + 1):
-        if best is not None and size > best:
-            break
-        for s in combinations(range(g.vertex_count), size):
-            built = _build(g, s, cap=cap)
-            if built is None:
-                continue
-            w = built.width()
-            if best is None or w < best:
-                best = w
-                cap = best
-    return best

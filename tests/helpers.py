@@ -88,7 +88,7 @@ def random_narrow_graph(rng: random.Random, n: int) -> Graph:
     builder retries until the sample is connected and verified.
     """
     while True:
-        root = rng.choice([1, 2])
+        root = min(rng.choice([1, 2]), n)
         prev = list(range(root))
         nxt = root
         edges = set()

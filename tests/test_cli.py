@@ -35,6 +35,19 @@ def test_tdd_width_and_exceeded(files, capsys):
     assert main(["tdd-width", g, "-k", "1"]) == 2
 
 
+def test_empty_graph_on_the_tdw_route(files, capsys):
+    tmp, write = files
+    empty = write("e.gr", Graph(0))
+    single = write("v.gr", Graph(1))
+    assert main(["tdd-width", empty, "-k", "1"]) == 0
+    assert capsys.readouterr().out.strip() == "0"
+    assert main(["iso-tdw", empty, empty, "-k", "1"]) == 0
+    assert main(["iso-tdw", empty, single, "-k", "1"]) == 1
+    assert main(["canon-tdw", empty, "-k", "0"]) == 0
+    # the empty hex form, then the empty map
+    assert capsys.readouterr().out == "isomorphic\nnon-isomorphic\n\n"
+
+
 def test_augtree_output(files, capsys):
     tmp, write = files
     g = write("p3.gr", path_graph(3))

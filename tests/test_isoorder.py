@@ -24,6 +24,7 @@ from widthiso import (
     is_isomorphism,
     iso_tdw,
     random_relabel,
+    tree_distance_width,
     validate_tdd,
 )
 
@@ -133,6 +134,16 @@ def test_canon_single_vertex():
     assert form == canon_tdw(Graph(1), 1)
 
 
+@pytest.mark.parametrize("k", range(3))
+def test_empty_graph_has_width_0_and_the_empty_form(k):
+    empty = Graph(0)
+    assert tree_distance_width(empty, k) == 0
+    assert canon_tdw(empty, k).data == b""
+    assert canonical_map(empty, k) == ()
+    assert iso_tdw(empty, Graph(0), k)
+    assert not iso_tdw(empty, Graph(1), k) and not iso_tdw(Graph(1), empty, k)
+
+
 def test_canon_invariant_under_relabeling():
     g = spider_graph(1, 2, 3)
     base = canon_tdw(g, 2)
@@ -222,3 +233,10 @@ def test_canon_width_exceeded():
 
     with pytest.raises(WidthExceededError):
         canon_tdw(complete_graph(5), 2)
+
+
+def test_random_narrow_graph_small_sizes():
+    for n in range(1, 5):
+        for seed in range(51):
+            g = random_narrow_graph(random.Random(seed), n)
+            assert g.vertex_count == n and tree_distance_width(g, 2) is not None

@@ -141,14 +141,22 @@ def test_tree_distance_width_k4():
     assert tree_distance_width(complete_graph(4), 1) is None
 
 
+@pytest.mark.parametrize("m", range(2, 10))
+def test_tree_distance_width_complete(m):
+    # a root set of size s leaves one depth-1 bag of size m - s
+    assert tree_distance_width(complete_graph(m), m) == (m + 1) // 2
+
+
 def test_tree_distance_width_cycle():
     assert tree_distance_width(cycle_graph(4), 2) == 2
     assert tree_distance_width(cycle_graph(4), 1) is None
 
 
 def test_tree_distance_width_disconnected():
-    with pytest.raises(DisconnectedGraphError):
-        tree_distance_width(Graph(2, []), 1)
+    for g in (Graph(2, []), Graph(5, [(0, 1), (1, 2), (3, 4)])):
+        for k in range(4):
+            with pytest.raises(DisconnectedGraphError):
+                tree_distance_width(g, k)
 
 
 def _shape(g, d, node, perm):

@@ -2,14 +2,15 @@
 
 The minimal decomposition builder is checked against the definition, the
 canonisation search that stops at the first admissible root-set size is
-checked against the minimum over every root set, the root prefix that
-ranks root sets (read from the components of G - S) is checked against the
-decomposition-based reference and the full trace, the articulation counts
-behind the single-vertex prefixes against a component count, and the
-canonical bytes and maps of a few fixed graphs and the augmented-tree order
-over a fixed pool are pinned.  Deep paths and a deep spider check that no
-tdw traversal depends on the interpreter's recursion limit, and that a
-relabelled 4,000-vertex path is canonised in bounded memory.
+checked against the minimum over every root set, and so is the width query
+that runs the same search.  The root prefix that ranks root sets (read from
+the components of G - S) is checked against the decomposition-based
+reference and the full trace, the articulation counts behind the
+single-vertex prefixes against a component count, and the canonical bytes
+and maps of a few fixed graphs and the augmented-tree order over a fixed
+pool are pinned.  Deep paths and a deep spider check that no tdw traversal
+depends on the interpreter's recursion limit, and that a relabelled
+4,000-vertex path is canonised in bounded memory.
 """
 
 import hashlib
@@ -163,8 +164,8 @@ def test_articulation_counts_match_components(g):
     ]
 
 
-def test_path_traces_only_its_ends(monkeypatch):
-    g, _ = random_relabel(path_graph(60), seed=9)
+def _count_builds(monkeypatch) -> list:
+    """Root sets that isoorder builds a decomposition for, from now on."""
     built = []
 
     def counting(g, s, cap):
@@ -172,10 +173,37 @@ def test_path_traces_only_its_ends(monkeypatch):
         return _build(g, s, cap)
 
     monkeypatch.setattr(isoorder, "_build", counting)
+    return built
+
+
+def test_path_traces_only_its_ends(monkeypatch):
+    g, _ = random_relabel(path_graph(60), seed=9)
+    built = _count_builds(monkeypatch)
     _canon_state.cache_clear()
     canon_tdw(g, 1)
     assert len(built) == 2
     assert sorted(built) == sorted((v,) for v in range(60) if g.degree(v) == 1)
+
+
+def test_path_width_builds_only_its_ends(monkeypatch):
+    g, _ = random_relabel(path_graph(300), seed=4)
+    built = _count_builds(monkeypatch)
+    cached = _canon_state.cache_info()
+    assert tree_distance_width(g, 3) == 1
+    assert sorted(built) == sorted((v,) for v in range(300) if g.degree(v) == 1)
+    assert _canon_state.cache_info() == cached
+
+
+def test_width_is_least_over_all_root_sets():
+    for g in _graphs(31, 40, 11):
+        n = g.vertex_count
+        least = min(
+            build_minimal_tdd(g, s).width()
+            for size in range(1, n + 1)
+            for s in combinations(range(n), size)
+        )
+        for k in range(5):
+            assert tree_distance_width(g, k) == (least if least <= k else None)
 
 
 def test_serialize_rejects_values_outside_32_bits():
