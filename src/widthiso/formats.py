@@ -133,16 +133,21 @@ def parse_tree_decomposition(text: str) -> tuple[TreeDecomposition, int]:
         elif parts[0] == "r":
             if len(parts) != 2:
                 raise FormatError(f"line {lineno}: expected 'r <id>'")
+            if root is not None:
+                raise FormatError(f"line {lineno}: duplicate r line")
             (root_id,) = _ints(parts[1:], lineno)
             root = root_id - 1
         else:
             raise FormatError(f"line {lineno}: unknown record {parts[0]!r}")
     if header is None:
         raise FormatError("missing 'p td' header")
-    n_bags, _, n = header
+    n_bags, size, n = header
     for i in range(1, n_bags + 1):
         if i not in bag_lines:
             raise FormatError(f"bag {i} missing")
+    largest = max(map(len, bag_lines.values()), default=0)
+    if size != largest:
+        raise FormatError(f"header width+1 is {size}, but the largest bag has {largest} vertices")
     if root is not None and not (0 <= root < n_bags):
         raise FormatError(f"root {root + 1} outside 1..{n_bags}")
     d = TreeDecomposition(

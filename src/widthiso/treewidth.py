@@ -203,6 +203,8 @@ def lex_subtree_order(
     tie-broken by its bag content.
     """
     _require_valid(g, d)
+    if not 0 <= r < d.bag_count():
+        raise ValueError(f"bag {r} outside 0..{d.bag_count() - 1}")
     rooted = _Rooted(g, d, r)
     for c in children:
         if rooted.parent.get(c) != r:
@@ -726,43 +728,12 @@ def compute_tree_decomposition(g: Graph, k: int) -> TreeDecomposition | None:
     )
 
 
-class _FillGraph:
-    """The graph left by an elimination prefix, with its fill edges: each
-    eliminated vertex's remaining neighbours are made pairwise adjacent.
-
-    A remaining vertex's neighbours here are its closure neighbours, the
-    remaining vertices it reaches through eliminated ones.  Eliminating a
-    vertex with at most k neighbours changes O(k^2) entries, which are
-    logged so that the search can undo eliminations in stack order.
-    """
-
-    def __init__(self, g: Graph) -> None:
-        self.nbrs = [set(a) for a in g._adj]
-        self.eliminated: set[int] = set()
-        self.log: list[tuple[int, list[tuple[int, set[int]]]]] = []
-
-    def eliminate(self, v: int) -> None:
-        """Eliminate remaining v: its neighbours become pairwise adjacent."""
-        nv = self.nbrs[v]
-        added_to = []
-        for w in nv:
-            nw = self.nbrs[w]
-            added = nv - nw
-            added.discard(w)
-            nw |= added
-            nw.discard(v)
-            added_to.append((w, added))
-        self.eliminated.add(v)
-        self.log.append((v, added_to))
-
-    def restore(self) -> None:
-        """Undo the last elimination."""
-        v, added_to = self.log.pop()
-        for w, added in added_to:
-            nw = self.nbrs[w]
-            nw -= added
-            nw.add(v)
-        self.eliminated.discard(v)
+def _bits(mask: int) -> Iterable[int]:
+    """The members of a non-negative bit mask, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 def _eliminate(
@@ -770,57 +741,59 @@ def _eliminate(
 ) -> tuple[list[tuple[int, ...]], list[tuple[int, int]], int] | None:
     """Elimination-order decomposition of a connected graph, or None.
 
-    Depth first over elimination states (the sets eliminated so far) on an
-    explicit stack: a state tries the remaining vertices in ascending order
-    and descends into the first with at most k closure neighbours; a state
-    all of whose moves fail is memoised as failed.
+    Depth first over elimination states (the sets eliminated so far, as bit
+    masks) on an explicit stack: a state tries the remaining vertices in
+    ascending order and descends into the first with at most k closure
+    neighbours; a state all of whose moves fail is memoised as failed.
+    Row v of a remaining vertex is the mask of the remaining vertices that v
+    reaches through eliminated ones, so its closure degree is its bit count.
+    An eliminated vertex's row holds k + 1 bits, so that test skips it.
     """
     n = g.vertex_count
     if n <= k + 1:
         return [tuple(range(n))], [], 0
-    fill = _FillGraph(g)
-    nbrs, eliminated = fill.nbrs, fill.eliminated
-    failed: set[int] = set()  # failed states as bit masks of eliminated vertices
-    order: list[int] = []
-    # One frame per state on the current path: its bit mask and an iterator
-    # over the vertices it has yet to try.
-    frames = [(0, iter(range(n)))]
+    rows = [sum(1 << w for w in nbrs) for nbrs in g._adj]
+    closed = (1 << k + 1) - 1
+    failed: set[int] = set()
+    # One frame per state on the current path: its mask, an iterator over
+    # the vertices it has yet to try, and the step that entered it: the
+    # vertex eliminated, then its closure neighbours (with it, its bag), each
+    # with the row that popping the frame restores.
+    frames = [(0, iter(range(n)), [])]
     while frames:
-        mask, untried = frames[-1]
+        mask, untried, _ = frames[-1]
+        done = n - mask.bit_count() - 1 <= k + 1
         for v in untried:
-            if v in eliminated or len(nbrs[v]) > k:
+            if rows[v].bit_count() > k:
                 continue
             child = mask | 1 << v
-            done = n - len(eliminated) - 1 <= k + 1
             if done or child not in failed:
                 break
         else:
             failed.add(mask)
-            frames.pop()
-            if order:
-                order.pop()
-                fill.restore()
+            for w, old in frames.pop()[2]:
+                rows[w] = old
             continue
-        order.append(v)
-        fill.eliminate(v)
+        row = rows[v]
+        step = [(v, row)] + [(w, rows[w]) for w in _bits(row)]
+        for w, old in step[1:]:
+            rows[w] = (old | row) & ~(1 << w | 1 << v)
+        rows[v] = closed
+        frames.append((child, iter(range(n)), step))
         if done:
             break
-        frames.append((child, iter(range(n))))
     else:
         return None
-    # An eliminated vertex's neighbours no longer change: they are its
-    # closure neighbours at the time it was eliminated.
-    bags = [tuple(sorted(nbrs[v] | {v})) for v in order]
-    order_pos = {v: i for i, v in enumerate(order)}
-    final = tuple(sorted(set(range(n)) - set(order)))
+    steps = [frame[2] for frame in frames[1:]]
+    order_pos = {step[0][0]: i for i, step in enumerate(steps)}
+    bags = [tuple(sorted(w for w, _ in step)) for step in steps]
     final_id = len(bags)
-    bags.append(final)
+    bags.append(tuple(_bits((1 << n) - 1 & ~frames[-1][0])))
     edges: list[tuple[int, int]] = []
-    for i, v in enumerate(order):
-        rest = [u for u in bags[i] if u != v]
-        # Closure neighbors are never eliminated before v, so every
-        # attachment points at a later bag or the final one.
-        target = min((order_pos.get(u, final_id) for u in rest), default=final_id)
+    for i, step in enumerate(steps):
+        # A step's closure neighbours are eliminated after its vertex if at
+        # all, so every attachment points at a later bag or the final one.
+        target = min((order_pos.get(w, final_id) for w, _ in step[1:]), default=final_id)
         if target <= i:
             raise InternalError(f"elimination bag {i} attaches to earlier bag {target}")
         edges.append((i, target))
@@ -832,15 +805,16 @@ def iso_tw(g: Graph, h: Graph, k: int) -> bool:
 
     Graphs with different degree sequences (so also different vertex or
     edge counts) are not isomorphic, and nothing is decomposed for them.
-    Otherwise, if g does not fit width k the roles are swapped; when neither
-    graph has a width-k decomposition the bound itself is reported as exceeded.
+    Otherwise g is decomposed and searched against h.  Isomorphic graphs
+    have equal treewidth, so when only h fits width k the answer is False
+    without a search; when neither graph has a width-k decomposition the
+    bound itself is reported as exceeded.
     """
     if g.degree_sequence() != h.degree_sequence():
         return False
     d_g = compute_tree_decomposition(g, k)
     if d_g is not None:
         return iso_one_decomp(g, d_g, h, k) is not None
-    d_h = compute_tree_decomposition(h, k)
-    if d_h is None:
+    if compute_tree_decomposition(h, k) is None:
         raise WidthExceededError(f"neither graph has treewidth <= {k}")
-    return iso_one_decomp(h, d_h, g, k) is not None
+    return False

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import random
 from collections import deque
+from itertools import permutations
 from typing import Iterable
 
 from widthiso import (
@@ -197,6 +198,24 @@ def next_sibling(g: Graph, s: Iterable[int], x: Iterable[int]) -> tuple[int, ...
         if group[0] > bag[0]:
             return group
     return None
+
+
+def brute_force_treewidth(g: Graph) -> int:
+    """Treewidth as the least, over all elimination orders, of the largest
+    fill degree: the number of remaining neighbours a vertex has when it is
+    eliminated, after each eliminated vertex's neighbours were made pairwise
+    adjacent."""
+    best = g.vertex_count - 1
+    for order in permutations(range(g.vertex_count)):
+        nbrs = [set(g.neighbors(v)) for v in range(g.vertex_count)]
+        width = 0
+        for v in order:
+            width = max(width, len(nbrs[v]))
+            for u in nbrs[v]:
+                nbrs[u] |= nbrs[v] - {u}
+                nbrs[u].discard(v)
+        best = min(best, width)
+    return best
 
 
 def subtree_vertex_sets(d: TreeDecomposition, root: int) -> dict[int, frozenset[int]]:

@@ -153,6 +153,19 @@ def test_bad_file_exits_with_usage_error(tmp_path, capsys):
         assert "error" in capsys.readouterr().err
 
 
+def test_malformed_decomposition_exits_with_usage_error(files, capsys):
+    tmp, write = files
+    g = write("p3.gr", path_graph(3))
+    for name, text in (
+        ("wide.td", "p td 2 3 3\nb 1 1 2\nb 2 2 3\nt 1 2\n"),  # header width+1 too large
+        ("roots.td", "p td 2 2 3\nb 1 1 2\nb 2 2 3\nt 1 2\nr 1\nr 2\n"),  # two r lines
+    ):
+        bad = tmp / name
+        bad.write_text(text)
+        assert main(["iso-one", g, str(bad), g, "-k", "1"]) == 2
+        assert "error" in capsys.readouterr().err
+
+
 def test_missing_file_exits_with_usage_error(tmp_path, capsys):
     assert main(["tdd-width", str(tmp_path / "nope.gr"), "-k", "1"]) == 2
     assert "error" in capsys.readouterr().err

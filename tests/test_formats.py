@@ -73,6 +73,22 @@ def test_decomposition_parse_errors():
         parse_tree_decomposition("p td 1 2 3\nb 1 1\nr 1 1\n")  # long root line
 
 
+def test_decomposition_header_width_must_match_largest_bag():
+    with pytest.raises(FormatError, match="width"):
+        parse_tree_decomposition("p td 2 3 3\nb 1 1 2\nb 2 2 3\nt 1 2\n")
+    with pytest.raises(FormatError, match="width"):
+        parse_tree_decomposition("p td 1 1 2\nb 1 1 2\n")
+    with pytest.raises(FormatError, match="width"):
+        parse_tree_decomposition("p td 1 1 0\nb 1\n")
+    d, n = parse_tree_decomposition("p td 1 0 0\nb 1\n")
+    assert d.bags == ((),) and n == 0
+
+
+def test_decomposition_second_root_line_rejected():
+    with pytest.raises(FormatError, match="duplicate r line"):
+        parse_tree_decomposition("p td 2 2 3\nb 1 1 2\nb 2 2 3\nt 1 2\nr 1\nr 2\n")
+
+
 def test_tdd_records_render_one_based():
     d = build_minimal_tdd(cycle_graph(4), [0])
     assert format_tdd_records(d) == "b 1 0 1\nb 2 1 2 4\nb 3 2 3\n"

@@ -20,7 +20,7 @@ from widthiso import (
     random_relabel,
 )
 
-from helpers import cycle_graph, path_graph, petersen_graph, star_graph
+from helpers import cycle_graph, path_graph, petersen_graph, random_narrow_graph, star_graph
 
 
 def test_permutation_helpers():
@@ -120,3 +120,29 @@ def test_tree_engines_agree_with_the_oracle():
         assert iso_tdw(g, h, 1) == iso_tw(g, h, 1) == expected, (edges, twin)
         verdicts.add(expected)
     assert verdicts == {False, True}
+
+
+def test_width_two_engines_agree_with_the_oracle():
+    """iso_tdw at width 2, iso_tw at width 3 and brute_force_iso agree on
+    random graphs of tree distance width 2, each against a relabelled copy
+    and against a relabelled connected twin with one edge moved.  A tree
+    distance decomposition of width w gives a tree decomposition of width
+    2w - 1, so every graph here fits both bounds."""
+    rng = random.Random(2027)
+    verdicts = []
+    for trial in range(100):
+        n = rng.randint(8, 14)
+        g = random_narrow_graph(rng, n)
+        while True:
+            moved = rng.choice(sorted(g.edges))
+            added = rng.choice([(u, v) for u in range(n) for v in range(u + 1, n)
+                                if (u, v) not in g.edges])
+            twin = Graph(n, [e for e in g.edges if e != moved] + [added])
+            if is_connected(twin):
+                break
+        for partner in (g, twin):
+            h, _ = random_relabel(partner, seed=trial + 1)
+            expected = brute_force_iso(g, h) is not None
+            assert iso_tdw(g, h, 2) == iso_tw(g, h, 3) == expected, (g.edges, h.edges)
+            verdicts.append(expected)
+    assert len(verdicts) == 200 and set(verdicts) == {False, True}

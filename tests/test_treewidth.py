@@ -12,6 +12,7 @@ from widthiso import (
     WidthExceededError,
     brute_force_iso,
     compute_tree_decomposition,
+    enumerate_connected_graphs,
     generate_partial_ktree,
     is_connected,
     is_isomorphism,
@@ -24,6 +25,7 @@ from widthiso import (
 )
 
 from helpers import (
+    brute_force_treewidth,
     complete_graph,
     cycle_graph,
     path_graph,
@@ -144,6 +146,12 @@ def test_lex_subtree_order_rejects_invalid_decomposition():
     )
     with pytest.raises(InvalidDecompositionError):
         lex_subtree_order(g, d, 1, [0, 2])
+
+
+def test_lex_subtree_order_rejects_bag_id_out_of_range():
+    for r in (5, -1):
+        with pytest.raises(ValueError, match="outside"):
+            lex_subtree_order(C4, C4_DECOMP, r, [])
 
 
 def _seeded_decompositions():
@@ -284,6 +292,18 @@ def test_compute_tree_decomposition_disconnected():
     assert validate_tree_decomposition(g, d) == []
 
 
+def test_decomposition_exists_exactly_from_the_treewidth_up():
+    cases = 0
+    for n in range(1, 7):
+        for g in enumerate_connected_graphs(n):
+            width = brute_force_treewidth(g)
+            for k in range(n + 1):
+                d = compute_tree_decomposition(g, k)
+                assert (d is None) == (k < width), (g.edges, k, width)
+                cases += 1
+    assert cases == 953
+
+
 def test_iso_tw_relabeled_self():
     bundle = generate_partial_ktree(9, 2, 0.9, 3)
     g = bundle.graph
@@ -305,6 +325,16 @@ def test_iso_tw_width_exceeded():
         iso_tw(k5, k5, 2)
     # one side within the bound: plain non-isomorphic verdict
     assert not iso_tw(complete_graph(4), path_graph(4), 2)
+
+
+def test_iso_tw_false_without_search_when_only_second_graph_fits(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("searched although only the second graph fits width k")
+
+    monkeypatch.setattr(treewidth_module, "iso_one_decomp", refuse)
+    triangle_and_edge = Graph(5, [(0, 1), (1, 2), (0, 2), (3, 4)])
+    assert triangle_and_edge.degree_sequence() == path_graph(5).degree_sequence()
+    assert not iso_tw(triangle_and_edge, path_graph(5), 1)
 
 
 def test_iso_tw_size_mismatch_is_false():
