@@ -736,6 +736,32 @@ def _bits(mask: int) -> Iterable[int]:
         mask ^= low
 
 
+def _minor_width(rows: list[int], alive: int) -> int:
+    """Minor-min-width (Gogate and Dechter, UAI 2004): a treewidth lower
+    bound for the graph on alive, as treewidth is minor-monotone and at least
+    the least degree.  Each round contracts a vertex of least degree into the
+    neighbour it shares the fewest neighbours with (least-c, Bodlaender and
+    Koster, Inf. Comput. 2011), lowest labels first; once at most bound + 1
+    vertices remain, no degree can exceed the bound.
+    """
+    n = len(rows)
+    rows = [row & alive for row in rows]
+    # A vertex outside the graph has degree n, above every real degree.
+    degree = [row.bit_count() if alive >> v & 1 else n for v, row in enumerate(rows)]
+    bound, left = 0, alive.bit_count()
+    while left > bound + 1:
+        least = min(degree)
+        v = degree.index(least)
+        nbrs, degree[v], left = rows[v], n, left - 1
+        bound = max(bound, least)
+        if nbrs:
+            u = min(_bits(nbrs), key=lambda w: (rows[w] & nbrs).bit_count())
+            for w in _bits(nbrs):
+                rows[w] = (rows[w] | (nbrs if w == u else 1 << u)) & ~(1 << w | 1 << v)
+                degree[w] = rows[w].bit_count()
+    return bound
+
+
 def _eliminate(
     g: Graph, k: int
 ) -> tuple[list[tuple[int, ...]], list[tuple[int, int]], int] | None:
@@ -748,11 +774,14 @@ def _eliminate(
     Row v of a remaining vertex is the mask of the remaining vertices that v
     reaches through eliminated ones, so its closure degree is its bit count.
     An eliminated vertex's row holds k + 1 bits, so that test skips it.
+    A graph whose minor-min-width exceeds k is refused before any state.
     """
     n = g.vertex_count
     if n <= k + 1:
         return [tuple(range(n))], [], 0
     rows = [sum(1 << w for w in nbrs) for nbrs in g._adj]
+    if _minor_width(rows, (1 << n) - 1) > k:
+        return None
     closed = (1 << k + 1) - 1
     failed: set[int] = set()
     # One frame per state on the current path: its mask, an iterator over

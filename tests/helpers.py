@@ -39,6 +39,12 @@ def complete_graph(n: int) -> Graph:
     return Graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
 
 
+def grid_graph(rows: int, cols: int) -> Graph:
+    edges = [(r * cols + c, r * cols + c + 1) for r in range(rows) for c in range(cols - 1)]
+    edges += [(r * cols + c, (r + 1) * cols + c) for r in range(rows - 1) for c in range(cols)]
+    return Graph(rows * cols, edges)
+
+
 def spider_graph(*legs: int) -> Graph:
     """Center 0 with paths of the given lengths hanging off it."""
     edges = []

@@ -28,6 +28,7 @@ from helpers import (
     brute_force_treewidth,
     complete_graph,
     cycle_graph,
+    grid_graph,
     path_graph,
     spider_graph,
     subtree_vertex_sets,
@@ -304,6 +305,53 @@ def test_decomposition_exists_exactly_from_the_treewidth_up():
     assert cases == 953
 
 
+def _minor_width(g: Graph) -> int:
+    rows = [sum(1 << w for w in g.neighbors(v)) for v in range(g.vertex_count)]
+    return treewidth_module._minor_width(rows, (1 << g.vertex_count) - 1)
+
+
+def test_minor_width_is_a_treewidth_lower_bound():
+    for n in range(1, 7):
+        for g in enumerate_connected_graphs(n):
+            assert _minor_width(g) <= brute_force_treewidth(g), g.edges
+    for m in range(1, 9):
+        assert _minor_width(complete_graph(m)) == m - 1
+    # Contracting into a least-degree neighbour instead of a least-common
+    # one reads 3 on some relabellings of the 4x4 grid.
+    for seed in range(200):
+        assert _minor_width(random_relabel(grid_graph(4, 4), seed)[0]) == 4, seed
+        assert _minor_width(random_relabel(grid_graph(3, 6), seed)[0]) == 3, seed
+
+
+def test_above_bound_grids_never_enter_the_search(monkeypatch):
+    # Every elimination step reads its vertex's row through _bits, so when
+    # every _bits call comes from inside _minor_width, no step was taken.
+    calls = {"all": 0, "bound": 0}
+    bits, minor_width = treewidth_module._bits, treewidth_module._minor_width
+
+    def counting_bits(mask):
+        calls["all"] += 1
+        return bits(mask)
+
+    def counting_minor_width(rows, alive):
+        before = calls["all"]
+        bound = minor_width(rows, alive)
+        calls["bound"] += calls["all"] - before
+        return bound
+
+    monkeypatch.setattr(treewidth_module, "_bits", counting_bits)
+    monkeypatch.setattr(treewidth_module, "_minor_width", counting_minor_width)
+    for rows, cols, k in ((4, 4, 3), (3, 6, 2)):
+        g, _ = random_relabel(grid_graph(rows, cols), 7)
+        assert compute_tree_decomposition(g, k) is None
+    assert calls["bound"] > 0 and calls["all"] == calls["bound"]
+    g, _ = random_relabel(grid_graph(4, 4), 3)
+    h, _ = random_relabel(grid_graph(4, 4), 5)
+    with pytest.raises(WidthExceededError, match="neither graph has treewidth <= 3"):
+        iso_tw(g, h, 3)
+    assert calls["all"] == calls["bound"]
+
+
 def test_iso_tw_relabeled_self():
     bundle = generate_partial_ktree(9, 2, 0.9, 3)
     g = bundle.graph
@@ -346,8 +394,7 @@ def test_iso_tw_compares_invariants_before_decomposing(monkeypatch):
         raise AssertionError("decomposed although the invariants differ")
 
     monkeypatch.setattr(treewidth_module, "compute_tree_decomposition", refuse)
-    grid = Graph(30, [(r * 6 + c, r * 6 + c + 1) for r in range(5) for c in range(5)]
-                 + [(r * 6 + c, r * 6 + c + 6) for r in range(4) for c in range(6)])
+    grid = grid_graph(5, 6)
     assert not iso_tw(grid, path_graph(30), 4)  # edge counts differ
     assert not iso_tw(spider_graph(1, 1, 2), path_graph(5), 1)  # degree sequences differ
 

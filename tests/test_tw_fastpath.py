@@ -32,13 +32,7 @@ from widthiso import (
     validate_tree_decomposition,
 )
 
-from helpers import cycle_graph, path_graph
-
-
-def _grid(rows: int, cols: int) -> Graph:
-    edges = [(r * cols + c, r * cols + c + 1) for r in range(rows) for c in range(cols - 1)]
-    edges += [(r * cols + c, (r + 1) * cols + c) for r in range(rows - 1) for c in range(cols)]
-    return Graph(rows * cols, edges)
+from helpers import cycle_graph, grid_graph, path_graph
 
 
 def _shape(d: TreeDecomposition | None):
@@ -133,7 +127,7 @@ def test_symmetric_graphs_keep_their_first_witness():
     # Graphs with many automorphisms admit many witnesses; the search must
     # return the first one in candidate order.
     out = []
-    for g, k in ((cycle_graph(9), 2), (_grid(3, 4), 3), (path_graph(11), 1)):
+    for g, k in ((cycle_graph(9), 2), (grid_graph(3, 4), 3), (path_graph(11), 1)):
         d = compute_tree_decomposition(g, k)
         h, _ = random_relabel(g, 31)
         d_h = compute_tree_decomposition(h, k)
@@ -142,7 +136,7 @@ def test_symmetric_graphs_keep_their_first_witness():
 
 
 def test_relabelled_grid_exceeds_width_three():
-    g, _ = random_relabel(_grid(4, 4), 7)
+    g, _ = random_relabel(grid_graph(4, 4), 7)
     assert compute_tree_decomposition(g, 3) is None
     d = compute_tree_decomposition(g, 4)
     assert d is not None and d.width() == 4
