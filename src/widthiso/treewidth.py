@@ -7,9 +7,9 @@ The one-decomposition search mirrors a nondeterministic traversal with
 exhaustive backtracking: root bags for the second graph are enumerated,
 partial vertex maps are extended bag by bag, children of a bag are grouped
 into interchangeability classes so symmetric branches are explored once,
-and each candidate child bag must separate its claimed interior from the
-root side before the search descends.  A mapping is only returned after an
-edge-preserving check in both directions.
+and each child takes whole components of the unconsumed region that touch
+the bag's image only at the child's pinned vertices.  A mapping is only
+returned after an edge-preserving check in both directions.
 """
 
 from __future__ import annotations
@@ -459,7 +459,7 @@ class _IsoSearch:
     def run(self) -> tuple[int, ...] | None:
         n = self.h.vertex_count
         for cand, _ in self._cuts(self.L.root, {}, range(n)):
-            if _drive(self._map_bag(self.L.root, cand, frozenset(range(n)), {})):
+            if _drive(self._map_bag(self.L.root, cand, frozenset(range(n)).difference(cand), {})):
                 perm = tuple(self.map.fwd[v] for v in range(self.g.vertex_count))
                 if not is_isomorphism(self.g, self.h, perm):
                     raise InternalError("search returned a map that is not an isomorphism")
@@ -487,18 +487,24 @@ class _IsoSearch:
             yield cut, fresh
 
     def _map_bag(
-        self, i: int, image: Sequence[int], region: frozenset[int], pinned: dict[int, int]
+        self, i: int, image: Sequence[int], interior: frozenset[int], pinned: dict[int, int]
     ):
         """Task: map bag i onto image, extending pinned, in each way in turn
-        until the subtrees of i's children use up the rest of region exactly."""
+        until the subtrees of i's children use up interior exactly, placed on
+        its components, found once and kept with the image vertices they touch."""
+        adj = self.h._adj
+        image_set = set(image)
+        comps = [
+            (frozenset(c), {w for v in c for w in adj[v] if w in image_set})
+            for c in _components(self.h, interior)
+        ]
         for ext in _bag_bijections(
             self.g, self.L.bags[i], self.h, image, pinned, self.L.degree, self.hdeg
         ):
             mark = self._extend(ext.items())
             self.frames.append((i, ext))
             kids = [(c, cls) for cls, members in enumerate(self._classes(i)) for c in members]
-            available = set(region) - set(ext.values())
-            ok = yield self._placements(i, kids, 0, available, ext, None)
+            ok = yield self._placements(i, kids, 0, comps, ext, None)
             self.frames.pop()
             self._audit_pop(i)
             if ok:
@@ -507,28 +513,47 @@ class _IsoSearch:
         return False
 
     def _placements(
-        self, a: int, kids: list[tuple[int, int]], j: int, available: set[int],
-        phi: dict[int, int], prev: tuple | None,
+        self, a: int, kids: list[tuple[int, int]], j: int,
+        comps: list[tuple[frozenset[int], set[int]]], phi: dict[int, int], prev: tuple | None,
     ):
-        """Task: place the subtree at the j-th child of a inside available in
-        each way in turn until the later children fit in what is left.
+        """Task: place the subtree at the j-th child of a on whole components
+        from comps, the unused ones below bag a's image, in each way in turn
+        until the later children take up the rest.
+
+        Outside bag a, the child's subtree is a union of components of a's
+        subtree minus bag a that meet bag a only in the child's bag, so its
+        image touches no image of bag a but pinned ones.  The components
+        holding the cut's fresh vertices are taken, then others are added
+        include-first in order of least vertex up to the child's size.
 
         Members of a class are adjacent in kids and take their placements in
         ascending order, so prev, the placement of the child before, bounds
         this one from below when the two share a class.
         """
         if j == len(kids):
-            return not available
+            return not comps
         i, class_id = kids[j]
         if j == 0 or kids[j - 1][1] != class_id:
             prev = None
-        bag_i = self.L.bags[i]
-        pinned = {v: phi[v] for v in bag_i if v in self.L.bags[a]}
-        target_interior = self.L.size[i] - len(bag_i)
-        img_bag_a = set(phi.values())
-        for cut, fresh in self._cuts(i, pinned, available):
-            taken = set(fresh)
-            for interior in self._claim_choices(available, img_bag_a, set(cut), target_interior):
+        pinned = {v: phi[v] for v in self.L.bags[i] if v in self.L.bags[a]}
+        pinned_img = set(pinned.values())
+        fits = [c for c, touch in comps if touch <= pinned_img]
+        need = self.L.size[i] - len(pinned)
+        for cut, fresh in self._cuts(i, pinned, [w for c in fits for w in c]):
+            forced = [c for c in fits if not c.isdisjoint(fresh)]
+            optional = [c for c in fits if c.isdisjoint(fresh)]
+            # Unions include-first: depth first, the exclude branch pushed first,
+            # ending a branch once spare, the vertices of optional[pos:], fall short.
+            stack = [(0, need - sum(map(len, forced)), sum(map(len, optional)), forced)]
+            while stack:
+                pos, remaining, spare, taken = stack.pop()
+                if remaining:
+                    if 0 < remaining <= spare:
+                        c, spare = optional[pos], spare - len(optional[pos])
+                        stack.append((pos + 1, remaining, spare, taken))
+                        stack.append((pos + 1, remaining - len(c), spare, taken + [c]))
+                    continue
+                interior = frozenset().union(*taken).difference(fresh)
                 choice = (cut, tuple(sorted(interior)))
                 if prev is not None and choice < prev:
                     continue
@@ -537,37 +562,11 @@ class _IsoSearch:
                 mark = len(self.map.journal)
                 if not (yield self._place_child(i, cut, interior, pinned)):
                     continue
-                rest = available - taken - interior
+                rest = [comp for comp in comps if comp[0] not in taken]
                 if (yield self._placements(a, kids, j + 1, rest, phi, choice)):
                     return True
                 self.map.undo(mark)
         return False
-
-    def _claim_choices(self, available: set[int], img_bag_a: set[int], cut: set[int], target: int):
-        """Unions of separated components of the right size, in label order.
-
-        A component counts as separated when, once the candidate bag is
-        removed, it cannot reach the rest of the current bag image inside
-        the unconsumed region: it is a component of the region and the bag
-        image minus the cut that avoids the bag image.
-        """
-        working = (available | img_bag_a) - cut
-        comps = [c for c in _components(self.h, working) if img_bag_a.isdisjoint(c)]
-        sizes = [len(c) for c in comps]
-        left = [0] * (len(comps) + 1)  # left[pos]: total size of comps[pos:]
-        for pos in reversed(range(len(comps))):
-            left[pos] = left[pos + 1] + sizes[pos]
-        # Depth first over include/exclude decisions: the exclude branch is
-        # pushed first, so index subsets come out in lexicographic order.
-        stack = [(0, target, ())]
-        while stack:
-            pos, remaining, chosen = stack.pop()
-            if remaining == 0:
-                yield frozenset().union(*(comps[c] for c in chosen))
-            elif left[pos] >= remaining:
-                stack.append((pos + 1, remaining, chosen))
-                if sizes[pos] <= remaining:
-                    stack.append((pos + 1, remaining - sizes[pos], chosen + (pos,)))
 
     def _place_child(
         self, i: int, cut: tuple[int, ...], interior: frozenset[int], pinned: dict[int, int]
@@ -577,7 +576,7 @@ class _IsoSearch:
         found = self.memo.get(key, _MISS)
         if found is _MISS:
             mark = len(self.map.journal)
-            ok = yield self._map_bag(i, cut, frozenset(cut) | interior, pinned)
+            ok = yield self._map_bag(i, cut, interior, pinned)
             # On success the journal after mark holds the subtree's vertices
             # outside pinned, the ones _placements undoes.
             fwd = self.map.fwd
@@ -646,8 +645,8 @@ def iso_one_decomp(
 
     Root bags of size |root bag of g| are enumerated on the h side in
     sorted-content order; the map is grown blockwise down the decomposition
-    tree with failed subproblems memoized.  Disconnected inputs are matched
-    component by component.
+    tree with the outcome of every child placement memoized, success or
+    failure.  Disconnected inputs are matched component by component.
     """
     _require_valid(g, d_g)
     if d_g.width() > k:

@@ -8,7 +8,10 @@ the first witness found would change.  Deep paths check that neither the
 elimination search nor the two matchers depend on the interpreter's
 recursion limit; a star checks that neither matcher recurses once per child
 of a bag; a 2,000-bag path checks that the rooted view of a decomposition
-keeps counts, not a vertex set per subtree.
+keeps counts, not a vertex set per subtree.  A tree and a partial 2-tree
+check that the search splits a bag's region into components once per bag
+mapping, and a 2,000-vertex caterpillar that a deep input with wide bags
+matches under the default recursion limit.
 """
 
 import hashlib
@@ -210,3 +213,47 @@ def test_rooted_view_of_deep_path_stays_small():
     finally:
         tracemalloc.stop()
     assert peak < 8 * 2**20
+
+
+def test_children_take_whole_components(monkeypatch):
+    # A child is placed on whole components of the region below its parent's
+    # image, split once per bag mapping.  These inputs need 141 and 287 bag
+    # mappings; a search that tries placements which are not unions of such
+    # components needs tens of thousands, and over 30 s on the tree.
+    calls = {"map_bag": 0, "components": 0}
+    map_bag, components = treewidth_module._IsoSearch._map_bag, treewidth_module._components
+
+    def counted_map_bag(self, *args):
+        calls["map_bag"] += 1
+        if calls["map_bag"] > 1000:
+            raise AssertionError("more than 1,000 bag mappings")
+        return map_bag(self, *args)
+
+    def counted_components(*args):
+        calls["components"] += 1
+        return components(*args)
+
+    monkeypatch.setattr(treewidth_module._IsoSearch, "_map_bag", counted_map_bag)
+    monkeypatch.setattr(treewidth_module, "_components", counted_components)
+    for k, bundle in ((1, generate_partial_ktree(80, 1, 1.0, 7)),
+                      (2, generate_partial_ktree(60, 2, 0.8, 7))):
+        calls.update(map_bag=0, components=0)
+        g = bundle.graph
+        h, _ = random_relabel(g, 7)
+        perm = iso_one_decomp(g, bundle.decomposition, h, k)
+        assert perm is not None and is_isomorphism(g, h, perm)
+        assert calls["components"] <= calls["map_bag"]
+
+
+def test_deep_caterpillar_search_without_recursion():
+    # A 1,200-vertex spine with 800 leaves: deep, with wide bags of many
+    # interchangeable leaf children.
+    rng = random.Random(1)
+    spine, n = 1200, 2000
+    edges = [(v, v + 1) for v in range(spine - 1)]
+    edges += [(rng.randrange(spine), v) for v in range(spine, n)]
+    g = Graph(n, edges)
+    h, _ = random_relabel(g, 7)
+    d = compute_tree_decomposition(h, 1)
+    perm = _with_default_recursion_limit(iso_one_decomp, h, d, g, 1)
+    assert perm is not None and is_isomorphism(h, g, perm)
