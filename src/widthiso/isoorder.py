@@ -46,7 +46,7 @@ import struct
 from dataclasses import dataclass
 from enum import Enum
 from functools import cmp_to_key, lru_cache
-from itertools import combinations, groupby, permutations
+from itertools import combinations, groupby, permutations, product
 from operator import itemgetter
 from typing import Iterable, NamedTuple, Sequence
 
@@ -140,6 +140,7 @@ class _Tracer:
     ~id, a negative number (every other field is >= 0); equal traces share
     one id.  memo maps (bag, parent bag) to the trace id under each ordering
     of the bag, in _orderings order; the root bag's parent bag is None.
+    The table also interns tree-decomposition traces, for _bag_traces.
     """
 
     def __init__(self) -> None:
@@ -267,6 +268,47 @@ class _Tracer:
             else:
                 stack.pop()
         return tuple(out)
+
+
+def _bag_traces(tracer: _Tracer, memo: dict, g: Graph, d, bag: int, parent: int | None):
+    """Least trace ids of the subtree at bag of the tree decomposition d,
+    hung from bag parent (None at the root), keyed by each order of the
+    vertices the two bags share: the least over the bag orderings that list
+    them first, in that order.  A trace is the bag's _header with its child
+    count, then per child bag, sorted: the number and ascending positions of
+    the shared vertices, and ~id of the child's least trace for their order.
+    memo maps (bag, parent) to the subtree's vertex count and its traces;
+    pairs not in it are traced deepest first, from an explicit stack.
+    """
+    todo, stack = [], [(bag, parent)]
+    while stack:
+        b, p = key = stack.pop()
+        if key not in memo:
+            todo.append(key)
+            stack.extend((c, b) for c in d.neighbors(b) if c != p)
+    for b, p in reversed(todo):
+        inside = set(d.bags[b])
+        shared = tuple(v for v in d.bags[b] if p is not None and v in d.bags[p])
+        private = tuple(v for v in d.bags[b] if v not in shared)
+        edges = [(u, w) for u in inside for w in g._adj[u] if w > u and w in inside]
+        kids = [(d.bags[c], memo[c, b]) for c in d.neighbors(b) if c != p]
+        size = len(inside) + sum(count - len(inside.intersection(kid)) for kid, (count, _) in kids)
+        best: dict[tuple[int, ...], int] = {}
+        memo[b, p] = (size, best)
+        for tau, rest in product(permutations(shared), permutations(private)):
+            sigma = tau + rest
+            pos = {v: i for i, v in enumerate(sigma)}
+            entries = []
+            for kid, (_, traces) in kids:
+                at = sorted(pos[v] for v in kid if v in pos)
+                entries.append((len(at), *at, ~traces[tuple(sigma[i] for i in at)]))
+            out = _header(pos, edges, size, len(kids))
+            for entry in sorted(entries, key=tracer.sort_key):
+                out.extend(entry)
+            t = tracer.intern(tuple(out))
+            if tau not in best or tracer.less(t, best[tau]):
+                best[tau] = t
+    return memo[bag, parent][1]
 
 
 def _sep_counts(

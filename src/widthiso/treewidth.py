@@ -1,22 +1,24 @@
 """Tree decompositions and the rooted isomorphism algorithms over them:
 decomposition-respecting isomorphism with both decompositions given, the
 backtracking search when only one side has a decomposition, an exact
-bounded-treewidth decomposition routine, and their composition.
+bounded-treewidth decomposition routine, and their composition.  The
+first compares canonical subtree traces, as Lindell's tree canonisation does.
 
 The one-decomposition search mirrors a nondeterministic traversal with
 exhaustive backtracking: root bags for the second graph are enumerated,
 partial vertex maps are extended bag by bag, children of a bag are grouped
-into interchangeability classes so symmetric branches are explored once,
-and each child takes whole components of the unconsumed region that touch
-the bag's image only at the child's pinned vertices.  A mapping is only
-returned after an edge-preserving check in both directions.
+into interchangeability classes by the same traces, so symmetric branches
+are explored once, and each child takes whole components of the
+unconsumed region that touch the bag's image only at the child's pinned
+vertices.  A mapping is only returned after an edge-preserving check in
+both directions.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import combinations, permutations
 from typing import Iterable, Sequence
 
@@ -32,6 +34,7 @@ from .graph import (
     connected_components,
     induced_subgraph,
 )
+from .isoorder import _bag_traces, _Tracer
 from .oracle import is_isomorphism
 
 
@@ -148,7 +151,7 @@ class _Rooted:
     """
 
     def __init__(self, g: Graph, d: TreeDecomposition, root: int) -> None:
-        self.g = g
+        self.d = d
         self.root = root
         self.bags = bags = d.bags
         self.parent, self.children = d.rooted(root)
@@ -275,9 +278,9 @@ class _VertexMap:
         self.back: dict[int, int] = {}
         self.journal: list[int] = []
 
-    def extend(self, pairs: Iterable[tuple[int, int]]) -> int | None:
-        """Add pairs not yet in the map; the mark to undo them with, or None,
-        with nothing added, when a pair clashes with the map."""
+    def extend(self, pairs: Iterable[tuple[int, int]]) -> int:
+        """Add pairs not yet in the map; the mark to undo them with.  Images
+        come from the unconsumed region, so a clash is a broken invariant."""
         mark = len(self.journal)
         for v, w in pairs:
             cur = self.fwd.get(v)
@@ -286,8 +289,7 @@ class _VertexMap:
                 self.back[w] = v
                 self.journal.append(v)
             elif cur != w:
-                self.undo(mark)
-                return None
+                raise InternalError("search mapped two vertices onto one")
         return mark
 
     def undo(self, mark: int) -> None:
@@ -295,55 +297,16 @@ class _VertexMap:
             del self.back[self.fwd.pop(self.journal.pop())]
 
 
-class _RespectMatcher:
-    """Blockwise tree-aligned matcher between two rooted decompositions."""
-
-    def __init__(self, left: _Rooted, right: _Rooted) -> None:
-        self.L = left
-        self.R = right
-        self.map = _VertexMap()
-
-    def match(self, a: int, b: int, forced: dict[int, int]):
-        """Task: map the subtree at a onto the subtree at b, extending forced."""
-        bag_a = self.L.bags[a]
-        bag_b = self.R.bags[b]
-        if len(bag_a) != len(bag_b) or len(self.L.children[a]) != len(self.R.children[b]):
-            return False
-        for ext in _bag_bijections(
-            self.L.g, bag_a, self.R.g, bag_b, forced, self.L.degree, self.R.degree
-        ):
-            mark = self.map.extend(ext.items())
-            if mark is None:
-                continue
-            if (yield self._pairings(a, b, 0, frozenset(self.R.children[b]))):
-                return True
-            self.map.undo(mark)
-        return False
-
-    def _pairings(self, a: int, b: int, j: int, unused: frozenset[int]):
-        """Task: pair the children of a from the j-th on with the unused
-        children of b, each with the first that matches and leaves the rest
-        pairable."""
-        kids = self.L.children[a]
-        if j == len(kids):
-            return True
-        c = kids[j]
-        bag_a = set(self.L.bags[a])
-        forced = {v: self.map.fwd[v] for v in self.L.bags[c] if v in bag_a}
-        forced_img = set(forced.values())
-        size = self.L.size[c]
-        bag_b = set(self.R.bags[b])
-        for c2 in self.R.children[b]:
-            if c2 not in unused or self.R.size[c2] != size:
-                continue
-            if set(self.R.bags[c2]) & bag_b != forced_img:
-                continue
-            mark = len(self.map.journal)
-            ok = yield self.match(c, c2, forced)
-            if ok and (yield self._pairings(a, b, j + 1, unused - {c2})):
-                return True
-            self.map.undo(mark)
-        return False
+def _centres(d: TreeDecomposition) -> list[int]:
+    """The middle bags of a longest path in the bag tree, found by two
+    breadth-first walks, each ending at a bag farthest from its start."""
+    parent, _ = d.rooted(0)
+    end = list(parent)[-1]
+    parent, _ = d.rooted(end)
+    path = [list(parent)[-1]]
+    while path[-1] != end:
+        path.append(parent[path[-1]])
+    return path[(len(path) - 1) // 2 : len(path) // 2 + 1]
 
 
 def iso_respecting_both(
@@ -351,25 +314,21 @@ def iso_respecting_both(
 ) -> bool:
     """Is there an isomorphism mapping bags of d_g blockwise onto bags of d_h?
 
-    One root is fixed on the g side and every bag of d_h is tried as the
-    opposing root; the trees are then matched node against node, extending
-    the vertex map bag by bag.
+    Each side is traced by isoorder._bag_traces from the centre bags of its
+    bag tree, which every isomorphism of the trees maps onto the other
+    side's, into one table where equal traces share an id: the answer is
+    whether the two sides' least traces at their centres have the same ids.
     """
     _require_valid(g, d_g, "first decomposition: ")
     _require_valid(h, d_h, "second decomposition: ")
     if d_g.bag_count() != d_h.bag_count():
         return False
-    root_g = d_g.root if d_g.root is not None else 0
-    left = _Rooted(g, d_g, root_g)
-    # match() rejects a root whose bag size or child count differs from root_g's.
-    shape = (len(d_g.bags[root_g]), len(d_g.neighbors(root_g)))
-    for root_h in range(d_h.bag_count()):
-        if (len(d_h.bags[root_h]), len(d_h.neighbors(root_h))) != shape:
-            continue
-        right = _Rooted(h, d_h, root_h)
-        if _drive(_RespectMatcher(left, right).match(root_g, root_h, {})):
-            return True
-    return False
+    tracer = _Tracer()
+    ends = [
+        {_bag_traces(tracer, memo, x, d, c, None)[()] for c in _centres(d)}
+        for x, d, memo in ((g, d_g, {}), (h, d_h, {}))
+    ]
+    return ends[0] == ends[1]
 
 
 _MISS = object()
@@ -387,15 +346,10 @@ class _IsoSearch:
         self.frames: list[tuple[int, dict[int, int]]] = []
         self.memo: dict = {}
         self.class_cache: dict[int, list[list[int]]] = {}
+        self.tracer = _Tracer()
+        self.traces: dict = {}
 
     # -- bookkeeping ---------------------------------------------------
-
-    def _extend(self, pairs: Iterable[tuple[int, int]]) -> int:
-        # Images always come from the unconsumed region, so they never clash.
-        mark = self.map.extend(pairs)
-        if mark is None:
-            raise InternalError("search mapped two vertices onto one")
-        return mark
 
     def _audit_pop(self, popped_bag: int) -> None:
         """The frames left must cover exactly the bags on the root path.
@@ -430,27 +384,31 @@ class _IsoSearch:
         Two subtrees fall together when they meet the bag of a in the same
         vertices and an isomorphism between them fixes that overlap
         pointwise; class order follows the first member in subtree order.
-        """
+        Only children whose overlap and profile agree are told apart by
+        their least traces with the overlap in place, which are equal
+        exactly when such an isomorphism exists."""
         cached = self.class_cache.get(a)
         if cached is not None:
             return cached
-        kids = sorted(self.L.children[a], key=self.L.sort_key.__getitem__)
-        bag_a = set(self.L.bags[a])
+        L = self.L
+        bag_a = set(L.bags[a])
         classes: list[list[int]] = []
-        keys: list[tuple] = []
-        for c in kids:
-            overlap = tuple(v for v in self.L.bags[c] if v in bag_a)
-            key = (overlap, self.L.profile[c])
-            pinned = {v: v for v in overlap}
-            for members, other in zip(classes, keys):
-                if other == key and _drive(
-                    _RespectMatcher(self.L, self.L).match(members[0], c, pinned)
-                ):
-                    members.append(c)
-                    break
-            else:
-                classes.append([c])
-                keys.append(key)
+        groups: dict[tuple, dict] = {}  # key -> trace id (None: untraced) -> class
+        for c in sorted(L.children[a], key=L.sort_key.__getitem__):
+            overlap = tuple(v for v in L.bags[c] if v in bag_a)
+            group = groups.setdefault((overlap, L.profile[c]), {})
+            label = None
+            if group:
+                trace = partial(_bag_traces, self.tracer, self.traces, self.g, L.d)
+                if None in group:
+                    first = group.pop(None)
+                    group[trace(first[0], a)[overlap]] = first
+                label = trace(c, a)[overlap]
+            members = group.get(label)
+            if members is None:
+                members = group[label] = []
+                classes.append(members)
+            members.append(c)
         self.class_cache[a] = classes
         return classes
 
@@ -501,7 +459,7 @@ class _IsoSearch:
         for ext in _bag_bijections(
             self.g, self.L.bags[i], self.h, image, pinned, self.L.degree, self.hdeg
         ):
-            mark = self._extend(ext.items())
+            mark = self.map.extend(ext.items())
             self.frames.append((i, ext))
             kids = [(c, cls) for cls, members in enumerate(self._classes(i)) for c in members]
             ok = yield self._placements(i, kids, 0, comps, ext, None)
@@ -584,7 +542,7 @@ class _IsoSearch:
             return ok
         if found is None:
             return False
-        self._extend(found)
+        self.map.extend(found)
         return True
 
 

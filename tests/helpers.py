@@ -15,6 +15,7 @@ from widthiso import (
     connected_components,
     induced_subgraph,
     is_connected,
+    is_isomorphism,
     tree_distance_width,
     vertex_set,
 )
@@ -56,6 +57,24 @@ def spider_graph(*legs: int) -> Graph:
             prev = nxt
             nxt += 1
     return Graph(nxt, edges)
+
+
+def spider_edge_bags(legs: int, fork: bool = False) -> tuple[Graph, TreeDecomposition]:
+    """A spider with the given number of legs of length 3 around centre 0,
+    with one bag per edge: the bags holding 0 form a star around the first
+    leg's, and each leg's other bags hang below it in a chain.  With fork,
+    the last leg 0-a-b-c becomes 0-a-b plus a-c, which keeps the vertex and
+    edge counts."""
+    edges, tree = [], []
+    for leg in range(legs):
+        a, b, c = 3 * leg + 1, 3 * leg + 2, 3 * leg + 3
+        first = len(edges)
+        tip = (a, c) if fork and leg == legs - 1 else (b, c)
+        edges += [(0, a), (a, b), tip]
+        if leg:
+            tree.append((0, first))
+        tree += [(first, first + 1), (first if tip[0] == a else first + 1, first + 2)]
+    return Graph(3 * legs + 1, edges), TreeDecomposition(tuple(edges), frozenset(tree), 0)
 
 
 def triangle_with_pendants() -> Graph:
@@ -268,3 +287,55 @@ def root_prefix(g: Graph, d: TreeDistanceDecomposition) -> tuple[int, ...]:
         if best is None or out < best:
             best = out
     return tuple(best)
+
+
+def relabel_decomposition(d: TreeDecomposition, perm) -> TreeDecomposition:
+    bags = tuple(tuple(sorted(perm[v] for v in bag)) for bag in d.bags)
+    return TreeDecomposition(bags=bags, tree_edges=d.tree_edges, root=d.root)
+
+
+def shuffle_bag_ids(d: TreeDecomposition, rng: random.Random) -> TreeDecomposition:
+    """d with its bag ids permuted at random, root included."""
+    ids = list(range(d.bag_count()))
+    rng.shuffle(ids)
+    bags = [()] * len(ids)
+    for i, bag in enumerate(d.bags):
+        bags[ids[i]] = bag
+    edges = frozenset((min(ids[a], ids[b]), max(ids[a], ids[b])) for a, b in d.tree_edges)
+    return TreeDecomposition(tuple(bags), edges, None if d.root is None else ids[d.root])
+
+
+def move_leaf_bag(d: TreeDecomposition) -> TreeDecomposition | None:
+    """d with its first leaf bag that can move re-hung from another bag
+    holding all the leaf shares with its neighbour; None if none can."""
+    for leaf in range(d.bag_count()):
+        if len(d.neighbors(leaf)) != 1:
+            continue
+        (nbr,) = d.neighbors(leaf)
+        shared = set(d.bags[leaf]).intersection(d.bags[nbr])
+        for t in range(d.bag_count()):
+            if t not in (leaf, nbr) and shared <= set(d.bags[t]):
+                edges = d.tree_edges - {(leaf, nbr), (nbr, leaf)} | {(min(leaf, t), max(leaf, t))}
+                return TreeDecomposition(d.bags, edges, d.root)
+    return None
+
+
+def brute_force_respecting_iso(
+    g: Graph, d_g: TreeDecomposition, h: Graph, d_h: TreeDecomposition
+) -> bool:
+    """Whether some isomorphism g -> h and some bijection of bag ids that
+    preserves the tree edges carry every bag of d_g onto its partner in d_h,
+    trying every pair of them."""
+    if g.vertex_count != h.vertex_count or d_g.bag_count() != d_h.bag_count():
+        return False
+    tree_h = {frozenset(e) for e in d_h.tree_edges}
+    bijections = [
+        psi for psi in permutations(range(d_h.bag_count()))
+        if {frozenset((psi[a], psi[b])) for a, b in d_g.tree_edges} == tree_h
+    ]
+    return any(
+        all({phi[v] for v in bag} == set(d_h.bags[psi[a]]) for a, bag in enumerate(d_g.bags))
+        for phi in permutations(range(h.vertex_count))
+        if is_isomorphism(g, h, phi)
+        for psi in bijections
+    )

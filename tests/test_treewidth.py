@@ -25,11 +25,15 @@ from widthiso import (
 )
 
 from helpers import (
+    brute_force_respecting_iso,
     brute_force_treewidth,
     complete_graph,
     cycle_graph,
     grid_graph,
+    move_leaf_bag,
     path_graph,
+    relabel_decomposition,
+    shuffle_bag_ids,
     spider_graph,
     subtree_vertex_sets,
 )
@@ -409,6 +413,31 @@ def test_respecting_iso_implies_plain_iso():
         for b in pool:
             if iso_respecting_both(a, decs[a], b, decs[b]):
                 assert brute_force_iso(a, b) is not None
+
+
+def test_respecting_iso_matches_brute_force_oracle():
+    # Completeness as well as soundness.  Each connected graph with n <= 5
+    # (one per isomorphism class) comes with its computed decompositions at
+    # every width that fits; each of those is matched against the same,
+    # id-shuffled and leaf-moved decompositions, on the graph and on a
+    # relabelled copy.
+    rng = random.Random(16)
+    verdicts = []
+    for n in range(1, 6):
+        for g in enumerate_connected_graphs(n):
+            h, perm = random_relabel(g, rng.randrange(1, 1 << 30))
+            fits = dict.fromkeys(compute_tree_decomposition(g, k) for k in range(n))
+            base = [d for d in fits if d is not None]
+            variants = [v for d in base for v in (d, shuffle_bag_ids(d, rng), move_leaf_bag(d))]
+            items = [(g, d) for d in variants if d is not None]
+            items += [(h, relabel_decomposition(d, perm)) for _, d in items]
+            for d in base:
+                for x, d_x in items:
+                    assert validate_tree_decomposition(x, d_x) == []
+                    expected = brute_force_respecting_iso(g, d, x, d_x)
+                    assert iso_respecting_both(g, d, x, d_x) == expected, (g, d, x, d_x)
+                    verdicts.append(expected)
+    assert verdicts.count(True) > 100 and verdicts.count(False) > 100
 
 
 def test_computed_decompositions_always_validate():

@@ -5,10 +5,12 @@ witness maps are pinned by SHA-256 digests over seeded partial k-trees: the
 bag candidates must come out in lexicographic order and the elimination
 search must try vertices in ascending order, or the first decomposition and
 the first witness found would change.  Deep paths check that neither the
-elimination search nor the two matchers depend on the interpreter's
-recursion limit; a star checks that neither matcher recurses once per child
-of a bag; a 2,000-bag path checks that the rooted view of a decomposition
-keeps counts, not a vertex set per subtree.  A tree and a partial 2-tree
+elimination search, the one-decomposition search nor the decomposition
+tracer depends on the interpreter's recursion limit; a star checks that
+neither recurses once per child of a bag, and spiders that equal sibling
+subtrees are compared, not paired by trial; a 2,000-bag path checks that
+the rooted view of a decomposition keeps counts, not a vertex set per
+subtree.  A tree and a partial 2-tree
 check that the search splits a bag's region into components once per bag
 mapping, and a 2,000-vertex caterpillar that a deep input with wide bags
 matches under the default recursion limit.
@@ -18,6 +20,7 @@ import hashlib
 import inspect
 import random
 import sys
+import time
 import tracemalloc
 
 import pytest
@@ -35,7 +38,13 @@ from widthiso import (
     validate_tree_decomposition,
 )
 
-from helpers import cycle_graph, grid_graph, path_graph
+from helpers import (
+    cycle_graph,
+    grid_graph,
+    path_graph,
+    relabel_decomposition,
+    spider_edge_bags,
+)
 
 
 def _shape(d: TreeDecomposition | None):
@@ -78,11 +87,6 @@ def test_golden_partial_ktrees(k):
     assert _digest(_outputs(k)) == GOLDEN[k]
 
 
-def _relabel_decomposition(d: TreeDecomposition, perm) -> TreeDecomposition:
-    bags = tuple(tuple(sorted(perm[v] for v in bag)) for bag in d.bags)
-    return TreeDecomposition(bags=bags, tree_edges=d.tree_edges, root=d.root)
-
-
 def _respect_outputs(k: int) -> list:
     """iso_respecting_both on the generator decomposition of a partial
     k-tree against its relabelled copy, its computed decomposition and an
@@ -104,7 +108,7 @@ def _respect_outputs(k: int) -> list:
                 partner = other
                 break
         row = [
-            iso_respecting_both(g, d, h, _relabel_decomposition(d, perm)),
+            iso_respecting_both(g, d, h, relabel_decomposition(d, perm)),
             iso_respecting_both(g, d, g, computed),
             iso_respecting_both(g, computed, h, compute_tree_decomposition(h, k)),
         ]
@@ -181,8 +185,20 @@ def test_wide_bag_matches_children_without_recursion():
     assert _with_default_recursion_limit(iso_respecting_both, g, d, g, d)
 
 
+def test_spider_siblings_are_compared_not_paired():
+    # Equal legs are told apart by their traces.  Pairing sibling subtrees by
+    # trial took m! steps against the forked copy: 42 s at m = 11.
+    start = time.perf_counter()
+    for m in (11, 50):
+        g, d = spider_edge_bags(m)
+        h, d_h = spider_edge_bags(m, fork=True)
+        assert not iso_respecting_both(g, d, h, d_h)
+        assert iso_respecting_both(g, d, g, d)
+    assert time.perf_counter() - start < 1.0
+
+
 def test_deep_path_search_frames_per_level():
-    # Both matchers run on an explicit stack: no Python frame per
+    # The search and the tracer run on explicit stacks: no Python frame per
     # decomposition level, so hundreds of levels fit under a recursion limit
     # of the current depth + 100.
     g = path_graph(600)
