@@ -5,13 +5,15 @@ bounded-treewidth decomposition routine, and their composition.  The
 first compares canonical subtree traces, as Lindell's tree canonisation does.
 
 The one-decomposition search mirrors a nondeterministic traversal with
-exhaustive backtracking: root bags for the second graph are enumerated,
-partial vertex maps are extended bag by bag, children of a bag are grouped
-into interchangeability classes by the same traces, so symmetric branches
-are explored once, and each child takes whole components of the
-unconsumed region that touch the bag's image only at the child's pinned
-vertices.  A mapping is only returned after an edge-preserving check in
-both directions.
+exhaustive backtracking.  It runs on each component of the first graph in
+place, on that component's part of the decomposition, against a component
+of the second graph: root bags there are enumerated, partial vertex maps
+are extended bag by bag, children of a bag are grouped into
+interchangeability classes by their subtree sizes and the same traces, so
+symmetric branches are explored once, and each child takes whole
+components of the unconsumed region that touch the bag's image only at the
+child's pinned vertices.  The whole map is returned only after an
+edge-preserving check in both directions.
 """
 
 from __future__ import annotations
@@ -87,9 +89,13 @@ def validate_tree_decomposition(g: Graph, d: TreeDecomposition) -> list[str]:
     if n_bags == 0:
         return ["structure: no bags"]
     for i, bag in enumerate(d.bags):
+        seen: set[int] = set()
         for v in bag:
             if not (0 <= v < g.vertex_count):
                 problems.append(f"structure: bag {i} holds invalid vertex {v}")
+            elif v in seen:
+                problems.append(f"structure: bag {i} repeats vertex {v}")
+            seen.add(v)
     for a, b in d.tree_edges:
         if not (0 <= a < n_bags and 0 <= b < n_bags) or a == b:
             problems.append(f"structure: invalid tree edge ({a}, {b})")
@@ -143,11 +149,10 @@ def _inner_edges(g: Graph, verts: set[int] | frozenset[int]) -> int:
 class _Rooted:
     """Rooted view of one decomposition with per-bag invariants (the sorted
     degrees of each bag's vertices and the number of edges inside it) and
-    per-subtree facts from one bottom-up pass: size is the subtree's vertex
-    count; profile is that count, the number of edges inside the subtree
-    and a rank code of its bag tree's shape; sort_key is (1, the least
-    subtree vertex outside the parent's bag), or (0, the bag itself) when
-    there is none.
+    per-subtree facts from one bottom-up pass over the vertices the
+    decomposition holds: size is the subtree's vertex count; sort_key is
+    (1, the least subtree vertex outside the parent's bag), or (0, the bag
+    itself) when there is none.
     """
 
     def __init__(self, g: Graph, d: TreeDecomposition, root: int) -> None:
@@ -155,45 +160,30 @@ class _Rooted:
         self.root = root
         self.bags = bags = d.bags
         self.parent, self.children = d.rooted(root)
-        self.degree = [len(nbrs) for nbrs in g._adj]
-        self.bag_profile = [sorted(self.degree[v] for v in bag) for bag in bags]
+        self.bag_profile = [sorted(len(g._adj[v]) for v in bag) for bag in bags]
         self.bag_inner = [_inner_edges(g, set(bag)) for bag in bags]
         self.size = [0] * len(bags)
-        self.profile: list[tuple[int, int, int]] = [(0, 0, 0)] * len(bags)
         self.sort_key: list[tuple] = [()] * len(bags)
-        # Each vertex and each edge is counted at its top bag, the one nearest
-        # the root that holds it (for an edge: both ends).  The top bags of a
-        # child's subtree count exactly its vertices and edges that are not
-        # in the parent's bag.
+        # Each vertex is counted at its top bag, the one nearest the root
+        # that holds it.  The top bags of a child's subtree count exactly its
+        # vertices that are not in the parent's bag.
         top: dict[int, int] = {}
         for a in self.parent:  # breadth first, so parents come first
             for v in bags[a]:
                 top.setdefault(v, a)
         n = g.vertex_count
         below = [0] * len(bags)  # vertices counted in the subtree
-        below_edges = [0] * len(bags)
         least = [n] * len(bags)  # least vertex counted in the subtree, n if none
-        for v in range(n):
-            below[top[v]] += 1
-            if least[top[v]] == n:
-                least[top[v]] = v
-        for u, v in g.edges:
-            # The bags holding u and v meet, so one top bag lies below the
-            # other and holds both ends.
-            below_edges[top[v] if u in bags[top[v]] else top[u]] += 1
-        shapes: dict[tuple, int] = {}
+        for v, a in top.items():
+            below[a] += 1
+            least[a] = min(least[a], v)
         for a in reversed(self.parent):
-            size, inner, codes = len(bags[a]), self.bag_inner[a], []
+            size = len(bags[a])
             for b in self.children[a]:
                 size += below[b]
-                inner += below_edges[b]
-                codes.append(self.profile[b][2])
                 below[a] += below[b]
-                below_edges[a] += below_edges[b]
                 least[a] = min(least[a], least[b])
-            shape = shapes.setdefault((len(bags[a]), tuple(sorted(codes))), len(shapes))
             self.size[a] = size
-            self.profile[a] = (size, inner, shape)
             self.sort_key[a] = (1, least[a]) if least[a] < n else (0, bags[a])
 
 
@@ -216,8 +206,7 @@ def lex_subtree_order(
 
 
 def _bag_bijections(
-    g: Graph, g_bag: Sequence[int], h: Graph, h_bag: Sequence[int], pinned: dict[int, int],
-    g_degree: Sequence[int], h_degree: Sequence[int],
+    g: Graph, g_bag: Sequence[int], h: Graph, h_bag: Sequence[int], pinned: dict[int, int]
 ):
     """Bijections g_bag -> h_bag extending pinned and preserving bag edges."""
     pinned_img = set(pinned.values())
@@ -229,7 +218,7 @@ def _bag_bijections(
         mapping = dict(pinned)
         ok = True
         for v, w in zip(fresh_g, image):
-            if g_degree[v] != h_degree[w]:
+            if len(g._adj[v]) != len(h._adj[w]):
                 ok = False
                 break
             mapping[v] = w
@@ -341,7 +330,6 @@ class _IsoSearch:
         self.g = g
         self.h = h
         self.L = rooted
-        self.hdeg = [len(nbrs) for nbrs in h._adj]
         self.map = _VertexMap()
         self.frames: list[tuple[int, dict[int, int]]] = []
         self.memo: dict = {}
@@ -384,7 +372,7 @@ class _IsoSearch:
         Two subtrees fall together when they meet the bag of a in the same
         vertices and an isomorphism between them fixes that overlap
         pointwise; class order follows the first member in subtree order.
-        Only children whose overlap and profile agree are told apart by
+        Only children whose overlap and size agree are told apart by
         their least traces with the overlap in place, which are equal
         exactly when such an isomorphism exists."""
         cached = self.class_cache.get(a)
@@ -396,7 +384,7 @@ class _IsoSearch:
         groups: dict[tuple, dict] = {}  # key -> trace id (None: untraced) -> class
         for c in sorted(L.children[a], key=L.sort_key.__getitem__):
             overlap = tuple(v for v in L.bags[c] if v in bag_a)
-            group = groups.setdefault((overlap, L.profile[c]), {})
+            group = groups.setdefault((overlap, L.size[c]), {})
             label = None
             if group:
                 trace = partial(_bag_traces, self.tracer, self.traces, self.g, L.d)
@@ -414,14 +402,13 @@ class _IsoSearch:
 
     # -- search ----------------------------------------------------------
 
-    def run(self) -> tuple[int, ...] | None:
-        n = self.h.vertex_count
-        for cand, _ in self._cuts(self.L.root, {}, range(n)):
-            if _drive(self._map_bag(self.L.root, cand, frozenset(range(n)).difference(cand), {})):
-                perm = tuple(self.map.fwd[v] for v in range(self.g.vertex_count))
-                if not is_isomorphism(self.g, self.h, perm):
-                    raise InternalError("search returned a map that is not an isomorphism")
-                return perm
+    def run(self, region: Sequence[int]) -> dict[int, int] | None:
+        """Map the decomposition's vertices onto region, the vertices of one
+        component of h; the vertex map, or None when there is none."""
+        root = self.L.root
+        for cand, _ in self._cuts(root, {}, region):
+            if _drive(self._map_bag(root, cand, frozenset(region).difference(cand), {})):
+                return self.map.fwd
         return None
 
     def _cuts(self, i: int, pinned: dict[int, int], available: Iterable[int]):
@@ -429,16 +416,16 @@ class _IsoSearch:
         available, in lexicographic order of the fresh part, with bag i's
         sorted degrees and number of inner edges.  Yields (image, fresh)."""
         bag = self.L.bags[i]
-        hdeg = self.hdeg
+        adj = self.h._adj
         pinned_img = set(pinned.values())
         # Every mapped vertex keeps its degree, so the fresh vertices carry the
         # degrees of the unpinned vertices of bag i; leaving out every other
         # vertex only drops candidates, the rest keep their order.
-        degrees = {self.L.degree[v] for v in bag if v not in pinned}
-        pool = [w for w in sorted(available) if hdeg[w] in degrees]
+        degrees = {len(self.g._adj[v]) for v in bag if v not in pinned}
+        pool = [w for w in sorted(available) if len(adj[w]) in degrees]
         for fresh in combinations(pool, len(bag) - len(pinned)):
             cut = tuple(sorted(pinned_img.union(fresh))) if pinned else fresh
-            if sorted([hdeg[w] for w in cut]) != self.L.bag_profile[i]:
+            if sorted([len(adj[w]) for w in cut]) != self.L.bag_profile[i]:
                 continue
             if _inner_edges(self.h, set(cut)) != self.L.bag_inner[i]:
                 continue
@@ -456,9 +443,7 @@ class _IsoSearch:
             (frozenset(c), {w for v in c for w in adj[v] if w in image_set})
             for c in _components(self.h, interior)
         ]
-        for ext in _bag_bijections(
-            self.g, self.L.bags[i], self.h, image, pinned, self.L.degree, self.hdeg
-        ):
+        for ext in _bag_bijections(self.g, self.L.bags[i], self.h, image, pinned):
             mark = self.map.extend(ext.items())
             self.frames.append((i, ext))
             kids = [(c, cls) for cls, members in enumerate(self._classes(i)) for c in members]
@@ -551,15 +536,12 @@ def _split_decomposition(
 ) -> list[TreeDecomposition]:
     """Restriction of d to each component, in one pass over the bags.
 
-    A part keeps the bags meeting its component in id order, each cut down
-    to the component and relabelled to positions in it, and the tree edges
+    A part keeps the bags meeting its component in id order, renumbered
+    from 0, each cut down to the component and sorted, and the tree edges
     between kept bags.  Its root is the kept bag nearest the root of d, the
     least id on ties.
     """
-    where: dict[int, tuple[int, int]] = {}
-    for ci, comp in enumerate(comps):
-        for pos, v in enumerate(comp):
-            where[v] = (ci, pos)
+    where = {v: ci for ci, comp in enumerate(comps) for v in comp}
     anchor = d.root if d.root is not None else 0
     parent, _ = d.rooted(anchor)
     depth = {anchor: 0}
@@ -572,8 +554,7 @@ def _split_decomposition(
     for i, bag in enumerate(d.bags):
         pieces: dict[int, list[int]] = {}
         for v in bag:
-            ci, pos = where[v]
-            pieces.setdefault(ci, []).append(pos)
+            pieces.setdefault(where[v], []).append(v)
         ids.append({})
         for ci, piece in pieces.items():
             if roots[ci] < 0 or depth[i] < depth[roots[ci]]:
@@ -601,10 +582,11 @@ def iso_one_decomp(
 ) -> tuple[int, ...] | None:
     """Find an isomorphism from g onto h given only g's decomposition.
 
-    Root bags of size |root bag of g| are enumerated on the h side in
-    sorted-content order; the map is grown blockwise down the decomposition
-    tree with the outcome of every child placement memoized, success or
-    failure.  Disconnected inputs are matched component by component.
+    Each component of g is searched in place, on its part of d_g, against
+    the components of h with its vertex and edge counts: root bags of size
+    |root bag of the part| are enumerated on the h side in sorted-content
+    order, and the map is grown blockwise down the decomposition tree with
+    the outcome of every child placement memoized, success or failure.
     """
     _require_valid(g, d_g)
     if d_g.width() > k:
@@ -622,33 +604,27 @@ def iso_one_decomp(
     h_comps = connected_components(h)
     if sorted(len(c) for c in g_comps) != sorted(len(c) for c in h_comps):
         return None
-    # A connected g skips induced_subgraph, which would rebuild both graphs.
-    if len(g_comps) == 1:
-        root = d_g.root if d_g.root is not None else 0
-        rooted = _Rooted(g, d_g, root)
-        return _IsoSearch(g, rooted, h).run()
-
-    # Componentwise: solve each piece on its induced subgraph, then stitch.
     # Isomorphism of components is an equivalence, so matching each g part
-    # to the first free h part isomorphic to it never has to be undone.
-    free = [(induced_subgraph(h, comp)[0], comp) for comp in h_comps]
+    # to the first free h component isomorphic to it never has to be undone.
+    # Components are sized by vertex count and degree sum, twice the edges.
+    free = [((len(c), sum(len(h._adj[w]) for w in c)), c) for c in h_comps]
+    parts = [d_g] if len(g_comps) == 1 else _split_decomposition(d_g, g_comps)
     total: dict[int, int] = {}
-    for comp, part_d in zip(g_comps, _split_decomposition(d_g, g_comps)):
-        sub_g, _ = induced_subgraph(g, comp)
-        rooted = _Rooted(sub_g, part_d, part_d.root)
-        for idx, (sub_h, h_comp) in enumerate(free):
-            if sub_g.vertex_count == sub_h.vertex_count and sub_g.edge_count == sub_h.edge_count:
-                sub_map = _IsoSearch(sub_g, rooted, sub_h).run()
-                if sub_map is not None:
+    for comp, part in zip(g_comps, parts):
+        rooted = _Rooted(g, part, part.root if part.root is not None else 0)
+        size = (len(comp), sum(len(g._adj[v]) for v in comp))
+        for idx, (h_size, region) in enumerate(free):
+            if h_size == size:
+                found = _IsoSearch(g, rooted, h).run(region)
+                if found is not None:
                     break
         else:
             return None
         del free[idx]
-        for v, w in zip(comp, sub_map):
-            total[v] = h_comp[w]
+        total.update(found)
     perm = tuple(total[v] for v in range(g.vertex_count))
     if not is_isomorphism(g, h, perm):
-        raise InternalError("blockwise match returned a map that is not an isomorphism")
+        raise InternalError("search returned a map that is not an isomorphism")
     return perm
 
 

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -12,6 +13,7 @@ from widthiso import (
     WidthExceededError,
     brute_force_iso,
     compute_tree_decomposition,
+    connected_components,
     enumerate_connected_graphs,
     generate_partial_ktree,
     is_connected,
@@ -69,6 +71,21 @@ def test_validate_detects_broken_vertex_subtree():
     )
     problems = validate_tree_decomposition(g, d)
     assert any("connectivity" in p and "vertex 0" in p for p in problems)
+
+
+def test_validate_rejects_bag_repeating_a_vertex():
+    # A repeated vertex inflates the bag's size, so every entry point must
+    # refuse the decomposition rather than search or trace it.
+    g = path_graph(2)
+    d = TreeDecomposition(bags=((0, 0, 1),), tree_edges=frozenset())
+    plain = TreeDecomposition(bags=((0, 1),), tree_edges=frozenset())
+    assert validate_tree_decomposition(g, d) == ["structure: bag 0 repeats vertex 0"]
+    with pytest.raises(InvalidDecompositionError, match="repeats vertex 0"):
+        iso_one_decomp(g, d, g, 2)
+    with pytest.raises(InvalidDecompositionError, match="repeats vertex 0"):
+        iso_respecting_both(g, d, g, plain)
+    with pytest.raises(InvalidDecompositionError, match="repeats vertex 0"):
+        lex_subtree_order(g, d, 0, [])
 
 
 def test_validate_c4_three_bag_decomposition():
@@ -170,13 +187,17 @@ def _seeded_decompositions():
 
 
 def test_subtree_counts_match_naive_vertex_sets():
+    # Whole decompositions and the part of each component, rooted anywhere:
+    # a part holds only its component's vertices, in the original labels.
     for g, d in _seeded_decompositions():
-        for root in range(d.bag_count()):
-            rooted = treewidth_module._Rooted(g, d, root)
-            for a, verts in subtree_vertex_sets(d, root).items():
-                inner = sum(1 for u, v in g.edges if u in verts and v in verts)
-                assert rooted.size[a] == len(verts)
-                assert rooted.profile[a][:2] == (len(verts), inner)
+        parts = treewidth_module._split_decomposition(d, connected_components(g))
+        for dec in (d, *parts):
+            for root in range(dec.bag_count()):
+                rooted = treewidth_module._Rooted(g, dec, root)
+                for a, verts in subtree_vertex_sets(dec, root).items():
+                    fresh = verts - set(dec.bags[rooted.parent[a]] if a != root else ())
+                    assert rooted.size[a] == len(verts)
+                    assert rooted.sort_key[a] == ((1, min(fresh)) if fresh else (0, dec.bags[a]))
 
 
 def test_lex_subtree_order_matches_naive_key():
@@ -231,14 +252,23 @@ def test_iso_one_decomp_disconnected_components():
     assert perm is not None and is_isomorphism(g, h, perm)
 
 
-def test_iso_one_decomp_many_components():
-    # 1,200 components; matching them must not recurse once per component
-    n = 2400
-    g = Graph(n, [(2 * i, 2 * i + 1) for i in range(n // 2)])
-    d = compute_tree_decomposition(g, 1)
-    h, _ = random_relabel(g, 5)
-    perm = iso_one_decomp(g, d, h, 1)
-    assert perm is not None and is_isomorphism(g, h, perm)
+def test_iso_one_decomp_many_components(monkeypatch):
+    # 1,200 and 6,000 components; matching them must not recurse once per
+    # component, nor rebuild either graph for one: each component is
+    # searched in place, so no induced subgraph is built.
+    def refuse(*args):
+        raise AssertionError("iso_one_decomp built an induced subgraph")
+
+    for n in (2400, 12000):
+        g = Graph(n, [(2 * i, 2 * i + 1) for i in range(n // 2)])
+        d = compute_tree_decomposition(g, 1)
+        h, _ = random_relabel(g, 5)
+        with monkeypatch.context() as patch:
+            patch.setattr(treewidth_module, "induced_subgraph", refuse)
+            start = time.perf_counter()
+            perm = iso_one_decomp(g, d, h, 1)
+            assert time.perf_counter() - start < 5.0
+        assert perm is not None and is_isomorphism(g, h, perm)
 
 
 def test_iso_one_decomp_frame_audits_fire(monkeypatch):

@@ -1,19 +1,20 @@
 """Invariants of the treewidth route's fast paths.
 
 Decompositions, the rejection one width below, and the iso_one_decomp
-witness maps are pinned by SHA-256 digests over seeded partial k-trees: the
-bag candidates must come out in lexicographic order and the elimination
-search must try vertices in ascending order, or the first decomposition and
-the first witness found would change.  Deep paths check that neither the
-elimination search, the one-decomposition search nor the decomposition
-tracer depends on the interpreter's recursion limit; a star checks that
-neither recurses once per child of a bag, and spiders that equal sibling
-subtrees are compared, not paired by trial; a 2,000-bag path checks that
-the rooted view of a decomposition keeps counts, not a vertex set per
-subtree.  A tree and a partial 2-tree
-check that the search splits a bag's region into components once per bag
-mapping, and a 2,000-vertex caterpillar that a deep input with wide bags
-matches under the default recursion limit.
+witness maps are pinned by SHA-256 digests over seeded partial k-trees, and
+the witnesses also over unions with repeated components under decompositions
+rooted at a random bag: the bag candidates must come out in lexicographic
+order and the elimination search must try vertices in ascending order, or
+the first decomposition and the first witness found would change.  Deep
+paths check that neither the elimination search, the one-decomposition
+search nor the decomposition tracer depends on the interpreter's recursion
+limit; a star checks that neither recurses once per child of a bag, and
+spiders that equal sibling subtrees are compared, not paired by trial; a
+2,000-bag path checks that the rooted view of a decomposition keeps counts,
+not a vertex set per subtree.  A tree and a partial 2-tree check that the
+search splits a bag's region into components once per bag mapping, and a
+2,000-vertex caterpillar that a deep input with wide bags matches under the
+default recursion limit.
 """
 
 import hashlib
@@ -140,6 +141,59 @@ def test_symmetric_graphs_keep_their_first_witness():
         d_h = compute_tree_decomposition(h, k)
         out.append((_shape(d), iso_one_decomp(g, d, h, k), iso_one_decomp(h, d_h, g, k)))
     assert _digest(out) == "b7795a57c0bdcf874c5086cc3631eff78596ca2eef9f4ac9f2530ec3a82228a4"
+
+
+def _forest(pieces, rng: random.Random) -> tuple[Graph, TreeDecomposition]:
+    """Disjoint union of (graph, decomposition) pieces under one random
+    relabelling, so that components interleave in label order: the bag
+    trees are joined at a random bag of each, and rooted at a random bag."""
+    n, edges, bags, tree_edges, joints = 0, [], [], [], []
+    for g, d in pieces:
+        edges += [(u + n, v + n) for u, v in g.edges]
+        tree_edges += [(a + len(bags), b + len(bags)) for a, b in d.tree_edges]
+        joints.append(len(bags) + rng.randrange(d.bag_count()))
+        bags += [tuple(v + n for v in bag) for bag in d.bags]
+        n += g.vertex_count
+    tree_edges += zip(joints, joints[1:])
+    g, perm = random_relabel(Graph(n, edges), rng.randrange(1, 1 << 30))
+    d = TreeDecomposition(tuple(bags), frozenset(tree_edges), rng.randrange(len(bags)))
+    return g, relabel_decomposition(d, perm)
+
+
+def _forest_outputs(k: int) -> list:
+    """iso_one_decomp witnesses on unions of partial k-trees in which some
+    components repeat, against a relabelled copy, under the union's
+    decomposition and the computed one, each rooted at a random bag."""
+    rng = random.Random(6000 + k)
+    out = []
+    for _ in range(20):
+        pieces = []
+        for _ in range(rng.randint(2, 6)):
+            if pieces and rng.random() < 0.5:
+                pieces.append(rng.choice(pieces))
+            else:
+                n = rng.randint(k + 1, k + 5)
+                bundle = generate_partial_ktree(n, k, rng.choice([0.7, 1.0]), rng.randrange(1 << 30))
+                pieces.append((bundle.graph, bundle.decomposition))
+        g, d = _forest(pieces, rng)
+        computed = compute_tree_decomposition(g, k)
+        computed = TreeDecomposition(
+            computed.bags, computed.tree_edges, rng.randrange(computed.bag_count())
+        )
+        h, _ = random_relabel(g, rng.randrange(1, 1 << 30))
+        out.append((iso_one_decomp(g, d, h, k), iso_one_decomp(g, computed, h, k)))
+    return out
+
+
+FOREST_GOLDEN = {
+    1: "86e0ae4ad9081c789216f81125bb091a3e7305b85b53672b890281a7c068b11f",
+    2: "1c37b87a7a088b1025b0b9412704e855f33cfdc8b73d7be7a133698c539f6deb",
+}
+
+
+@pytest.mark.parametrize("k", sorted(FOREST_GOLDEN))
+def test_golden_forest_witnesses(k):
+    assert _digest(_forest_outputs(k)) == FOREST_GOLDEN[k]
 
 
 def test_relabelled_grid_exceeds_width_three():
