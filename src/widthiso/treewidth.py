@@ -5,15 +5,16 @@ bounded-treewidth decomposition routine, and their composition.  The
 first compares canonical subtree traces, as Lindell's tree canonisation does.
 
 The one-decomposition search mirrors a nondeterministic traversal with
-exhaustive backtracking.  It runs on each component of the first graph in
-place, on that component's part of the decomposition, against a component
-of the second graph: root bags there are enumerated, partial vertex maps
-are extended bag by bag, children of a bag are grouped into
-interchangeability classes by their subtree sizes and the same traces, so
-symmetric branches are explored once, and each child takes whole
+exhaustive backtracking.  One search per component of the first graph runs
+in place, on its part of the decomposition, against each component of the
+second graph with its vertex count and sorted degrees: root bags there are
+enumerated, partial vertex maps are extended bag by bag, children of a bag
+are grouped into interchangeability classes by their subtree sizes and
+traces, so symmetric branches are explored once, and each child takes whole
 components of the unconsumed region that touch the bag's image only at the
-child's pinned vertices.  The whole map is returned only after an
-edge-preserving check in both directions.
+child's pinned vertices.  The map is returned only after an edge-preserving
+check in both directions.  Elimination works on each component in place
+too, so no induced subgraph is built anywhere on the route.
 """
 
 from __future__ import annotations
@@ -30,12 +31,7 @@ from .errors import (
     SizeMismatchError,
     WidthExceededError,
 )
-from .graph import (
-    Graph,
-    _components,
-    connected_components,
-    induced_subgraph,
-)
+from .graph import Graph, _components, connected_components
 from .isoorder import _bag_traces, _Tracer
 from .oracle import is_isomorphism
 
@@ -577,16 +573,22 @@ def _split_decomposition(
     ]
 
 
+def _component_key(g: Graph, comp: Sequence[int]) -> tuple:
+    """Vertex count and sorted degrees of a component: equal on isomorphic ones."""
+    return len(comp), tuple(sorted(len(g._adj[v]) for v in comp))
+
+
 def iso_one_decomp(
     g: Graph, d_g: TreeDecomposition, h: Graph, k: int
 ) -> tuple[int, ...] | None:
     """Find an isomorphism from g onto h given only g's decomposition.
 
-    Each component of g is searched in place, on its part of d_g, against
-    the components of h with its vertex and edge counts: root bags of size
-    |root bag of the part| are enumerated on the h side in sorted-content
-    order, and the map is grown blockwise down the decomposition tree with
-    the outcome of every child placement memoized, success or failure.
+    Components are keyed by vertex count and sorted degrees.  One search
+    per component of g, on its part of d_g, runs against each free h
+    component with its key in turn: root bags of size |root bag of the
+    part| are enumerated on the h side in sorted-content order, and the
+    map is grown blockwise down the decomposition tree with the outcome of
+    every child placement memoized, success or failure.
     """
     _require_valid(g, d_g)
     if d_g.width() > k:
@@ -595,32 +597,29 @@ def iso_one_decomp(
         raise SizeMismatchError(
             f"graphs have {g.vertex_count} and {h.vertex_count} vertices"
         )
-    if g.edge_count != h.edge_count:
-        return None
-    if g.degree_sequence() != h.degree_sequence():
-        return None
-
     g_comps = connected_components(g)
-    h_comps = connected_components(h)
-    if sorted(len(c) for c in g_comps) != sorted(len(c) for c in h_comps):
+    g_keys = [_component_key(g, c) for c in g_comps]
+    free: dict[tuple, list[tuple[int, ...]]] = {}  # key -> h components, by least vertex
+    for c in connected_components(h):
+        free.setdefault(_component_key(h, c), []).append(c)
+    if sorted(g_keys) != sorted(key for key, comps in free.items() for _ in comps):
         return None
     # Isomorphism of components is an equivalence, so matching each g part
     # to the first free h component isomorphic to it never has to be undone.
-    # Components are sized by vertex count and degree sum, twice the edges.
-    free = [((len(c), sum(len(h._adj[w]) for w in c)), c) for c in h_comps]
+    # A failed run undoes its map, and its memo entries hold only its own
+    # region's vertices, so one search per part serves every candidate.
     parts = [d_g] if len(g_comps) == 1 else _split_decomposition(d_g, g_comps)
     total: dict[int, int] = {}
-    for comp, part in zip(g_comps, parts):
-        rooted = _Rooted(g, part, part.root if part.root is not None else 0)
-        size = (len(comp), sum(len(g._adj[v]) for v in comp))
-        for idx, (h_size, region) in enumerate(free):
-            if h_size == size:
-                found = _IsoSearch(g, rooted, h).run(region)
-                if found is not None:
-                    break
+    for key, part in zip(g_keys, parts):
+        search = _IsoSearch(g, _Rooted(g, part, part.root if part.root is not None else 0), h)
+        candidates = free[key]
+        for idx, region in enumerate(candidates):
+            found = search.run(region)
+            if found is not None:
+                break
         else:
             return None
-        del free[idx]
+        del candidates[idx]
         total.update(found)
     perm = tuple(total[v] for v in range(g.vertex_count))
     if not is_isomorphism(g, h, perm):
@@ -631,8 +630,9 @@ def iso_one_decomp(
 def compute_tree_decomposition(g: Graph, k: int) -> TreeDecomposition | None:
     """An exact width-<=k decomposition via elimination orders, or None.
 
-    Vertices are eliminated smallest-label first with failed elimination
-    states memoized, so the output is deterministic for a fixed input.
+    Each component is eliminated in place, from its ascending vertex list,
+    smallest label first with failed elimination states memoized, so the
+    output is deterministic for a fixed input.
     """
     if k < 0:
         return None
@@ -642,18 +642,15 @@ def compute_tree_decomposition(g: Graph, k: int) -> TreeDecomposition | None:
     all_edges: list[tuple[int, int]] = []
     comp_roots: list[int] = []
     for comp in connected_components(g):
-        sub, relabel = induced_subgraph(g, comp)
-        back = {new: old for old, new in relabel.items()}
-        piece = _eliminate(sub, k)
+        piece = _eliminate(g, comp, k)
         if piece is None:
             return None
         bags, edges, root = piece
         offset = len(all_bags)
-        all_bags.extend(tuple(sorted(back[v] for v in bag)) for bag in bags)
+        all_bags.extend(tuple(comp[v] for v in bag) for bag in bags)
         all_edges.extend((a + offset, b + offset) for a, b in edges)
         comp_roots.append(root + offset)
-    for first, second in zip(comp_roots, comp_roots[1:]):
-        all_edges.append((min(first, second), max(first, second)))
+    all_edges.extend(zip(comp_roots, comp_roots[1:]))  # roots ascend
     return TreeDecomposition(
         bags=tuple(all_bags),
         tree_edges=frozenset(all_edges),
@@ -696,9 +693,10 @@ def _minor_width(rows: list[int], alive: int) -> int:
 
 
 def _eliminate(
-    g: Graph, k: int
+    g: Graph, comp: tuple[int, ...], k: int
 ) -> tuple[list[tuple[int, ...]], list[tuple[int, int]], int] | None:
-    """Elimination-order decomposition of a connected graph, or None.
+    """Elimination-order decomposition of comp, the ascending vertices of one
+    component of g, or None.  Vertex i of the result stands for comp[i].
 
     Depth first over elimination states (the sets eliminated so far, as bit
     masks) on an explicit stack: a state tries the remaining vertices in
@@ -709,10 +707,11 @@ def _eliminate(
     An eliminated vertex's row holds k + 1 bits, so that test skips it.
     A graph whose minor-min-width exceeds k is refused before any state.
     """
-    n = g.vertex_count
+    n = len(comp)
     if n <= k + 1:
         return [tuple(range(n))], [], 0
-    rows = [sum(1 << w for w in nbrs) for nbrs in g._adj]
+    index = {v: i for i, v in enumerate(comp)}
+    rows = [sum(1 << index[w] for w in g._adj[v]) for v in comp]
     if _minor_width(rows, (1 << n) - 1) > k:
         return None
     closed = (1 << k + 1) - 1

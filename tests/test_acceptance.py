@@ -21,6 +21,7 @@ from widthiso import (
     compare_augmented,
     compose_permutations,
     compute_tree_decomposition,
+    connected_components,
     enumerate_connected_graphs,
     full_theta,
     generate_partial_ktree,
@@ -35,7 +36,7 @@ from widthiso import (
     tree_distance_width,
     validate_tdd,
 )
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement, product
 
 from helpers import random_narrow_graph
 
@@ -137,6 +138,46 @@ def test_criterion_3_exhaustive_tw_oracle_agreement():
         f"\nPASS criterion 3: iso_tw ({pairs} pairs) and iso_one_decomp "
         f"({one_decomp_pairs} equal-size pairs) agree with the oracle on the "
         f"{len(family)} connected graphs (n<=7, treewidth <= 2)"
+    )
+
+
+def test_width_3_exhaustive_oracle_agreement():
+    # Criterion 3 stops at treewidth 2.  Here every connected 6-vertex graph
+    # of treewidth <= 3 and every 6-vertex union of two connected graphs
+    # (3 + 3 and 2 + 4 vertices) is paired with each graph of its degree
+    # sequence and with a relabelled copy of it.  Unions against graphs with
+    # other components reach the component key with equal degree sequences.
+    connected = [g for g in enumerate_connected_graphs(6) if compute_tree_decomposition(g, 3)]
+    unions = [
+        Graph(6, list(a.edges) + [(u + a.vertex_count, v + a.vertex_count) for u, v in b.edges])
+        for a, b in list(combinations_with_replacement(enumerate_connected_graphs(3), 2))
+        + list(product(enumerate_connected_graphs(2), enumerate_connected_graphs(4)))
+    ]
+    family = connected + unions
+    sizes = [sorted(map(len, connected_components(g))) for g in family]
+    rng = random.Random(6)
+    calls = non_iso = split = 0
+    for i, a in enumerate(family):
+        d_a = compute_tree_decomposition(a, 3)
+        for j in range(i, len(family)):
+            b = family[j]
+            if a.degree_sequence() != b.degree_sequence():
+                continue
+            split += sizes[i] != sizes[j]
+            for partner in (b, random_relabel(b, rng.randrange(1, 1 << 30))[0]):
+                expected = brute_force_iso(a, partner) is not None
+                assert iso_tw(a, partner, 3) == expected, (a, partner)
+                got = iso_one_decomp(a, d_a, partner, 3)
+                assert (got is not None) == expected, (a, partner)
+                assert got is None or is_isomorphism(a, partner, got)
+                calls += 1
+                non_iso += not expected
+    assert len(connected) == 102 and split
+    print(
+        f"\nPASS width 3: iso_tw and iso_one_decomp agree with the oracle on {calls} "
+        f"calls ({non_iso} non-isomorphic; {split} pairs with equal degrees and "
+        f"different component sizes) over {len(connected)} connected 6-vertex graphs "
+        f"of treewidth <= 3 and {len(unions)} unions of two components"
     )
 
 

@@ -255,20 +255,42 @@ def test_iso_one_decomp_disconnected_components():
 def test_iso_one_decomp_many_components(monkeypatch):
     # 1,200 and 6,000 components; matching them must not recurse once per
     # component, nor rebuild either graph for one: each component is
-    # searched in place, so no induced subgraph is built.
+    # eliminated and searched in place, so no induced subgraph is built.
     def refuse(*args):
-        raise AssertionError("iso_one_decomp built an induced subgraph")
+        raise AssertionError("the treewidth route built an induced subgraph")
 
     for n in (2400, 12000):
         g = Graph(n, [(2 * i, 2 * i + 1) for i in range(n // 2)])
-        d = compute_tree_decomposition(g, 1)
         h, _ = random_relabel(g, 5)
         with monkeypatch.context() as patch:
-            patch.setattr(treewidth_module, "induced_subgraph", refuse)
+            patch.setattr(treewidth_module, "induced_subgraph", refuse, raising=False)
+            d = compute_tree_decomposition(g, 1)
             start = time.perf_counter()
             perm = iso_one_decomp(g, d, h, 1)
             assert time.perf_counter() - start < 5.0
         assert perm is not None and is_isomorphism(g, h, perm)
+
+
+def test_iso_one_decomp_searches_forest_once_per_candidate_key(monkeypatch):
+    # 100 random 12-vertex trees: many components of one size but few of one
+    # key.  Only candidates with the part's vertex count and sorted degrees
+    # are searched, each by the part's one search, so 326 runs find the map;
+    # a fresh search on every equal-size candidate would need about 2,500.
+    rng = random.Random(1)
+    edges = [(12 * t + rng.randrange(i), 12 * t + i) for t in range(100) for i in range(1, 12)]
+    g = Graph(1200, edges)
+    h, _ = random_relabel(g, 3)
+    runs = []
+    run = treewidth_module._IsoSearch.run
+
+    def counted(self, region):
+        runs.append(region)
+        return run(self, region)
+
+    monkeypatch.setattr(treewidth_module._IsoSearch, "run", counted)
+    perm = iso_one_decomp(g, compute_tree_decomposition(g, 1), h, 1)
+    assert perm is not None and is_isomorphism(g, h, perm)
+    assert len(runs) <= 500
 
 
 def test_iso_one_decomp_frame_audits_fire(monkeypatch):
