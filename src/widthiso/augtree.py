@@ -5,15 +5,15 @@ per distinct set X_a intersect N(X_b) over its child bags b; that set is the
 smallest piece of the parent bag cutting b's subtree off from the root.
 Child bags producing the same separating set hang under the same node, so
 bag levels and separating-set levels strictly alternate.  bag_split is the
-one code that splits a bag; canonisation traces decompositions through it
-directly, and the tree is the paper-level view for the CLI ``augtree``
-command and compare_augmented.
+one code that splits a bag, given its child bags; canonisation splits the
+bags of its (bag, parent bag) records through it, and the tree is the
+paper-level view for the CLI ``augtree`` command and compare_augmented.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterable
 
 from .errors import InvalidDecompositionError
 from .graph import Graph
@@ -29,12 +29,11 @@ class AugmentedTree:
     Node 0 is the bag node of the decomposition root.  Per node we keep its
     kind, the associated vertices (bag contents or separating set), parent
     and children links, and the number of distinct graph vertices associated
-    to the subtree; the decomposition it was built from is kept as well.
+    to the subtree.
     """
 
     __slots__ = (
         "graph",
-        "decomposition",
         "kinds",
         "vertices",
         "parent",
@@ -46,7 +45,6 @@ class AugmentedTree:
     def __init__(
         self,
         graph: Graph,
-        decomposition: TreeDistanceDecomposition,
         kinds: tuple[str, ...],
         vertices: tuple[tuple[int, ...], ...],
         parent: tuple[int, ...],
@@ -54,7 +52,6 @@ class AugmentedTree:
         sizes: tuple[int, ...],
     ) -> None:
         self.graph = graph
-        self.decomposition = decomposition
         self.kinds = kinds
         self.vertices = vertices
         self.parent = parent
@@ -106,21 +103,21 @@ class SubtreeHandle:
 
 
 def bag_split(
-    g: Graph, d: TreeDistanceDecomposition, i: int
+    g: Graph, bag: tuple[int, ...], kids: Iterable[tuple[int, ...]]
 ) -> tuple[tuple[tuple[int, int], ...], list[tuple[tuple[int, ...], list]]]:
-    """Edges inside bag i, and its separating sets in ascending order.
+    """Edges inside bag, and its separating sets in ascending order.
 
-    A child bag's separating set is the part of bag i adjacent to it.  Each
-    set comes with its child bags sorted by bag content, each child bag with
-    its edges from the set as (set vertex, child vertex) pairs.
+    kids are the bag's child bags, sorted by content.  A child bag's
+    separating set is the part of bag adjacent to it.  Each set comes with
+    its child bags in that order, each child bag with its edges from the set
+    as (set vertex, child vertex) pairs.
     """
     adj = g._adj
-    bags = d.bags
-    inside = set(bags[i])
-    edges = tuple((u, w) for u in bags[i] for w in adj[u] if w > u and w in inside)
+    inside = set(bag)
+    edges = tuple((u, w) for u in bag for w in adj[u] if w > u and w in inside)
     groups: dict[tuple[int, ...], list] = {}
-    for child in sorted(d.child_lists[i], key=bags.__getitem__):
-        pairs = [(m, w) for w in bags[child] for m in adj[w] if m in inside]
+    for child in kids:
+        pairs = [(m, w) for w in child for m in adj[w] if m in inside]
         groups.setdefault(tuple(sorted({m for m, _ in pairs})), []).append((child, pairs))
     return edges, sorted(groups.items())
 
@@ -163,19 +160,19 @@ def build_augmented_tree(
         if kids is not None:
             kinds.append(SEP)
             vertices.append(item)
-            sizes.append(len(item) + sum(below[c] for c, _ in kids))
-            for c, _ in reversed(kids):
+            sizes.append(len(item) + sum(below[c] for c in kids))
+            for c in reversed(kids):
                 stack.append((c, node, None))
             continue
         kinds.append(BAG)
         vertices.append(d.bags[item])
         sizes.append(below[item])
-        for sep, group in reversed(bag_split(g, d, item)[1]):
-            stack.append((sep, node, group))
+        ids = {d.bags[c]: c for c in d.child_lists[item]}
+        for sep, group in reversed(bag_split(g, d.bags[item], sorted(ids))[1]):
+            stack.append((sep, node, [ids[c] for c, _ in group]))
 
     return AugmentedTree(
         graph=g,
-        decomposition=d,
         kinds=tuple(kinds),
         vertices=tuple(vertices),
         parent=tuple(parent),

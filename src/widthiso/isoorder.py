@@ -5,19 +5,20 @@ One search over root sets serves the last three: _root_search returns the
 first group of root sets that fit the width bound.  Canonization traces that
 group; tree_distance_width is the least bound at which the search finds one.
 
-The order is realized through canonical traces, read from minimal tree
-distance decompositions directly, each bag split by augtree.bag_split.  The
-augmented tree is the paper-level view for the CLI ``augtree`` command and
-compare_augmented, which traces the decomposition the tree was built from.
-The trace of a subtree rooted at a bag, under a fixed ordering of that bag,
-is an integer sequence listing relative depth, bag size, the bag's edges as
-position pairs, the subtree's vertex count, and one block per separating
-set.  A separating-set block carries the set's positions in the bag ordering
-and one block per child bag; a child block is the bipartite edges between the
-separating set and the child bag as position pairs, followed by the child's
-own trace minimized over the child bag's orderings.  Every variable-length
-field is length-prefixed, so equal sequences mean equal structure, and
-comparing two subtrees is comparing their minimal traces:
+The order is realized through canonical traces, read from (bag, parent bag)
+pair records (below) rather than from stored decompositions, each bag split
+by augtree.bag_split.  The augmented tree is the paper-level view for the
+CLI ``augtree`` command and compare_augmented, which traces the pair of the
+compared bag node.  The trace of a subtree rooted at a bag, under a fixed
+ordering of that bag, is an integer sequence listing relative depth, bag
+size, the bag's edges as position pairs, the subtree's vertex count, and one
+block per separating set.  A separating-set block carries the set's
+positions in the bag ordering and one block per child bag; a child block is
+the bipartite edges between the separating set and the child bag as position
+pairs, followed by the child's own trace minimized over the child bag's
+orderings.  Every variable-length field is length-prefixed, so equal
+sequences mean equal structure, and comparing two subtrees is comparing
+their minimal traces:
 
   * a difference in the bag edge lists is a first-step difference,
   * then subtree sizes, then child counts,
@@ -34,10 +35,16 @@ keeps the order.  A depth-free trace is stored as its bag's own fields, each
 child trace replaced by its id in one table where equal traces share one id.
 Two traces are ordered by walking their fields and descending into the
 first pair of child ids that differ, which decides because traces are
-prefix-free.  The subtree below a bag B whose parent bag is P is the
-component of G - P holding B, so its traces depend on (B, P) alone and one
-table serves every root set of a graph.  Depths appear only in the
-serialised trace, which is written out for the winning root set alone.
+prefix-free.  Depths appear only in the serialised trace, which is written
+out for the winning root set alone.
+
+The subtree below a bag B whose parent bag is P is the component of G - P
+holding B, so all that is known of it is one record per pair, shared by
+every root set of a graph.  Like the paper's logspace walk and Lindell's
+tree canonisation, the records are read off the graph, not off a stored
+decomposition: a new pair is filled by re-rooting (_Tracer._reroot), and
+only where that rule cannot group a bag's child bags is one decomposition
+built and all its pairs recorded.  A relabelled path needs no build at all.
 """
 
 from __future__ import annotations
@@ -133,20 +140,39 @@ def _sep_head(pos: dict[int, int], sep: tuple[int, ...], n_kids: int) -> list[in
     return head
 
 
+class _Pair:
+    """The subtree below a bag B hung from parent bag P: its vertex count,
+    its child bags sorted by content (augtree.bag_split makes B's split of
+    them), whether every bag in it fits the cap (False only at a root pair),
+    and its trace id under each ordering of B; each but size None until known.
+    """
+
+    __slots__ = ("size", "kids", "fits", "traces")
+
+    def __init__(self, size: int) -> None:
+        self.size = size
+        self.kids = self.fits = self.traces = None
+
+
 class _Tracer:
-    """Interned depth-free traces of the bag subtrees of one graph.
+    """Interned depth-free traces of the bag subtrees of one graph g.
 
     fields[i] holds trace i's own fields with each child trace written as
     ~id, a negative number (every other field is >= 0); equal traces share
-    one id.  memo maps (bag, parent bag) to the trace id under each ordering
-    of the bag, in _orderings order; the root bag's parent bag is None.
-    The table also interns tree-decomposition traces, for _bag_traces.
+    one id.  pairs maps (B, P), a sorted bag and its sorted parent bag (None
+    at the root), to its _Pair record, and kids_of maps a bag B to the child
+    bags recorded under it, under any parent bag.  Bags are capped at k
+    vertices (k None: no cap).  The table also interns tree-decomposition
+    traces, for _bag_traces, which needs no graph.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, g: Graph | None = None, k: int | None = None) -> None:
+        self.g = g
+        self.k = k
         self.fields: list[tuple[int, ...]] = []
         self.ids: dict[tuple[int, ...], int] = {}
-        self.memo: dict[tuple, dict[tuple[int, ...], int]] = {}
+        self.pairs: dict[tuple, _Pair] = {}
+        self.kids_of: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
         self.sort_key = cmp_to_key(self.cmp)
 
     def intern(self, fields: tuple[int, ...]) -> int:
@@ -187,50 +213,156 @@ class _Tracer:
                 best = sigma
         return best
 
-    def traces(
-        self, g: Graph, d: TreeDistanceDecomposition, i: int
-    ) -> dict[tuple[int, ...], int]:
-        """Trace id of the subtree at bag i of d under every ordering of the bag.
+    def _pair(self, bag: tuple[int, ...], parent: tuple[int, ...] | None, size: int) -> _Pair:
+        """The record of (bag, parent), made with the subtree's vertex count
+        when first seen; a child bag is then listed in kids_of[parent]."""
+        rec = self.pairs.get((bag, parent))
+        if rec is not None:
+            if rec.size != size:
+                raise InternalError(f"subtree of {bag} under {parent} counted {rec.size} and {size}")
+            return rec
+        if size < 1:
+            raise InternalError(f"subtree of {bag} under {parent} counts {size} vertices")
+        rec = self.pairs[bag, parent] = _Pair(size)
+        if parent is not None:
+            self.kids_of.setdefault(parent, []).append(bag)
+        return rec
+
+    def _reroot(self, bag: tuple[int, ...], parent: tuple[int, ...] | None, rec: _Pair) -> bool:
+        """Split rec's bag B by the re-rooting rule; False when it cannot.
+
+        The child bags of (B, P) hold the seeds N(B) minus B and P, grouped
+        by the components of G - B, which never touch P.  A seed in a child
+        bag already recorded under B belongs to it, whatever P that record
+        was made under.  One seed left over is a child bag of its own, with
+        the vertices no other child counts; two or more cannot be grouped
+        without a search, and the caller builds a decomposition instead.
+        """
+        adj = self.g._adj
+        near = set(bag).union(parent or ())
+        child_of = {}
+        for c in self.kids_of.get(bag, ()):
+            for y in c:
+                if child_of.setdefault(y, c) is not c:
+                    raise InternalError(f"vertex {y} lies in two child bags of {bag}")
+        kids: dict[tuple[int, ...], None] = {}
+        loose = set()
+        for u in bag:
+            for y in adj[u]:
+                if y not in near:
+                    c = child_of.get(y)
+                    if c is None:
+                        loose.add(y)
+                    else:
+                        kids[c] = None
+        if len(loose) > 1:
+            return False
+        rest = rec.size - len(bag) - sum(self.pairs[c, bag].size for c in kids)
+        if loose:
+            last = (loose.pop(),)
+            self._pair(last, bag, rest)
+            kids[last] = None
+        elif rest:
+            raise InternalError(f"children of {bag} under {parent} miss {rest} vertices")
+        rec.kids = tuple(sorted(kids))
+        return True
+
+    def _record(self, d: TreeDistanceDecomposition) -> None:
+        """Record every pair of d, built under the cap, as fitting it.  The
+        builder numbers sibling bags by least vertex, so their ids ascend in
+        content order."""
+        bags, parent, sizes, pairs = d.bags, d.parent, d.subtree_sizes, self.pairs
+        for i, kids in enumerate(d.child_lists):
+            up = bags[parent[i]] if i != d.root else None
+            rec = pairs.get((bags[i], up)) or self._pair(bags[i], up, sizes[i])
+            if rec.kids is None:
+                rec.kids = tuple([bags[c] for c in kids])
+            rec.fits = True
+
+    def fill(self, s: tuple[int, ...], key: tuple, size: int) -> bool:
+        """Whether every bag below the pair key, of size vertices, fits k,
+        recording the pairs below it top-down first.
+
+        s is a root set whose decomposition holds key.  Where _reroot cannot
+        split a new pair, that decomposition is built once, capped at k, and
+        all its pairs are recorded.  A bag above k or a failed build stops
+        the walk, and the pairs walked stay unsettled.
+        """
+        pairs = self.pairs
+        top = self._pair(*key, size)
+        if top.fits is not None:
+            return top.fits
+        walk, stack = [], [key]
+        while stack:
+            bag, parent = key = stack.pop()
+            rec = pairs[key]
+            if rec.fits is not None:
+                continue
+            if self.k is not None and len(bag) > self.k:
+                top.fits = False
+                return False
+            if rec.kids is None and not self._reroot(bag, parent, rec):
+                d = _build(self.g, s, cap=self.k)
+                if d is None:
+                    top.fits = False
+                    return False
+                self._record(d)
+                continue
+            walk.append(key)
+            stack.extend((c, bag) for c in rec.kids)
+        for key in walk:
+            pairs[key].fits = True
+        return True
+
+    def traces(self, start: tuple) -> dict[tuple[int, ...], int]:
+        """Trace id of the subtree of the filled pair start under every
+        ordering of its bag.
 
         The subtree below a bag B whose parent bag is P is the component of
         G - P holding B, so its depth-free traces depend on (B, P) alone.
-        Bags whose pair is in the memo are not entered; the others are
-        traced deepest first, from an explicit stack.
+        Pairs already traced are not entered; the others are traced deepest
+        first, from an explicit stack.
         """
-        bags = d.bags
-        memo = self.memo
-        start = (bags[i], bags[d.parent[i]] if i != d.root else None)
-        todo = []
-        stack = [(i, start)]
+        pairs = self.pairs
+        todo, stack = [], [start]
         while stack:
-            b, key = stack.pop()
-            if key in memo:
-                continue
-            todo.append((b, key))
-            for c in d.child_lists[b]:
-                stack.append((c, (bags[c], bags[b])))
-        for b, key in reversed(todo):
-            split = bag_split(g, d, b)
-            memo[key] = {
-                sigma: self.intern(self.local(d, b, split, sigma)[0])
-                for sigma in _orderings(bags[b])
+            key = stack.pop()
+            rec = pairs[key]
+            if rec.traces is None:
+                todo.append(key)
+                stack.extend((c, key[0]) for c in rec.kids)
+        for key in reversed(todo):
+            split = bag_split(self.g, key[0], pairs[key].kids)
+            pairs[key].traces = {
+                sigma: self.intern(self.local(key, split, sigma)[0])
+                for sigma in _orderings(key[0])
             }
-        return memo[start]
+        return pairs[start].traces
+
+    def keep(self, start: tuple) -> None:
+        """Drop every pair record but those below start, and the index."""
+        kept, stack = {}, [start]
+        while stack:
+            key = stack.pop()
+            kept[key] = rec = self.pairs[key]
+            stack.extend((c, key[0]) for c in rec.kids)
+        self.pairs, self.kids_of = kept, {}
 
     def local(
-        self, d: TreeDistanceDecomposition, b: int, split: tuple, sigma: tuple[int, ...]
+        self, key: tuple, split: tuple, sigma: tuple[int, ...]
     ) -> tuple[tuple[int, ...], list[tuple[tuple[int, ...], list[tuple]]]]:
-        """Depth-free fields of bag b's trace under sigma, from the bag's
-        split, and its separating-set blocks least first.
+        """Depth-free fields of the pair key's trace under sigma, from its
+        bag's split, and its separating-set blocks least first.
 
         Each block comes with its children's least (entry, child bag,
         ordering) in entry order; an entry is the bipartite code followed by
         the child's trace id, which orders like the child block because the
         code is length-prefixed.  Ties keep the split's order.
         """
+        bag = key[0]
         edges, seps = split
         pos = {v: i for i, v in enumerate(sigma)}
-        out = _header(pos, edges, d.subtree_sizes[b], len(seps))
+        out = _header(pos, edges, self.pairs[key].size, len(seps))
         sort_key = self.sort_key
         blocks = []
         for sep, group in seps:
@@ -238,7 +370,7 @@ class _Tracer:
             entries = []
             for c, pairs in group:
                 best = None
-                for phi, i in self.memo[d.bags[c], d.bags[b]].items():
+                for phi, i in self.pairs[c, bag].traces.items():
                     entry = _bip_code(pos, {v: j for j, v in enumerate(phi)}, pairs) + (~i,)
                     if best is None or self.cmp(entry, best[0]) < 0:
                         best = (entry, c, phi)
@@ -381,19 +513,19 @@ def _root_prefix(g: Graph, s: tuple[int, ...], seps: dict[tuple[int, ...], int])
     return tuple(best)
 
 
-def _root_search(
-    g: Graph, k: int
-) -> list[tuple[tuple[int, ...], TreeDistanceDecomposition]] | None:
-    """The root sets that fit k and may carry the least trace, with their
-    decompositions; None when no root set fits k.
+def _root_search(tracer: _Tracer) -> list[tuple[int, ...]] | None:
+    """The root sets of tracer.g that fit tracer.k and may carry the least
+    trace; None when no root set fits.
 
     Every trace starts (0, |S|, ...), so sizes are tried in increasing
     order.  Within a size, root sets are ranked by their root prefix (see
     _root_prefix), read from the components of G - S, where a root set whose
-    depth-1 bags exceed k drops out.  Decompositions are built one
-    equal-prefix group at a time, and the first group with an admissible
-    member is returned, its admissible members only, in combinations order.
-    The empty graph's one root set is empty and has nothing to decompose."""
+    depth-1 bags exceed k drops out.  Root pairs (S, None) are filled in the
+    tracer one equal-prefix group at a time, and the first group with an
+    admissible member is returned, its admissible members only, in
+    combinations order.  The empty graph's one root set is empty and has
+    nothing to fill."""
+    g, k = tracer.g, tracer.k
     if not is_connected(g):
         raise DisconnectedGraphError("tree distance decompositions need a connected graph")
     n = g.vertex_count
@@ -410,7 +542,7 @@ def _root_search(
             key=itemgetter(0),
         )
         for _, ties in groupby(ranked, key=itemgetter(0)):
-            group = [(s, d) for _, s in ties if (d := _build(g, s, cap=k)) is not None]
+            group = [s for _, s in ties if tracer.fill(s, (s, None), n)]
             if group:
                 return group
     return None
@@ -421,7 +553,7 @@ def tree_distance_width(g: Graph, k_max: int) -> int | None:
     the least cap w at which _root_search finds a root set, since a
     decomposition of width w has a root set of size <= w."""
     widths = range(min(k_max, g.vertex_count) + 1)
-    return next((w for w in widths if _root_search(g, w) is not None), None)
+    return next((w for w in widths if _root_search(_Tracer(g, w)) is not None), None)
 
 
 def _min_trace(
@@ -430,9 +562,11 @@ def _min_trace(
     """Least trace over sigmas and the first ordering reaching it."""
     tracer = tree._tracer
     if tracer is None:
-        tracer = tree._tracer = _Tracer()
-    d = tree.decomposition
-    traces = tracer.traces(tree.graph, d, d.bags.index(tree.vertices[node]))
+        tracer = tree._tracer = _Tracer(tree.graph)
+    bag = tuple(sorted(tree.vertices[node]))
+    parent = tuple(sorted(tree.vertices[tree.parent[tree.parent[node]]])) if node else None
+    tracer.fill(tuple(sorted(tree.vertices[0])), (bag, parent), tree.sizes[node])
+    traces = tracer.traces((bag, parent))
     sigma = tracer.least(traces, sigmas)
     return tracer.flat(traces[sigma]), sigma
 
@@ -493,14 +627,12 @@ def _serialize(trace: tuple[int, ...]) -> bytes:
 class _CanonState(NamedTuple):
     trace: tuple[int, ...]
     root_set: tuple[int, ...]
-    d: TreeDistanceDecomposition | None
     sigma: tuple[int, ...]
     tracer: _Tracer
 
 
-# Graphs whose canonisation state stays cached; each entry keeps the
-# winning decomposition and the interned depth-free traces of every root
-# set traced, one table entry per (bag, parent bag) pair and bag ordering.
+# Graphs whose canonisation state stays cached; an entry keeps the interned
+# traces of every root set traced and the winner's pair records.
 # Large enough for all-pairs iso_tdw over the 434 connected graphs with
 # n <= 7 and width <= 2.
 _CANON_CACHE_SIZE = 512
@@ -511,20 +643,21 @@ def _canon_state(g: Graph, k: int) -> _CanonState | None:
     """Least trace over the group _root_search returns, traced by one tracer
     that serves every root set; the first minimiser in combinations order
     wins.  None when no root set fits k; the empty graph's trace is empty."""
-    group = _root_search(g, k)
+    tracer = _Tracer(g, k)
+    group = _root_search(tracer)
     if group is None:
         return None
-    tracer = _Tracer()
     best = None
-    for s, d in group:
-        traces = tracer.traces(g, d, d.root)
+    for s in group:
+        traces = tracer.traces((s, None))
         sigma = tracer.least(traces, _orderings(s))
         if best is None or tracer.less(traces[sigma], best[0]):
-            best = (traces[sigma], s, d, sigma)
+            best = (traces[sigma], s, sigma)
     if best is None:
-        return _CanonState((), (), None, (), tracer)
-    trace_id, s, d, sigma = best
-    return _CanonState(tracer.flat(trace_id), s, d, sigma, tracer)
+        return _CanonState((), (), (), tracer)
+    trace_id, s, sigma = best
+    tracer.keep((s, None))
+    return _CanonState(tracer.flat(trace_id), s, sigma, tracer)
 
 
 def iso_tdw(g: Graph, h: Graph, k: int) -> bool:
@@ -555,21 +688,21 @@ def canon_tdw(g: Graph, k: int) -> CanonicalForm:
 def canonical_map(g: Graph, k: int) -> tuple[int, ...]:
     """A relabeling onto canonical positions realizing canon_tdw(g, k).
 
-    Positions follow the depth-first traversal of the winning decomposition,
-    children in their least block order, under the minimizing orderings;
-    exact ties keep the first minimizer in lexicographic ordering order, so
-    the map is deterministic.
+    Positions follow the depth-first walk of the winner's pair records from
+    (root set, None), children in their least block order, under the
+    minimizing orderings; exact ties keep the first minimizer in
+    lexicographic ordering order, so the map is deterministic.
     """
     state = _canon_state(g, k)
     if state is None:
         raise WidthExceededError(f"tree distance width exceeds {k}")
-    d, tracer = state.d, state.tracer
     positions: dict[int, int] = {}
-    stack = [(d.root, state.sigma)] if d is not None else []
+    stack = [((state.root_set, None), state.sigma)] if state.root_set else []
     while stack:
-        b, sigma = stack.pop()
+        key, sigma = stack.pop()
         for v in sigma:
             positions[v] = len(positions)
-        _, blocks = tracer.local(d, b, bag_split(g, d, b), sigma)
-        stack.extend(reversed([(c, phi) for _, entries in blocks for _, c, phi in entries]))
+        split = bag_split(g, key[0], state.tracer.pairs[key].kids)
+        _, blocks = state.tracer.local(key, split, sigma)
+        stack.extend(reversed([((c, key[0]), phi) for _, es in blocks for _, c, phi in es]))
     return tuple(positions[v] for v in range(g.vertex_count))

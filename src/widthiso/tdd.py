@@ -1,5 +1,8 @@
 """Building and validating minimal tree distance decompositions of connected
-graphs.  The search over root sets, and with it the width, is in isoorder.
+graphs.  The search over root sets, and with it the width, is in isoorder,
+which keeps one record per (bag, parent bag) pair and builds a decomposition
+only where its re-rooting rule cannot read a bag's child bags off the pairs
+it has recorded; it then records every pair of the build.
 
 A tree distance decomposition rooted at a vertex set S partitions V into
 disjoint bags; the bag holding v sits at tree depth d(S, v) and every edge
@@ -75,6 +78,8 @@ def _find(up: list[int], x: int) -> int:
 
 def _build(g: Graph, s: tuple[int, ...], cap: int | None) -> TreeDistanceDecomposition | None:
     """Construct the minimal decomposition; None once a bag exceeds cap.
+    Bags below s are sorted, and the ids of sibling bags ascend with their
+    contents.
 
     One BFS and one union-find pass over the adjacency lists: O(n + m) per
     root set up to the slowly growing factor of the path-compressed

@@ -277,7 +277,7 @@ def root_prefix(g: Graph, d: TreeDistanceDecomposition) -> tuple[int, ...]:
     Depth 0, the header of the root bag and, when there is a separating
     set, the least block head, minimised over the root bag's orderings.
     """
-    edges, seps = bag_split(g, d, d.root)
+    edges, seps = bag_split(g, d.bags[d.root], sorted(d.bags[c] for c in d.children(d.root)))
     best = None
     for sigma in _orderings(d.bags[d.root]):
         pos = {v: i for i, v in enumerate(sigma)}

@@ -8,9 +8,11 @@ the components of G - S) is checked against the decomposition-based
 reference and the full trace, the articulation counts behind the
 single-vertex prefixes against a component count, and the canonical bytes
 and maps of a few fixed graphs and the augmented-tree order over a fixed
-pool are pinned.  Deep paths and a deep spider check that no tdw traversal
-depends on the interpreter's recursion limit, and that a relabelled
-4,000-vertex path is canonised in bounded memory.
+pool are pinned.  The (bag, parent bag) pair records that root sets share
+are checked against built decompositions, and paths and a caterpillar
+against the builds they may make.  Deep paths and a deep spider check that
+no tdw traversal depends on the interpreter's recursion limit, and that a
+relabelled 4,000-vertex path is canonised in bounded memory.
 """
 
 import hashlib
@@ -46,8 +48,11 @@ from widthiso import isoorder
 from widthiso.cli import main
 from widthiso.formats import write_graph
 from widthiso.generate import random_relabel
+from widthiso.augtree import bag_split
+from widthiso.graph import induced_subgraph
 from widthiso.isoorder import (
     _CANON_CACHE_SIZE,
+    _Tracer,
     _canon_state,
     _min_trace,
     _orderings,
@@ -59,6 +64,7 @@ from widthiso.graph import _articulation_counts
 from widthiso.tdd import _build
 
 from helpers import (
+    child_groups,
     complete_graph,
     cycle_graph,
     path_graph,
@@ -164,34 +170,138 @@ def test_articulation_counts_match_components(g):
     ]
 
 
-def _count_builds(monkeypatch) -> list:
-    """Root sets that isoorder builds a decomposition for, from now on."""
-    built = []
+def _count_builds(monkeypatch) -> tuple[list, list]:
+    """Root sets that isoorder builds a decomposition for, and root pairs
+    (S, None) that a tracer is filled from, from now on."""
+    built, entered = [], []
 
     def counting(g, s, cap):
         built.append(s)
         return _build(g, s, cap)
 
+    def filling(tracer, s, key, size):
+        if key[1] is None:
+            entered.append(s)
+        return fill(tracer, s, key, size)
+
+    fill = _Tracer.fill
     monkeypatch.setattr(isoorder, "_build", counting)
-    return built
+    monkeypatch.setattr(_Tracer, "fill", filling)
+    return built, entered
 
 
 def test_path_traces_only_its_ends(monkeypatch):
     g, _ = random_relabel(path_graph(60), seed=9)
-    built = _count_builds(monkeypatch)
+    built, entered = _count_builds(monkeypatch)
     _canon_state.cache_clear()
     canon_tdw(g, 1)
-    assert len(built) == 2
-    assert sorted(built) == sorted((v,) for v in range(60) if g.degree(v) == 1)
+    assert built == []
+    assert sorted(entered) == sorted((v,) for v in range(60) if g.degree(v) == 1)
 
 
 def test_path_width_builds_only_its_ends(monkeypatch):
     g, _ = random_relabel(path_graph(300), seed=4)
-    built = _count_builds(monkeypatch)
+    built, entered = _count_builds(monkeypatch)
     cached = _canon_state.cache_info()
     assert tree_distance_width(g, 3) == 1
-    assert sorted(built) == sorted((v,) for v in range(300) if g.degree(v) == 1)
+    assert built == []
+    assert sorted(entered) == sorted((v,) for v in range(300) if g.degree(v) == 1)
     assert _canon_state.cache_info() == cached
+
+
+def _caterpillar(n: int, seed: int) -> Graph:
+    """A spine of 0.6 n vertices, the other vertices hung on random spine vertices."""
+    rng = random.Random(seed)
+    spine = int(0.6 * n)
+    edges = [(v, v + 1) for v in range(spine - 1)]
+    edges += [(rng.randrange(spine), v) for v in range(spine, n)]
+    return Graph(n, edges)
+
+
+def test_caterpillar_builds_at_most_once(monkeypatch):
+    """Every leaf survives the root prefix; the first one builds, and every
+    later one re-roots through the pairs already recorded."""
+    original = _caterpillar(2000, seed=1)
+    g, perm = random_relabel(original, seed=5)
+    expected = (canon_tdw(original, 1), canonical_map(original, 1))
+    built, entered = _count_builds(monkeypatch)
+    tracemalloc.start()
+    try:
+        form, cmap = canon_tdw(g, 1), canonical_map(g, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(built) <= 1
+    assert len(entered) == sum(g.degree(v) == 1 for v in range(2000))
+    assert peak < 100 * 2**20
+    assert form == expected[0]
+    assert is_isomorphism(g, original, compose_permutations(inverse_permutation(expected[1]), cmap))
+
+
+def _subtree_reference(g: Graph, bag: tuple[int, ...], parent) -> tuple[int, list, int]:
+    """Vertex count, child bags and width of the subtree below bag hung from
+    parent: the minimal decomposition of the component of G - parent that
+    holds bag, rooted at bag."""
+    comp = next(c for c in connected_components(g, parent or ()) if bag[0] in c)
+    sub, index = induced_subgraph(g, comp)
+    d = build_minimal_tdd(sub, [index[v] for v in bag])
+    kids = sorted(tuple(sorted(comp[v] for v in d.bags[c])) for c in d.children(d.root))
+    return len(comp), kids, d.width()
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_pair_records_match_built_decompositions(seed, monkeypatch):
+    """One tracer per graph is filled from every root set of size <= 3, in
+    shuffled order.  Each pair a fitting root set reaches is checked once,
+    against the built decomposition and child_groups; at the end every
+    record, also those left by root sets that did not fit, is checked
+    against the decomposition of its own subtree."""
+    rng = random.Random(seed)
+    built, _ = _count_builds(monkeypatch)
+    subtracted = deep_misfits = 0
+    reroot = _Tracer._reroot
+
+    def counting_reroot(tracer, bag, parent, rec):
+        nonlocal subtracted
+        before = len(tracer.pairs)
+        done = reroot(tracer, bag, parent, rec)
+        subtracted += len(tracer.pairs) > before
+        return done
+
+    monkeypatch.setattr(_Tracer, "_reroot", counting_reroot)
+    for i in range(50):
+        n = rng.randint(2, 12)
+        g = random_narrow_graph(rng, n) if i % 2 else _random_connected(rng, n)
+        g, _ = random_relabel(g, seed=rng.randrange(1, 10**6))
+        k = rng.choice([1, 2, 3])
+        splits = _articulation_counts(g)
+        tracer = _Tracer(g, k)
+        roots = [s for size in (1, 2, 3) for s in combinations(range(n), size)]
+        rng.shuffle(roots)
+        checked = set()
+        for s in roots:
+            d = _build(g, s, None)
+            fits = tracer.fill(s, (s, None), n)
+            assert fits == (d.width() <= k)
+            if not fits:
+                deep_misfits += len(s) <= k and _sep_counts(g, s, splits, k) is not None
+                continue
+            for b, bag in enumerate(d.bags):
+                key = (bag, d.bags[d.parent[b]] if b != d.root else None)
+                if key in checked:
+                    continue
+                checked.add(key)
+                rec = tracer.pairs[key]
+                kids = sorted(d.bags[c] for c in d.children(b))
+                assert (rec.size, list(rec.kids), rec.fits) == (d.subtree_sizes[b], kids, True)
+                assert kids == child_groups(g, s, bag)
+                assert bag_split(g, bag, rec.kids) == bag_split(g, bag, kids)
+        for (bag, parent), rec in tracer.pairs.items():
+            size, kids, width = _subtree_reference(g, bag, parent)
+            assert rec.size == size
+            assert rec.kids is None or list(rec.kids) == kids
+            assert rec.fits is None or rec.fits == (width <= k)
+    assert built and subtracted and deep_misfits
 
 
 def test_width_is_least_over_all_root_sets():
