@@ -105,9 +105,8 @@ def _bip_code(
 ) -> tuple[int, ...]:
     """Bipartite edges as sorted (parent, child) position pairs, length-prefixed."""
     out = [len(pairs)]
-    for a, b in sorted((pos[m], child_pos[w]) for m, w in pairs):
-        out.append(a)
-        out.append(b)
+    for ab in sorted([(pos[m], child_pos[w]) for m, w in pairs]):
+        out += ab
     return tuple(out)
 
 
@@ -121,12 +120,11 @@ def _header(
     bag's edges as length-prefixed position pairs, subtree size,
     separating-set count."""
     edge_pos = sorted(
-        (pos[u], pos[v]) if pos[u] < pos[v] else (pos[v], pos[u]) for u, v in edges
+        [(pos[u], pos[v]) if pos[u] < pos[v] else (pos[v], pos[u]) for u, v in edges]
     )
     out = [len(pos), len(edge_pos)]
-    for x, y in edge_pos:
-        out.append(x)
-        out.append(y)
+    for xy in edge_pos:
+        out += xy
     out.append(size)
     out.append(n_seps)
     return out
@@ -135,7 +133,7 @@ def _header(
 def _sep_head(pos: dict[int, int], sep: tuple[int, ...], n_kids: int) -> list[int]:
     """Head of a separating-set block: |sep|, its sorted positions, #kids."""
     head = [len(sep)]
-    head.extend(sorted(pos[m] for m in sep))
+    head += sorted([pos[m] for m in sep])
     head.append(n_kids)
     return head
 
@@ -271,10 +269,9 @@ class _Tracer:
         """Record every pair of d, built under the cap, as fitting it.  The
         builder numbers sibling bags by least vertex, so their ids ascend in
         content order."""
-        bags, parent, sizes, pairs = d.bags, d.parent, d.subtree_sizes, self.pairs
+        bags, parent, sizes = d.bags, d.parent, d.subtree_sizes
         for i, kids in enumerate(d.child_lists):
-            up = bags[parent[i]] if i != d.root else None
-            rec = pairs.get((bags[i], up)) or self._pair(bags[i], up, sizes[i])
+            rec = self._pair(bags[i], bags[parent[i]] if i != d.root else None, sizes[i])
             if rec.kids is None:
                 rec.kids = tuple([bags[c] for c in kids])
             rec.fits = True
@@ -375,11 +372,13 @@ class _Tracer:
                     if best is None or self.cmp(entry, best[0]) < 0:
                         best = (entry, c, phi)
                 entries.append(best)
-            entries.sort(key=lambda e: sort_key(e[0]))
+            if len(entries) > 1:
+                entries.sort(key=lambda e: sort_key(e[0]))
             for entry, _, _ in entries:
                 head.extend(entry)
             blocks.append((tuple(head), entries))
-        blocks.sort(key=lambda block: sort_key(block[0]))
+        if len(blocks) > 1:
+            blocks.sort(key=lambda block: sort_key(block[0]))
         for head, _ in blocks:
             out.extend(head)
         return tuple(out), blocks

@@ -104,11 +104,12 @@ def _build(g: Graph, s: tuple[int, ...], cap: int | None) -> TreeDistanceDecompo
     for d in range(len(layers) - 1, 0, -1):
         layer = layers[d]
         for v in layer:
+            a = _find(up, v)
             for y in adj[v]:
                 if level[y] >= d:
-                    a, b = _find(up, v), _find(up, y)
+                    b = _find(up, y)
                     if a != b:
-                        up[a] = b
+                        up[a] = a = b
         groups: dict[int, list[int]] = {}
         for v in layer:
             groups.setdefault(_find(up, v), []).append(v)
