@@ -282,11 +282,14 @@ class _Tracer:
 
         s is a root set whose decomposition holds key.  Where _reroot cannot
         split a new pair, that decomposition is built once, capped at k, and
-        all its pairs are recorded.  A bag above k or a failed build stops
-        the walk, and the pairs walked stay unsettled.
+        all its pairs are recorded.  A failed build stops the walk, and the
+        pairs walked stay unsettled.  Below the top no bag above k is met
+        without a build: _reroot adds single-vertex child bags only.
         """
         pairs = self.pairs
         top = self._pair(*key, size)
+        if top.fits is None and self.k is not None and len(key[0]) > self.k:
+            top.fits = False
         if top.fits is not None:
             return top.fits
         walk, stack = [], [key]
@@ -295,9 +298,6 @@ class _Tracer:
             rec = pairs[key]
             if rec.fits is not None:
                 continue
-            if self.k is not None and len(bag) > self.k:
-                top.fits = False
-                return False
             if rec.kids is None and not self._reroot(bag, parent, rec):
                 d = _build(self.g, s, cap=self.k)
                 if d is None:
