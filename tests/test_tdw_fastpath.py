@@ -48,8 +48,6 @@ from widthiso import isoorder
 from widthiso.cli import main
 from widthiso.formats import write_graph
 from widthiso.generate import random_relabel
-from widthiso.augtree import bag_split
-from widthiso.graph import induced_subgraph
 from widthiso.isoorder import (
     _CANON_CACHE_SIZE,
     _Tracer,
@@ -60,7 +58,7 @@ from widthiso.isoorder import (
     _sep_counts,
     _serialize,
 )
-from widthiso.graph import _articulation_counts
+from widthiso.graph import _articulation_counts, induced_subgraph
 from widthiso.tdd import _build
 
 from helpers import (
@@ -253,9 +251,10 @@ def _subtree_reference(g: Graph, bag: tuple[int, ...], parent) -> tuple[int, lis
 def test_pair_records_match_built_decompositions(seed, monkeypatch):
     """One tracer per graph is filled from every root set of size <= 3, in
     shuffled order.  Each pair a fitting root set reaches is checked once,
-    against the built decomposition and child_groups; at the end every
-    record, also those left by root sets that did not fit, is checked
-    against the decomposition of its own subtree."""
+    against the built decomposition and child_groups (its split is
+    augtree.bag_split of those child bags); at the end every record, also
+    those left by root sets that did not fit, is checked against the
+    decomposition of its own subtree."""
     rng = random.Random(seed)
     built, _ = _count_builds(monkeypatch)
     subtracted = deep_misfits = 0
@@ -295,7 +294,6 @@ def test_pair_records_match_built_decompositions(seed, monkeypatch):
                 kids = sorted(d.bags[c] for c in d.children(b))
                 assert (rec.size, list(rec.kids), rec.fits) == (d.subtree_sizes[b], kids, True)
                 assert kids == child_groups(g, s, bag)
-                assert bag_split(g, bag, rec.kids) == bag_split(g, bag, kids)
         for (bag, parent), rec in tracer.pairs.items():
             size, kids, width = _subtree_reference(g, bag, parent)
             assert rec.size == size
