@@ -1,6 +1,6 @@
 """Isomorphism testing and canonization for graphs of bounded tree distance
-width and bounded treewidth, built on decomposition-based recursive orders
-and validated at small scale against a brute-force oracle."""
+width and bounded treewidth, built on interned traces of decomposition
+subtrees and validated at small scale against a brute-force oracle."""
 
 from .errors import (
     DisconnectedGraphError,

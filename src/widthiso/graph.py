@@ -1,6 +1,7 @@
-"""Undirected simple graphs on dense 0-based labels, plus the distance,
-component and induced-subgraph primitives the decomposition algorithms
-consume.
+"""Undirected simple graphs on dense 0-based labels, plus the primitives the
+engines read them through: BFS levels from a vertex set, connectivity,
+components and articulation counts.  Distances and induced subgraphs are
+for library users and the tests; no engine builds a subgraph.
 
 Vertex sets are accepted as arbitrary iterables of labels and are always
 returned as ascending tuples; the fixed iteration order settles every
@@ -196,9 +197,8 @@ def _articulation_counts(g: Graph) -> list[int]:
 
 
 def is_connected(g: Graph) -> bool:
-    if g.vertex_count <= 1:
-        return True
-    return len(connected_components(g)) == 1
+    """Whether one BFS from vertex 0 reaches every vertex."""
+    return g.vertex_count == 0 or -1 not in _levels(g, (0,))
 
 
 def induced_subgraph(g: Graph, keep: Iterable[int]) -> tuple[Graph, dict[int, int]]:

@@ -45,6 +45,7 @@ tree canonisation, the records are read off the graph, not off a stored
 decomposition: a new pair is filled by re-rooting (_Tracer._reroot), and
 only where that rule cannot group a bag's child bags is one decomposition
 built and all its pairs recorded.  A relabelled path needs no build at all.
+Decompositions are unique, so a record's width is exact: it serves any bound.
 """
 
 from __future__ import annotations
@@ -55,7 +56,7 @@ from enum import Enum
 from functools import cmp_to_key, lru_cache
 from itertools import combinations, groupby, permutations, product
 from operator import itemgetter
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from .augtree import AugmentedTree, SubtreeHandle, bag_split
 from .errors import (
@@ -65,7 +66,7 @@ from .errors import (
     WidthExceededError,
 )
 from .graph import Graph, _articulation_counts, is_connected
-from .tdd import TreeDistanceDecomposition, _build
+from .tdd import _build
 
 
 class OrderResult(Enum):
@@ -141,15 +142,15 @@ def _sep_head(pos: dict[int, int], sep: tuple[int, ...], n_kids: int) -> list[in
 class _Pair:
     """The subtree below a bag B hung from parent bag P: its vertex count,
     its child bags sorted by content (augtree.bag_split makes B's split of
-    them), whether every bag in it fits the cap (False only at a root pair),
-    and its trace id under each ordering of B; each but size None until known.
+    them), its width (the largest bag in it) and its trace id under each
+    ordering of B; each but size None until known.
     """
 
-    __slots__ = ("size", "kids", "fits", "traces")
+    __slots__ = ("size", "kids", "width", "traces")
 
     def __init__(self, size: int) -> None:
         self.size = size
-        self.kids = self.fits = self.traces = None
+        self.kids = self.width = self.traces = None
 
 
 class _Tracer:
@@ -159,14 +160,12 @@ class _Tracer:
     ~id, a negative number (every other field is >= 0); equal traces share
     one id.  pairs maps (B, P), a sorted bag and its sorted parent bag (None
     at the root), to its _Pair record, and kids_of maps a bag B to the child
-    bags recorded under it, under any parent bag.  Bags are capped at k
-    vertices (k None: no cap).  The table also interns tree-decomposition
-    traces, for _bag_traces, which needs no graph.
+    bags recorded under it, under any parent bag.  The table also interns
+    tree-decomposition traces, for _bag_traces, which needs no graph.
     """
 
-    def __init__(self, g: Graph | None = None, k: int | None = None) -> None:
+    def __init__(self, g: Graph | None = None) -> None:
         self.g = g
-        self.k = k
         self.fields: list[tuple[int, ...]] = []
         self.ids: dict[tuple[int, ...], int] = {}
         self.pairs: dict[tuple, _Pair] = {}
@@ -203,12 +202,12 @@ class _Tracer:
         """Whether trace a orders strictly before trace b."""
         return a != b and self.cmp(self.fields[a], self.fields[b]) < 0
 
-    def least(self, traces: dict[tuple[int, ...], int], sigmas: Iterable[tuple[int, ...]]):
-        """The first ordering among sigmas whose trace is least."""
+    def least(self, traces: dict):
+        """The first key of traces whose trace id is least; None if empty."""
         best = None
-        for sigma in sigmas:
-            if best is None or self.less(traces[sigma], traces[best]):
-                best = sigma
+        for key in traces:
+            if best is None or self.less(traces[key], traces[best]):
+                best = key
         return best
 
     def _pair(self, bag: tuple[int, ...], parent: tuple[int, ...] | None, size: int) -> _Pair:
@@ -265,51 +264,55 @@ class _Tracer:
         rec.kids = tuple(sorted(kids))
         return True
 
-    def _record(self, d: TreeDistanceDecomposition) -> None:
-        """Record every pair of d, built under the cap, as fitting it.  The
-        builder numbers sibling bags by least vertex, so their ids ascend in
-        content order."""
-        bags, parent, sizes = d.bags, d.parent, d.subtree_sizes
-        for i, kids in enumerate(d.child_lists):
-            rec = self._pair(bags[i], bags[parent[i]] if i != d.root else None, sizes[i])
+    def _record(self, s: tuple[int, ...]) -> None:
+        """Build the decomposition rooted at s and record every pair of it.
+        Its rows list a bag's children before the bag, in content order, and
+        the root last, as its own parent (what it adds to itself is never
+        read), so one forward pass sums sizes and widths into parents and
+        lists each bag's child bags sorted."""
+        bags, parent, _ = _build(self.g, s)
+        sizes = [len(bag) for bag in bags]
+        widths = sizes[:]
+        kids: list[list[tuple[int, ...]]] = [[] for _ in bags]
+        for i, bag in enumerate(bags):
+            p = parent[i]
+            rec = self._pair(bag, bags[p] if p != i else None, sizes[i])
             if rec.kids is None:
-                rec.kids = tuple([bags[c] for c in kids])
-            rec.fits = True
+                rec.kids = tuple(kids[i])
+            rec.width = widths[i]
+            sizes[p] += sizes[i]
+            if widths[i] > widths[p]:
+                widths[p] = widths[i]
+            kids[p].append(bag)
 
-    def fill(self, s: tuple[int, ...], key: tuple, size: int) -> bool:
-        """Whether every bag below the pair key, of size vertices, fits k,
-        recording the pairs below it top-down first.
+    def fill(self, s: tuple[int, ...], key: tuple, size: int) -> int:
+        """Width of the pair key, of size vertices, recording the pairs
+        below it top-down first.
 
         s is a root set whose decomposition holds key.  Where _reroot cannot
-        split a new pair, that decomposition is built once, capped at k, and
-        all its pairs are recorded.  A failed build stops the walk, and the
-        pairs walked stay unsettled.  Below the top no bag above k is met
-        without a build: _reroot adds single-vertex child bags only.
+        split a new pair, that decomposition is built once and all its pairs
+        are recorded with their widths; the pairs walked take theirs
+        bottom-up from their child bags.
         """
         pairs = self.pairs
         top = self._pair(*key, size)
-        if top.fits is None and self.k is not None and len(key[0]) > self.k:
-            top.fits = False
-        if top.fits is not None:
-            return top.fits
+        if top.width is not None:
+            return top.width
         walk, stack = [], [key]
         while stack:
             bag, parent = key = stack.pop()
             rec = pairs[key]
-            if rec.fits is not None:
+            if rec.width is not None:
                 continue
             if rec.kids is None and not self._reroot(bag, parent, rec):
-                d = _build(self.g, s, cap=self.k)
-                if d is None:
-                    top.fits = False
-                    return False
-                self._record(d)
+                self._record(s)
                 continue
             walk.append(key)
             stack.extend((c, bag) for c in rec.kids)
-        for key in walk:
-            pairs[key].fits = True
-        return True
+        for bag, parent in reversed(walk):
+            rec = pairs[bag, parent]
+            rec.width = max([len(bag), *[pairs[c, bag].width for c in rec.kids]])
+        return top.width
 
     def traces(self, start: tuple) -> dict[tuple[int, ...], int]:
         """Trace id of the subtree of the filled pair start under every
@@ -512,9 +515,9 @@ def _root_prefix(g: Graph, s: tuple[int, ...], seps: dict[tuple[int, ...], int])
     return tuple(best)
 
 
-def _root_search(tracer: _Tracer) -> list[tuple[int, ...]] | None:
-    """The root sets of tracer.g that fit tracer.k and may carry the least
-    trace; None when no root set fits.
+def _root_search(tracer: _Tracer, k: int) -> list[tuple[int, ...]] | None:
+    """The root sets of tracer.g whose decompositions have width at most k
+    and may carry the least trace; None when no root set fits.
 
     Every trace starts (0, |S|, ...), so sizes are tried in increasing
     order.  Within a size, root sets are ranked by their root prefix (see
@@ -524,7 +527,7 @@ def _root_search(tracer: _Tracer) -> list[tuple[int, ...]] | None:
     admissible member is returned, its admissible members only, in
     combinations order.  The empty graph's one root set is empty and has
     nothing to fill."""
-    g, k = tracer.g, tracer.k
+    g = tracer.g
     if not is_connected(g):
         raise DisconnectedGraphError("tree distance decompositions need a connected graph")
     n = g.vertex_count
@@ -541,7 +544,7 @@ def _root_search(tracer: _Tracer) -> list[tuple[int, ...]] | None:
             key=itemgetter(0),
         )
         for _, ties in groupby(ranked, key=itemgetter(0)):
-            group = [s for _, s in ties if tracer.fill(s, (s, None), n)]
+            group = [s for _, s in ties if tracer.fill(s, (s, None), n) <= k]
             if group:
                 return group
     return None
@@ -549,16 +552,16 @@ def _root_search(tracer: _Tracer) -> list[tuple[int, ...]] | None:
 
 def tree_distance_width(g: Graph, k_max: int) -> int | None:
     """Least width of a tree distance decomposition of g, None above k_max:
-    the least cap w at which _root_search finds a root set, since a
-    decomposition of width w has a root set of size <= w."""
+    the least cap w at which _root_search, one tracer serving every cap,
+    finds a root set, since a decomposition of width w has one of size <= w."""
+    tracer = _Tracer(g)
     widths = range(min(k_max, g.vertex_count) + 1)
-    return next((w for w in widths if _root_search(_Tracer(g, w)) is not None), None)
+    return next((w for w in widths if _root_search(tracer, w) is not None), None)
 
 
-def _min_trace(
-    tree: AugmentedTree, node: int, sigmas: Sequence[tuple[int, ...]]
-) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Least trace over sigmas and the first ordering reaching it."""
+def _min_trace(tree: AugmentedTree, node: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Least trace of a bag node over its bag's orderings, and the first
+    ordering reaching it."""
     tracer = tree._tracer
     if tracer is None:
         tracer = tree._tracer = _Tracer(tree.graph)
@@ -566,7 +569,7 @@ def _min_trace(
     parent = tuple(sorted(tree.vertices[tree.parent[tree.parent[node]]])) if node else None
     tracer.fill(tuple(sorted(tree.vertices[0])), (bag, parent), tree.sizes[node])
     traces = tracer.traces((bag, parent))
-    sigma = tracer.least(traces, sigmas)
+    sigma = tracer.least(traces)
     return tracer.flat(traces[sigma]), sigma
 
 
@@ -592,8 +595,8 @@ def compare_augmented(
     bags = tuple(tuple(sorted(h.tree.vertices[h.node])) for h in (left, right))
     if (theta.left, theta.right) != bags:
         raise ValueError("theta orderings must arrange the compared bags")
-    t_left, _ = _min_trace(left.tree, left.node, _orderings(theta.left))
-    t_right, _ = _min_trace(right.tree, right.node, _orderings(theta.right))
+    t_left, _ = _min_trace(left.tree, left.node)
+    t_right, _ = _min_trace(right.tree, right.node)
     if t_left < t_right:
         return OrderResult.LESS
     if t_left > t_right:
@@ -640,23 +643,20 @@ _CANON_CACHE_SIZE = 512
 @lru_cache(maxsize=_CANON_CACHE_SIZE)
 def _canon_state(g: Graph, k: int) -> _CanonState | None:
     """Least trace over the group _root_search returns, traced by one tracer
-    that serves every root set; the first minimiser in combinations order
-    wins.  None when no root set fits k; the empty graph's trace is empty."""
-    tracer = _Tracer(g, k)
-    group = _root_search(tracer)
+    that serves every root set; the first minimiser in combinations order,
+    then ordering order, wins.  None when no root set fits k; the empty
+    graph's trace is empty."""
+    tracer = _Tracer(g)
+    group = _root_search(tracer, k)
     if group is None:
         return None
-    best = None
-    for s in group:
-        traces = tracer.traces((s, None))
-        sigma = tracer.least(traces, _orderings(s))
-        if best is None or tracer.less(traces[sigma], best[0]):
-            best = (traces[sigma], s, sigma)
+    traces = {(s, sigma): t for s in group for sigma, t in tracer.traces((s, None)).items()}
+    best = tracer.least(traces)
     if best is None:
         return _CanonState((), (), (), tracer)
-    trace_id, s, sigma = best
+    s, sigma = best
     tracer.keep((s, None))
-    return _CanonState(tracer.flat(trace_id), s, sigma, tracer)
+    return _CanonState(tracer.flat(traces[best]), s, sigma, tracer)
 
 
 def iso_tdw(g: Graph, h: Graph, k: int) -> bool:

@@ -2,7 +2,9 @@
 graphs.  The search over root sets, and with it the width, is in isoorder,
 which keeps one record per (bag, parent bag) pair and builds a decomposition
 only where its re-rooting rule cannot read a bag's child bags off the pairs
-it has recorded; it then records every pair of the build.
+it has recorded; it then records every pair of the build in one pass over
+_build's rows, which list a bag's children before it, in content order.
+build_minimal_tdd renumbers the rows depth-first for callers that read ids.
 
 A tree distance decomposition rooted at a vertex set S partitions V into
 disjoint bags; the bag holding v sits at tree depth d(S, v) and every edge
@@ -24,7 +26,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable
 
-from .errors import DisconnectedGraphError, EmptySetError, InternalError
+from .errors import DisconnectedGraphError, EmptySetError
 from .graph import Graph, _levels, is_connected, vertex_set
 
 
@@ -76,17 +78,17 @@ def _find(up: list[int], x: int) -> int:
     return root
 
 
-def _build(g: Graph, s: tuple[int, ...], cap: int | None) -> TreeDistanceDecomposition | None:
-    """Construct the minimal decomposition; None once a bag exceeds cap.
-    Bags below s are sorted, and the ids of sibling bags ascend with their
-    contents.
+def _build(g: Graph, s: tuple[int, ...]) -> tuple[list, list[int], list[int]]:
+    """The minimal decomposition rooted at s as rows (bags, parent ids,
+    depths), in the order they are built: deepest level first, the bags of
+    one level by least vertex, and s last, its own parent.  So a bag's
+    children come before it, in content order, and every bag below s is
+    sorted.
 
     One BFS and one union-find pass over the adjacency lists: O(n + m) per
     root set up to the slowly growing factor of the path-compressed
     union-find.
     """
-    if cap is not None and len(s) > cap:
-        return None
     adj = g._adj
     level = _levels(g, s)
     layers: list[list[int]] = [[] for _ in range(max(level) + 1)]
@@ -98,8 +100,8 @@ def _build(g: Graph, s: tuple[int, ...], cap: int | None) -> TreeDistanceDecompo
     # classes are the components of the subgraph on {v : level >= d}, and the
     # level-d vertices of one class form one depth-d bag.
     up = list(range(g.vertex_count))
-    bags: list[tuple[int, ...]] = [s]
-    depth: list[int] = [0]
+    bags: list[tuple[int, ...]] = []
+    depth: list[int] = []
     bag_of = [0] * g.vertex_count
     for d in range(len(layers) - 1, 0, -1):
         layer = layers[d]
@@ -114,28 +116,38 @@ def _build(g: Graph, s: tuple[int, ...], cap: int | None) -> TreeDistanceDecompo
         for v in layer:
             groups.setdefault(_find(up, v), []).append(v)
         for bag in groups.values():
-            if cap is not None and len(bag) > cap:
-                return None
             for v in bag:
                 bag_of[v] = len(bags)
             bags.append(tuple(bag))
             depth.append(d)
+    root = len(bags)
+    for v in s:
+        bag_of[v] = root
+    bags.append(s)
+    depth.append(0)
 
     # Any neighbor one level up sits in the parent bag.
-    parent = [0] * len(bags)
-    for i in range(1, len(bags)):
+    parent = [root] * len(bags)
+    for i in range(root):
         v = bags[i][0]
         parent[i] = bag_of[next(y for y in adj[v] if level[y] == depth[i] - 1)]
+    return bags, parent, depth
 
-    # Renumber in depth-first discovery order, children by least vertex:
-    # visiting vertices in ascending order meets each bag at its least one.
+
+def build_minimal_tdd(g: Graph, s: Iterable[int]) -> TreeDistanceDecomposition:
+    """The unique minimal tree distance decomposition rooted at s, its bags
+    numbered in depth-first discovery order, children by least vertex."""
+    root = vertex_set(g, s)
+    if not root:
+        raise EmptySetError("root set must be nonempty")
+    if not is_connected(g):
+        raise DisconnectedGraphError("tree distance decompositions need a connected graph")
+    bags, parent, depth = _build(g, root)
     kids: list[list[int]] = [[] for _ in bags]
-    for v in range(g.vertex_count):
-        i = bag_of[v]
-        if i and bags[i][0] == v:
-            kids[parent[i]].append(i)
+    for i in range(len(bags) - 1):
+        kids[parent[i]].append(i)
     order: list[int] = []
-    stack = [0]
+    stack = [len(bags) - 1]
     while stack:
         i = stack.pop()
         order.append(i)
@@ -147,19 +159,6 @@ def _build(g: Graph, s: tuple[int, ...], cap: int | None) -> TreeDistanceDecompo
         depth=tuple(depth[old] for old in order),
         root=0,
     )
-
-
-def build_minimal_tdd(g: Graph, s: Iterable[int]) -> TreeDistanceDecomposition:
-    """The unique minimal tree distance decomposition rooted at s."""
-    root = vertex_set(g, s)
-    if not root:
-        raise EmptySetError("root set must be nonempty")
-    if not is_connected(g):
-        raise DisconnectedGraphError("tree distance decompositions need a connected graph")
-    built = _build(g, root, cap=None)
-    if built is None:
-        raise InternalError("uncapped build returned no decomposition")
-    return built
 
 
 def validate_tdd(g: Graph, d: TreeDistanceDecomposition) -> list[str]:

@@ -9,10 +9,10 @@ reference and the full trace, the articulation counts behind the
 single-vertex prefixes against a component count, and the canonical bytes
 and maps of a few fixed graphs and the augmented-tree order over a fixed
 pool are pinned.  The (bag, parent bag) pair records that root sets share
-are checked against built decompositions, and paths and a caterpillar
-against the builds they may make.  Deep paths and a deep spider check that
-no tdw traversal depends on the interpreter's recursion limit, and that a
-relabelled 4,000-vertex path is canonised in bounded memory.
+are checked against built decompositions, and paths, a caterpillar and the
+width query against the builds they may make.  Deep paths and a deep spider
+check that no tdw traversal depends on the interpreter's recursion limit,
+and that a relabelled 4,000-vertex path is canonised in bounded memory.
 """
 
 import hashlib
@@ -53,7 +53,6 @@ from widthiso.isoorder import (
     _Tracer,
     _canon_state,
     _min_trace,
-    _orderings,
     _root_prefix,
     _sep_counts,
     _serialize,
@@ -93,13 +92,19 @@ def _graphs(seed: int, count: int, max_n: int) -> list[Graph]:
 
 @pytest.mark.parametrize("g", _graphs(2024, 16, 12), ids=lambda g: f"n{g.vertex_count}m{g.edge_count}")
 def test_build_matches_definition(g):
+    """The renumbered decomposition is valid, and the builder's rows list
+    each bag's children before it, in content order, with the root last."""
     for size in range(1, min(3, g.vertex_count) + 1):
         for s in combinations(range(g.vertex_count), size):
-            d = _build(g, s, None)
-            assert validate_tdd(g, d) == []
-            width = build_minimal_tdd(g, s).width()
-            for cap in range(1, 5):
-                assert (_build(g, s, cap) is None) == (width > cap)
+            assert validate_tdd(g, build_minimal_tdd(g, s)) == []
+            bags, parent, _ = _build(g, s)
+            root = len(bags) - 1
+            assert bags[root] == s and parent[root] == root
+            assert all(i < p for i, p in enumerate(parent[:root]))
+            siblings: dict[int, list] = {}
+            for i in range(root):
+                siblings.setdefault(parent[i], []).append(bags[i])
+            assert all(kids == sorted(kids) for kids in siblings.values())
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
@@ -108,10 +113,10 @@ def test_early_stop_keeps_least_trace(k):
         found = []
         for size in range(1, min(k, g.vertex_count) + 1):
             for s in combinations(range(g.vertex_count), size):
-                d = _build(g, s, k)
-                if d is not None:
+                d = build_minimal_tdd(g, s)
+                if d.width() <= k:
                     tree = build_augmented_tree(g, d, check=False)
-                    found.append((*_min_trace(tree, 0, _orderings(s)), s))
+                    found.append((*_min_trace(tree, 0), s))
         state = _canon_state(g, k)
         if found:
             least = min(trace for trace, _, _ in found)
@@ -131,7 +136,7 @@ def test_root_prefix_opens_min_trace(k):
         splits = _articulation_counts(g)
         for size in range(1, min(k, g.vertex_count) + 1):
             for s in combinations(range(g.vertex_count), size):
-                d = _build(g, s, None)
+                d = build_minimal_tdd(g, s)
                 prefix = _root_prefix(g, s, _sep_counts(g, s, splits, g.vertex_count))
                 assert prefix == root_prefix(g, d)
                 if _sep_counts(g, s, splits, k) is None:
@@ -139,7 +144,7 @@ def test_root_prefix_opens_min_trace(k):
                 if d.width() > k:
                     continue
                 tree = build_augmented_tree(g, d, check=False)
-                trace, _ = _min_trace(tree, 0, _orderings(s))
+                trace, _ = _min_trace(tree, 0)
                 assert trace[: len(prefix)] == prefix
                 checked += 1
     assert checked >= 100
@@ -173,9 +178,9 @@ def _count_builds(monkeypatch) -> tuple[list, list]:
     (S, None) that a tracer is filled from, from now on."""
     built, entered = [], []
 
-    def counting(g, s, cap):
+    def counting(g, s):
         built.append(s)
-        return _build(g, s, cap)
+        return _build(g, s)
 
     def filling(tracer, s, key, size):
         if key[1] is None:
@@ -205,6 +210,21 @@ def test_path_width_builds_only_its_ends(monkeypatch):
     assert built == []
     assert sorted(entered) == sorted((v,) for v in range(300) if g.degree(v) == 1)
     assert _canon_state.cache_info() == cached
+
+
+def test_width_builds_each_root_set_once(monkeypatch):
+    """tree_distance_width keeps one tracer for every cap it tries, so a
+    root set whose width exceeded one cap is not built again at the next."""
+    rng = random.Random(5)
+    built, _ = _count_builds(monkeypatch)
+    repeats = 0
+    for _ in range(60):
+        g = random_narrow_graph(rng, rng.randint(8, 20))
+        g, _ = random_relabel(g, seed=rng.randrange(10**6))
+        built.clear()
+        assert tree_distance_width(g, 3) is not None
+        repeats += len(built) - len(set(built))
+    assert repeats == 0
 
 
 def _caterpillar(n: int, seed: int) -> Graph:
@@ -250,11 +270,10 @@ def _subtree_reference(g: Graph, bag: tuple[int, ...], parent) -> tuple[int, lis
 @pytest.mark.parametrize("seed", range(4))
 def test_pair_records_match_built_decompositions(seed, monkeypatch):
     """One tracer per graph is filled from every root set of size <= 3, in
-    shuffled order.  Each pair a fitting root set reaches is checked once,
-    against the built decomposition and child_groups (its split is
-    augtree.bag_split of those child bags); at the end every record, also
-    those left by root sets that did not fit, is checked against the
-    decomposition of its own subtree."""
+    shuffled order.  Each pair a root set reaches is checked once, against
+    the built decomposition and child_groups (its split is augtree.bag_split
+    of those child bags); at the end every record is checked against the
+    decomposition of its own subtree, its width exactly."""
     rng = random.Random(seed)
     built, _ = _count_builds(monkeypatch)
     subtracted = deep_misfits = 0
@@ -274,17 +293,15 @@ def test_pair_records_match_built_decompositions(seed, monkeypatch):
         g, _ = random_relabel(g, seed=rng.randrange(1, 10**6))
         k = rng.choice([1, 2, 3])
         splits = _articulation_counts(g)
-        tracer = _Tracer(g, k)
+        tracer = _Tracer(g)
         roots = [s for size in (1, 2, 3) for s in combinations(range(n), size)]
         rng.shuffle(roots)
         checked = set()
         for s in roots:
-            d = _build(g, s, None)
-            fits = tracer.fill(s, (s, None), n)
-            assert fits == (d.width() <= k)
-            if not fits:
+            d = build_minimal_tdd(g, s)
+            assert tracer.fill(s, (s, None), n) == d.width()
+            if d.width() > k:
                 deep_misfits += len(s) <= k and _sep_counts(g, s, splits, k) is not None
-                continue
             for b, bag in enumerate(d.bags):
                 key = (bag, d.bags[d.parent[b]] if b != d.root else None)
                 if key in checked:
@@ -292,13 +309,13 @@ def test_pair_records_match_built_decompositions(seed, monkeypatch):
                 checked.add(key)
                 rec = tracer.pairs[key]
                 kids = sorted(d.bags[c] for c in d.children(b))
-                assert (rec.size, list(rec.kids), rec.fits) == (d.subtree_sizes[b], kids, True)
+                assert (rec.size, list(rec.kids)) == (d.subtree_sizes[b], kids)
                 assert kids == child_groups(g, s, bag)
         for (bag, parent), rec in tracer.pairs.items():
             size, kids, width = _subtree_reference(g, bag, parent)
             assert rec.size == size
-            assert rec.kids is None or list(rec.kids) == kids
-            assert rec.fits is None or rec.fits == (width <= k)
+            assert list(rec.kids) == kids
+            assert rec.width == width
     assert built and subtracted and deep_misfits
 
 
