@@ -149,6 +149,76 @@ def _components(g: Graph, verts: set[int]) -> list[list[int]]:
     return parts
 
 
+def stable_colours(g: Graph, h: Graph) -> tuple[list[int], list[int]] | None:
+    """Colour refinement (1-dimensional Weisfeiler–Leman) of the disjoint
+    union of g and h, starting from degrees: the colours of g's vertices and
+    of h's, on one palette, or None as soon as the two colour histograms
+    differ, which proves g and h non-isomorphic.
+
+    The stable colouring is the coarsest partition, refining degree, in
+    which all vertices of a cell have equally many neighbours in each cell.
+    Cells are split by their neighbour counts into one splitter cell at a
+    time; of the parts of a cell that is not waiting to be a splitter, all
+    but the largest wait, since the counts into the cell fix those into its
+    last part (Hopcroft's rule, Cardon and Crochemore 1982), so each vertex
+    is a splitter O(log n) times.  Every isomorphism maps each vertex to one
+    of the same colour.
+    """
+    n = g.vertex_count
+    if n != h.vertex_count:
+        return None
+    # Vertex v of h is vertex n + v of the union.
+    adj = g._adj + tuple([tuple([w + n for w in nbrs]) for nbrs in h._adj])
+    by_degree: dict[int, list[int]] = {}
+    for v, nbrs in enumerate(adj):
+        by_degree.setdefault(len(nbrs), []).append(v)
+    cells = list(by_degree.values())
+    colour = [0] * (2 * n)
+    for c, cell in enumerate(cells):
+        if 2 * len([v for v in cell if v < n]) != len(cell):
+            return None
+        for v in cell:
+            colour[v] = c
+    # The counts into the whole union are the degrees, so all cells but the
+    # largest are the splitters to start from.
+    largest = max(range(len(cells)), key=lambda c: len(cells[c]), default=0)
+    waiting = [c for c in range(len(cells)) if c != largest]
+    hits = [0] * (2 * n)  # neighbours in the current splitter, per vertex
+    while waiting:
+        touched = []
+        for v in cells[waiting.pop()]:
+            for w in adj[v]:
+                if not hits[w]:
+                    touched.append(w)
+                hits[w] += 1
+        by_cell: dict[int, list[int]] = {}
+        for w in touched:
+            by_cell.setdefault(colour[w], []).append(w)
+        for c, ws in by_cell.items():
+            groups: dict[int, list[int]] = {}  # count -> vertices
+            if len(ws) < len(cells[c]):
+                groups[0] = [v for v in cells[c] if not hits[v]]
+            for w in ws:
+                groups.setdefault(hits[w], []).append(w)
+            if len(groups) == 1:
+                continue
+            parts = [groups[count] for count in sorted(groups)]
+            for part in parts:
+                if 2 * len([v for v in part if v < n]) != len(part):
+                    return None
+            # Cell c keeps its largest part, so if c waits, all its parts do.
+            keep = max(range(len(parts)), key=lambda i: len(parts[i]))
+            cells[c] = parts[keep]
+            for part in parts[:keep] + parts[keep + 1 :]:
+                for v in part:
+                    colour[v] = len(cells)
+                waiting.append(len(cells))
+                cells.append(part)
+        for w in touched:
+            hits[w] = 0
+    return colour[:n], colour[n:]
+
+
 def _articulation_counts(g: Graph) -> list[int]:
     """Number of components of g minus v, for every vertex v.
 

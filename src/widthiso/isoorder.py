@@ -412,15 +412,20 @@ def _bag_traces(tracer: _Tracer, memo: dict, g: Graph, d, bag: int, parent: int 
     count, then per child bag, sorted: the number and ascending positions of
     the shared vertices, and ~id of the child's least trace for their order.
     memo maps (bag, parent) to the subtree's vertex count and its traces;
-    pairs not in it are traced deepest first, from an explicit stack.
+    pairs not in it are traced deepest first, from an explicit stack.  The
+    pair (bag, parent) itself, when not in memo, is traced under one order
+    of the shared vertices only, the one they have in bag, and is not
+    memoised, since memo entries hold every order.
     """
+    if (bag, parent) in memo:
+        return memo[bag, parent][1]
     todo, stack = [], [(bag, parent)]
     while stack:
         b, p = key = stack.pop()
         if key not in memo:
             todo.append(key)
             stack.extend((c, b) for c in d.neighbors(b) if c != p)
-    for b, p in reversed(todo):
+    for b, p in reversed(todo):  # the top pair comes last
         inside = set(d.bags[b])
         shared = tuple(v for v in d.bags[b] if p is not None and v in d.bags[p])
         private = tuple(v for v in d.bags[b] if v not in shared)
@@ -428,8 +433,12 @@ def _bag_traces(tracer: _Tracer, memo: dict, g: Graph, d, bag: int, parent: int 
         kids = [(d.bags[c], memo[c, b]) for c in d.neighbors(b) if c != p]
         size = len(inside) + sum(count - len(inside.intersection(kid)) for kid, (count, _) in kids)
         best: dict[tuple[int, ...], int] = {}
-        memo[b, p] = (size, best)
-        for tau, rest in product(permutations(shared), permutations(private)):
+        if b == bag:
+            taus = [shared]
+        else:
+            taus = permutations(shared)
+            memo[b, p] = (size, best)
+        for tau, rest in product(taus, permutations(private)):
             sigma = tau + rest
             pos = {v: i for i, v in enumerate(sigma)}
             entries = []
@@ -442,7 +451,7 @@ def _bag_traces(tracer: _Tracer, memo: dict, g: Graph, d, bag: int, parent: int 
             t = tracer.intern(tuple(out))
             if tau not in best or tracer.less(t, best[tau]):
                 best[tau] = t
-    return memo[bag, parent][1]
+    return best
 
 
 def _sep_counts(

@@ -5,16 +5,20 @@ bounded-treewidth decomposition routine, and their composition.  The
 first compares canonical subtree traces, as Lindell's tree canonisation does.
 
 The one-decomposition search mirrors a nondeterministic traversal with
-exhaustive backtracking.  One search per component of the first graph runs
-in place, on its part of the decomposition, against each component of the
-second graph with its vertex count and sorted degrees: root bags there are
-enumerated, partial vertex maps are extended bag by bag, children of a bag
-are grouped into interchangeability classes by their subtree sizes and
-traces, so symmetric branches are explored once, and each child takes whole
-components of the unconsumed region that touch the bag's image only at the
-child's pinned vertices.  The map is returned only after an edge-preserving
-check in both directions.  Elimination works on each component in place
-too, so no induced subgraph is built anywhere on the route.
+exhaustive backtracking.  It first colour-refines the disjoint union of
+both graphs once (graph.stable_colours), and every filter below is keyed on
+those colours, which every isomorphism preserves.  One search per component
+of the first graph runs in place, on its part of the decomposition, against
+each component of the second graph with its vertex count and sorted
+colours: root bags there are enumerated, partial vertex maps are extended
+bag by bag, colour to colour, children of a bag are grouped into
+interchangeability classes by their subtree sizes and traces, so symmetric
+branches are explored once, and each child takes whole components of the
+unconsumed region that touch the bag's image only at the child's pinned
+vertices and whose colour multisets are those of its own.  The map is
+returned only after an edge-preserving check in both directions.
+Elimination works on each component in place too, so no induced subgraph
+is built anywhere on the route.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ from .errors import (
     SizeMismatchError,
     WidthExceededError,
 )
-from .graph import Graph, _components, connected_components
+from .graph import Graph, _components, connected_components, stable_colours
 from .isoorder import _bag_traces, _Tracer
 from .oracle import is_isomorphism
 
@@ -142,24 +146,47 @@ def _inner_edges(g: Graph, verts: set[int] | frozenset[int]) -> int:
     return sum(1 for v in verts for w in adj[v] if w in verts) // 2
 
 
+def _spread(colour: Sequence[int]) -> list[int]:
+    """The colours, mapped onto pseudo-random 64-bit integers.
+
+    The search takes the sum of a component's colours as its signature, so
+    equal colour multisets give equal signatures, and spread colours make
+    unequal multisets that collide unlikely.  Every filter compares these
+    integers only, so a collision merely lets a placement through to its
+    sub-search, which decides it.
+    """
+    # A one-int tuple hashes by an odd multiply, a rotation and additions
+    # modulo 2**64, so distinct small colours stay distinct.
+    return [hash((c,)) for c in colour]
+
+
 class _Rooted:
-    """Rooted view of one decomposition with per-bag invariants (the sorted
-    degrees of each bag's vertices and the number of edges inside it) and
-    per-subtree facts from one bottom-up pass over the vertices the
+    """Rooted view of one decomposition of g with per-bag invariants (the
+    sorted colours of each bag's vertices and the number of edges inside it)
+    and per-subtree facts from one bottom-up pass over the vertices the
     decomposition holds: size is the subtree's vertex count; sort_key is
     (1, the least subtree vertex outside the parent's bag), or (0, the bag
     itself) when there is none.
+
+    colour is a colouring of g that every isomorphism sought preserves,
+    spread (see _spread).  The vertices of a bag c's subtree outside its
+    parent's bag fall into components: forced[c] lists the signatures of
+    those that meet bag c, sorted, and optional[c] counts the signatures of
+    the others, None when there are none.
     """
 
-    def __init__(self, g: Graph, d: TreeDecomposition, root: int) -> None:
+    def __init__(self, g: Graph, d: TreeDecomposition, root: int, colour: Sequence[int]) -> None:
         self.d = d
         self.root = root
         self.bags = bags = d.bags
         self.parent, self.children = d.rooted(root)
-        self.bag_profile = [sorted(len(g._adj[v]) for v in bag) for bag in bags]
+        self.colour = colour
+        self.bag_profile = [sorted(colour[v] for v in bag) for bag in bags]
         self.bag_inner = [_inner_edges(g, set(bag)) for bag in bags]
         self.size = [0] * len(bags)
         self.sort_key: list[tuple] = [()] * len(bags)
+        self.forced: list[list[int]] = [[] for _ in bags]
+        self.optional: list[dict[int, int] | None] = [None] * len(bags)
         # Each vertex is counted at its top bag, the one nearest the root
         # that holds it.  The top bags of a child's subtree count exactly its
         # vertices that are not in the parent's bag.
@@ -173,6 +200,20 @@ class _Rooted:
         for v, a in top.items():
             below[a] += 1
             least[a] = min(least[a], v)
+        # The components of the vertices counted in a child's subtree, which
+        # are its vertices outside the parent's bag, come from one union-find
+        # over the vertices counted so far, each component's root holding
+        # its signature; an edge from a vertex counted at bag a runs inside
+        # a's subtree, so it joins a's vertices only.
+        link: dict[int, int] = {}
+        total: dict[int, int] = {}
+
+        def find(v: int) -> int:
+            while link[v] != v:
+                link[v] = v = link[link[v]]
+            return v
+
+        roots: dict[int, list[int]] = {}  # bag -> its components' roots, until its parent reads them
         for a in reversed(self.parent):
             size = len(bags[a])
             for b in self.children[a]:
@@ -181,6 +222,25 @@ class _Rooted:
                 least[a] = min(least[a], least[b])
             self.size[a] = size
             self.sort_key[a] = (1, least[a]) if least[a] < n else (0, bags[a])
+            if a == root:
+                continue
+            fresh = [v for v in bags[a] if top[v] == a]
+            for v in fresh:
+                link[v], total[v] = v, colour[v]
+                for w in g._adj[v]:
+                    if w in link:
+                        x, y = find(v), find(w)
+                        if x != y:
+                            link[y] = x
+                            total[x] += total.pop(y)
+            meet = {find(v) for v in fresh}
+            passed = [r for b in self.children[a] for r in roots.pop(b) if find(r) not in meet]
+            roots[a] = [*meet, *passed]
+            self.forced[a] = sorted(total[r] for r in meet)
+            if passed:
+                counts = self.optional[a] = {}
+                for r in passed:
+                    counts[total[r]] = counts.get(total[r], 0) + 1
 
 
 def lex_subtree_order(
@@ -194,7 +254,7 @@ def lex_subtree_order(
     _require_valid(g, d)
     if not 0 <= r < d.bag_count():
         raise ValueError(f"bag {r} outside 0..{d.bag_count() - 1}")
-    rooted = _Rooted(g, d, r)
+    rooted = _Rooted(g, d, r, [0] * g.vertex_count)
     for c in children:
         if rooted.parent.get(c) != r:
             raise ValueError(f"bag {c} is not a child of bag {r}")
@@ -202,9 +262,11 @@ def lex_subtree_order(
 
 
 def _bag_bijections(
-    g: Graph, g_bag: Sequence[int], h: Graph, h_bag: Sequence[int], pinned: dict[int, int]
+    g: Graph, g_bag: Sequence[int], h: Graph, h_bag: Sequence[int], pinned: dict[int, int],
+    g_colour: Sequence[int], h_colour: Sequence[int],
 ):
-    """Bijections g_bag -> h_bag extending pinned and preserving bag edges."""
+    """Bijections g_bag -> h_bag extending pinned and preserving colours and
+    bag edges."""
     pinned_img = set(pinned.values())
     fresh_g = [v for v in g_bag if v not in pinned]
     fresh_h = [w for w in h_bag if w not in pinned_img]
@@ -214,7 +276,7 @@ def _bag_bijections(
         mapping = dict(pinned)
         ok = True
         for v, w in zip(fresh_g, image):
-            if len(g._adj[v]) != len(h._adj[w]):
+            if g_colour[v] != h_colour[w]:
                 ok = False
                 break
             mapping[v] = w
@@ -232,6 +294,35 @@ def _bag_bijections(
                 break
         if ok:
             yield mapping
+
+
+def _unions(units: list[tuple[frozenset[int], int]], wanted: dict[int, int]):
+    """The sub-lists of the components in units, each with its signature,
+    whose signatures make up wanted, counted, in include-first order: depth
+    first, taking each unit before leaving it.  Only branches that still
+    reach such a sub-list are entered: a unit whose signature is wanted no
+    more is left, and one is taken, not left, when the units after it hold
+    fewer of its signature than are still wanted."""
+    sigs = [sig for _, sig in units]
+    later = [0] * len(sigs)  # units after position p with the signature at p
+    held: dict[int, int] = {}
+    for p in range(len(sigs) - 1, -1, -1):
+        later[p] = held.get(sigs[p], 0)
+        held[sigs[p]] = later[p] + 1
+    if any(held.get(sig, 0) < count for sig, count in wanted.items()):
+        return
+    stack = [(0, sum(wanted.values()), wanted, [])]
+    while stack:
+        pos, left, need, taken = stack.pop()
+        if not left:
+            yield taken
+            continue
+        while not need.get(sigs[pos]):
+            pos += 1
+        sig = sigs[pos]
+        if later[pos] >= need[sig]:
+            stack.append((pos + 1, left, need, taken))
+        stack.append((pos + 1, left - 1, {**need, sig: need[sig] - 1}, taken + [units[pos][0]]))
 
 
 def _drive(task) -> bool:
@@ -320,12 +411,14 @@ _MISS = object()
 
 
 class _IsoSearch:
-    """Backtracking isomorphism search from a rooted decomposition of g into h."""
+    """Backtracking isomorphism search from a rooted decomposition of g into
+    h; h_colour colours h on the palette of rooted.colour, spread."""
 
-    def __init__(self, g: Graph, rooted: _Rooted, h: Graph) -> None:
+    def __init__(self, g: Graph, rooted: _Rooted, h: Graph, h_colour: Sequence[int]) -> None:
         self.g = g
         self.h = h
         self.L = rooted
+        self.h_colour = h_colour
         self.map = _VertexMap()
         self.frames: list[tuple[int, dict[int, int]]] = []
         self.memo: dict = {}
@@ -370,7 +463,8 @@ class _IsoSearch:
         pointwise; class order follows the first member in subtree order.
         Only children whose overlap and size agree are told apart by
         their least traces with the overlap in place, which are equal
-        exactly when such an isomorphism exists."""
+        exactly when such an isomorphism exists; a child's own bag is
+        traced under that one order of its overlap only."""
         cached = self.class_cache.get(a)
         if cached is not None:
             return cached
@@ -410,18 +504,18 @@ class _IsoSearch:
     def _cuts(self, i: int, pinned: dict[int, int], available: Iterable[int]):
         """Candidate images of bag i: pinned's image plus fresh vertices from
         available, in lexicographic order of the fresh part, with bag i's
-        sorted degrees and number of inner edges.  Yields (image, fresh)."""
+        sorted colours and number of inner edges.  Yields (image, fresh)."""
         bag = self.L.bags[i]
-        adj = self.h._adj
+        colour = self.h_colour
         pinned_img = set(pinned.values())
-        # Every mapped vertex keeps its degree, so the fresh vertices carry the
-        # degrees of the unpinned vertices of bag i; leaving out every other
+        # Every mapped vertex keeps its colour, so the fresh vertices carry the
+        # colours of the unpinned vertices of bag i; leaving out every other
         # vertex only drops candidates, the rest keep their order.
-        degrees = {len(self.g._adj[v]) for v in bag if v not in pinned}
-        pool = [w for w in sorted(available) if len(adj[w]) in degrees]
+        wanted = {self.L.colour[v] for v in bag if v not in pinned}
+        pool = sorted(w for w in available if colour[w] in wanted)
         for fresh in combinations(pool, len(bag) - len(pinned)):
             cut = tuple(sorted(pinned_img.union(fresh))) if pinned else fresh
-            if sorted([len(adj[w]) for w in cut]) != self.L.bag_profile[i]:
+            if sorted([colour[w] for w in cut]) != self.L.bag_profile[i]:
                 continue
             if _inner_edges(self.h, set(cut)) != self.L.bag_inner[i]:
                 continue
@@ -432,14 +526,23 @@ class _IsoSearch:
     ):
         """Task: map bag i onto image, extending pinned, in each way in turn
         until the subtrees of i's children use up interior exactly, placed on
-        its components, found once and kept with the image vertices they touch."""
+        its components, found once and kept with the image vertices they touch
+        and their signatures."""
         adj = self.h._adj
+        colour = self.h_colour
         image_set = set(image)
         comps = [
-            (frozenset(c), {w for v in c for w in adj[v] if w in image_set})
+            (
+                frozenset(c),
+                {w for v in c for w in adj[v] if w in image_set},
+                sum([colour[v] for v in c]),
+            )
             for c in _components(self.h, interior)
         ]
-        for ext in _bag_bijections(self.g, self.L.bags[i], self.h, image, pinned):
+        bijections = _bag_bijections(
+            self.g, self.L.bags[i], self.h, image, pinned, self.L.colour, self.h_colour
+        )
+        for ext in bijections:
             mark = self.map.extend(ext.items())
             self.frames.append((i, ext))
             kids = [(c, cls) for cls, members in enumerate(self._classes(i)) for c in members]
@@ -453,7 +556,8 @@ class _IsoSearch:
 
     def _placements(
         self, a: int, kids: list[tuple[int, int]], j: int,
-        comps: list[tuple[frozenset[int], set[int]]], phi: dict[int, int], prev: tuple | None,
+        comps: list[tuple[frozenset[int], set[int], int]],
+        phi: dict[int, int], prev: tuple | None,
     ):
         """Task: place the subtree at the j-th child of a on whole components
         from comps, the unused ones below bag a's image, in each way in turn
@@ -461,9 +565,11 @@ class _IsoSearch:
 
         Outside bag a, the child's subtree is a union of components of a's
         subtree minus bag a that meet bag a only in the child's bag, so its
-        image touches no image of bag a but pinned ones.  The components
-        holding the cut's fresh vertices are taken, then others are added
-        include-first in order of least vertex up to the child's size.
+        image touches no image of bag a but pinned ones.  An isomorphism maps
+        those that meet the child's bag onto the components holding the
+        cut's fresh vertices, which are taken if their signatures match, and
+        the others onto components with their signatures, counted, which are
+        added include-first in order of least vertex.
 
         Members of a class are adjacent in kids and take their placements in
         ascending order, so prev, the placement of the child before, bounds
@@ -474,24 +580,18 @@ class _IsoSearch:
         i, class_id = kids[j]
         if j == 0 or kids[j - 1][1] != class_id:
             prev = None
-        pinned = {v: phi[v] for v in self.L.bags[i] if v in self.L.bags[a]}
+        L = self.L
+        pinned = {v: phi[v] for v in L.bags[i] if v in L.bags[a]}
         pinned_img = set(pinned.values())
-        fits = [c for c, touch in comps if touch <= pinned_img]
-        need = self.L.size[i] - len(pinned)
-        for cut, fresh in self._cuts(i, pinned, [w for c in fits for w in c]):
-            forced = [c for c in fits if not c.isdisjoint(fresh)]
-            optional = [c for c in fits if c.isdisjoint(fresh)]
-            # Unions include-first: depth first, the exclude branch pushed first,
-            # ending a branch once spare, the vertices of optional[pos:], fall short.
-            stack = [(0, need - sum(map(len, forced)), sum(map(len, optional)), forced)]
-            while stack:
-                pos, remaining, spare, taken = stack.pop()
-                if remaining:
-                    if 0 < remaining <= spare:
-                        c, spare = optional[pos], spare - len(optional[pos])
-                        stack.append((pos + 1, remaining, spare, taken))
-                        stack.append((pos + 1, remaining - len(c), spare, taken + [c]))
-                    continue
+        fits = [(c, sig) for c, touch, sig in comps if touch <= pinned_img]
+        wanted = L.optional[i] or {}
+        for cut, fresh in self._cuts(i, pinned, [w for c, _ in fits for w in c]):
+            forced = [(c, sig) for c, sig in fits if not c.isdisjoint(fresh)]
+            if sorted(sig for _, sig in forced) != L.forced[i]:
+                continue
+            optional = [(c, sig) for c, sig in fits if sig in wanted and c.isdisjoint(fresh)]
+            for chosen in _unions(optional, wanted):
+                taken = [c for c, _ in forced] + chosen
                 interior = frozenset().union(*taken).difference(fresh)
                 choice = (cut, tuple(sorted(interior)))
                 if prev is not None and choice < prev:
@@ -573,9 +673,9 @@ def _split_decomposition(
     ]
 
 
-def _component_key(g: Graph, comp: Sequence[int]) -> tuple:
-    """Vertex count and sorted degrees of a component: equal on isomorphic ones."""
-    return len(comp), tuple(sorted(len(g._adj[v]) for v in comp))
+def _component_key(colour: Sequence[int], comp: Sequence[int]) -> tuple:
+    """Vertex count and sorted colours of a component: equal on isomorphic ones."""
+    return len(comp), tuple(sorted(colour[v] for v in comp))
 
 
 def iso_one_decomp(
@@ -583,12 +683,15 @@ def iso_one_decomp(
 ) -> tuple[int, ...] | None:
     """Find an isomorphism from g onto h given only g's decomposition.
 
-    Components are keyed by vertex count and sorted degrees.  One search
-    per component of g, on its part of d_g, runs against each free h
-    component with its key in turn: root bags of size |root bag of the
-    part| are enumerated on the h side in sorted-content order, and the
-    map is grown blockwise down the decomposition tree with the outcome of
-    every child placement memoized, success or failure.
+    After the decomposition, width and size checks, the disjoint union of g
+    and h is colour-refined once (graph.stable_colours): colour histograms
+    that differ answer None before anything is searched.  Components are
+    keyed by vertex count and sorted colours.  One search per component of
+    g, on its part of d_g, runs against each free h component with its key
+    in turn: root bags of size |root bag of the part| are enumerated on the
+    h side in sorted-content order, and the map is grown blockwise down the
+    decomposition tree, every vertex onto one of its colour, with the
+    outcome of every child placement memoized, success or failure.
     """
     _require_valid(g, d_g)
     if d_g.width() > k:
@@ -597,11 +700,20 @@ def iso_one_decomp(
         raise SizeMismatchError(
             f"graphs have {g.vertex_count} and {h.vertex_count} vertices"
         )
+    colours = stable_colours(g, h)
+    return None if colours is None else _search_components(g, d_g, h, colours)
+
+
+def _search_components(
+    g: Graph, d_g: TreeDecomposition, h: Graph, colours: tuple[list[int], list[int]]
+) -> tuple[int, ...] | None:
+    """iso_one_decomp's search, given the stable colours of g and h."""
+    g_colour, h_colour = map(_spread, colours)
     g_comps = connected_components(g)
-    g_keys = [_component_key(g, c) for c in g_comps]
+    g_keys = [_component_key(g_colour, c) for c in g_comps]
     free: dict[tuple, list[tuple[int, ...]]] = {}  # key -> h components, by least vertex
     for c in connected_components(h):
-        free.setdefault(_component_key(h, c), []).append(c)
+        free.setdefault(_component_key(h_colour, c), []).append(c)
     if sorted(g_keys) != sorted(key for key, comps in free.items() for _ in comps):
         return None
     # Isomorphism of components is an equivalence, so matching each g part
@@ -611,7 +723,8 @@ def iso_one_decomp(
     parts = [d_g] if len(g_comps) == 1 else _split_decomposition(d_g, g_comps)
     total: dict[int, int] = {}
     for key, part in zip(g_keys, parts):
-        search = _IsoSearch(g, _Rooted(g, part, part.root if part.root is not None else 0), h)
+        root = part.root if part.root is not None else 0
+        search = _IsoSearch(g, _Rooted(g, part, root, g_colour), h, h_colour)
         candidates = free[key]
         for idx, region in enumerate(candidates):
             found = search.run(region)
@@ -764,18 +877,21 @@ def _eliminate(
 def iso_tw(g: Graph, h: Graph, k: int) -> bool:
     """Bounded-treewidth isomorphism: decompose one side, then search.
 
-    Graphs with different degree sequences (so also different vertex or
-    edge counts) are not isomorphic, and nothing is decomposed for them.
-    Otherwise g is decomposed and searched against h.  Isomorphic graphs
-    have equal treewidth, so when only h fits width k the answer is False
-    without a search; when neither graph has a width-k decomposition the
-    bound itself is reported as exceeded.
+    Graphs with different vertex counts, or whose disjoint union refines to
+    different colour histograms (graph.stable_colours; so also graphs with
+    different degree sequences), are not isomorphic, and nothing is
+    decomposed for them, whatever their treewidth.  Otherwise g is
+    decomposed and searched against h with the same colours.  Isomorphic
+    graphs have equal treewidth, so when only h fits width k the answer is
+    False without a search; when neither graph has a width-k decomposition
+    the bound itself is reported as exceeded.
     """
-    if g.degree_sequence() != h.degree_sequence():
+    colours = stable_colours(g, h)
+    if colours is None:
         return False
     d_g = compute_tree_decomposition(g, k)
     if d_g is not None:
-        return iso_one_decomp(g, d_g, h, k) is not None
+        return _search_components(g, d_g, h, colours) is not None
     if compute_tree_decomposition(h, k) is None:
         raise WidthExceededError(f"neither graph has treewidth <= {k}")
     return False

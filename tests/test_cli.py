@@ -135,6 +135,18 @@ def test_iso_tw_and_brute_cli(files, capsys):
     capsys.readouterr()
 
 
+def test_iso_tw_refinement_verdict_precedes_the_width_bound(files, capsys):
+    # Neither graph fits width 3 (both hold K5), but refinement tells a
+    # 5-vertex path from a triangle and an edge: exit 1, not the bound's 2.
+    tmp, write = files
+    k5 = [(u, v) for u in range(5) for v in range(u + 1, 5)]
+    a = write("k5p5.gr", Graph(10, k5 + [(5, 6), (6, 7), (7, 8), (8, 9)]))
+    b = write("k5te.gr", Graph(10, k5 + [(5, 6), (6, 7), (5, 7), (8, 9)]))
+    assert main(["iso-tw", a, b, "-k", "3"]) == 1
+    assert main(["iso-tw", a, a, "-k", "3"]) == 2
+    capsys.readouterr()
+
+
 def test_json_mode(files, capsys):
     tmp, write = files
     a = write("p4.gr", path_graph(4))

@@ -11,8 +11,10 @@ from widthiso import (
     enumerate_connected_graphs,
     induced_subgraph,
     is_connected,
+    random_relabel,
     set_distance,
 )
+from widthiso.graph import stable_colours
 
 from helpers import (
     complete_graph,
@@ -149,3 +151,65 @@ def test_components_partition_and_reachability():
 def test_complete_graph_builder_sanity():
     k4 = complete_graph(4)
     assert k4.edge_count == 6 and all(k4.degree(v) == 3 for v in range(4))
+
+
+def _rounds_of_refinement(g: Graph, h: Graph):
+    """Reference: refine the disjoint union round by round, each vertex
+    taking its colour and the sorted colours of its neighbours, until the
+    number of colours stops growing; the final partition of the union's
+    vertices (h's vertex v is len(g) + v), and whether the histograms agree."""
+    n = g.vertex_count
+    adj = [list(a) for a in g._adj] + [[w + n for w in a] for a in h._adj]
+    colour = [len(a) for a in adj]
+    while True:
+        sigs = [(colour[v], tuple(sorted(colour[w] for w in a))) for v, a in enumerate(adj)]
+        palette = {s: i for i, s in enumerate(sorted(set(sigs)))}
+        grown = len(palette) > len(set(colour))
+        colour = [palette[s] for s in sigs]
+        if not grown:
+            break
+    cells = {}
+    for v, c in enumerate(colour):
+        cells.setdefault(c, []).append(v)
+    return sorted(cells.values()), sorted(colour[:n]) == sorted(colour[n:])
+
+
+def test_stable_colours_match_refinement_by_rounds():
+    # Random graphs against relabelled copies (equal histograms) and against
+    # one another (mostly not): the same stable partition, the same verdict.
+    for seed in range(60):
+        g = random_graph(9, 0.3, seed)
+        for h in (random_relabel(g, seed)[0], random_graph(9, 0.3, seed + 100)):
+            cells, same = _rounds_of_refinement(g, h)
+            colours = stable_colours(g, h)
+            assert (colours is not None) == same
+            if colours is not None:
+                ours = {}
+                for v, c in enumerate(colours[0] + colours[1]):
+                    ours.setdefault(c, []).append(v)
+                assert sorted(ours.values()) == cells
+
+
+def test_stable_colours_follow_isomorphisms():
+    for seed in range(20):
+        g = random_graph(10, 0.35, seed)
+        h, perm = random_relabel(g, seed + 1)
+        g_colour, h_colour = stable_colours(g, h)
+        assert all(g_colour[v] == h_colour[perm[v]] for v in range(10))
+
+
+def test_stable_colours_refine_degrees():
+    p5, tri_edge = path_graph(5), Graph(5, [(0, 1), (1, 2), (0, 2), (3, 4)])
+    assert p5.degree_sequence() == tri_edge.degree_sequence()
+    assert stable_colours(p5, tri_edge) is None
+    assert stable_colours(path_graph(4), star_graph(3)) is None
+    assert stable_colours(path_graph(4), path_graph(5)) is None
+    # Regular graphs of one degree and size stay one colour.
+    assert stable_colours(cycle_graph(6), Graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])) == (
+        [0] * 6,
+        [0] * 6,
+    )
+    # A path refines to distances from its nearer end in about n / 2 splits.
+    g_colour, _ = stable_colours(path_graph(2001), path_graph(2001))
+    assert len(set(g_colour)) == 1001
+    assert stable_colours(Graph(0), Graph(0)) == ([], [])

@@ -4,6 +4,7 @@ import time
 import pytest
 
 import widthiso.treewidth as treewidth_module
+from widthiso.graph import stable_colours
 from widthiso import (
     Graph,
     InternalError,
@@ -193,7 +194,7 @@ def test_subtree_counts_match_naive_vertex_sets():
         parts = treewidth_module._split_decomposition(d, connected_components(g))
         for dec in (d, *parts):
             for root in range(dec.bag_count()):
-                rooted = treewidth_module._Rooted(g, dec, root)
+                rooted = treewidth_module._Rooted(g, dec, root, [0] * g.vertex_count)
                 for a, verts in subtree_vertex_sets(dec, root).items():
                     fresh = verts - set(dec.bags[rooted.parent[a]] if a != root else ())
                     assert rooted.size[a] == len(verts)
@@ -311,7 +312,7 @@ def test_frame_audit_rejects_stack_off_the_root_path():
     # C4_DECOMP rooted at bag 0 is the path 0 - 1 - 2; a stack holding only
     # bag 1's map leaves the root bag's vertex 0 uncovered.
     search = treewidth_module._IsoSearch(
-        C4, treewidth_module._Rooted(C4, C4_DECOMP, 0), C4
+        C4, treewidth_module._Rooted(C4, C4_DECOMP, 0, [0] * 4), C4, [0] * 4
     )
     search.frames = [(1, {1: 1, 2: 2, 3: 3})]
     with pytest.raises(InternalError, match="root path"):
@@ -435,7 +436,7 @@ def test_iso_tw_false_without_search_when_only_second_graph_fits(monkeypatch):
     def refuse(*args):
         raise AssertionError("searched although only the second graph fits width k")
 
-    monkeypatch.setattr(treewidth_module, "iso_one_decomp", refuse)
+    monkeypatch.setattr(treewidth_module, "_search_components", refuse)
     triangle_and_edge = Graph(5, [(0, 1), (1, 2), (0, 2), (3, 4)])
     assert triangle_and_edge.degree_sequence() == path_graph(5).degree_sequence()
     assert not iso_tw(triangle_and_edge, path_graph(5), 1)
@@ -453,6 +454,74 @@ def test_iso_tw_compares_invariants_before_decomposing(monkeypatch):
     grid = grid_graph(5, 6)
     assert not iso_tw(grid, path_graph(30), 4)  # edge counts differ
     assert not iso_tw(spider_graph(1, 1, 2), path_graph(5), 1)  # degree sequences differ
+
+
+def test_iso_tw_refinement_answers_before_the_width_bound(monkeypatch):
+    # K5 plus a 5-vertex path against K5 plus a triangle and an edge: equal
+    # degree sequences and neither graph within width 3, but refinement
+    # tells them apart, so the answer is False and nothing is decomposed.
+    k5 = sorted(complete_graph(5).edges)
+    g = Graph(10, k5 + [(5, 6), (6, 7), (7, 8), (8, 9)])
+    h = Graph(10, k5 + [(5, 6), (6, 7), (5, 7), (8, 9)])
+    assert g.degree_sequence() == h.degree_sequence()
+    assert compute_tree_decomposition(g, 3) is None and compute_tree_decomposition(h, 3) is None
+
+    def refuse(g, k):
+        raise AssertionError("decomposed although refinement tells the graphs apart")
+
+    monkeypatch.setattr(treewidth_module, "compute_tree_decomposition", refuse)
+    assert not iso_tw(g, h, 3)
+
+
+def test_refinement_separated_pairs_build_no_search(monkeypatch):
+    # Two spiders with equal degree sequences: refinement decides trees.
+    t1, t2 = spider_graph(1, 1, 3), spider_graph(1, 2, 2)
+    assert t1.degree_sequence() == t2.degree_sequence()
+    d1 = compute_tree_decomposition(t1, 1)
+
+    def refuse(*args):
+        raise AssertionError("built a search for a pair that refinement tells apart")
+
+    monkeypatch.setattr(treewidth_module, "_IsoSearch", refuse)
+    assert iso_one_decomp(t1, d1, t2, 1) is None
+    assert not iso_tw(t1, t2, 1)
+
+
+def test_pairs_refinement_cannot_separate_pass_the_precheck():
+    # Regular graphs of one degree and size keep one colour throughout, so
+    # what follows the refinement must answer: the search for K3,3 against
+    # the triangular prism, the component count for the 6-cycle against two
+    # triangles.
+    k33 = Graph(6, [(u, v) for u in range(3) for v in range(3, 6)])
+    prism = Graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (0, 3), (1, 4), (2, 5)])
+    two_triangles = Graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
+    for g, h, k in ((k33, prism, 3), (prism, k33, 3), (cycle_graph(6), two_triangles, 2)):
+        assert stable_colours(g, h) == ([0] * 6, [0] * 6)
+        assert iso_one_decomp(g, compute_tree_decomposition(g, k), h, k) is None
+        assert not iso_tw(g, h, k)
+
+
+def test_iso_tw_false_without_search_when_only_a_refinement_twin_fits(monkeypatch):
+    # Subdivided K4 (treewidth 3) against a subdivided 4-cycle with two
+    # doubled edges (treewidth 2): in both, four degree-3 vertices see only
+    # degree-2 ones and six degree-2 vertices see only degree-3 ones, so
+    # refinement cannot tell them apart.  Only the second fits width 2.
+    def subdivided(edges):
+        out = []
+        for i, (u, v) in enumerate(edges):
+            out += [(u, 4 + i), (4 + i, v)]
+        return Graph(4 + len(edges), out)
+
+    k4 = subdivided([(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
+    ring = subdivided([(0, 1), (0, 1), (2, 3), (2, 3), (0, 2), (1, 3)])
+    assert stable_colours(k4, ring) is not None
+    assert compute_tree_decomposition(ring, 2) is not None
+
+    def refuse(*args):
+        raise AssertionError("searched although only the second graph fits width k")
+
+    monkeypatch.setattr(treewidth_module, "_search_components", refuse)
+    assert not iso_tw(k4, ring, 2)
 
 
 def test_respecting_iso_implies_plain_iso():

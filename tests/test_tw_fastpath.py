@@ -14,15 +14,18 @@ spiders that equal sibling subtrees are compared, not paired by trial; a
 not a vertex set per subtree.  A tree and a partial 2-tree check that the
 search splits a bag's region into components once per bag mapping, and a
 2,000-vertex caterpillar that a deep input with wide bags matches under the
-default recursion limit.
+default recursion limit.  Trees with hundreds and a thousand vertices check
+the verdicts of both entry points against AHU tree codes.
 """
 
 import hashlib
+import importlib.util
 import inspect
 import random
 import sys
 import time
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -35,6 +38,7 @@ from widthiso import (
     generate_partial_ktree,
     iso_one_decomp,
     iso_respecting_both,
+    iso_tw,
     random_relabel,
     validate_tree_decomposition,
 )
@@ -278,7 +282,7 @@ def test_rooted_view_of_deep_path_stays_small():
     d = compute_tree_decomposition(g, 1)
     tracemalloc.start()
     try:
-        treewidth_module._Rooted(g, d, d.root)
+        treewidth_module._Rooted(g, d, d.root, [0] * g.vertex_count)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -327,3 +331,46 @@ def test_deep_caterpillar_search_without_recursion():
     d = compute_tree_decomposition(h, 1)
     perm = _with_default_recursion_limit(iso_one_decomp, h, d, g, 1)
     assert perm is not None and is_isomorphism(h, g, perm)
+
+
+def _benchmark_inputs():
+    """perfbench/inputs.py, the benchmark's engine-independent references."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("benchmark_inputs", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tree_verdicts_match_ahu_codes():
+    # Random trees and caterpillars of 300 and 1,000 vertices against a
+    # relabelled copy and a relabelled copy with one leaf moved: colour
+    # refinement decides trees, and component signatures keep the search
+    # from backtracking over sibling placements.  A partial 2-tree of 240
+    # vertices rides along.
+    inputs = _benchmark_inputs()
+    names: dict = {}
+    rng = random.Random(11)
+    start = time.perf_counter()
+    for n in (300, 1000):
+        bundle = generate_partial_ktree(n, 1, 1.0, n)
+        for edges, d in (
+            (sorted(bundle.graph.edges), bundle.decomposition),
+            (inputs.caterpillar(n, rng), None),
+        ):
+            g = Graph(n, edges)
+            d = d or compute_tree_decomposition(g, 1)
+            code = inputs.ahu_code(n, edges, names)
+            for h_edges in (edges, inputs.move_leaf(n, edges, rng)):
+                h_edges = inputs.relabel(n, h_edges, rng)[0]
+                h = Graph(n, h_edges)
+                same = inputs.ahu_code(n, h_edges, names) == code
+                perm = iso_one_decomp(g, d, h, 1)
+                assert (perm is not None) == same
+                assert perm is None or is_isomorphism(g, h, perm)
+                assert iso_tw(g, h, 1) == same
+    bundle = generate_partial_ktree(240, 2, 0.8, 7)
+    h, _ = random_relabel(bundle.graph, 7)
+    perm = iso_one_decomp(bundle.graph, bundle.decomposition, h, 2)
+    assert perm is not None and is_isomorphism(bundle.graph, h, perm)
+    assert time.perf_counter() - start < 10.0
