@@ -116,10 +116,14 @@ def parse_tree_decomposition(text: str) -> tuple[TreeDecomposition, int]:
                 raise FormatError(f"line {lineno}: bag id {bag_id} outside 1..{n_bags}")
             if bag_id in bag_lines:
                 raise FormatError(f"line {lineno}: duplicate bag {bag_id}")
+            seen: set[int] = set()
             for v in verts:
                 if not (1 <= v <= n):
                     raise FormatError(f"line {lineno}: vertex {v} outside 1..{n}")
-            bag_lines[bag_id] = tuple(sorted(set(v - 1 for v in verts)))
+                if v in seen:
+                    raise FormatError(f"line {lineno}: bag {bag_id} repeats vertex {v}")
+                seen.add(v)
+            bag_lines[bag_id] = tuple(sorted(v - 1 for v in seen))
         elif parts[0] == "t":
             if header is None:
                 raise FormatError(f"line {lineno}: t line before p line")

@@ -10,13 +10,14 @@ both graphs once (graph.stable_colours), and every filter below is keyed on
 those colours, which every isomorphism preserves.  One search per component
 of the first graph runs in place, on its part of the decomposition, against
 each component of the second graph with its vertex count and sorted
-colours: root bags there are enumerated, partial vertex maps are extended
-bag by bag, colour to colour, children of a bag are grouped into
+colours: root bags there are enumerated, bags are mapped one below the
+other, colour to colour, children of a bag are grouped into
 interchangeability classes by their subtree sizes and traces, so symmetric
 branches are explored once, and each child takes whole components of the
 unconsumed region that touch the bag's image only at the child's pinned
-vertices and whose colour multisets are those of its own.  The map is
-returned only after an edge-preserving check in both directions.
+vertices and whose colour multisets are those of its own.  Each subtree
+returns its map to its parent bag, and the whole map is returned only
+after an edge-preserving check in both directions.
 Elimination works on each component in place too, so no induced subgraph
 is built anywhere on the route.
 """
@@ -325,12 +326,13 @@ def _unions(units: list[tuple[frozenset[int], int]], wanted: dict[int, int]):
         stack.append((pos + 1, left - 1, {**need, sig: need[sig] - 1}, taken + [units[pos][0]]))
 
 
-def _drive(task) -> bool:
+def _drive(task):
     """Run a task to its result on one explicit stack.
 
     A task is a generator: it yields each sub-task whose result it needs,
-    receives that result back, and returns its own.  Pending tasks wait on
-    a list, so a task tree of any depth runs in a fixed number of frames.
+    receives that result back, and returns its own, which _drive returns
+    for the first task.  Pending tasks wait on a list, so a task tree of
+    any depth runs in a fixed number of frames.
     """
     stack = [task]
     result = None
@@ -343,34 +345,6 @@ def _drive(task) -> bool:
             if not stack:
                 return done.value
             result = done.value
-
-
-class _VertexMap:
-    """Injective partial vertex map whose extensions are journaled, so that
-    they can be undone in stack order."""
-
-    def __init__(self) -> None:
-        self.fwd: dict[int, int] = {}
-        self.back: dict[int, int] = {}
-        self.journal: list[int] = []
-
-    def extend(self, pairs: Iterable[tuple[int, int]]) -> int:
-        """Add pairs not yet in the map; the mark to undo them with.  Images
-        come from the unconsumed region, so a clash is a broken invariant."""
-        mark = len(self.journal)
-        for v, w in pairs:
-            cur = self.fwd.get(v)
-            if cur is None and w not in self.back:
-                self.fwd[v] = w
-                self.back[w] = v
-                self.journal.append(v)
-            elif cur != w:
-                raise InternalError("search mapped two vertices onto one")
-        return mark
-
-    def undo(self, mark: int) -> None:
-        while len(self.journal) > mark:
-            del self.back[self.fwd.pop(self.journal.pop())]
 
 
 def _centres(d: TreeDecomposition) -> list[int]:
@@ -407,9 +381,6 @@ def iso_respecting_both(
     return ends[0] == ends[1]
 
 
-_MISS = object()
-
-
 class _IsoSearch:
     """Backtracking isomorphism search from a rooted decomposition of g into
     h; h_colour colours h on the palette of rooted.colour, spread."""
@@ -419,7 +390,6 @@ class _IsoSearch:
         self.h = h
         self.L = rooted
         self.h_colour = h_colour
-        self.map = _VertexMap()
         self.frames: list[tuple[int, dict[int, int]]] = []
         self.memo: dict = {}
         self.class_cache: dict[int, list[list[int]]] = {}
@@ -497,8 +467,9 @@ class _IsoSearch:
         component of h; the vertex map, or None when there is none."""
         root = self.L.root
         for cand, _ in self._cuts(root, {}, region):
-            if _drive(self._map_bag(root, cand, frozenset(region).difference(cand), {})):
-                return self.map.fwd
+            found = _drive(self._map_bag(root, cand, frozenset(region).difference(cand), {}))
+            if found is not None:
+                return found
         return None
 
     def _cuts(self, i: int, pinned: dict[int, int], available: Iterable[int]):
@@ -527,7 +498,8 @@ class _IsoSearch:
         """Task: map bag i onto image, extending pinned, in each way in turn
         until the subtrees of i's children use up interior exactly, placed on
         its components, found once and kept with the image vertices they touch
-        and their signatures."""
+        and their signatures.  Returns the map of i's subtree, the bijection
+        merged with the children's maps, or None."""
         adj = self.h._adj
         colour = self.h_colour
         image_set = set(image)
@@ -543,16 +515,24 @@ class _IsoSearch:
             self.g, self.L.bags[i], self.h, image, pinned, self.L.colour, self.h_colour
         )
         for ext in bijections:
-            mark = self.map.extend(ext.items())
             self.frames.append((i, ext))
             kids = [(c, cls) for cls, members in enumerate(self._classes(i)) for c in members]
-            ok = yield self._placements(i, kids, 0, comps, ext, None)
+            maps = yield self._placements(i, kids, 0, comps, ext, None)
             self.frames.pop()
             self._audit_pop(i)
-            if ok:
-                return True
-            self.map.undo(mark)
-        return False
+            if maps is None:
+                continue
+            # Children share only bag vertices, each placed on its own part
+            # of interior, so a clash here is a broken invariant.
+            merged = dict(ext)
+            for found in maps:
+                if any(found.get(v, w) != w for v, w in ext.items()):
+                    raise InternalError("search mapped two vertices onto one")
+                merged.update(found)
+            if not len(merged) == len(set(merged.values())) == self.L.size[i]:
+                raise InternalError("search mapped two vertices onto one")
+            return merged
+        return None
 
     def _placements(
         self, a: int, kids: list[tuple[int, int]], j: int,
@@ -574,9 +554,12 @@ class _IsoSearch:
         Members of a class are adjacent in kids and take their placements in
         ascending order, so prev, the placement of the child before, bounds
         this one from below when the two share a class.
+
+        Returns the maps of the j-th and later children's subtrees, or None;
+        each placement's map, or None when it fails, is memoised.
         """
         if j == len(kids):
-            return not comps
+            return None if comps else []
         i, class_id = kids[j]
         if j == 0 or kids[j - 1][1] != class_id:
             prev = None
@@ -584,6 +567,7 @@ class _IsoSearch:
         pinned = {v: phi[v] for v in L.bags[i] if v in L.bags[a]}
         pinned_img = set(pinned.values())
         fits = [(c, sig) for c, touch, sig in comps if touch <= pinned_img]
+        pin_key = tuple(sorted(pinned.items()))
         wanted = L.optional[i] or {}
         for cut, fresh in self._cuts(i, pinned, [w for c, _ in fits for w in c]):
             forced = [(c, sig) for c, sig in fits if not c.isdisjoint(fresh)]
@@ -596,35 +580,19 @@ class _IsoSearch:
                 choice = (cut, tuple(sorted(interior)))
                 if prev is not None and choice < prev:
                     continue
-                # The subtree's vertices outside bag a are unmapped before the
-                # placement, so they are exactly the journal entries after mark.
-                mark = len(self.map.journal)
-                if not (yield self._place_child(i, cut, interior, pinned)):
+                key = (i, cut, interior, pin_key)
+                if key in self.memo:
+                    found = self.memo[key]
+                else:
+                    found = self.memo[key] = yield self._map_bag(i, cut, interior, pinned)
+                if found is None:
                     continue
                 rest = [comp for comp in comps if comp[0] not in taken]
-                if (yield self._placements(a, kids, j + 1, rest, phi, choice)):
-                    return True
-                self.map.undo(mark)
-        return False
-
-    def _place_child(
-        self, i: int, cut: tuple[int, ...], interior: frozenset[int], pinned: dict[int, int]
-    ):
-        """Task: map the subtree at i onto cut plus interior; keep it on success."""
-        key = (i, cut, interior, tuple(sorted(pinned.items())))
-        found = self.memo.get(key, _MISS)
-        if found is _MISS:
-            mark = len(self.map.journal)
-            ok = yield self._map_bag(i, cut, interior, pinned)
-            # On success the journal after mark holds the subtree's vertices
-            # outside pinned, the ones _placements undoes.
-            fwd = self.map.fwd
-            self.memo[key] = [(v, fwd[v]) for v in self.map.journal[mark:]] if ok else None
-            return ok
-        if found is None:
-            return False
-        self.map.extend(found)
-        return True
+                maps = yield self._placements(a, kids, j + 1, rest, phi, choice)
+                if maps is not None:
+                    maps.append(found)
+                    return maps
+        return None
 
 
 def _split_decomposition(
@@ -689,9 +657,10 @@ def iso_one_decomp(
     keyed by vertex count and sorted colours.  One search per component of
     g, on its part of d_g, runs against each free h component with its key
     in turn: root bags of size |root bag of the part| are enumerated on the
-    h side in sorted-content order, and the map is grown blockwise down the
-    decomposition tree, every vertex onto one of its colour, with the
-    outcome of every child placement memoized, success or failure.
+    h side in sorted-content order, each bag is mapped blockwise below its
+    parent's image, every vertex onto one of its colour, and each subtree
+    returns its map to its parent bag, which merges them; every child
+    placement's outcome is memoized, its map or None.
     """
     _require_valid(g, d_g)
     if d_g.width() > k:
@@ -718,8 +687,8 @@ def _search_components(
         return None
     # Isomorphism of components is an equivalence, so matching each g part
     # to the first free h component isomorphic to it never has to be undone.
-    # A failed run undoes its map, and its memo entries hold only its own
-    # region's vertices, so one search per part serves every candidate.
+    # A run keeps no map of its own, only memo entries, which hold only its
+    # own region's vertices, so one search per part serves every candidate.
     parts = [d_g] if len(g_comps) == 1 else _split_decomposition(d_g, g_comps)
     total: dict[int, int] = {}
     for key, part in zip(g_keys, parts):

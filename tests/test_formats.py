@@ -71,6 +71,8 @@ def test_decomposition_parse_errors():
         parse_tree_decomposition("p td 2 2 3\nb 1 1\nb 2 2\nt 1\n")  # short tree edge
     with pytest.raises(FormatError):
         parse_tree_decomposition("p td 1 2 3\nb 1 1\nr 1 1\n")  # long root line
+    with pytest.raises(FormatError, match="line 2: bag 1 repeats vertex 1"):
+        parse_tree_decomposition("p td 1 2 2\nb 1 1 1 2\n")
 
 
 def test_decomposition_header_width_must_match_largest_bag():

@@ -321,6 +321,25 @@ def test_frame_audit_rejects_stack_off_the_root_path():
     search._audit_pop(2)
 
 
+def test_search_clash_raises_internal_error(monkeypatch):
+    # A child bag's bijection that moves its pinned vertex's image onto a
+    # fresh vertex disagrees with the parent bag's map on that vertex.
+    bijections = treewidth_module._bag_bijections
+
+    def swapped(g, g_bag, h, h_bag, pinned, *colours):
+        for mapping in bijections(g, g_bag, h, h_bag, pinned, *colours):
+            if pinned:
+                v = next(iter(pinned))
+                u = next(u for u in mapping if u not in pinned)
+                mapping[v], mapping[u] = mapping[u], mapping[v]
+            yield mapping
+
+    monkeypatch.setattr(treewidth_module, "_bag_bijections", swapped)
+    d = TreeDecomposition(bags=((0, 1), (1, 2)), tree_edges=frozenset({(0, 1)}), root=0)
+    with pytest.raises(InternalError, match="two vertices onto one"):
+        iso_one_decomp(path_graph(3), d, path_graph(3), 1)
+
+
 def test_compute_tree_decomposition_tree():
     tree = spider_graph(1, 2, 2)
     d = compute_tree_decomposition(tree, 1)

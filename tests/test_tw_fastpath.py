@@ -12,10 +12,11 @@ limit; a star checks that neither recurses once per child of a bag, and
 spiders that equal sibling subtrees are compared, not paired by trial; a
 2,000-bag path checks that the rooted view of a decomposition keeps counts,
 not a vertex set per subtree.  A tree and a partial 2-tree check that the
-search splits a bag's region into components once per bag mapping, and a
-2,000-vertex caterpillar that a deep input with wide bags matches under the
-default recursion limit.  Trees with hundreds and a thousand vertices check
-the verdicts of both entry points against AHU tree codes.
+search splits a bag's region into components once per bag mapping, wheel
+gadgets that the walk memo keeps the search small, and a 2,000-vertex
+caterpillar that a deep input with wide bags matches under the default
+recursion limit.  Trees with hundreds and a thousand vertices check the
+verdicts of both entry points against AHU tree codes.
 """
 
 import hashlib
@@ -30,6 +31,7 @@ from pathlib import Path
 import pytest
 
 import widthiso.treewidth as treewidth_module
+from widthiso.graph import stable_colours
 from widthiso import (
     Graph,
     is_isomorphism,
@@ -317,6 +319,45 @@ def test_children_take_whole_components(monkeypatch):
         perm = iso_one_decomp(g, bundle.decomposition, h, k)
         assert perm is not None and is_isomorphism(g, h, perm)
         assert calls["components"] <= calls["map_bag"]
+
+
+def _wheel_gadget(m: int, split: int = -1) -> Graph:
+    """Hub 0 with m branches, each a path hub - x - apex whose apex is
+    joined to six rim vertices: a 6-cycle, or two triangles in branch split."""
+    edges = []
+    for b in range(m):
+        x, apex, rim = 8 * b + 1, 8 * b + 2, range(8 * b + 3, 8 * b + 9)
+        edges += [(0, x), (x, apex)] + [(apex, r) for r in rim]
+        ring = (rim[:3], rim[3:]) if b == split else (rim,)
+        edges += [(r[t], r[(t + 1) % len(r)]) for r in ring for t in range(len(r))]
+    return Graph(8 * m + 1, edges)
+
+
+def test_walk_memo_bounds_the_wheel_gadget(monkeypatch):
+    # Colour refinement does not tell a rim of two triangles from a 6-cycle,
+    # so only the search refutes this pair.  With every child placement's
+    # outcome memoised it takes 548 bag mappings; memoising failures only
+    # takes 1,506, and no memo 318,654.
+    calls = 0
+    map_bag = treewidth_module._IsoSearch._map_bag
+
+    def counted_map_bag(self, *args):
+        nonlocal calls
+        calls += 1
+        if calls > 1000:
+            raise AssertionError("more than 1,000 bag mappings")
+        return map_bag(self, *args)
+
+    monkeypatch.setattr(treewidth_module._IsoSearch, "_map_bag", counted_map_bag)
+    g = _wheel_gadget(4)
+    d = compute_tree_decomposition(g, 3)
+    h, _ = random_relabel(_wheel_gadget(4, split=2), 5)
+    assert g.vertex_count == 33 and stable_colours(g, h) is not None
+    assert iso_one_decomp(g, d, h, 3) is None
+    calls = 0
+    copy, _ = random_relabel(g, 9)
+    perm = iso_one_decomp(g, d, copy, 3)
+    assert perm is not None and is_isomorphism(g, copy, perm)
 
 
 def test_deep_caterpillar_search_without_recursion():
