@@ -10,8 +10,9 @@ both graphs once (graph.stable_colours), and every filter below is keyed on
 those colours, which every isomorphism preserves.  One search per component
 of the first graph runs in place, on its part of the decomposition, against
 each component of the second graph with its vertex count and sorted
-colours: root bags there are enumerated, bags are mapped one below the
-other, colour to colour, children of a bag are grouped into
+colours: the root bag is placed like the one child of an empty bag, on
+that whole component, bags are mapped one below the other, colour to
+colour, children of a bag are grouped into
 interchangeability classes by their subtree sizes and traces, so symmetric
 branches are explored once, and each child takes whole components of the
 unconsumed region that touch the bag's image only at the child's pinned
@@ -173,7 +174,8 @@ class _Rooted:
     spread (see _spread).  The vertices of a bag c's subtree outside its
     parent's bag fall into components: forced[c] lists the signatures of
     those that meet bag c, sorted, and optional[c] counts the signatures of
-    the others, None when there are none.
+    the others, None when there are none.  The root counts as the child of
+    an empty bag, so its facts cover the whole part.
     """
 
     def __init__(self, g: Graph, d: TreeDecomposition, root: int, colour: Sequence[int]) -> None:
@@ -223,8 +225,6 @@ class _Rooted:
                 least[a] = min(least[a], least[b])
             self.size[a] = size
             self.sort_key[a] = (1, least[a]) if least[a] < n else (0, bags[a])
-            if a == root:
-                continue
             fresh = [v for v in bags[a] if top[v] == a]
             for v in fresh:
                 link[v], total[v] = v, colour[v]
@@ -390,38 +390,10 @@ class _IsoSearch:
         self.h = h
         self.L = rooted
         self.h_colour = h_colour
-        self.frames: list[tuple[int, dict[int, int]]] = []
         self.memo: dict = {}
         self.class_cache: dict[int, list[list[int]]] = {}
         self.tracer = _Tracer()
         self.traces: dict = {}
-
-    # -- bookkeeping ---------------------------------------------------
-
-    def _audit_pop(self, popped_bag: int) -> None:
-        """The frames left must cover exactly the bags on the root path.
-
-        Checked in O(k) per pop against the new top frame only: the popped
-        bag hangs below it, its map covers its bag outside the frame below,
-        and that frame holds its parent bag (or the top is the root bag,
-        alone on the stack).  A frame is checked whenever one of its
-        children is popped, so each frame with a child is checked before it
-        is popped itself.
-        """
-        L = self.L
-        frames = self.frames
-        if not frames:
-            ok = popped_bag == L.root
-        else:
-            a, ext = frames[-1]
-            bag = set(L.bags[a])
-            if len(frames) > 1:
-                ok = frames[-2][0] == L.parent[a] and bag - set(L.bags[L.parent[a]]) <= ext.keys()
-            else:
-                ok = a == L.root and bag <= ext.keys()
-            ok = ok and L.parent[popped_bag] == a and ext.keys() <= bag
-        if not ok:
-            raise InternalError("frame stack must cover exactly the root path")
 
     # -- child classes ---------------------------------------------------
 
@@ -464,13 +436,11 @@ class _IsoSearch:
 
     def run(self, region: Sequence[int]) -> dict[int, int] | None:
         """Map the decomposition's vertices onto region, the vertices of one
-        component of h; the vertex map, or None when there is none."""
-        root = self.L.root
-        for cand, _ in self._cuts(root, {}, region):
-            found = _drive(self._map_bag(root, cand, frozenset(region).difference(cand), {}))
-            if found is not None:
-                return found
-        return None
+        component of h; the vertex map, or None when there is none.  The root
+        bag is placed like the one child of an empty bag, on region whole."""
+        comp = (frozenset(region), set(), sum([self.h_colour[w] for w in region]))
+        maps = _drive(self._placements([(self.L.root, 0)], 0, [comp], {}, None))
+        return None if maps is None else maps[0]
 
     def _cuts(self, i: int, pinned: dict[int, int], available: Iterable[int]):
         """Candidate images of bag i: pinned's image plus fresh vertices from
@@ -514,12 +484,9 @@ class _IsoSearch:
         bijections = _bag_bijections(
             self.g, self.L.bags[i], self.h, image, pinned, self.L.colour, self.h_colour
         )
+        kids = [(c, cls) for cls, members in enumerate(self._classes(i)) for c in members]
         for ext in bijections:
-            self.frames.append((i, ext))
-            kids = [(c, cls) for cls, members in enumerate(self._classes(i)) for c in members]
-            maps = yield self._placements(i, kids, 0, comps, ext, None)
-            self.frames.pop()
-            self._audit_pop(i)
+            maps = yield self._placements(kids, 0, comps, ext, None)
             if maps is None:
                 continue
             # Children share only bag vertices, each placed on its own part
@@ -535,13 +502,15 @@ class _IsoSearch:
         return None
 
     def _placements(
-        self, a: int, kids: list[tuple[int, int]], j: int,
+        self, kids: list[tuple[int, int]], j: int,
         comps: list[tuple[frozenset[int], set[int], int]],
         phi: dict[int, int], prev: tuple | None,
     ):
-        """Task: place the subtree at the j-th child of a on whole components
-        from comps, the unused ones below bag a's image, in each way in turn
-        until the later children take up the rest.
+        """Task: place the subtree at the j-th child of a bag a on whole
+        components from comps, the unused ones below bag a's image, in each
+        way in turn until the later children take up the rest.  phi is bag
+        a's bijection.  The root bag is placed as the one child of an empty
+        bag: phi is empty and comps holds the whole region.
 
         Outside bag a, the child's subtree is a union of components of a's
         subtree minus bag a that meet bag a only in the child's bag, so its
@@ -564,7 +533,7 @@ class _IsoSearch:
         if j == 0 or kids[j - 1][1] != class_id:
             prev = None
         L = self.L
-        pinned = {v: phi[v] for v in L.bags[i] if v in L.bags[a]}
+        pinned = {v: phi[v] for v in L.bags[i] if v in phi}
         pinned_img = set(pinned.values())
         fits = [(c, sig) for c, touch, sig in comps if touch <= pinned_img]
         pin_key = tuple(sorted(pinned.items()))
@@ -588,7 +557,7 @@ class _IsoSearch:
                 if found is None:
                     continue
                 rest = [comp for comp in comps if comp[0] not in taken]
-                maps = yield self._placements(a, kids, j + 1, rest, phi, choice)
+                maps = yield self._placements(kids, j + 1, rest, phi, choice)
                 if maps is not None:
                     maps.append(found)
                     return maps

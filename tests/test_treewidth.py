@@ -294,31 +294,22 @@ def test_iso_one_decomp_searches_forest_once_per_candidate_key(monkeypatch):
     assert len(runs) <= 500
 
 
-def test_iso_one_decomp_frame_audits_fire(monkeypatch):
-    calls = []
-    audit = treewidth_module._IsoSearch._audit_pop
-
-    def counting(self, popped_bag):
-        calls.append(popped_bag)
-        audit(self, popped_bag)
-
-    monkeypatch.setattr(treewidth_module._IsoSearch, "_audit_pop", counting)
-    perm = iso_one_decomp(C4, C4_DECOMP, C4, 2)
-    assert perm is not None
-    assert calls  # every frame pop ran the path-coverage audit
-
-
-def test_frame_audit_rejects_stack_off_the_root_path():
-    # C4_DECOMP rooted at bag 0 is the path 0 - 1 - 2; a stack holding only
-    # bag 1's map leaves the root bag's vertex 0 uncovered.
-    search = treewidth_module._IsoSearch(
-        C4, treewidth_module._Rooted(C4, C4_DECOMP, 0, [0] * 4), C4, [0] * 4
+def test_iso_one_decomp_places_an_empty_or_leaf_root_bag():
+    # The root bag is placed like the one child of an empty bag, so an empty
+    # root bag, inner or a leaf, gives the map found when its one neighbour
+    # is the root; an empty root over two components is dropped when the
+    # decomposition is cut into one part per component.
+    p3, h3 = path_graph(3), Graph(3, [(2, 0), (0, 1)])
+    edges = frozenset({(0, 1), (1, 2)})
+    empty_root = TreeDecomposition(bags=((), (0, 1), (1, 2)), tree_edges=edges, root=0)
+    assert iso_one_decomp(p3, empty_root, h3, 1) == (1, 0, 2)
+    empty_leaf_root = TreeDecomposition(bags=((0, 1), (1, 2), ()), tree_edges=edges, root=2)
+    assert iso_one_decomp(p3, empty_leaf_root, h3, 1) == (2, 0, 1)
+    forest = Graph(4, [(0, 1), (2, 3)])
+    over_both = TreeDecomposition(
+        bags=((), (0, 1), (2, 3)), tree_edges=frozenset({(0, 1), (0, 2)}), root=0
     )
-    search.frames = [(1, {1: 1, 2: 2, 3: 3})]
-    with pytest.raises(InternalError, match="root path"):
-        search._audit_pop(2)
-    search.frames = [(0, {0: 0, 1: 1, 3: 3}), (1, {2: 2})]
-    search._audit_pop(2)
+    assert iso_one_decomp(forest, over_both, Graph(4, [(0, 3), (1, 2)]), 1) == (0, 3, 1, 2)
 
 
 def test_search_clash_raises_internal_error(monkeypatch):
@@ -451,16 +442,6 @@ def test_iso_tw_width_exceeded():
     assert not iso_tw(complete_graph(4), path_graph(4), 2)
 
 
-def test_iso_tw_false_without_search_when_only_second_graph_fits(monkeypatch):
-    def refuse(*args):
-        raise AssertionError("searched although only the second graph fits width k")
-
-    monkeypatch.setattr(treewidth_module, "_search_components", refuse)
-    triangle_and_edge = Graph(5, [(0, 1), (1, 2), (0, 2), (3, 4)])
-    assert triangle_and_edge.degree_sequence() == path_graph(5).degree_sequence()
-    assert not iso_tw(triangle_and_edge, path_graph(5), 1)
-
-
 def test_iso_tw_size_mismatch_is_false():
     assert not iso_tw(path_graph(3), path_graph(4), 1)
 
@@ -473,6 +454,11 @@ def test_iso_tw_compares_invariants_before_decomposing(monkeypatch):
     grid = grid_graph(5, 6)
     assert not iso_tw(grid, path_graph(30), 4)  # edge counts differ
     assert not iso_tw(spider_graph(1, 1, 2), path_graph(5), 1)  # degree sequences differ
+    # Equal degree sequences, and only the path fits width 1: refinement
+    # tells the triangle from the path before either is decomposed.
+    triangle_and_edge = Graph(5, [(0, 1), (1, 2), (0, 2), (3, 4)])
+    assert triangle_and_edge.degree_sequence() == path_graph(5).degree_sequence()
+    assert not iso_tw(triangle_and_edge, path_graph(5), 1)
 
 
 def test_iso_tw_refinement_answers_before_the_width_bound(monkeypatch):

@@ -16,7 +16,7 @@ search splits a bag's region into components once per bag mapping, wheel
 gadgets that the walk memo keeps the search small, and a 2,000-vertex
 caterpillar that a deep input with wide bags matches under the default
 recursion limit.  Trees with hundreds and a thousand vertices check the
-verdicts of both entry points against AHU tree codes.
+verdicts of iso_one_decomp, iso_tw and iso_tdw against AHU tree codes.
 """
 
 import hashlib
@@ -40,6 +40,7 @@ from widthiso import (
     generate_partial_ktree,
     iso_one_decomp,
     iso_respecting_both,
+    iso_tdw,
     iso_tw,
     random_relabel,
     validate_tree_decomposition,
@@ -410,6 +411,7 @@ def test_tree_verdicts_match_ahu_codes():
                 assert (perm is not None) == same
                 assert perm is None or is_isomorphism(g, h, perm)
                 assert iso_tw(g, h, 1) == same
+                assert iso_tdw(g, h, 1) == same
     bundle = generate_partial_ktree(240, 2, 0.8, 7)
     h, _ = random_relabel(bundle.graph, 7)
     perm = iso_one_decomp(bundle.graph, bundle.decomposition, h, 2)
