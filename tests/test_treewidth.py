@@ -442,6 +442,19 @@ def test_iso_tw_width_exceeded():
     assert not iso_tw(complete_graph(4), path_graph(4), 2)
 
 
+def test_iso_tw_false_without_search_when_only_second_graph_fits(monkeypatch):
+    # Equal degree sequences, and only the path fits width 1: refinement
+    # tells the triangle from the path before either is decomposed or searched.
+    def refuse(*args):
+        raise AssertionError("searched although only the second graph fits width k")
+
+    monkeypatch.setattr(treewidth_module, "_search_components", refuse)
+    monkeypatch.setattr(treewidth_module, "compute_tree_decomposition", refuse)
+    triangle_and_edge = Graph(5, [(0, 1), (1, 2), (0, 2), (3, 4)])
+    assert triangle_and_edge.degree_sequence() == path_graph(5).degree_sequence()
+    assert not iso_tw(triangle_and_edge, path_graph(5), 1)
+
+
 def test_iso_tw_size_mismatch_is_false():
     assert not iso_tw(path_graph(3), path_graph(4), 1)
 
@@ -454,11 +467,6 @@ def test_iso_tw_compares_invariants_before_decomposing(monkeypatch):
     grid = grid_graph(5, 6)
     assert not iso_tw(grid, path_graph(30), 4)  # edge counts differ
     assert not iso_tw(spider_graph(1, 1, 2), path_graph(5), 1)  # degree sequences differ
-    # Equal degree sequences, and only the path fits width 1: refinement
-    # tells the triangle from the path before either is decomposed.
-    triangle_and_edge = Graph(5, [(0, 1), (1, 2), (0, 2), (3, 4)])
-    assert triangle_and_edge.degree_sequence() == path_graph(5).degree_sequence()
-    assert not iso_tw(triangle_and_edge, path_graph(5), 1)
 
 
 def test_iso_tw_refinement_answers_before_the_width_bound(monkeypatch):
