@@ -147,7 +147,10 @@ def _perm_gather(n: int):
 
 
 def canonical_code(g: Graph) -> int:
-    """Minimum edge-bitmask over all relabelings: a complete brute invariant."""
+    """Minimum edge-bitmask over all relabelings: a complete brute invariant.
+
+    Needs numpy, which the test extra installs; no engine calls it.
+    """
     import numpy as np
 
     n = g.vertex_count
@@ -168,7 +171,8 @@ def enumerate_connected_graphs(n: int) -> tuple[Graph, ...]:
 
     Built by attaching a fresh vertex to every nonempty subset of every
     (n-1)-vertex representative and deduping by canonical_code: every
-    connected graph has a non-cut vertex, so nothing is missed.
+    connected graph has a non-cut vertex, so nothing is missed.  Needs
+    numpy, as canonical_code does.
     """
     if n < 1 or n > 8:
         raise ValueError("enumerator supports 1..8 vertices")

@@ -7,18 +7,18 @@ first compares canonical subtree traces, as Lindell's tree canonisation does.
 The one-decomposition search mirrors a nondeterministic traversal with
 exhaustive backtracking.  It first colour-refines the disjoint union of
 both graphs once (graph.stable_colours), and every filter below is keyed on
-those colours, which every isomorphism preserves.  One search per component
-of the first graph runs in place, on its part of the decomposition, against
-each component of the second graph with its vertex count and sorted
-colours: the root bag is placed like the one child of an empty bag, on
-that whole component, bags are mapped one below the other, colour to
-colour, children of a bag are grouped into
+those colours, which every isomorphism preserves, or on signatures, their
+sums (see _spread).  One search per component of the first graph runs in
+place, on its part of the decomposition, against each component of the
+second graph with its signature: the root bag is placed like the one child
+of an empty bag, on that whole component, bags are mapped one below the
+other, colour to colour, children of a bag are grouped into
 interchangeability classes by their subtree sizes and traces, so symmetric
 branches are explored once, and each child takes whole components of the
 unconsumed region that touch the bag's image only at the child's pinned
-vertices and whose colour multisets are those of its own.  Each subtree
-returns its map to its parent bag, and the whole map is returned only
-after an edge-preserving check in both directions.
+vertices and whose signatures are those of its own.  Each subtree returns
+its map to its parent bag, and the whole map is returned only after an
+edge-preserving check in both directions.
 Elimination works on each component in place too, so no induced subgraph
 is built anywhere on the route.
 """
@@ -151,11 +151,11 @@ def _inner_edges(g: Graph, verts: set[int] | frozenset[int]) -> int:
 def _spread(colour: Sequence[int]) -> list[int]:
     """The colours, mapped onto pseudo-random 64-bit integers.
 
-    The search takes the sum of a component's colours as its signature, so
+    The search takes the sum of a vertex set's colours as its signature, so
     equal colour multisets give equal signatures, and spread colours make
     unequal multisets that collide unlikely.  Every filter compares these
-    integers only, so a collision merely lets a placement through to its
-    sub-search, which decides it.
+    integers only, so a collision merely lets a placement or a component
+    through to a search, which decides it.
     """
     # A one-int tuple hashes by an odd multiply, a rotation and additions
     # modulo 2**64, so distinct small colours stay distinct.
@@ -163,12 +163,11 @@ def _spread(colour: Sequence[int]) -> list[int]:
 
 
 class _Rooted:
-    """Rooted view of one decomposition of g with per-bag invariants (the
-    sorted colours of each bag's vertices and the number of edges inside it)
-    and per-subtree facts from one bottom-up pass over the vertices the
-    decomposition holds: size is the subtree's vertex count; sort_key is
-    (1, the least subtree vertex outside the parent's bag), or (0, the bag
-    itself) when there is none.
+    """Rooted view of one decomposition of g with per-bag invariants (each
+    bag's signature and number of inner edges) and per-subtree facts from
+    one bottom-up pass over the vertices the decomposition holds: size is
+    the subtree's vertex count; sort_key is (1, the least subtree vertex
+    outside the parent's bag), or (0, the bag itself) when there is none.
 
     colour is a colouring of g that every isomorphism sought preserves,
     spread (see _spread).  The vertices of a bag c's subtree outside its
@@ -184,7 +183,7 @@ class _Rooted:
         self.bags = bags = d.bags
         self.parent, self.children = d.rooted(root)
         self.colour = colour
-        self.bag_profile = [sorted(colour[v] for v in bag) for bag in bags]
+        self.bag_sig = [sum([colour[v] for v in bag]) for bag in bags]
         self.bag_inner = [_inner_edges(g, set(bag)) for bag in bags]
         self.size = [0] * len(bags)
         self.sort_key: list[tuple] = [()] * len(bags)
@@ -271,8 +270,6 @@ def _bag_bijections(
     pinned_img = set(pinned.values())
     fresh_g = [v for v in g_bag if v not in pinned]
     fresh_h = [w for w in h_bag if w not in pinned_img]
-    if len(fresh_g) != len(fresh_h) or len(g_bag) != len(h_bag):
-        return
     for image in permutations(fresh_h):
         mapping = dict(pinned)
         ok = True
@@ -445,7 +442,7 @@ class _IsoSearch:
     def _cuts(self, i: int, pinned: dict[int, int], available: Iterable[int]):
         """Candidate images of bag i: pinned's image plus fresh vertices from
         available, in lexicographic order of the fresh part, with bag i's
-        sorted colours and number of inner edges.  Yields (image, fresh)."""
+        signature and number of inner edges.  Yields (image, fresh)."""
         bag = self.L.bags[i]
         colour = self.h_colour
         pinned_img = set(pinned.values())
@@ -456,7 +453,7 @@ class _IsoSearch:
         pool = sorted(w for w in available if colour[w] in wanted)
         for fresh in combinations(pool, len(bag) - len(pinned)):
             cut = tuple(sorted(pinned_img.union(fresh))) if pinned else fresh
-            if sorted([colour[w] for w in cut]) != self.L.bag_profile[i]:
+            if sum([colour[w] for w in cut]) != self.L.bag_sig[i]:
                 continue
             if _inner_edges(self.h, set(cut)) != self.L.bag_inner[i]:
                 continue
@@ -521,8 +518,11 @@ class _IsoSearch:
         added include-first in order of least vertex.
 
         Members of a class are adjacent in kids and take their placements in
-        ascending order, so prev, the placement of the child before, bounds
-        this one from below when the two share a class.
+        ascending order of (cut, least interior vertex or -1): prev, the
+        previous child's placement, bounds this one when they share a class.
+        This orders them as (cut, sorted interior) would: on equal cuts
+        neither has a fresh vertex (the earlier took its components), so the
+        interiors are disjoint and of one size and compare by least vertex.
 
         Returns the maps of the j-th and later children's subtrees, or None;
         each placement's map, or None when it fails, is memoised.
@@ -536,7 +536,7 @@ class _IsoSearch:
         pinned = {v: phi[v] for v in L.bags[i] if v in phi}
         pinned_img = set(pinned.values())
         fits = [(c, sig) for c, touch, sig in comps if touch <= pinned_img]
-        pin_key = tuple(sorted(pinned.items()))
+        pin_key = tuple(pinned.values())
         wanted = L.optional[i] or {}
         for cut, fresh in self._cuts(i, pinned, [w for c, _ in fits for w in c]):
             forced = [(c, sig) for c, sig in fits if not c.isdisjoint(fresh)]
@@ -546,7 +546,7 @@ class _IsoSearch:
             for chosen in _unions(optional, wanted):
                 taken = [c for c, _ in forced] + chosen
                 interior = frozenset().union(*taken).difference(fresh)
-                choice = (cut, tuple(sorted(interior)))
+                choice = (cut, min(interior, default=-1))
                 if prev is not None and choice < prev:
                     continue
                 key = (i, cut, interior, pin_key)
@@ -610,11 +610,6 @@ def _split_decomposition(
     ]
 
 
-def _component_key(colour: Sequence[int], comp: Sequence[int]) -> tuple:
-    """Vertex count and sorted colours of a component: equal on isomorphic ones."""
-    return len(comp), tuple(sorted(colour[v] for v in comp))
-
-
 def iso_one_decomp(
     g: Graph, d_g: TreeDecomposition, h: Graph, k: int
 ) -> tuple[int, ...] | None:
@@ -622,11 +617,10 @@ def iso_one_decomp(
 
     After the decomposition, width and size checks, the disjoint union of g
     and h is colour-refined once (graph.stable_colours): colour histograms
-    that differ answer None before anything is searched.  Components are
-    keyed by vertex count and sorted colours.  One search per component of
-    g, on its part of d_g, runs against each free h component with its key
-    in turn: root bags of size |root bag of the part| are enumerated on the
-    h side in sorted-content order, each bag is mapped blockwise below its
+    that differ answer None before anything is searched.  One search per
+    component of g, on its part of d_g, runs against each free h component
+    with its signature (see _spread) in turn: the root bag is placed like
+    the one child of an empty bag, each bag is mapped blockwise below its
     parent's image, every vertex onto one of its colour, and each subtree
     returns its map to its parent bag, which merges them; every child
     placement's outcome is memoized, its map or None.
@@ -648,11 +642,11 @@ def _search_components(
     """iso_one_decomp's search, given the stable colours of g and h."""
     g_colour, h_colour = map(_spread, colours)
     g_comps = connected_components(g)
-    g_keys = [_component_key(g_colour, c) for c in g_comps]
-    free: dict[tuple, list[tuple[int, ...]]] = {}  # key -> h components, by least vertex
+    g_sigs = [sum([g_colour[v] for v in c]) for c in g_comps]
+    free: dict[int, list[tuple[int, ...]]] = {}  # signature -> h components, by least vertex
     for c in connected_components(h):
-        free.setdefault(_component_key(h_colour, c), []).append(c)
-    if sorted(g_keys) != sorted(key for key, comps in free.items() for _ in comps):
+        free.setdefault(sum([h_colour[v] for v in c]), []).append(c)
+    if sorted(g_sigs) != sorted(sig for sig, comps in free.items() for _ in comps):
         return None
     # Isomorphism of components is an equivalence, so matching each g part
     # to the first free h component isomorphic to it never has to be undone.
@@ -660,10 +654,10 @@ def _search_components(
     # own region's vertices, so one search per part serves every candidate.
     parts = [d_g] if len(g_comps) == 1 else _split_decomposition(d_g, g_comps)
     total: dict[int, int] = {}
-    for key, part in zip(g_keys, parts):
+    for sig, part in zip(g_sigs, parts):
         root = part.root if part.root is not None else 0
         search = _IsoSearch(g, _Rooted(g, part, root, g_colour), h, h_colour)
-        candidates = free[key]
+        candidates = free[sig]
         for idx, region in enumerate(candidates):
             found = search.run(region)
             if found is not None:

@@ -195,3 +195,22 @@ def test_internal_error_exits_3(files, capsys, monkeypatch, exc):
     assert main(["iso-tdw", a, a, "-k", "1"]) == 3
     err = capsys.readouterr().err
     assert err.startswith("internal error:") and str(exc) in err
+
+
+@pytest.mark.parametrize(
+    "command, message",
+    [
+        (["iso-one", "{g}", "{d}", "{g}", "-k", "1"],
+         "decomposition declares 4 vertices, graph has 3"),
+        (["tdd-build", "{g}", "--root", "1,x"], "bad root list '1,x'"),
+        (["augtree", "{g}", "--root", "4"], "root vertex 4 outside 1..3"),
+    ],
+)
+def test_inconsistent_arguments_exit_with_usage_error(files, capsys, command, message):
+    tmp, write = files
+    g = write("p3.gr", path_graph(3))
+    d = tmp / "p4.td"
+    d.write_text("p td 3 2 4\nb 1 1 2\nb 2 2 3\nb 3 3 4\nt 1 2\nt 2 3\n")
+    assert main([arg.format(g=g, d=d) for arg in command]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from widthiso import FormatError, TreeDecomposition, build_minimal_tdd
@@ -94,3 +96,29 @@ def test_decomposition_second_root_line_rejected():
 def test_tdd_records_render_one_based():
     d = build_minimal_tdd(cycle_graph(4), [0])
     assert format_tdd_records(d) == "b 1 0 1\nb 2 1 2 4\nb 3 2 3\n"
+
+
+@pytest.mark.parametrize(
+    "parse, text, message",
+    [
+        (parse_graph, "p tw 2 1\np tw 2 1\ne 1 2\n", "duplicate p line"),
+        (parse_graph, "p td 2 1\ne 1 2\n", "expected 'p tw <n> <m>'"),
+        (parse_graph, "p tw 2 1\ne 1 2 3\n", "expected 'e <u> <v>'"),
+        (parse_graph, "p tw 2 1\nx 1 2\n", "unknown record 'x'"),
+        (parse_graph, "c no header\n", "missing 'p tw' header"),
+        (parse_graph, "p tw 2 one\n", "expected integers"),
+        (parse_tree_decomposition, "p td 1 1 1\np td 1 1 1\nb 1 1\n", "duplicate p line"),
+        (parse_tree_decomposition, "p td 1 1\nb 1 1\n", "expected 'p td <bags> <width+1> <n>'"),
+        (parse_tree_decomposition, "p td 1 1 1\nb 1 1\ne 1 1\n", "unknown record 'e'"),
+        (parse_tree_decomposition, "c no header\n", "missing 'p td' header"),
+        (parse_tree_decomposition, "p td 1 1 1\nb\n", "bag line without id"),
+        (parse_tree_decomposition, "p td 1 1 1\nb 2 1\n", "bag id 2 outside 1..1"),
+        (parse_tree_decomposition, "p td 2 1 2\nb 1 1\nb 2 2\nt 1 3\n", "tree edge outside 1..2"),
+        (parse_tree_decomposition, "t 1 2\np td 2 1 2\nb 1 1\nb 2 2\n", "t line before p line"),
+        (parse_tree_decomposition, "p td 1 1 1\nb 1 1\nr 2\n", "root 2 outside 1..1"),
+        (parse_tree_decomposition, "p td 1 1 1\nb 1 x\n", "expected integers"),
+    ],
+)
+def test_malformed_input_is_rejected(parse, text, message):
+    with pytest.raises(FormatError, match=re.escape(message)):
+        parse(text)

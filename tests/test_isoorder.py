@@ -29,6 +29,7 @@ from widthiso import (
 )
 
 from helpers import (
+    complete_graph,
     cycle_graph,
     path_graph,
     random_narrow_graph,
@@ -81,6 +82,30 @@ def test_compare_empty_theta_rejected():
     t = _tree(g, [0])
     with pytest.raises(NoAdmissibleMappingError):
         compare_augmented(g, t.handle(), g, t.handle(), ThetaSet((0,), ()))
+
+
+_P3 = path_graph(3)
+_P3_TREE = _tree(_P3, [0])
+_BAG, _SEPARATOR, _OTHER_BAG = (_P3_TREE.handle(x) for x in (0, 1, 2))
+_THETA = full_theta(_BAG, _BAG)
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: compare_augmented(cycle_graph(3), _BAG, _P3, _BAG, _THETA),
+         ValueError, "does not belong"),
+        (lambda: compare_augmented(_P3, _SEPARATOR, _P3, _BAG, _THETA),
+         ValueError, "starts at bag nodes"),
+        (lambda: compare_augmented(_P3, _BAG, _P3, _OTHER_BAG, _THETA),
+         ValueError, "arrange the compared bags"),
+        (lambda: canonical_map(complete_graph(4), 1), WidthExceededError, "exceeds 1"),
+    ],
+    ids=["foreign-handle", "separator-node", "wrong-theta", "canonical-map-k4"],
+)
+def test_engine_entry_points_reject_misuse(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
 
 
 def test_full_theta_empty_for_mismatched_bags():
@@ -219,8 +244,6 @@ def test_iso_tdw_same_degree_trees():
 def test_iso_tdw_errors():
     with pytest.raises(DisconnectedGraphError):
         iso_tdw(Graph(2, []), Graph(2, []), 1)
-    from helpers import complete_graph
-
     k4 = complete_graph(4)
     with pytest.raises(WidthExceededError):
         iso_tdw(k4, k4, 1)  # K4 has tree distance width 2
@@ -229,8 +252,6 @@ def test_iso_tdw_errors():
 
 
 def test_canon_width_exceeded():
-    from helpers import complete_graph
-
     with pytest.raises(WidthExceededError):
         canon_tdw(complete_graph(5), 2)
 

@@ -274,9 +274,10 @@ def test_iso_one_decomp_many_components(monkeypatch):
 
 def test_iso_one_decomp_searches_forest_once_per_candidate_key(monkeypatch):
     # 100 random 12-vertex trees: many components of one size but few of one
-    # key.  Only candidates with the part's vertex count and sorted degrees
-    # are searched, each by the part's one search, so 326 runs find the map;
-    # a fresh search on every equal-size candidate would need about 2,500.
+    # signature, the sum of their spread colours.  Only candidates with the
+    # part's signature are searched, each by the part's one search, so 326
+    # runs find the map; a fresh search on every equal-size candidate would
+    # need about 2,500.
     rng = random.Random(1)
     edges = [(12 * t + rng.randrange(i), 12 * t + i) for t in range(100) for i in range(1, 12)]
     g = Graph(1200, edges)
@@ -329,6 +330,51 @@ def test_search_clash_raises_internal_error(monkeypatch):
     d = TreeDecomposition(bags=((0, 1), (1, 2)), tree_edges=frozenset({(0, 1)}), root=0)
     with pytest.raises(InternalError, match="two vertices onto one"):
         iso_one_decomp(path_graph(3), d, path_graph(3), 1)
+
+
+def _hub_gadget(m: int, split: int = -1) -> tuple[Graph, TreeDecomposition]:
+    """Hub 0 with m branches, each an edge from the hub to an apex that is
+    joined to a rim r0..r5: a 6-cycle, or two triangles in branch split.
+    The width-3 decomposition hangs one bag (0, apex) per branch from the
+    root bag (0,), with the same chain of four rim bags below each."""
+    edges, bags, tree_edges = [], [(0,)], []
+    for b in range(m):
+        apex, r = 7 * b + 1, [7 * b + 2 + t for t in range(6)]
+        edges += [(0, apex)] + [(apex, x) for x in r]
+        rings = (r[:3], r[3:]) if b == split else (r,)
+        edges += [(ring[t], ring[(t + 1) % len(ring)]) for ring in rings for t in range(len(ring))]
+        chain = [(0, apex), (apex, r[0], r[1], r[5]), (apex, r[1], r[4], r[5]),
+                 (apex, r[1], r[2], r[4]), (apex, r[2], r[3], r[4])]
+        parent = 0
+        for bag in chain:
+            tree_edges.append((parent, len(bags)))
+            parent = len(bags)
+            bags.append(bag)
+    return Graph(7 * m + 1, edges), TreeDecomposition(tuple(bags), frozenset(tree_edges), 0)
+
+
+def test_class_bound_prunes_interchangeable_branches(monkeypatch):
+    # The m branches of the hub form one class, so its members take their
+    # placements in ascending order.  Colour refinement does not tell a rim
+    # of two triangles from a 6-cycle, so only the search refutes this
+    # pair: in 256 placement tasks, and in 2,289 without the class bound.
+    tasks = 0
+    placements = treewidth_module._IsoSearch._placements
+
+    def counted(self, *args):
+        nonlocal tasks
+        tasks += 1
+        return (yield from placements(self, *args))
+
+    monkeypatch.setattr(treewidth_module._IsoSearch, "_placements", counted)
+    g, d = _hub_gadget(7)
+    h, _ = random_relabel(_hub_gadget(7, split=0)[0], 11)
+    assert stable_colours(g, h) is not None
+    assert iso_one_decomp(g, d, h, 3) is None
+    assert tasks <= 400
+    copy, _ = random_relabel(g, 13)
+    perm = iso_one_decomp(g, d, copy, 3)
+    assert perm is not None and is_isomorphism(g, copy, perm)
 
 
 def test_compute_tree_decomposition_tree():
@@ -388,6 +434,26 @@ def test_minor_width_is_a_treewidth_lower_bound():
     for seed in range(200):
         assert _minor_width(random_relabel(grid_graph(4, 4), seed)[0]) == 4, seed
         assert _minor_width(random_relabel(grid_graph(3, 6), seed)[0]) == 3, seed
+
+
+def test_elimination_refuses_past_the_lower_bound():
+    # K7 minus four edges is, up to isomorphism, the only connected graph on
+    # at most 7 vertices whose minor-min-width (4) is below its treewidth
+    # (5), so at k = 4 the lower bound lets it through and the elimination
+    # search itself fails.
+    dropped = {(0, 4), (1, 2), (2, 3), (5, 6)}
+    g = Graph(7, [(u, v) for u in range(7) for v in range(u + 1, 7) if (u, v) not in dropped])
+    assert _minor_width(g) == 4
+    assert compute_tree_decomposition(g, 4) is None
+    d = compute_tree_decomposition(g, 5)
+    assert d is not None and d.width() == 5
+    with pytest.raises(WidthExceededError):
+        iso_tw(g, random_relabel(g, 3)[0], 4)
+
+
+def test_compute_tree_decomposition_negative_width_is_none():
+    assert compute_tree_decomposition(Graph(0), -1) is None
+    assert compute_tree_decomposition(path_graph(3), -1) is None
 
 
 def test_above_bound_grids_never_enter_the_search(monkeypatch):
