@@ -14,10 +14,21 @@ and a tree decomposition file is
     r <id>             (optional root marker)
 
 Readers tolerate blank lines, comments and reordered e/b/t lines but insist
-on consistent counts and label ranges.
+on consistent counts and label ranges.  A malformed file is refused with its
+first fault in line order, naming the line when the fault lies on one (a
+missing header, a missing bag or a wrong count lies on none).
+
+Each reader first tries the layout the writers emit: leading comments, the
+header, then the records in written order.  The e and t lines are split as
+one text, converting each distinct label spelling once, and each b line is
+converted whole.  Any text that check refuses, valid or not, goes to the
+line-by-line reader, which alone reports faults.
 """
 
 from __future__ import annotations
+
+from itertools import repeat
+from typing import Iterable
 
 from .errors import FormatError
 from .graph import Graph
@@ -37,10 +48,38 @@ def write_graph(g: Graph, comment: str | None = None) -> str:
 
 
 def parse_graph(text: str) -> Graph:
+    lines = text.splitlines()
+    g = _graph_in_bulk(lines)
+    return _graph_by_line(lines) if g is None else g
+
+
+def _graph_in_bulk(lines: list[str]) -> Graph | None:
+    """The graph when lines are laid out as write_graph lays them out; None
+    for any other text, valid or not."""
+    start = _first_record(lines)
+    head = lines[start].split() if start < len(lines) else []
+    if len(head) != 4 or head[:2] != ["p", "tw"]:
+        return None
+    try:
+        n, m = int(head[2]), int(head[3])
+    except ValueError:
+        return None
+    body = lines[start + 1:]
+    columns = _pair_columns(body, "e", n) if len(body) == m else None
+    if columns is None:
+        return None
+    try:
+        g = Graph(n, zip(*columns))
+    except ValueError:  # a negative vertex count or a self-loop
+        return None
+    return g if g.edge_count == m else None
+
+
+def _graph_by_line(lines: list[str]) -> Graph:
     n = None
     m = None
     edges: list[tuple[int, int]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("c"):
             continue
@@ -89,11 +128,61 @@ def write_tree_decomposition(d: TreeDecomposition, n: int) -> str:
 
 def parse_tree_decomposition(text: str) -> tuple[TreeDecomposition, int]:
     """Returns the decomposition and the vertex count the header declares."""
+    lines = text.splitlines()
+    parsed = _decomposition_in_bulk(lines)
+    return _decomposition_by_line(lines) if parsed is None else parsed
+
+
+def _decomposition_in_bulk(lines: list[str]) -> tuple[TreeDecomposition, int] | None:
+    """The decomposition when lines are laid out as write_tree_decomposition
+    lays them out (bags 1..<bags> in order, then t lines, then at most one r
+    line); None for any other text, valid or not."""
+    start = _first_record(lines)
+    head = lines[start].split() if start < len(lines) else []
+    if len(head) != 5 or head[:2] != ["p", "td"]:
+        return None
+    try:
+        n_bags, size, n = map(int, head[2:])
+    except ValueError:
+        return None
+    body = lines[start + 1:]
+    if not 0 <= n_bags <= len(body):
+        return None
+    tail = body[n_bags:]
+    root = None
+    if tail and tail[-1].startswith("r "):
+        row = tail.pop().split()
+        labels = _labels(row[1:], n_bags)
+        if len(row) != 2 or labels is None:
+            return None
+        root = labels[row[1]]
+    columns = _pair_columns(tail, "t", n_bags)
+    if columns is None:
+        return None
+    bags = []
+    for bag_id, line in enumerate(body[:n_bags], start=1):
+        row = line.split()
+        if len(row) < 2 or row[0] != "b" or row[1] != str(bag_id):
+            return None
+        try:
+            bag = sorted(map(int, row[2:]))
+        except ValueError:
+            return None
+        if bag and (bag[0] < 1 or bag[-1] > n or len(set(bag)) < len(bag)):
+            return None
+        bags.append(tuple(map(_minus_one, bag)))
+    if size != max(map(len, bags), default=0):
+        return None
+    tree_edges = frozenset(zip(map(min, *columns), map(max, *columns)))
+    return TreeDecomposition(bags=tuple(bags), tree_edges=tree_edges, root=root), n
+
+
+def _decomposition_by_line(lines: list[str]) -> tuple[TreeDecomposition, int]:
     header = None
     bag_lines: dict[int, tuple[int, ...]] = {}
     tree_edges: list[tuple[int, int]] = []
     root = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("c"):
             continue
@@ -170,6 +259,51 @@ def format_tdd_records(d: TreeDistanceDecomposition) -> str:
         fields.extend(str(v + 1) for v in bag)
         lines.append(" ".join(fields))
     return "\n".join(lines) + "\n"
+
+
+_minus_one = (-1).__add__
+
+
+def _first_record(lines: list[str]) -> int:
+    """Index of the first line that is neither blank nor a comment."""
+    for i, line in enumerate(lines):
+        line = line.lstrip()
+        if line and not line.startswith("c"):
+            return i
+    return len(lines)
+
+
+def _labels(tokens: Iterable[str], top: int) -> dict[str, int] | None:
+    """Each distinct token to its 0-based label, converted once; None unless
+    every token is an integer in 1..top."""
+    try:
+        labels = {token: int(token) - 1 for token in set(tokens)}
+    except ValueError:
+        return None
+    if labels and not (0 <= min(labels.values()) and max(labels.values()) < top):
+        return None
+    return labels
+
+
+def _pair_columns(lines: list[str], kind: str, top: int) -> tuple[list[int], list[int]] | None:
+    """The two 0-based label columns of lines that all read '<kind> <a> <b>'
+    with a and b in 1..top; None if any line does not.
+
+    The lines are split as one text, so that no list is made per line.  That
+    still checks each line: every line starts with the token <kind>, which
+    is no integer, so with three tokens per line in all and integers in the
+    second and third of every three places, the line starts fall on every
+    third place and each line holds exactly three tokens."""
+    if not all(map(str.startswith, lines, repeat(kind + " "))):
+        return None
+    tokens = " ".join(lines).split()
+    if len(tokens) != 3 * len(lines):
+        return None
+    a_col, b_col = tokens[1::3], tokens[2::3]
+    labels = _labels(a_col + b_col, top)
+    if labels is None:
+        return None
+    return list(map(labels.__getitem__, a_col)), list(map(labels.__getitem__, b_col))
 
 
 def _ints(parts: list[str], lineno: int) -> tuple[int, ...]:

@@ -215,16 +215,22 @@ def validate_tdd(g: Graph, d: TreeDistanceDecomposition) -> list[str]:
     # classes inside its subtree are the components of that subgraph, and
     # parts[i] counts them.
     edges_at: list[list[tuple[int, int]]] = [[] for _ in d.bags]
-    for u, v in sorted(g.edges):
-        bu, bv = seen[u], seen[v]
-        if bu != bv and d.parent[bu] != bv and d.parent[bv] != bu:
-            problems.append(f"edge-locality: edge ({u}, {v}) spans non-adjacent bags {bu} and {bv}")
-        while bu != bv:
-            if d.depth[bu] >= d.depth[bv]:
-                bu = d.parent[bu]
-            else:
-                bv = d.parent[bv]
-        edges_at[bu].append((u, v))
+    adj = g._adj
+    for u in range(g.vertex_count):  # edges in ascending order
+        for v in adj[u]:
+            if v < u:
+                continue
+            bu, bv = seen[u], seen[v]
+            if bu != bv and d.parent[bu] != bv and d.parent[bv] != bu:
+                problems.append(
+                    f"edge-locality: edge ({u}, {v}) spans non-adjacent bags {bu} and {bv}"
+                )
+            while bu != bv:
+                if d.depth[bu] >= d.depth[bv]:
+                    bu = d.parent[bu]
+                else:
+                    bv = d.parent[bv]
+            edges_at[bu].append((u, v))
 
     up = list(range(g.vertex_count))
     parts = [len(bag) for bag in d.bags]

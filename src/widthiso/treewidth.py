@@ -121,9 +121,11 @@ def validate_tree_decomposition(g: Graph, d: TreeDecomposition) -> list[str]:
     for v in range(g.vertex_count):
         if v not in holders:
             problems.append(f"coverage: vertex {v} is in no bag")
-    for u, v in sorted(g.edges):
-        if holders.get(u, set()).isdisjoint(holders.get(v, ())):
-            problems.append(f"edge-coverage: edge ({u}, {v}) is inside no bag")
+    adj = g._adj
+    for u in range(g.vertex_count):  # edges in ascending order
+        for v in adj[u]:
+            if v > u and holders.get(u, set()).isdisjoint(holders.get(v, ())):
+                problems.append(f"edge-coverage: edge ({u}, {v}) is inside no bag")
     # The bag tree is a tree here, so the bags holding v form a subtree
     # exactly when |holders(v)| - 1 tree edges join two of them.
     joins = dict.fromkeys(holders, 0)

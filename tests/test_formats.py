@@ -1,8 +1,18 @@
+import dataclasses
+import random
 import re
 
 import pytest
 
-from widthiso import FormatError, TreeDecomposition, build_minimal_tdd
+from widthiso import (
+    FormatError,
+    Graph,
+    TreeDecomposition,
+    build_minimal_tdd,
+    compute_tree_decomposition,
+    formats,
+    generate_partial_ktree,
+)
 from widthiso.formats import (
     format_tdd_records,
     parse_graph,
@@ -11,7 +21,18 @@ from widthiso.formats import (
     write_tree_decomposition,
 )
 
-from helpers import cycle_graph, path_graph
+from helpers import (
+    complete_graph,
+    cycle_graph,
+    grid_graph,
+    path_graph,
+    petersen_graph,
+    random_graph,
+    spider_edge_bags,
+    spider_graph,
+    star_graph,
+    triangle_with_pendants,
+)
 
 
 def test_graph_round_trip():
@@ -122,3 +143,167 @@ def test_tdd_records_render_one_based():
 def test_malformed_input_is_rejected(parse, text, message):
     with pytest.raises(FormatError, match=re.escape(message)):
         parse(text)
+
+
+@pytest.mark.parametrize(
+    "parse, text, message",
+    [
+        (parse_graph, "p tw 3 2\ne 1 4\nx 1 2\n", "line 2: endpoint outside 1..3"),
+        (parse_graph, "p tw 3 2\ne 1 2 3\ne 2 2\n", "line 2: expected 'e <u> <v>'"),
+        (parse_graph, "p tw 3 2\ne 1 1\ne 1 9\n", "line 2: self-loop at 1"),
+        (parse_graph, "p tw 3 2\ne 1 2\ne 2 1\n", "duplicate edges in file"),
+        (parse_tree_decomposition, "p td 2 2 3\nb 1 1 9\nb 1 2\n", "line 2: vertex 9 outside 1..3"),
+        (parse_tree_decomposition, "p td 2 2 3\nt 1 5\nb 1 1 1\n", "line 2: tree edge outside 1..2"),
+        # Texts in the writers' layout but for one fault at its edge.
+        (parse_graph, "p tw 3 1\ne 1 4\n", "line 2: endpoint outside 1..3"),
+        (parse_graph, "p tw 3 1\ne 0 1\n", "line 2: endpoint outside 1..3"),
+        (parse_graph, "p tw 4 2\ne 1\n2 e 3 4\n", "line 2: expected 'e <u> <v>'"),
+        (parse_graph, "p tw 4 2\ne 1 2 e 3 4\n\n", "line 2: expected 'e <u> <v>'"),
+        (parse_tree_decomposition, "p td 1 1 3\nb 1 4\n", "line 2: vertex 4 outside 1..3"),
+        (parse_tree_decomposition, "p td 1 1 3\nb 1 0\n", "line 2: vertex 0 outside 1..3"),
+        (
+            parse_tree_decomposition,
+            "p td 3 1 3\nb 1 1\nb 2 2\nb 3 3\nt 1\n2 t 2 3\n",
+            "line 5: expected 't <id1> <id2>'",
+        ),
+    ],
+)
+def test_first_fault_in_line_order_is_reported(parse, text, message):
+    with pytest.raises(FormatError) as caught:
+        parse(text)
+    assert str(caught.value) == message
+
+
+_BUNDLES = [generate_partial_ktree(6 + s, 1 + s % 3, 0.8, s) for s in range(12)]
+_FAMILIES = [
+    Graph(0),
+    Graph(3),
+    path_graph(1),
+    path_graph(6),
+    cycle_graph(5),
+    star_graph(4),
+    complete_graph(4),
+    grid_graph(3, 3),
+    spider_graph(2, 3, 1),
+    triangle_with_pendants(),
+    petersen_graph(),
+    random_graph(9, 0.4, 1),
+]
+_SPIDER, _SPIDER_BAGS = spider_edge_bags(3)
+
+
+def _narrowest(g: Graph) -> TreeDecomposition:
+    return next(filter(None, (compute_tree_decomposition(g, k) for k in range(g.vertex_count + 1))))
+
+
+GRAPHS = [bundle.graph for bundle in _BUNDLES] + _FAMILIES
+DECOMPOSITIONS = [(bundle.decomposition, bundle.graph.vertex_count) for bundle in _BUNDLES]
+DECOMPOSITIONS += [(_narrowest(g), g.vertex_count) for g in _FAMILIES]
+DECOMPOSITIONS.append((_SPIDER_BAGS, _SPIDER.vertex_count))
+DECOMPOSITIONS += [(dataclasses.replace(d, root=None), n) for d, n in DECOMPOSITIONS]
+
+
+def _variants(text: str, rng: random.Random) -> list[str]:
+    """The same records laid out as the line-by-line reader allows and the
+    writers never emit."""
+    lines = text.splitlines()
+    header = next(i for i, line in enumerate(lines) if line.startswith("p"))
+    records = lines[header + 1:]
+    rng.shuffle(records)
+    roots = [line for line in records if line.startswith("r")]
+    interleaved = []
+    for line in lines:
+        interleaved += [line, rng.choice(["", "c note", "   ", "c"])]
+    return [
+        "\r\n".join(lines) + "\r\n",
+        "c leading\n\n" + "\n".join(interleaved) + "\n",
+        "".join(f"  {'   '.join(line.split())}\t \n" for line in lines),
+        "\n".join(roots + lines[: header + 1] + [r for r in records if r not in roots]) + "\n",
+        re.sub(r"\d+", lambda m: rng.choice(["+", "00"]) + m.group(), text),
+    ]
+
+
+def test_reordered_and_padded_layouts_parse_alike():
+    rng = random.Random(5)
+    for g in GRAPHS:
+        expected = parse_graph(write_graph(g))
+        for text in _variants(write_graph(g, comment="a\nb"), rng):
+            parsed = parse_graph(text)
+            assert parsed == expected, text
+            assert parsed._adj == expected._adj and hash(parsed) == hash(expected), text
+    for d, n in DECOMPOSITIONS:
+        expected = parse_tree_decomposition(write_tree_decomposition(d, n))
+        for text in _variants(write_tree_decomposition(d, n), rng):
+            assert parse_tree_decomposition(text) == expected, text
+
+
+def _mutants(text: str, rng: random.Random, count: int) -> list[str]:
+    """Copies of text with one to three rows deleted, duplicated, swapped,
+    inserted or given a token changed, added or dropped."""
+    tokens = ["0", "1", "2", "3", "4", "-1", "99", "+1", "01", "x", "e", "b", "t", "r", "p", "c"]
+    out = []
+    for _ in range(count):
+        rows = [line.split() for line in text.splitlines()]
+        for _ in range(rng.randint(1, 3)):
+            i = rng.randrange(len(rows))
+            row = rows[i]
+            op = rng.randrange(7)
+            if op == 0:
+                del rows[i]
+            elif op == 1:
+                rows.insert(i, list(row))
+            elif op == 2:
+                j = rng.randrange(len(rows))
+                rows[i], rows[j] = rows[j], rows[i]
+            elif op == 3:
+                rows.insert(i, rng.choices(tokens, k=rng.randint(0, 4)))
+            elif op == 4 and row:
+                row[rng.randrange(len(row))] = rng.choice(tokens)
+            elif op == 5:
+                row.append(rng.choice(tokens))
+            elif row:
+                row.pop(rng.randrange(len(row)))
+            if not rows:
+                rows.append([])
+        out.append("\n".join(map(" ".join, rows)) + "\n")
+    return out
+
+
+def test_bulk_check_never_disagrees_with_the_line_reader():
+    rng = random.Random(11)
+    pairs = [
+        (formats._graph_in_bulk, formats._graph_by_line, write_graph(g))
+        for g in GRAPHS
+    ] + [
+        (formats._decomposition_in_bulk, formats._decomposition_by_line, write_tree_decomposition(d, n))
+        for d, n in DECOMPOSITIONS
+    ]
+    taken = 0
+    for bulk, by_line, written in pairs:
+        for text in _mutants(written, rng, 40):
+            lines = text.splitlines()
+            fast = bulk(lines)
+            try:
+                slow = by_line(lines)
+            except FormatError:
+                assert fast is None, text
+                continue
+            if fast is not None:
+                taken += 1
+                assert fast == slow, text
+                if isinstance(fast, Graph):
+                    assert fast._adj == slow._adj, text
+    assert taken > 100  # the bulk check does accept some mutants
+
+
+def test_written_files_are_read_in_bulk(monkeypatch):
+    def refuse(lines):
+        raise AssertionError("the bulk check refused text the writers emit")
+
+    monkeypatch.setattr(formats, "_graph_by_line", refuse)
+    monkeypatch.setattr(formats, "_decomposition_by_line", refuse)
+    for g in GRAPHS:
+        assert parse_graph(write_graph(g)) == g
+        assert parse_graph(write_graph(g, comment="made by\nhand")) == g
+    for d, n in DECOMPOSITIONS:
+        assert parse_tree_decomposition(write_tree_decomposition(d, n)) == (d, n)

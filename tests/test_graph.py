@@ -32,6 +32,13 @@ def test_graph_construction_rejects_bad_edges():
         Graph(2, [(0, 2)])
     with pytest.raises(ValueError):
         Graph(2, [(1, 1)])
+    # The first offending edge in input order is the one reported.
+    with pytest.raises(InvalidVertexError, match=r"edge \(0, 5\)"):
+        Graph(3, [(0, 1), (0, 5), (2, 2), (7, 0)])
+    with pytest.raises(ValueError, match="self-loop at vertex 2"):
+        Graph(3, [(0, 1), (2, 2), (0, 5), (1, 1)])
+    with pytest.raises(InvalidVertexError, match=r"edge \(0, 5\)"):
+        Graph(3, iter([(1, 2), (0, 5), (1, 1)]))
 
 
 def test_graph_dedupes_and_normalizes():
@@ -39,6 +46,9 @@ def test_graph_dedupes_and_normalizes():
     assert g.edges == frozenset({(0, 1), (1, 2)})
     assert g.neighbors(1) == (0, 2)
     assert g.degree(1) == 2
+    # Edges may come from a one-shot generator: it is read once.
+    once = Graph(3, (e for e in [(1, 0), (0, 1), (2, 1)]))
+    assert once == g and once._adj == g._adj and hash(once) == hash(g)
 
 
 def test_distance_on_path():

@@ -118,6 +118,22 @@ def test_validate_tdd_detects_wrong_depth():
     assert any("depth" in p and "3" in p for p in problems)
 
 
+def test_validate_tdd_reports_edge_locality_in_ascending_order():
+    # Root 0, bags {1} and {2} below it, {3} under {1} and {4} under {2};
+    # the edges 3-4, 2-3 and 1-4 cross between bags that are not adjacent.
+    d = TreeDistanceDecomposition(
+        bags=((0,), (1,), (2,), (3,), (4,)),
+        parent=(0, 0, 0, 1, 2),
+        depth=(0, 1, 1, 2, 2),
+        root=0,
+    )
+    g = Graph(5, [(4, 3), (0, 1), (3, 2), (2, 4), (1, 3), (4, 1), (0, 2)])
+    assert validate_tdd(g, d) == [
+        f"edge-locality: edge {e} spans non-adjacent bags {a} and {b}"
+        for e, a, b in [((1, 4), 1, 4), ((2, 3), 2, 3), ((3, 4), 3, 4)]
+    ]
+
+
 def test_validate_tdd_reports_foreign_vertex():
     d = TreeDistanceDecomposition(
         bags=((0,), (1, 2), (3,)),

@@ -64,6 +64,14 @@ def test_validate_detects_uncovered_edge():
     assert any("coverage: vertex 2" in p for p in problems)
 
 
+def test_validate_reports_uncovered_edges_in_ascending_order():
+    g = Graph(4, [(3, 2), (1, 3), (2, 0), (2, 1), (0, 1), (0, 3)])  # K4
+    d = TreeDecomposition(bags=((0, 1), (2, 3)), tree_edges=frozenset({(0, 1)}))
+    assert validate_tree_decomposition(g, d) == [
+        f"edge-coverage: edge {e} is inside no bag" for e in [(0, 2), (0, 3), (1, 2), (1, 3)]
+    ]
+
+
 def test_validate_detects_broken_vertex_subtree():
     g = Graph(4, [(0, 1), (0, 3)])
     d = TreeDecomposition(
