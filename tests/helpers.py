@@ -3,9 +3,11 @@ the engines are checked against."""
 
 from __future__ import annotations
 
+import importlib.util
 import random
 from collections import deque
 from itertools import permutations
+from pathlib import Path
 from typing import Iterable
 
 from widthiso import (
@@ -22,6 +24,16 @@ from widthiso import (
 from widthiso.augtree import bag_split
 from widthiso.isoorder import _header, _orderings, _sep_head
 from widthiso.tdd import TreeDistanceDecomposition
+
+
+def benchmark_inputs():
+    """perfbench/inputs.py, the benchmark's seeded generators and
+    engine-independent references, loaded read-only by path."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("benchmark_inputs", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def path_graph(n: int) -> Graph:

@@ -61,6 +61,7 @@ from widthiso.graph import _articulation_counts, induced_subgraph
 from widthiso.tdd import _build
 
 from helpers import (
+    benchmark_inputs,
     child_groups,
     complete_graph,
     cycle_graph,
@@ -396,6 +397,39 @@ def test_golden_canonical_bytes(name, n, edges, k, digest, cmap, tdw):
     assert hashlib.sha256(canon_tdw(g, k).hex.encode()).hexdigest() == digest
     assert canonical_map(g, k) == cmap
     assert tree_distance_width(g, k) == tdw
+
+
+def _pinned_states() -> list:
+    """_canon_state's (trace, root set, sigma) and canonical_map at k = 1..3
+    of 300 relabelled width-2 graphs, half from the benchmark's
+    layered_tdw2 generator, half from random_narrow_graph, and of 60
+    denser random graphs with cut vertices and wider bags."""
+    inputs = benchmark_inputs()
+    rng = random.Random(2610)
+    graphs = []
+    for i in range(300):
+        n = rng.randint(2, 24)
+        g = random_narrow_graph(rng, n) if i % 2 else Graph(n, inputs.layered_tdw2(n, rng))
+        graphs.append(g)
+    graphs += [_random_connected(rng, rng.randint(1, 9)) for _ in range(60)]
+    out = []
+    for g in graphs:
+        g, _ = random_relabel(g, seed=rng.randrange(1 << 30))
+        for k in (1, 2, 3):
+            state = _canon_state(g, k)
+            if state is None:
+                out.append(None)
+            else:
+                out.append((state.trace, state.root_set, state.sigma, canonical_map(g, k)))
+    return out
+
+
+# sha256 of repr(_pinned_states()).
+CANON_STATE_DIGEST = "690c1584c2592ade2608399252b5a4f91fae86bb8d18c1dfd744bfe58d9024dd"
+
+
+def test_golden_canon_states():
+    assert hashlib.sha256(repr(_pinned_states()).encode()).hexdigest() == CANON_STATE_DIGEST
 
 
 # sha256 of the compare_augmented values over every ordered pair of the

@@ -20,13 +20,11 @@ verdicts of iso_one_decomp, iso_tw and iso_tdw against AHU tree codes.
 """
 
 import hashlib
-import importlib.util
 import inspect
 import random
 import sys
 import time
 import tracemalloc
-from pathlib import Path
 
 import pytest
 
@@ -47,6 +45,7 @@ from widthiso import (
 )
 
 from helpers import (
+    benchmark_inputs,
     cycle_graph,
     grid_graph,
     path_graph,
@@ -375,22 +374,13 @@ def test_deep_caterpillar_search_without_recursion():
     assert perm is not None and is_isomorphism(h, g, perm)
 
 
-def _benchmark_inputs():
-    """perfbench/inputs.py, the benchmark's engine-independent references."""
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "inputs.py"
-    spec = importlib.util.spec_from_file_location("benchmark_inputs", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 def test_tree_verdicts_match_ahu_codes():
     # Random trees and caterpillars of 300 and 1,000 vertices against a
     # relabelled copy and a relabelled copy with one leaf moved: colour
     # refinement decides trees, and component signatures keep the search
     # from backtracking over sibling placements.  A partial 2-tree of 240
     # vertices rides along.
-    inputs = _benchmark_inputs()
+    inputs = benchmark_inputs()
     names: dict = {}
     rng = random.Random(11)
     start = time.perf_counter()
