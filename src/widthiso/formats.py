@@ -146,7 +146,7 @@ def _decomposition_in_bulk(lines: list[str]) -> tuple[TreeDecomposition, int] | 
     except ValueError:
         return None
     body = lines[start + 1:]
-    if not 0 <= n_bags <= len(body):
+    if min(size, n) < 0 or not 0 <= n_bags <= len(body):
         return None
     tail = body[n_bags:]
     root = None
@@ -193,6 +193,9 @@ def _decomposition_by_line(lines: list[str]) -> tuple[TreeDecomposition, int]:
             if len(parts) != 5 or parts[1] != "td":
                 raise FormatError(f"line {lineno}: expected 'p td <bags> <width+1> <n>'")
             header = _ints(parts[2:], lineno)
+            if min(header) < 0:
+                n_bags, size, n = header
+                raise FormatError(f"line {lineno}: negative count in 'p td {n_bags} {size} {n}'")
         elif parts[0] == "b":
             if header is None:
                 raise FormatError(f"line {lineno}: b line before p line")

@@ -1,8 +1,12 @@
 """Isomorphism order on augmented trees, and for bounded tree distance width
 graphs the isomorphism decision, canonization and the width itself.
 
-One search over root sets serves the last three: _root_search returns the
-first group of root sets that fit the width bound.  Canonization traces that
+One search over root sets serves the last three: _root_search ranks the
+root sets by exact prefixes of their least traces, read off the components
+of G - S, and returns the first group of equal prefixes that fits the width
+bound.  The ranking has two stages: every root set by its root prefix, then
+a group of equal root prefixes by the longer prefix through its first child
+entry, so that only the least group is filled.  Canonization traces that
 group; tree_distance_width is the least bound at which the search finds one.
 
 The order is realized through canonical traces, read from (bag, parent bag)
@@ -454,35 +458,25 @@ def _bag_traces(tracer: _Tracer, memo: dict, g: Graph, d, bag: int, parent: int 
     return best
 
 
-def _sep_counts(
-    g: Graph, s: tuple[int, ...], splits: list[int], cap: int
-) -> dict[tuple[int, ...], int] | None:
-    """Separating sets of the root bag s, each with its number of child
-    bags; None when a child bag is seen to hold more than cap vertices.
+def _components(g: Graph, s: tuple[int, ...]):
+    """The components C of G - S, one breadth-first search each, as triples:
+    N(C) ∩ S sorted, the child bag N(S) ∩ C in search order, and |C|.
 
     The child bags of the root are the components of G - S, each cut down to
-    its neighbours of S, and the component C hangs from N(C) ∩ S.  A single
-    vertex v separates all splits[v] components of G - v, and its
-    neighbours cannot fit when there are more than cap per component.
+    its neighbours of S, and the component C hangs from N(C) ∩ S.
     """
-    if len(s) == 1:
-        v = s[0]
-        if len(g._adj[v]) > cap * splits[v]:
-            return None
-        return {s: splits[v]} if splits[v] else {}
     adj = g._adj
     inside = set(s)
     seen = [False] * g.vertex_count
     for v in s:
         seen[v] = True
-    counts: dict[tuple[int, ...], int] = {}
     for start in range(g.vertex_count):
         if seen[start]:
             continue
         seen[start] = True
         comp = [start]
         sep = set()
-        bag = 0
+        bag = []
         for x in comp:  # comp grows while it is read: a breadth-first search
             near = False
             for y in adj[x]:
@@ -492,23 +486,79 @@ def _sep_counts(
                 elif not seen[y]:
                     seen[y] = True
                     comp.append(y)
-            bag += near
-        if bag > cap:
+            if near:
+                bag.append(x)
+        yield tuple(sorted(sep)), bag, len(comp)
+
+
+def _sep_counts(
+    g: Graph, s: tuple[int, ...], splits: list[int], cap: int
+) -> dict[tuple[int, ...], int] | None:
+    """Separating sets of the root bag s, each with its number of child
+    bags; None when a child bag is seen to hold more than cap vertices.
+
+    A single vertex v separates all splits[v] components of G - v, and its
+    neighbours cannot fit when there are more than cap per component.
+    """
+    if len(s) == 1:
+        v = s[0]
+        if len(g._adj[v]) > cap * splits[v]:
             return None
-        key = tuple(sorted(sep))
-        counts[key] = counts.get(key, 0) + 1
+        return {s: splits[v]} if splits[v] else {}
+    counts: dict[tuple[int, ...], int] = {}
+    for sep, bag, _ in _components(g, s):
+        if len(bag) > cap:
+            return None
+        counts[sep] = counts.get(sep, 0) + 1
     return counts
 
 
-def _root_prefix(g: Graph, s: tuple[int, ...], seps: dict[tuple[int, ...], int]) -> tuple[int, ...]:
+def _kid(g: Graph, s: tuple[int, ...], bag: Sequence[int], size: int) -> tuple:
+    """A child bag of the root bag s, of a subtree of size vertices, with
+    what its trace entry opens with: its edges from s as (s vertex, child
+    vertex) pairs and its inner edges."""
+    adj = g._adj
+    inner = set(bag)
+    pairs = [(m, w) for w in bag for m in adj[w] if m in s]
+    edges = [(u, w) for u in bag for w in adj[u] if w > u and w in inner]
+    return bag, pairs, edges, size
+
+
+def _entry_head(pos: dict[int, int], kid: tuple) -> tuple[int, ...]:
+    """Opening of kid's entry under the root bag positions pos, least over
+    the child bag's orderings: the bipartite code, relative depth 2, and the
+    child's header up to its subtree size."""
+    bag, pairs, edges, size = kid
+    best = None
+    for phi in _orderings(bag):
+        child_pos = {v: i for i, v in enumerate(phi)}
+        head = _header(child_pos, edges, size, 0)
+        head.pop()
+        entry = _bip_code(pos, child_pos, pairs) + (2, *head)
+        if best is None or entry < best:
+            best = entry
+    return best
+
+
+def _root_prefix(
+    g: Graph,
+    s: tuple[int, ...],
+    seps: dict[tuple[int, ...], int],
+    kids: dict[tuple[int, ...], list[tuple]] | None = None,
+) -> tuple[int, ...]:
     """Opening of root set s's minimal trace, from its separating sets.
 
     Depth 0, the header of the root bag (the whole graph as subtree) and,
     when there is a separating set, the least block head.  Blocks are sorted
     and each head is self-delimiting, so the first block starts with the
-    least head; minimised over the root bag's orderings this tuple is an
-    exact prefix of the least trace, and comparing two root sets' prefixes
-    orders their traces whenever the prefixes differ.
+    least head, and no two sets share a head.  When kids maps each
+    separating set to its child bags (see _kid), the first child entry's
+    opening (see _entry_head) follows: entries are sorted too, so the least
+    one over the least head's child bags and their orderings starts the
+    first block's entries.  Every field is self-delimiting, so minimised
+    over the root bag's orderings this tuple is an exact prefix of the least
+    trace, and comparing two root sets' prefixes orders their traces
+    whenever the prefixes differ.
     """
     adj = g._adj
     inside = set(s)
@@ -518,10 +568,29 @@ def _root_prefix(g: Graph, s: tuple[int, ...], seps: dict[tuple[int, ...], int])
         pos = {v: i for i, v in enumerate(sigma)}
         out = [0, *_header(pos, edges, g.vertex_count, len(seps))]
         if seps:
-            out.extend(min(_sep_head(pos, sep, count) for sep, count in seps.items()))
+            head, sep = min((_sep_head(pos, sep, count), sep) for sep, count in seps.items())
+            out += head
+            if kids is not None:
+                out += min(_entry_head(pos, kid) for kid in kids[sep])
         if best is None or out < best:
             best = out
     return tuple(best)
+
+
+def _entry_prefix(g: Graph, s: tuple[int, ...], splits: list[int]) -> tuple[int, ...]:
+    """Root set s's root prefix through its first child entry (see
+    _root_prefix).  A vertex v that cuts nothing has one child bag, N(v),
+    below it, so its prefix needs no component search: one vertex, no
+    edge, n, one separating set {v} at position 0 with one child bag."""
+    n = g.vertex_count
+    if len(s) == 1 and splits[s[0]] == 1:
+        v = s[0]
+        entry = _entry_head({v: 0}, _kid(g, s, g._adj[v], n - 1))
+        return (0, 1, 0, n, 1, 1, 0, 1, *entry)
+    kids: dict[tuple[int, ...], list[tuple]] = {}
+    for sep, bag, size in _components(g, s):
+        kids.setdefault(sep, []).append(_kid(g, s, bag, size))
+    return _root_prefix(g, s, {sep: len(group) for sep, group in kids.items()}, kids)
 
 
 def _root_search(tracer: _Tracer, k: int) -> list[tuple[int, ...]] | None:
@@ -529,11 +598,14 @@ def _root_search(tracer: _Tracer, k: int) -> list[tuple[int, ...]] | None:
     and may carry the least trace; None when no root set fits.
 
     Every trace starts (0, |S|, ...), so sizes are tried in increasing
-    order.  Within a size, root sets are ranked by their root prefix (see
-    _root_prefix), read from the components of G - S, where a root set whose
-    depth-1 bags exceed k drops out.  Root pairs (S, None) are filled in the
-    tracer one equal-prefix group at a time, and the first group with an
-    admissible member is returned, its admissible members only, in
+    order.  Within a size, root sets are ranked in two stages, each by an
+    exact prefix of their least traces.  All are ranked by their root
+    prefix (see _root_prefix), read from the components of G - S, where a
+    root set whose depth-1 bags exceed k drops out.  Only a group of more
+    than one equal prefix is ranked again, by the longer prefix through the
+    first child entry (_entry_prefix).  Root pairs (S, None) are filled in
+    the tracer one equal-prefix group at a time, and the first group with
+    an admissible member is returned, its admissible members only, in
     combinations order.  The empty graph's one root set is empty and has
     nothing to fill."""
     g = tracer.g
@@ -553,9 +625,16 @@ def _root_search(tracer: _Tracer, k: int) -> list[tuple[int, ...]] | None:
             key=itemgetter(0),
         )
         for _, ties in groupby(ranked, key=itemgetter(0)):
-            group = [s for _, s in ties if tracer.fill(s, (s, None), n) <= k]
-            if group:
-                return group
+            ties = [s for _, s in ties]
+            if len(ties) > 1:
+                finer = sorted(((_entry_prefix(g, s, splits), s) for s in ties), key=itemgetter(0))
+                groups = [[s for _, s in sub] for _, sub in groupby(finer, key=itemgetter(0))]
+            else:
+                groups = [ties]
+            for group in groups:
+                group = [s for s in group if tracer.fill(s, (s, None), n) <= k]
+                if group:
+                    return group
     return None
 
 

@@ -283,22 +283,45 @@ def subtree_graph(h: SubtreeHandle) -> tuple[Graph, dict[int, int]]:
     return induced_subgraph(tree.graph, verts)
 
 
-def root_prefix(g: Graph, d: TreeDistanceDecomposition) -> tuple[int, ...]:
+def root_prefix(g: Graph, d: TreeDistanceDecomposition, entry: bool = True) -> tuple[int, ...]:
     """Opening of the root set's minimal trace, read from its decomposition.
 
     Depth 0, the header of the root bag and, when there is a separating
-    set, the least block head, minimised over the root bag's orderings.
+    set, the least block head, then with entry the least opening of a child
+    entry of that block: the bipartite code, relative depth 2, and the
+    child bag's size, edge code and subtree vertex count, least over the
+    child bag's orderings.  The whole is minimised over the root bag's
+    orderings.
     """
-    edges, seps = bag_split(g, d.bags[d.root], sorted(d.bags[c] for c in d.children(d.root)))
+    sizes = {d.bags[c]: d.subtree_sizes[c] for c in d.children(d.root)}
+    edges, seps = bag_split(g, d.bags[d.root], sorted(sizes))
     best = None
     for sigma in _orderings(d.bags[d.root]):
         pos = {v: i for i, v in enumerate(sigma)}
         out = [0, *_header(pos, edges, g.vertex_count, len(seps))]
         if seps:
-            out.extend(min(_sep_head(pos, sep, len(kids)) for sep, kids in seps))
+            head, kids = min((_sep_head(pos, sep, len(kids)), kids) for sep, kids in seps)
+            out.extend(head)
+            if entry:
+                out.extend(min(_entry_opening(g, pos, kid, pairs, sizes[kid]) for kid, pairs in kids))
         if best is None or out < best:
             best = out
     return tuple(best)
+
+
+def _entry_opening(g: Graph, pos: dict, kid: tuple[int, ...], pairs: list, size: int) -> list[int]:
+    """The child entry of kid up to its subtree size, least over kid's orderings."""
+    inner = [(u, w) for u in kid for w in g.neighbors(u) if w > u and w in kid]
+    best = None
+    for phi in _orderings(kid):
+        kid_pos = {v: i for i, v in enumerate(phi)}
+        out = [len(pairs)]
+        for ab in sorted((pos[m], kid_pos[w]) for m, w in pairs):
+            out.extend(ab)
+        out += [2, *_header(kid_pos, inner, size, 0)[:-1]]
+        if best is None or out < best:
+            best = out
+    return best
 
 
 def relabel_decomposition(d: TreeDecomposition, perm) -> TreeDecomposition:

@@ -166,6 +166,10 @@ def test_malformed_input_is_rejected(parse, text, message):
             "p td 3 1 3\nb 1 1\nb 2 2\nb 3 3\nt 1\n2 t 2 3\n",
             "line 5: expected 't <id1> <id2>'",
         ),
+        # Negative counts in the header, refused like parse_graph refuses them.
+        (parse_tree_decomposition, "p td -1 0 -5\n", "line 1: negative count in 'p td -1 0 -5'"),
+        (parse_tree_decomposition, "p td 1 0 -5\nb 1\n", "line 1: negative count in 'p td 1 0 -5'"),
+        (parse_tree_decomposition, "c x\np td 0 -1 0\n", "line 2: negative count in 'p td 0 -1 0'"),
     ],
 )
 def test_first_fault_in_line_order_is_reported(parse, text, message):

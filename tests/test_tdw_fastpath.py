@@ -3,16 +3,19 @@
 The minimal decomposition builder is checked against the definition, the
 canonisation search that stops at the first admissible root-set size is
 checked against the minimum over every root set, and so is the width query
-that runs the same search.  The root prefix that ranks root sets (read from
-the components of G - S) is checked against the decomposition-based
-reference and the full trace, the articulation counts behind the
-single-vertex prefixes against a component count, and the canonical bytes
-and maps of a few fixed graphs and the augmented-tree order over a fixed
-pool are pinned.  The (bag, parent bag) pair records that root sets share
-are checked against built decompositions, and paths, a caterpillar and the
-width query against the builds they may make.  Deep paths and a deep spider
-check that no tdw traversal depends on the interpreter's recursion limit,
-and that a relabelled 4,000-vertex path is canonised in bounded memory.
+that runs the same search.  The two prefixes that rank root sets (read from
+the components of G - S), the root prefix and the longer one through the
+first child entry, are checked against the decomposition-based reference
+and the full trace, the articulation counts behind the single-vertex
+prefixes against a component count, and the canonical bytes and maps of a
+few fixed graphs, the canonisation states and maps of 360 seeded graphs
+and the augmented-tree order over a fixed pool are pinned.  The (bag,
+parent bag) pair records that root sets share are checked against built
+decompositions, and paths, a caterpillar, a cycle with a pendant vertex
+and the width query against the builds they may make.  Deep paths and a
+deep spider check that no tdw traversal depends on the interpreter's
+recursion limit, and that a relabelled 4,000-vertex path is canonised in
+bounded memory.
 """
 
 import hashlib
@@ -52,6 +55,7 @@ from widthiso.isoorder import (
     _CANON_CACHE_SIZE,
     _Tracer,
     _canon_state,
+    _entry_prefix,
     _min_trace,
     _root_prefix,
     _sep_counts,
@@ -130,6 +134,10 @@ def test_early_stop_keeps_least_trace(k):
 
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_root_prefix_opens_min_trace(k):
+    """The root prefix of every root set, and the longer prefix through the
+    first child entry of every root set whose depth-1 bags fit k (those
+    _root_search may rank by it), match the reference read off the built
+    decomposition, and both open the least trace where the width fits k."""
     rng = random.Random(500 + k)
     checked = 0
     for _ in range(60):
@@ -139,14 +147,18 @@ def test_root_prefix_opens_min_trace(k):
             for s in combinations(range(g.vertex_count), size):
                 d = build_minimal_tdd(g, s)
                 prefix = _root_prefix(g, s, _sep_counts(g, s, splits, g.vertex_count))
-                assert prefix == root_prefix(g, d)
+                assert prefix == root_prefix(g, d, entry=False)
                 if _sep_counts(g, s, splits, k) is None:
                     assert d.width() > k
+                    continue
+                key = _entry_prefix(g, s, splits)
+                assert key == root_prefix(g, d)
+                assert key[: len(prefix)] == prefix
                 if d.width() > k:
                     continue
                 tree = build_augmented_tree(g, d, check=False)
                 trace, _ = _min_trace(tree, 0)
-                assert trace[: len(prefix)] == prefix
+                assert trace[: len(key)] == key
                 checked += 1
     assert checked >= 100
 
@@ -226,6 +238,19 @@ def test_width_builds_each_root_set_once(monkeypatch):
         assert tree_distance_width(g, 3) is not None
         repeats += len(built) - len(set(built))
     assert repeats == 0
+
+
+def test_pendant_cycle_builds_only_the_pendant(monkeypatch):
+    """On a 5-cycle with one pendant vertex, the pendant and the four cycle
+    vertices of degree 2 share the root prefix.  The first child entry sets
+    the pendant apart, its one neighbour against two, so only it is built."""
+    original = Graph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (0, 5)])
+    g, perm = random_relabel(original, seed=3)
+    expected = canon_tdw(original, 2)
+    _canon_state.cache_clear()
+    built, entered = _count_builds(monkeypatch)
+    assert canon_tdw(g, 2) == expected
+    assert built == entered == [(perm[5],)]
 
 
 def _caterpillar(n: int, seed: int) -> Graph:
