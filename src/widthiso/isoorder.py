@@ -458,9 +458,11 @@ def _bag_traces(tracer: _Tracer, memo: dict, g: Graph, d, bag: int, parent: int 
     return best
 
 
-def _components(g: Graph, s: tuple[int, ...]):
+def _components(g: Graph, s: tuple[int, ...], cap: int) -> list[tuple] | None:
     """The components C of G - S, one breadth-first search each, as triples:
-    N(C) ∩ S sorted, the child bag N(S) ∩ C in search order, and |C|.
+    N(C) ∩ S sorted, the child bag N(S) ∩ C in search order, and |C|.  None
+    as soon as a child bag holds more than cap vertices: the decomposition
+    rooted at S holds that bag, so its width exceeds cap.
 
     The child bags of the root are the components of G - S, each cut down to
     its neighbours of S, and the component C hangs from N(C) ∩ S.
@@ -470,6 +472,7 @@ def _components(g: Graph, s: tuple[int, ...]):
     seen = [False] * g.vertex_count
     for v in s:
         seen[v] = True
+    comps = []
     for start in range(g.vertex_count):
         if seen[start]:
             continue
@@ -488,29 +491,36 @@ def _components(g: Graph, s: tuple[int, ...]):
                     comp.append(y)
             if near:
                 bag.append(x)
-        yield tuple(sorted(sep)), bag, len(comp)
+        if len(bag) > cap:
+            return None
+        comps.append((tuple(sorted(sep)), bag, len(comp)))
+    return comps
 
 
 def _sep_counts(
     g: Graph, s: tuple[int, ...], splits: list[int], cap: int
-) -> dict[tuple[int, ...], int] | None:
+) -> tuple[dict[tuple[int, ...], int], list[tuple] | None] | None:
     """Separating sets of the root bag s, each with its number of child
-    bags; None when a child bag is seen to hold more than cap vertices.
+    bags, and the components of G - S when they were searched (see
+    _components); None when a child bag is seen to hold more than cap
+    vertices.
 
     A single vertex v separates all splits[v] components of G - v, and its
-    neighbours cannot fit when there are more than cap per component.
+    neighbours cannot fit when there are more than cap per component, so a
+    single vertex needs no search.
     """
     if len(s) == 1:
         v = s[0]
         if len(g._adj[v]) > cap * splits[v]:
             return None
-        return {s: splits[v]} if splits[v] else {}
+        return ({s: splits[v]} if splits[v] else {}), None
+    comps = _components(g, s, cap)
+    if comps is None:
+        return None
     counts: dict[tuple[int, ...], int] = {}
-    for sep, bag, _ in _components(g, s):
-        if len(bag) > cap:
-            return None
+    for sep, _, _ in comps:
         counts[sep] = counts.get(sep, 0) + 1
-    return counts
+    return counts, comps
 
 
 def _kid(g: Graph, s: tuple[int, ...], bag: Sequence[int], size: int) -> tuple:
@@ -577,18 +587,34 @@ def _root_prefix(
     return tuple(best)
 
 
-def _entry_prefix(g: Graph, s: tuple[int, ...], splits: list[int]) -> tuple[int, ...]:
+def _entry_prefix(
+    g: Graph,
+    s: tuple[int, ...],
+    splits: list[int],
+    cap: int,
+    comps: list[tuple] | None = None,
+) -> tuple[int, ...] | None:
     """Root set s's root prefix through its first child entry (see
-    _root_prefix).  A vertex v that cuts nothing has one child bag, N(v),
-    below it, so its prefix needs no component search: one vertex, no
-    edge, n, one separating set {v} at position 0 with one child bag."""
-    n = g.vertex_count
+    _root_prefix), from the components comps of G - S when given; None when
+    a child bag holds more than cap vertices, as no decomposition rooted at
+    s then fits cap.  A vertex v that cuts nothing has one child bag, N(v),
+    below it, so its prefix needs no component search, and with one root
+    ordering and one separating set it is written out without
+    _root_prefix's search over them."""
     if len(s) == 1 and splits[s[0]] == 1:
-        v = s[0]
-        entry = _entry_head({v: 0}, _kid(g, s, g._adj[v], n - 1))
-        return (0, 1, 0, n, 1, 1, 0, 1, *entry)
+        bag = g._adj[s[0]]
+        if len(bag) > cap:
+            return None
+        n = g.vertex_count
+        pos = {s[0]: 0}
+        entry = _entry_head(pos, _kid(g, s, bag, n - 1))
+        return (0, *_header(pos, (), n, 1), *_sep_head(pos, s, 1), *entry)
+    if comps is None:
+        comps = _components(g, s, cap)
+        if comps is None:
+            return None
     kids: dict[tuple[int, ...], list[tuple]] = {}
-    for sep, bag, size in _components(g, s):
+    for sep, bag, size in comps:
         kids.setdefault(sep, []).append(_kid(g, s, bag, size))
     return _root_prefix(g, s, {sep: len(group) for sep, group in kids.items()}, kids)
 
@@ -601,13 +627,16 @@ def _root_search(tracer: _Tracer, k: int) -> list[tuple[int, ...]] | None:
     order.  Within a size, root sets are ranked in two stages, each by an
     exact prefix of their least traces.  All are ranked by their root
     prefix (see _root_prefix), read from the components of G - S, where a
-    root set whose depth-1 bags exceed k drops out.  Only a group of more
+    root set with a depth-1 bag above k drops out; a single vertex is only
+    checked by its degree, against k per component.  Only a group of more
     than one equal prefix is ranked again, by the longer prefix through the
-    first child entry (_entry_prefix).  Root pairs (S, None) are filled in
-    the tracer one equal-prefix group at a time, and the first group with
-    an admissible member is returned, its admissible members only, in
-    combinations order.  The empty graph's one root set is empty and has
-    nothing to fill."""
+    first child entry (_entry_prefix).  It reuses the components searched
+    for the first stage, and a single vertex with a depth-1 bag above k
+    drops out there, before its child orderings are enumerated.  Root
+    pairs (S, None) are filled in the tracer one equal-prefix group at a
+    time, and the first group with an admissible member is returned, its
+    admissible members only, in combinations order.  The empty graph's one
+    root set is empty and has nothing to fill."""
     g = tracer.g
     if not is_connected(g):
         raise DisconnectedGraphError("tree distance decompositions need a connected graph")
@@ -618,19 +647,26 @@ def _root_search(tracer: _Tracer, k: int) -> list[tuple[int, ...]] | None:
     for size in range(1, min(k, n) + 1):
         ranked = sorted(
             (
-                (_root_prefix(g, s, seps), s)
+                (_root_prefix(g, s, found[0]), s, found[1])
                 for s in combinations(range(n), size)
-                if (seps := _sep_counts(g, s, splits, k)) is not None
+                if (found := _sep_counts(g, s, splits, k)) is not None
             ),
             key=itemgetter(0),
         )
         for _, ties in groupby(ranked, key=itemgetter(0)):
-            ties = [s for _, s in ties]
+            ties = list(ties)
             if len(ties) > 1:
-                finer = sorted(((_entry_prefix(g, s, splits), s) for s in ties), key=itemgetter(0))
+                finer = sorted(
+                    (
+                        (key, s)
+                        for _, s, comps in ties
+                        if (key := _entry_prefix(g, s, splits, k, comps)) is not None
+                    ),
+                    key=itemgetter(0),
+                )
                 groups = [[s for _, s in sub] for _, sub in groupby(finer, key=itemgetter(0))]
             else:
-                groups = [ties]
+                groups = [[ties[0][1]]]
             for group in groups:
                 group = [s for s in group if tracer.fill(s, (s, None), n) <= k]
                 if group:

@@ -22,6 +22,7 @@ import hashlib
 import inspect
 import random
 import sys
+import time
 import tracemalloc
 from itertools import chain, combinations, islice
 
@@ -132,12 +133,27 @@ def test_early_stop_keeps_least_trace(k):
             assert state is None
 
 
+def _bound_orderings(monkeypatch, k: int) -> None:
+    """Fail at once where isoorder would enumerate the orderings of a bag
+    of more than k vertices, as a bag of 11 has 11! of them."""
+    orderings = isoorder._orderings
+
+    def bounded(bag):
+        assert len(bag) <= k, f"ordered a bag of {len(bag)} vertices"
+        return orderings(bag)
+
+    monkeypatch.setattr(isoorder, "_orderings", bounded)
+
+
 @pytest.mark.parametrize("k", [1, 2, 3])
-def test_root_prefix_opens_min_trace(k):
-    """The root prefix of every root set, and the longer prefix through the
-    first child entry of every root set whose depth-1 bags fit k (those
-    _root_search may rank by it), match the reference read off the built
-    decomposition, and both open the least trace where the width fits k."""
+def test_root_prefix_opens_min_trace(k, monkeypatch):
+    """The root prefix of every root set matches the reference read off the
+    built decomposition.  The longer prefix through the first child entry
+    is None exactly where a depth-1 bag exceeds k, so that no such root set
+    is ranked by it; elsewhere it matches the reference, with or without the
+    components searched for the root prefix, and both open the least trace
+    where the width fits k."""
+    _bound_orderings(monkeypatch, k)
     rng = random.Random(500 + k)
     checked = 0
     for _ in range(60):
@@ -146,12 +162,19 @@ def test_root_prefix_opens_min_trace(k):
         for size in range(1, min(k, g.vertex_count) + 1):
             for s in combinations(range(g.vertex_count), size):
                 d = build_minimal_tdd(g, s)
-                prefix = _root_prefix(g, s, _sep_counts(g, s, splits, g.vertex_count))
+                seps, _ = _sep_counts(g, s, splits, g.vertex_count)
+                prefix = _root_prefix(g, s, seps)
                 assert prefix == root_prefix(g, d, entry=False)
-                if _sep_counts(g, s, splits, k) is None:
-                    assert d.width() > k
+                wide = any(len(d.bags[c]) > k for c in d.children(d.root))
+                key = _entry_prefix(g, s, splits, k)
+                assert (key is None) == wide
+                found = _sep_counts(g, s, splits, k)
+                if found is None:
+                    assert wide
                     continue
-                key = _entry_prefix(g, s, splits)
+                assert _entry_prefix(g, s, splits, k, found[1]) == key
+                if wide:
+                    continue
                 assert key == root_prefix(g, d)
                 assert key[: len(prefix)] == prefix
                 if d.width() > k:
@@ -161,6 +184,52 @@ def test_root_prefix_opens_min_trace(k):
                 assert trace[: len(key)] == key
                 checked += 1
     assert checked >= 100
+
+
+def _two_hubs() -> Graph:
+    """Two hubs u = 0 and w = 1, each with 4 pendant leaves and 11
+    neighbours all joined to one vertex (x for u, y for w), and the edge
+    x-y: 34 vertices."""
+    edges = [(32, 33)]
+    nxt = 2
+    for hub, far in ((0, 32), (1, 33)):
+        for _ in range(4):
+            edges.append((hub, nxt))
+            nxt += 1
+        for _ in range(11):
+            edges += [(hub, nxt), (nxt, far)]
+            nxt += 1
+    return Graph(34, edges)
+
+
+def test_wide_cut_vertices_order_no_wide_bag(monkeypatch):
+    """Both hubs pass the degree check at k = 3 (degree 15 against 3 for
+    each of 5 components) and share the root prefix, but each holds its 11
+    far neighbours in one depth-1 bag.  Ranking must drop them without
+    enumerating that bag's 11! orderings: no bag above k is ever ordered,
+    and the canon state is still the first least trace over all root sets."""
+    g = _two_hubs()
+    splits = _articulation_counts(g)
+    assert splits[0] == splits[1] == 5 and g.degree(0) == g.degree(1) == 15
+    assert _root_prefix(g, (0,), _sep_counts(g, (0,), splits, 3)[0]) == _root_prefix(
+        g, (1,), _sep_counts(g, (1,), splits, 3)[0]
+    )
+    _bound_orderings(monkeypatch, 3)
+    assert _entry_prefix(g, (0,), splits, 3) is None
+    _canon_state.cache_clear()
+    start = time.perf_counter()
+    state = _canon_state(g, 3)
+    assert tree_distance_width(g, 3) == 3
+    assert time.perf_counter() - start < 10
+    monkeypatch.undo()
+    found = []
+    for size in range(1, 4):
+        for s in combinations(range(g.vertex_count), size):
+            d = build_minimal_tdd(g, s)
+            if d.width() <= 3:
+                found.append((*_min_trace(build_augmented_tree(g, d, check=False), 0), s))
+    least = min(trace for trace, _, _ in found)
+    assert (state.trace, state.sigma, state.root_set) == next(f for f in found if f[0] == least)
 
 
 ARTICULATION_GRAPHS = [
