@@ -42,8 +42,10 @@ def write_graph(g: Graph, comment: str | None = None) -> str:
         for row in comment.splitlines():
             lines.append(f"c {row}")
     lines.append(f"p tw {g.vertex_count} {g.edge_count}")
-    for u, v in sorted(g.edges):
-        lines.append(f"e {u + 1} {v + 1}")
+    for u, nbrs in enumerate(g._adj):  # ascending (min, max) pairs
+        for v in nbrs:
+            if v > u:
+                lines.append(f"e {u + 1} {v + 1}")
     return "\n".join(lines) + "\n"
 
 

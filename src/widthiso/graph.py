@@ -1,4 +1,5 @@
-"""Undirected simple graphs on dense 0-based labels, plus the primitives the
+"""Undirected simple graphs on dense 0-based labels, stored once as sorted
+adjacency tuples (the edge set is derived on demand), plus the primitives the
 engines read them through: BFS levels from a vertex set, connectivity,
 components and articulation counts.  Distances and induced subgraphs are
 for library users and the tests; no engine builds a subgraph.
@@ -10,6 +11,7 @@ tie-break downstream, so all algorithms built on top are deterministic.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import deque
 from typing import Iterable
 
@@ -17,15 +19,19 @@ from .errors import EmptySetError, InvalidVertexError
 
 
 class Graph:
-    """Immutable simple graph: no self-loops, no duplicates, undirected."""
+    """Immutable simple graph: no self-loops, no duplicates, undirected.
 
-    __slots__ = ("vertex_count", "edges", "_adj", "_hash")
+    The sorted adjacency ``_adj`` (``_adj[v]`` is the ascending tuple of
+    v's neighbours) is the one stored form; every engine reads it.  The
+    edge set ``edges`` is derived from it on each access.
+    """
+
+    __slots__ = ("vertex_count", "edge_count", "_adj", "_hash")
 
     def __init__(self, vertex_count: int, edges: Iterable[tuple[int, int]] = ()) -> None:
         if vertex_count < 0:
             raise ValueError("vertex_count must be non-negative")
-        seen: set[tuple[int, int]] = set()
-        adj: list[list[int]] = [[] for _ in range(vertex_count)]
+        adj: list[set[int]] = [set() for _ in range(vertex_count)]
         for u, v in edges:
             if not (0 <= u < vertex_count and 0 <= v < vertex_count):
                 raise InvalidVertexError(
@@ -33,19 +39,19 @@ class Graph:
                 )
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
-            e = (u, v) if u < v else (v, u)
-            if e not in seen:
-                seen.add(e)
-                adj[e[0]].append(e[1])
-                adj[e[1]].append(e[0])
+            adj[u].add(v)
+            adj[v].add(u)
         self.vertex_count = vertex_count
-        self.edges = frozenset(seen)
-        self._adj = tuple(tuple(sorted(nbrs)) for nbrs in adj)
+        self._adj = tuple([tuple(sorted(nbrs)) for nbrs in adj])
+        self.edge_count = sum(map(len, self._adj)) // 2
         self._hash: int | None = None
 
     @property
-    def edge_count(self) -> int:
-        return len(self.edges)
+    def edges(self) -> frozenset[tuple[int, int]]:
+        """Every edge once, as a (smaller, larger) pair; built on each access."""
+        return frozenset(
+            (u, v) for u, nbrs in enumerate(self._adj) for v in nbrs if v > u
+        )
 
     def vertices(self) -> range:
         return range(self.vertex_count)
@@ -59,8 +65,12 @@ class Graph:
         return len(self._adj[v])
 
     def has_edge(self, u: int, v: int) -> bool:
-        e = (u, v) if u < v else (v, u)
-        return e in self.edges
+        """Whether uv is an edge; False for any label outside 0..n-1."""
+        if not (0 <= u < self.vertex_count and 0 <= v < self.vertex_count):
+            return False
+        nbrs = self._adj[u]
+        i = bisect_left(nbrs, v)
+        return i < len(nbrs) and nbrs[i] == v
 
     def degree_sequence(self) -> tuple[int, ...]:
         return tuple(sorted(len(nbrs) for nbrs in self._adj))
@@ -72,11 +82,11 @@ class Graph:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented
-        return self.vertex_count == other.vertex_count and self.edges == other.edges
+        return self._adj == other._adj
 
     def __hash__(self) -> int:
         if self._hash is None:
-            self._hash = hash((self.vertex_count, self.edges))
+            self._hash = hash(self._adj)
         return self._hash
 
     def __repr__(self) -> str:

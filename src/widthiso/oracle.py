@@ -8,6 +8,7 @@ enumerator dedupes by minimizing the edge bitmask over all permutations.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from functools import lru_cache
 from itertools import combinations
 from typing import Sequence
@@ -51,9 +52,15 @@ def is_isomorphism(g: Graph, h: Graph, perm: Sequence[int]) -> bool:
         return False
     if g.edge_count != h.edge_count:
         return False
-    for u, v in g.edges:
-        if not h.has_edge(perm[u], perm[v]):
-            return False
+    h_adj = h._adj
+    for u, nbrs in enumerate(g._adj):
+        image = h_adj[perm[u]]
+        for v in nbrs:
+            if v > u:  # each edge once; h.has_edge inlined
+                w = perm[v]
+                i = bisect_left(image, w)
+                if i == len(image) or image[i] != w:
+                    return False
     return True
 
 
@@ -181,11 +188,9 @@ def enumerate_connected_graphs(n: int) -> tuple[Graph, ...]:
     reps: dict[int, Graph] = {}
     new = n - 1
     for base in enumerate_connected_graphs(n - 1):
+        base_edges = list(base.edges)
         for mask in range(1, 1 << new):
-            edges = list(base.edges)
-            for v in range(new):
-                if mask >> v & 1:
-                    edges.append((v, new))
+            edges = base_edges + [(v, new) for v in range(new) if mask >> v & 1]
             g = Graph(n, edges)
             code = canonical_code(g)
             if code not in reps:

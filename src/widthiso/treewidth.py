@@ -54,7 +54,8 @@ class TreeDecomposition:
         return len(self.bags)
 
     def width(self) -> int:
-        return max(len(bag) for bag in self.bags) - 1
+        """Largest bag size minus one; -1 without bags, as for one empty bag."""
+        return max((len(bag) for bag in self.bags), default=0) - 1
 
     @cached_property
     def tree_adjacency(self) -> dict[int, tuple[int, ...]]:

@@ -36,6 +36,38 @@ def benchmark_inputs():
     return module
 
 
+def mutants(text: str, rng: random.Random, count: int) -> list[str]:
+    """Copies of text with one to three rows deleted, duplicated, swapped,
+    inserted or given a token changed, added or dropped."""
+    tokens = ["0", "1", "2", "3", "4", "-1", "99", "+1", "01", "x", "e", "b", "t", "r", "p", "c"]
+    out = []
+    for _ in range(count):
+        rows = [line.split() for line in text.splitlines()]
+        for _ in range(rng.randint(1, 3)):
+            i = rng.randrange(len(rows))
+            row = rows[i]
+            op = rng.randrange(7)
+            if op == 0:
+                del rows[i]
+            elif op == 1:
+                rows.insert(i, list(row))
+            elif op == 2:
+                j = rng.randrange(len(rows))
+                rows[i], rows[j] = rows[j], rows[i]
+            elif op == 3:
+                rows.insert(i, rng.choices(tokens, k=rng.randint(0, 4)))
+            elif op == 4 and row:
+                row[rng.randrange(len(row))] = rng.choice(tokens)
+            elif op == 5:
+                row.append(rng.choice(tokens))
+            elif row:
+                row.pop(rng.randrange(len(row)))
+            if not rows:
+                rows.append([])
+        out.append("\n".join(map(" ".join, rows)) + "\n")
+    return out
+
+
 def path_graph(n: int) -> Graph:
     return Graph(n, [(i, i + 1) for i in range(n - 1)])
 

@@ -1,12 +1,21 @@
 import json
+import random
+import time
 
 import pytest
 
-from widthiso import Graph, InternalError, cli
+from widthiso import (
+    Graph,
+    InternalError,
+    TreeDecomposition,
+    cli,
+    generate_partial_ktree,
+    random_relabel,
+)
 from widthiso.cli import main
-from widthiso.formats import parse_graph, write_graph
+from widthiso.formats import parse_graph, write_graph, write_tree_decomposition
 
-from helpers import cycle_graph, path_graph, star_graph
+from helpers import cycle_graph, mutants, path_graph, star_graph
 
 
 @pytest.fixture
@@ -214,3 +223,76 @@ def test_inconsistent_arguments_exit_with_usage_error(files, capsys, command, me
     assert main([arg.format(g=g, d=d) for arg in command]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and message in err
+
+
+# The nine commands that read files: g and h name graph files, d and e their
+# decomposition files; k and root are drawn for every run.  A root list may
+# start with "-", so it is joined to its option.
+_FILE_COMMANDS = [
+    ["tdd-build", "{g}", "--root={root}"],
+    ["tdd-width", "{g}", "-k", "{k}"],
+    ["augtree", "{g}", "--root={root}"],
+    ["iso-tdw", "{g}", "{h}", "-k", "{k}"],
+    ["canon-tdw", "{g}", "-k", "{k}"],
+    ["iso-both", "{g}", "{d}", "{h}", "{e}"],
+    ["iso-one", "{g}", "{d}", "{h}", "-k", "{k}"],
+    ["iso-tw", "{g}", "{h}", "-k", "{k}"],
+    ["iso-brute", "{g}", "{h}"],
+]
+
+
+def _fuzz_texts(rng: random.Random) -> dict[str, str]:
+    """Files of a seeded partial k-tree with n <= 9 (g, d) and of a relabelled
+    copy or another such graph (h, e); each file is mutated with chance 0.3."""
+    n = rng.randint(2, 9)
+    bundle = generate_partial_ktree(n, rng.randint(1, min(3, n - 1)), rng.random(), rng.randrange(1 << 30))
+    g, d = bundle.graph, bundle.decomposition
+    if rng.random() < 0.5:
+        h, perm = random_relabel(g, rng.randrange(1, 1 << 30))
+        e = TreeDecomposition(
+            bags=tuple(tuple(sorted(perm[v] for v in bag)) for bag in d.bags),
+            tree_edges=d.tree_edges,
+            root=d.root,
+        )
+    else:
+        m = rng.randint(2, 9)
+        other = generate_partial_ktree(m, rng.randint(1, min(3, m - 1)), rng.random(), rng.randrange(1 << 30))
+        h, e = other.graph, other.decomposition
+    texts = {
+        "g": write_graph(g),
+        "d": write_tree_decomposition(d, g.vertex_count),
+        "h": write_graph(h),
+        "e": write_tree_decomposition(e, h.vertex_count),
+    }
+    return {
+        name: mutants(text, rng, 1)[0] if rng.random() < 0.3 else text
+        for name, text in texts.items()
+    }
+
+
+def test_mutated_files_never_crash_a_command(tmp_path, capsys):
+    """Seeded runs of every file-reading command on mutated files, for about
+    5 s: each exits 0, 1 or 2, and none prints a traceback or an internal
+    error."""
+    rng = random.Random(27)
+    codes = {0: 0, 1: 0, 2: 0}
+    deadline = time.monotonic() + 5
+    while time.monotonic() < deadline:
+        texts = _fuzz_texts(rng)
+        value = {"k": str(rng.randint(-1, 3))}
+        value["root"] = ",".join(
+            rng.choice(["1", "2", "3", "9", "0", "-1", "x", ""]) for _ in range(rng.randint(1, 3))
+        )
+        for name, text in texts.items():
+            path = tmp_path / name
+            path.write_text(text)
+            value[name] = str(path)
+        argv = [arg.format(**value) for arg in rng.choice(_FILE_COMMANDS)]
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code in codes and "Traceback" not in err and "internal error" not in err, (
+            argv, texts, err,
+        )
+        codes[code] += 1
+    # every exit code is reached, so mutants reach the engines and the readers
+    assert all(count >= 5 for count in codes.values()), codes

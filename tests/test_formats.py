@@ -12,6 +12,7 @@ from widthiso import (
     compute_tree_decomposition,
     formats,
     generate_partial_ktree,
+    validate_tree_decomposition,
 )
 from widthiso.formats import (
     format_tdd_records,
@@ -25,6 +26,7 @@ from helpers import (
     complete_graph,
     cycle_graph,
     grid_graph,
+    mutants,
     path_graph,
     petersen_graph,
     random_graph,
@@ -107,6 +109,17 @@ def test_decomposition_header_width_must_match_largest_bag():
         parse_tree_decomposition("p td 1 1 0\nb 1\n")
     d, n = parse_tree_decomposition("p td 1 0 0\nb 1\n")
     assert d.bags == ((),) and n == 0
+
+
+def test_decomposition_without_bags_round_trips():
+    # width() is -1 without bags, as for one empty bag, so the writer
+    # round-trips the text; validation still refuses the decomposition.
+    assert TreeDecomposition(bags=((),), tree_edges=frozenset()).width() == -1
+    d, n = parse_tree_decomposition("p td 0 0 3\n")
+    assert d.bags == () and d.width() == -1 and n == 3
+    assert write_tree_decomposition(d, n) == "p td 0 0 3\n"
+    assert parse_tree_decomposition(write_tree_decomposition(d, n)) == (d, n)
+    assert validate_tree_decomposition(path_graph(3), d) == ["structure: no bags"]
 
 
 def test_decomposition_second_root_line_rejected():
@@ -241,38 +254,6 @@ def test_reordered_and_padded_layouts_parse_alike():
             assert parse_tree_decomposition(text) == expected, text
 
 
-def _mutants(text: str, rng: random.Random, count: int) -> list[str]:
-    """Copies of text with one to three rows deleted, duplicated, swapped,
-    inserted or given a token changed, added or dropped."""
-    tokens = ["0", "1", "2", "3", "4", "-1", "99", "+1", "01", "x", "e", "b", "t", "r", "p", "c"]
-    out = []
-    for _ in range(count):
-        rows = [line.split() for line in text.splitlines()]
-        for _ in range(rng.randint(1, 3)):
-            i = rng.randrange(len(rows))
-            row = rows[i]
-            op = rng.randrange(7)
-            if op == 0:
-                del rows[i]
-            elif op == 1:
-                rows.insert(i, list(row))
-            elif op == 2:
-                j = rng.randrange(len(rows))
-                rows[i], rows[j] = rows[j], rows[i]
-            elif op == 3:
-                rows.insert(i, rng.choices(tokens, k=rng.randint(0, 4)))
-            elif op == 4 and row:
-                row[rng.randrange(len(row))] = rng.choice(tokens)
-            elif op == 5:
-                row.append(rng.choice(tokens))
-            elif row:
-                row.pop(rng.randrange(len(row)))
-            if not rows:
-                rows.append([])
-        out.append("\n".join(map(" ".join, rows)) + "\n")
-    return out
-
-
 def test_bulk_check_never_disagrees_with_the_line_reader():
     rng = random.Random(11)
     pairs = [
@@ -284,7 +265,7 @@ def test_bulk_check_never_disagrees_with_the_line_reader():
     ]
     taken = 0
     for bulk, by_line, written in pairs:
-        for text in _mutants(written, rng, 40):
+        for text in mutants(written, rng, 40):
             lines = text.splitlines()
             fast = bulk(lines)
             try:

@@ -1,4 +1,6 @@
 import itertools
+import random
+import tracemalloc
 
 import pytest
 
@@ -14,6 +16,7 @@ from widthiso import (
     random_relabel,
     set_distance,
 )
+from widthiso.formats import parse_graph, write_graph
 from widthiso.graph import stable_colours
 
 from helpers import (
@@ -28,6 +31,8 @@ from helpers import (
 
 
 def test_graph_construction_rejects_bad_edges():
+    with pytest.raises(ValueError, match="vertex_count must be non-negative"):
+        Graph(-1)
     with pytest.raises(InvalidVertexError):
         Graph(2, [(0, 2)])
     with pytest.raises(ValueError):
@@ -49,6 +54,56 @@ def test_graph_dedupes_and_normalizes():
     # Edges may come from a one-shot generator: it is read once.
     once = Graph(3, (e for e in [(1, 0), (0, 1), (2, 1)]))
     assert once == g and once._adj == g._adj and hash(once) == hash(g)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_edge_list_order_and_duplicates_do_not_matter(seed):
+    rng = random.Random(seed)
+    n = rng.randint(1, 24)
+    pairs = [(u, v) for u, v in itertools.combinations(range(n), 2) if rng.random() < 0.3]
+    g = Graph(n, pairs)
+    # edges derives the set the graph once stored: one (min, max) pair per edge
+    assert g.edges == frozenset(pairs)
+    assert g.edge_count == len(g.edges) == len(pairs)
+    shuffled = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in pairs]
+    rng.shuffle(shuffled)
+    for edges in (shuffled, pairs[::-1], pairs + shuffled + pairs):
+        h = Graph(n, edges)
+        assert h == g and hash(h) == hash(g) and h._adj == g._adj
+        assert h.edges == g.edges and h.edge_count == g.edge_count
+    assert g != Graph(n + 1, pairs)
+
+
+def test_has_edge_is_symmetric_and_false_off_the_edges():
+    star = star_graph(2000)
+    assert all(star.has_edge(0, v) and star.has_edge(v, 0) for v in range(1, 2001))
+    assert not any(star.has_edge(v, v + 1) for v in range(1, 2000))
+    g = random_graph(12, 0.4, 3)
+    for u, v in itertools.product(range(12), repeat=2):
+        assert g.has_edge(u, v) == g.has_edge(v, u) == ((min(u, v), max(u, v)) in g.edges)
+    # Labels outside 0..n-1 are no edge; -1 does not wrap round to n - 1,
+    # a star leaf adjacent to the hub.
+    for h in (star, g, path_graph(1), Graph(0)):
+        n = h.vertex_count
+        for v in (-1, 0, n - 1, n):
+            assert not (h.has_edge(-1, v) or h.has_edge(v, -1))
+            assert not (h.has_edge(n, v) or h.has_edge(v, n))
+
+
+def test_parsed_graphs_hold_only_their_adjacency():
+    rng = random.Random(16)
+    pairs = list(itertools.combinations(range(16), 2))
+    texts = [write_graph(Graph(16, rng.sample(pairs, 40))) for _ in range(1000)]
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        graphs = [parse_graph(text) for text in texts]
+        per_graph = (tracemalloc.get_traced_memory()[0] - before) / len(graphs)
+    finally:
+        tracemalloc.stop()
+    # About 1,490 bytes: the adjacency tuples alone.  A second, edge-set
+    # copy of each graph takes it to about 5,900.
+    assert per_graph <= 2500, per_graph
 
 
 def test_distance_on_path():
