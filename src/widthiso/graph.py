@@ -53,9 +53,6 @@ class Graph:
             (u, v) for u, nbrs in enumerate(self._adj) for v in nbrs if v > u
         )
 
-    def vertices(self) -> range:
-        return range(self.vertex_count)
-
     def neighbors(self, v: int) -> tuple[int, ...]:
         self.check_vertex(v)
         return self._adj[v]

@@ -501,18 +501,21 @@ def _sep_counts(
     g: Graph, s: tuple[int, ...], splits: list[int], cap: int
 ) -> tuple[dict[tuple[int, ...], int], list[tuple] | None] | None:
     """Separating sets of the root bag s, each with its number of child
-    bags, and the components of G - S when they were searched (see
+    bags, and the components of G - S when they are known (see
     _components); None when a child bag is seen to hold more than cap
     vertices.
 
     A single vertex v separates all splits[v] components of G - v, and its
     neighbours cannot fit when there are more than cap per component, so a
-    single vertex needs no search.
+    single vertex needs no search.  A vertex that cuts nothing has one
+    component, all of G - v, whose child bag is N(v).
     """
     if len(s) == 1:
         v = s[0]
         if len(g._adj[v]) > cap * splits[v]:
             return None
+        if splits[v] == 1:
+            return {s: 1}, [(s, g._adj[v], g.vertex_count - 1)]
         return ({s: splits[v]} if splits[v] else {}), None
     comps = _components(g, s, cap)
     if comps is None:
@@ -588,27 +591,12 @@ def _root_prefix(
 
 
 def _entry_prefix(
-    g: Graph,
-    s: tuple[int, ...],
-    splits: list[int],
-    cap: int,
-    comps: list[tuple] | None = None,
+    g: Graph, s: tuple[int, ...], cap: int, comps: list[tuple] | None = None
 ) -> tuple[int, ...] | None:
     """Root set s's root prefix through its first child entry (see
     _root_prefix), from the components comps of G - S when given; None when
     a child bag holds more than cap vertices, as no decomposition rooted at
-    s then fits cap.  A vertex v that cuts nothing has one child bag, N(v),
-    below it, so its prefix needs no component search, and with one root
-    ordering and one separating set it is written out without
-    _root_prefix's search over them."""
-    if len(s) == 1 and splits[s[0]] == 1:
-        bag = g._adj[s[0]]
-        if len(bag) > cap:
-            return None
-        n = g.vertex_count
-        pos = {s[0]: 0}
-        entry = _entry_head(pos, _kid(g, s, bag, n - 1))
-        return (0, *_header(pos, (), n, 1), *_sep_head(pos, s, 1), *entry)
+    s then fits cap."""
     if comps is None:
         comps = _components(g, s, cap)
         if comps is None:
@@ -630,9 +618,9 @@ def _root_search(tracer: _Tracer, k: int) -> list[tuple[int, ...]] | None:
     root set with a depth-1 bag above k drops out; a single vertex is only
     checked by its degree, against k per component.  Only a group of more
     than one equal prefix is ranked again, by the longer prefix through the
-    first child entry (_entry_prefix).  It reuses the components searched
-    for the first stage, and a single vertex with a depth-1 bag above k
-    drops out there, before its child orderings are enumerated.  Root
+    first child entry (_entry_prefix).  It reuses the components known
+    from the first stage, and a cut vertex with a depth-1 bag above k drops
+    out there, before its child orderings are enumerated.  Root
     pairs (S, None) are filled in the tracer one equal-prefix group at a
     time, and the first group with an admissible member is returned, its
     admissible members only, in combinations order.  The empty graph's one
@@ -660,7 +648,7 @@ def _root_search(tracer: _Tracer, k: int) -> list[tuple[int, ...]] | None:
                     (
                         (key, s)
                         for _, s, comps in ties
-                        if (key := _entry_prefix(g, s, splits, k, comps)) is not None
+                        if (key := _entry_prefix(g, s, k, comps)) is not None
                     ),
                     key=itemgetter(0),
                 )

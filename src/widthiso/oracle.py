@@ -41,7 +41,10 @@ def apply_permutation(g: Graph, perm: Sequence[int]) -> Graph:
     """Relabel every vertex v to perm[v]."""
     if not is_permutation(perm) or len(perm) != g.vertex_count:
         raise ValueError("not a permutation of the vertex labels")
-    return Graph(g.vertex_count, ((perm[u], perm[v]) for u, v in g.edges))
+    return Graph(
+        g.vertex_count,
+        ((perm[u], perm[v]) for u, nbrs in enumerate(g._adj) for v in nbrs if v > u),
+    )
 
 
 def is_isomorphism(g: Graph, h: Graph, perm: Sequence[int]) -> bool:

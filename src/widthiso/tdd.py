@@ -42,9 +42,6 @@ class TreeDistanceDecomposition:
     def width(self) -> int:
         return max(len(bag) for bag in self.bags)
 
-    def bag_count(self) -> int:
-        return len(self.bags)
-
     @cached_property
     def child_lists(self) -> tuple[tuple[int, ...], ...]:
         """Child bag ids of every bag, ascending; built once per decomposition."""

@@ -17,8 +17,8 @@ interchangeability classes by their subtree sizes and traces, so symmetric
 branches are explored once, and each child takes whole components of the
 unconsumed region that touch the bag's image only at the child's pinned
 vertices and whose signatures are those of its own.  Each subtree returns
-its map to its parent bag, and the whole map is returned only after an
-edge-preserving check in both directions.
+its bag's bijection and its children's nodes, one walk writes the map, and
+it is returned only after an edge-preserving check in both directions.
 Elimination works on each component in place too, so no induced subgraph
 is built anywhere on the route.
 """
@@ -434,9 +434,9 @@ class _IsoSearch:
 
     # -- search ----------------------------------------------------------
 
-    def run(self, region: Sequence[int]) -> dict[int, int] | None:
+    def run(self, region: Sequence[int]) -> tuple | None:
         """Map the decomposition's vertices onto region, the vertices of one
-        component of h; the vertex map, or None when there is none.  The root
+        component of h: the root bag's node (see _map_bag), or None.  The root
         bag is placed like the one child of an empty bag, on region whole."""
         comp = (frozenset(region), set(), sum([self.h_colour[w] for w in region]))
         maps = _drive(self._placements([(self.L.root, 0)], 0, [comp], {}, None))
@@ -468,8 +468,8 @@ class _IsoSearch:
         """Task: map bag i onto image, extending pinned, in each way in turn
         until the subtrees of i's children use up interior exactly, placed on
         its components, found once and kept with the image vertices they touch
-        and their signatures.  Returns the map of i's subtree, the bijection
-        merged with the children's maps, or None."""
+        and their signatures.  Returns the node of i's subtree, the bijection
+        and the list of its children's nodes (see _placements), or None."""
         adj = self.h._adj
         colour = self.h_colour
         image_set = set(image)
@@ -487,18 +487,8 @@ class _IsoSearch:
         kids = [(c, cls) for cls, members in enumerate(self._classes(i)) for c in members]
         for ext in bijections:
             maps = yield self._placements(kids, 0, comps, ext, None)
-            if maps is None:
-                continue
-            # Children share only bag vertices, each placed on its own part
-            # of interior, so a clash here is a broken invariant.
-            merged = dict(ext)
-            for found in maps:
-                if any(found.get(v, w) != w for v, w in ext.items()):
-                    raise InternalError("search mapped two vertices onto one")
-                merged.update(found)
-            if not len(merged) == len(set(merged.values())) == self.L.size[i]:
-                raise InternalError("search mapped two vertices onto one")
-            return merged
+            if maps is not None:
+                return ext, maps
         return None
 
     def _placements(
@@ -527,8 +517,8 @@ class _IsoSearch:
         neither has a fresh vertex (the earlier took its components), so the
         interiors are disjoint and of one size and compare by least vertex.
 
-        Returns the maps of the j-th and later children's subtrees, or None;
-        each placement's map, or None when it fails, is memoised.
+        Returns the nodes of the j-th and later children's subtrees, or None;
+        each placement's node, or None when it fails, is memoised.
         """
         if j == len(kids):
             return None if comps else []
@@ -625,8 +615,8 @@ def iso_one_decomp(
     with its signature (see _spread) in turn: the root bag is placed like
     the one child of an empty bag, each bag is mapped blockwise below its
     parent's image, every vertex onto one of its colour, and each subtree
-    returns its map to its parent bag, which merges them; every child
-    placement's outcome is memoized, its map or None.
+    returns its bijection and its children's nodes, written into one map by
+    one walk; every child placement's outcome is memoized, its node or None.
     """
     _require_valid(g, d_g)
     if d_g.width() > k:
@@ -656,7 +646,7 @@ def _search_components(
     # A run keeps no map of its own, only memo entries, which hold only its
     # own region's vertices, so one search per part serves every candidate.
     parts = [d_g] if len(g_comps) == 1 else _split_decomposition(d_g, g_comps)
-    total: dict[int, int] = {}
+    nodes = []
     for sig, part in zip(g_sigs, parts):
         root = part.root if part.root is not None else 0
         search = _IsoSearch(g, _Rooted(g, part, root, g_colour), h, h_colour)
@@ -668,8 +658,20 @@ def _search_components(
         else:
             return None
         del candidates[idx]
-        total.update(found)
-    perm = tuple(total[v] for v in range(g.vertex_count))
+        nodes.append(found)
+    # One walk writes the map: bags share only vertices their parents pin and
+    # children take disjoint components, so a clash breaks an invariant.
+    perm = [-1] * g.vertex_count
+    taken = [False] * h.vertex_count
+    while nodes:
+        ext, maps = nodes.pop()
+        nodes.extend(maps)
+        for v, w in ext.items():
+            if perm[v] != w:
+                if perm[v] >= 0 or taken[w]:
+                    raise InternalError("search mapped two vertices onto one")
+                perm[v], taken[w] = w, True
+    perm = tuple(perm)
     if not is_isomorphism(g, h, perm):
         raise InternalError("search returned a map that is not an isomorphism")
     return perm

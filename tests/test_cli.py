@@ -13,7 +13,12 @@ from widthiso import (
     random_relabel,
 )
 from widthiso.cli import main
-from widthiso.formats import parse_graph, write_graph, write_tree_decomposition
+from widthiso.formats import (
+    parse_graph,
+    parse_tree_decomposition,
+    write_graph,
+    write_tree_decomposition,
+)
 
 from helpers import cycle_graph, mutants, path_graph, star_graph
 
@@ -118,6 +123,26 @@ def test_gen_and_iso_one_pipeline(tmp_path, capsys):
     out = capsys.readouterr().out
     lines = out.strip().splitlines()
     assert len(lines) == 9 and all(line.startswith("map ") for line in lines)
+
+
+def test_gen_prints_graph_then_decomposition(capsys):
+    assert main(["gen", "--n", "9", "--k", "2", "--ratio", "0.8", "--seed", "7"]) == 0
+    out = capsys.readouterr().out
+    cut = out.index("p td")
+    bundle = generate_partial_ktree(9, 2, 0.8, 7)
+    assert parse_graph(out[:cut]) == bundle.graph
+    assert parse_tree_decomposition(out[cut:]) == (bundle.decomposition, 9)
+
+
+def test_iso_one_refuses_a_tree_edge_from_a_bag_to_itself(files, capsys):
+    tmp, write = files
+    g = write("p2.gr", path_graph(2))
+    loop = tmp / "loop.td"
+    loop.write_text("p td 1 2 2\nb 1 1 2\nt 1 1\n")
+    d, n = parse_tree_decomposition(loop.read_text())
+    assert n == 2 and d.tree_edges == frozenset({(0, 0)})
+    assert main(["iso-one", g, str(loop), g, "-k", "1"]) == 2
+    assert "structure: invalid tree edge (0, 0)" in capsys.readouterr().err
 
 
 def test_iso_both_cli(tmp_path, capsys):

@@ -30,6 +30,15 @@ def test_permutation_helpers():
     assert compose_permutations((2, 0, 1), (1, 2, 0)) == (0, 1, 2)
 
 
+def test_is_isomorphism_refuses_sizes_non_permutations_and_edge_counts():
+    p2 = path_graph(2)
+    assert is_isomorphism(p2, p2, (1, 0))
+    assert not is_isomorphism(p2, path_graph(3), (1, 0))
+    assert not is_isomorphism(p2, p2, (0,))
+    assert not is_isomorphism(p2, p2, (0, 0))
+    assert not is_isomorphism(p2, Graph(2), (0, 1))
+
+
 def test_apply_permutation_preserves_structure():
     g = path_graph(4)
     h = apply_permutation(g, (3, 1, 0, 2))

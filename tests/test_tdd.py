@@ -145,6 +145,28 @@ def test_validate_tdd_reports_foreign_vertex():
     assert problems == ["partition: bag 2 holds 3, which is not a vertex"]
 
 
+@pytest.mark.parametrize(
+    "bags, parent, depth, root, problem",
+    [
+        (((0,), (1,)), (0, 0, 0), (0, 1), 0,
+         "structure: bags, parent and depth have different lengths"),
+        (((0,), (1,)), (0, 0), (0, 1), 2, "structure: root id 2 out of range"),
+        (((0,), (1,)), (1, 0), (0, 1), 0, "structure: root must be its own parent"),
+        (((0,), (1,)), (0, 0), (1, 2), 0, "structure: root depth must be 0"),
+        (((0, 1), ()), (0, 0), (0, 1), 0, "structure: bag 1 is empty"),
+        (((0,), (1,)), (0, 5), (0, 1), 0, "structure: bag 1 has invalid parent 5"),
+        (((0,), (1,)), (0, 0), (0, 2), 0, "structure: bag 1 at depth 2 under parent at depth 0"),
+        (((0,), (0, 1)), (0, 0), (0, 1), 0, "partition: vertex 0 appears in bags 0 and 1"),
+        (((0,),), (0,), (0,), 0, "partition: vertex 1 is in no bag"),
+    ],
+)
+def test_validate_tdd_reports_each_structure_and_partition_problem(
+    bags, parent, depth, root, problem
+):
+    d = TreeDistanceDecomposition(bags=bags, parent=parent, depth=depth, root=root)
+    assert validate_tdd(path_graph(2), d) == [problem]
+
+
 def test_tree_distance_width_path():
     assert tree_distance_width(path_graph(6), 1) == 1
 

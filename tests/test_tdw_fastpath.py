@@ -166,13 +166,13 @@ def test_root_prefix_opens_min_trace(k, monkeypatch):
                 prefix = _root_prefix(g, s, seps)
                 assert prefix == root_prefix(g, d, entry=False)
                 wide = any(len(d.bags[c]) > k for c in d.children(d.root))
-                key = _entry_prefix(g, s, splits, k)
+                key = _entry_prefix(g, s, k)
                 assert (key is None) == wide
                 found = _sep_counts(g, s, splits, k)
                 if found is None:
                     assert wide
                     continue
-                assert _entry_prefix(g, s, splits, k, found[1]) == key
+                assert _entry_prefix(g, s, k, found[1]) == key
                 if wide:
                     continue
                 assert key == root_prefix(g, d)
@@ -215,7 +215,7 @@ def test_wide_cut_vertices_order_no_wide_bag(monkeypatch):
         g, (1,), _sep_counts(g, (1,), splits, 3)[0]
     )
     _bound_orderings(monkeypatch, 3)
-    assert _entry_prefix(g, (0,), splits, 3) is None
+    assert _entry_prefix(g, (0,), 3) is None
     _canon_state.cache_clear()
     start = time.perf_counter()
     state = _canon_state(g, 3)

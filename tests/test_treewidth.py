@@ -97,6 +97,27 @@ def test_validate_rejects_bag_repeating_a_vertex():
         lex_subtree_order(g, d, 0, [])
 
 
+@pytest.mark.parametrize(
+    "bags, tree_edges, root, problem",
+    [
+        (((0, 5),), (), None, "structure: bag 0 holds invalid vertex 5"),
+        (((0, 1),), ((0, 0),), None, "structure: invalid tree edge (0, 0)"),
+        (((0, 1),), (), 2, "structure: root 2 out of range"),
+        (((0, 1), (0, 1), (0, 1)), ((0, 1), (1, 0)), None, "structure: bag tree is disconnected"),
+    ],
+)
+def test_validate_reports_each_structure_problem(bags, tree_edges, root, problem):
+    d = TreeDecomposition(bags=bags, tree_edges=frozenset(tree_edges), root=root)
+    assert validate_tree_decomposition(path_graph(2), d) == [problem]
+
+
+def test_unions_yield_nothing_when_too_few_units_carry_a_signature():
+    units = [(frozenset({0}), 5), (frozenset({1}), 7)]
+    assert list(treewidth_module._unions(units, {5: 2})) == []
+    assert list(treewidth_module._unions(units, {9: 1})) == []
+    assert list(treewidth_module._unions(units, {5: 1})) == [[frozenset({0})]]
+
+
 def test_validate_c4_three_bag_decomposition():
     assert validate_tree_decomposition(C4, C4_DECOMP) == []
     assert C4_DECOMP.width() == 2
@@ -335,6 +356,27 @@ def test_search_clash_raises_internal_error(monkeypatch):
             yield mapping
 
     monkeypatch.setattr(treewidth_module, "_bag_bijections", swapped)
+    d = TreeDecomposition(bags=((0, 1), (1, 2)), tree_edges=frozenset({(0, 1)}), root=0)
+    with pytest.raises(InternalError, match="two vertices onto one"):
+        iso_one_decomp(path_graph(3), d, path_graph(3), 1)
+
+
+def test_search_reused_image_raises_internal_error(monkeypatch):
+    # A child bag's bijection that sends its fresh vertex onto the image of
+    # a parent bag vertex it does not share takes that image twice.
+    bijections = treewidth_module._bag_bijections
+    root_map = {}
+
+    def reusing(g, g_bag, h, h_bag, pinned, *colours):
+        for mapping in bijections(g, g_bag, h, h_bag, pinned, *colours):
+            if pinned:
+                u = next(u for u in mapping if u not in pinned)
+                mapping[u] = next(w for v, w in root_map.items() if v not in mapping)
+            else:
+                root_map.update(mapping)
+            yield mapping
+
+    monkeypatch.setattr(treewidth_module, "_bag_bijections", reusing)
     d = TreeDecomposition(bags=((0, 1), (1, 2)), tree_edges=frozenset({(0, 1)}), root=0)
     with pytest.raises(InternalError, match="two vertices onto one"):
         iso_one_decomp(path_graph(3), d, path_graph(3), 1)
