@@ -18,17 +18,14 @@ on consistent counts and label ranges.  A malformed file is refused with its
 first fault in line order, naming the line when the fault lies on one (a
 missing header, a missing bag or a wrong count lies on none).
 
-Each reader first tries the layout the writers emit: leading comments, the
-header, then the records in written order.  The e and t lines are split as
-one text, converting each distinct label spelling once, and each b line is
-converted whole.  Any text that check refuses, valid or not, goes to the
-line-by-line reader, which alone reports faults.
+Once the header is read, a label spelt the usual way, "1" to "<n>", is read
+by one lookup in a table.  A record whose labels are all in the table and
+that breaks no rule is taken as it stands.  Any other record (a label with a
+sign or leading zeros, out of range or past the table's cap, or a rule
+broken) goes through the checked conversion, which alone reports faults.
 """
 
 from __future__ import annotations
-
-from itertools import repeat
-from typing import Iterable
 
 from .errors import FormatError
 from .graph import Graph
@@ -50,42 +47,19 @@ def write_graph(g: Graph, comment: str | None = None) -> str:
 
 
 def parse_graph(text: str) -> Graph:
-    lines = text.splitlines()
-    g = _graph_in_bulk(lines)
-    return _graph_by_line(lines) if g is None else g
-
-
-def _graph_in_bulk(lines: list[str]) -> Graph | None:
-    """The graph when lines are laid out as write_graph lays them out; None
-    for any other text, valid or not."""
-    start = _first_record(lines)
-    head = lines[start].split() if start < len(lines) else []
-    if len(head) != 4 or head[:2] != ["p", "tw"]:
-        return None
-    try:
-        n, m = int(head[2]), int(head[3])
-    except ValueError:
-        return None
-    body = lines[start + 1:]
-    columns = _pair_columns(body, "e", n) if len(body) == m else None
-    if columns is None:
-        return None
-    try:
-        g = Graph(n, zip(*columns))
-    except ValueError:  # a negative vertex count or a self-loop
-        return None
-    return g if g.edge_count == m else None
-
-
-def _graph_by_line(lines: list[str]) -> Graph:
-    n = None
-    m = None
+    n = m = None
+    labels: dict[str, int] = {}
     edges: list[tuple[int, int]] = []
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line or line.startswith("c"):
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        parts = raw.split()
+        if len(parts) == 3 and parts[0] == "e":
+            u = labels.get(parts[1])
+            v = labels.get(parts[2])
+            if u is not None and v is not None and u != v:
+                edges.append((u, v))
+                continue
+        if not parts or parts[0].startswith("c"):
             continue
-        parts = line.split()
         if parts[0] == "p":
             if n is not None:
                 raise FormatError(f"line {lineno}: duplicate p line")
@@ -94,6 +68,7 @@ def _graph_by_line(lines: list[str]) -> Graph:
             n, m = _ints(parts[2:], lineno)
             if n < 0 or m < 0:
                 raise FormatError(f"line {lineno}: negative count in 'p tw {n} {m}'")
+            labels = _label_table(n, len(text))
         elif parts[0] == "e":
             if n is None:
                 raise FormatError(f"line {lineno}: e line before p line")
@@ -130,74 +105,41 @@ def write_tree_decomposition(d: TreeDecomposition, n: int) -> str:
 
 def parse_tree_decomposition(text: str) -> tuple[TreeDecomposition, int]:
     """Returns the decomposition and the vertex count the header declares."""
-    lines = text.splitlines()
-    parsed = _decomposition_in_bulk(lines)
-    return _decomposition_by_line(lines) if parsed is None else parsed
-
-
-def _decomposition_in_bulk(lines: list[str]) -> tuple[TreeDecomposition, int] | None:
-    """The decomposition when lines are laid out as write_tree_decomposition
-    lays them out (bags 1..<bags> in order, then t lines, then at most one r
-    line); None for any other text, valid or not."""
-    start = _first_record(lines)
-    head = lines[start].split() if start < len(lines) else []
-    if len(head) != 5 or head[:2] != ["p", "td"]:
-        return None
-    try:
-        n_bags, size, n = map(int, head[2:])
-    except ValueError:
-        return None
-    body = lines[start + 1:]
-    if min(size, n) < 0 or not 0 <= n_bags <= len(body):
-        return None
-    tail = body[n_bags:]
-    root = None
-    if tail and tail[-1].startswith("r "):
-        row = tail.pop().split()
-        labels = _labels(row[1:], n_bags)
-        if len(row) != 2 or labels is None:
-            return None
-        root = labels[row[1]]
-    columns = _pair_columns(tail, "t", n_bags)
-    if columns is None:
-        return None
-    bags = []
-    for bag_id, line in enumerate(body[:n_bags], start=1):
-        row = line.split()
-        if len(row) < 2 or row[0] != "b" or row[1] != str(bag_id):
-            return None
-        try:
-            bag = sorted(map(int, row[2:]))
-        except ValueError:
-            return None
-        if bag and (bag[0] < 1 or bag[-1] > n or len(set(bag)) < len(bag)):
-            return None
-        bags.append(tuple(map(_minus_one, bag)))
-    if size != max(map(len, bags), default=0):
-        return None
-    tree_edges = frozenset(zip(map(min, *columns), map(max, *columns)))
-    return TreeDecomposition(bags=tuple(bags), tree_edges=tree_edges, root=root), n
-
-
-def _decomposition_by_line(lines: list[str]) -> tuple[TreeDecomposition, int]:
     header = None
+    bag_ids: dict[str, int] = {}
+    labels: dict[str, int] = {}
     bag_lines: dict[int, tuple[int, ...]] = {}
     tree_edges: list[tuple[int, int]] = []
     root = None
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line or line.startswith("c"):
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        parts = raw.split()
+        if len(parts) > 1 and parts[0] == "b":
+            bag_id = bag_ids.get(parts[1])
+            bag = set(map(labels.get, parts[2:]))
+            # A label missing from the table reads None; a repeated one shrinks the set.
+            fresh = bag_id is not None and bag_id not in bag_lines
+            if fresh and None not in bag and len(bag) == len(parts) - 2:
+                bag_lines[bag_id] = tuple(sorted(bag))
+                continue
+        elif len(parts) == 3 and parts[0] == "t":
+            a = bag_ids.get(parts[1])
+            b = bag_ids.get(parts[2])
+            if a is not None and b is not None:
+                tree_edges.append((a, b) if a < b else (b, a))
+                continue
+        if not parts or parts[0].startswith("c"):
             continue
-        parts = line.split()
         if parts[0] == "p":
             if header is not None:
                 raise FormatError(f"line {lineno}: duplicate p line")
             if len(parts) != 5 or parts[1] != "td":
                 raise FormatError(f"line {lineno}: expected 'p td <bags> <width+1> <n>'")
             header = _ints(parts[2:], lineno)
+            n_bags, size, n = header
             if min(header) < 0:
-                n_bags, size, n = header
                 raise FormatError(f"line {lineno}: negative count in 'p td {n_bags} {size} {n}'")
+            bag_ids = _label_table(n_bags, len(text))
+            labels = _label_table(n, len(text))
         elif parts[0] == "b":
             if header is None:
                 raise FormatError(f"line {lineno}: b line before p line")
@@ -208,7 +150,7 @@ def _decomposition_by_line(lines: list[str]) -> tuple[TreeDecomposition, int]:
             n_bags, _, n = header
             if not (1 <= bag_id <= n_bags):
                 raise FormatError(f"line {lineno}: bag id {bag_id} outside 1..{n_bags}")
-            if bag_id in bag_lines:
+            if bag_id - 1 in bag_lines:
                 raise FormatError(f"line {lineno}: duplicate bag {bag_id}")
             seen: set[int] = set()
             for v in verts:
@@ -217,7 +159,7 @@ def _decomposition_by_line(lines: list[str]) -> tuple[TreeDecomposition, int]:
                 if v in seen:
                     raise FormatError(f"line {lineno}: bag {bag_id} repeats vertex {v}")
                 seen.add(v)
-            bag_lines[bag_id] = tuple(sorted(v - 1 for v in seen))
+            bag_lines[bag_id - 1] = tuple(sorted(v - 1 for v in seen))
         elif parts[0] == "t":
             if header is None:
                 raise FormatError(f"line {lineno}: t line before p line")
@@ -240,16 +182,16 @@ def _decomposition_by_line(lines: list[str]) -> tuple[TreeDecomposition, int]:
     if header is None:
         raise FormatError("missing 'p td' header")
     n_bags, size, n = header
-    for i in range(1, n_bags + 1):
+    for i in range(n_bags):
         if i not in bag_lines:
-            raise FormatError(f"bag {i} missing")
+            raise FormatError(f"bag {i + 1} missing")
     largest = max(map(len, bag_lines.values()), default=0)
     if size != largest:
         raise FormatError(f"header width+1 is {size}, but the largest bag has {largest} vertices")
     if root is not None and not (0 <= root < n_bags):
         raise FormatError(f"root {root + 1} outside 1..{n_bags}")
     d = TreeDecomposition(
-        bags=tuple(bag_lines[i] for i in range(1, n_bags + 1)),
+        bags=tuple(bag_lines[i] for i in range(n_bags)),
         tree_edges=frozenset(tree_edges),
         root=root,
     )
@@ -266,49 +208,11 @@ def format_tdd_records(d: TreeDistanceDecomposition) -> str:
     return "\n".join(lines) + "\n"
 
 
-_minus_one = (-1).__add__
-
-
-def _first_record(lines: list[str]) -> int:
-    """Index of the first line that is neither blank nor a comment."""
-    for i, line in enumerate(lines):
-        line = line.lstrip()
-        if line and not line.startswith("c"):
-            return i
-    return len(lines)
-
-
-def _labels(tokens: Iterable[str], top: int) -> dict[str, int] | None:
-    """Each distinct token to its 0-based label, converted once; None unless
-    every token is an integer in 1..top."""
-    try:
-        labels = {token: int(token) - 1 for token in set(tokens)}
-    except ValueError:
-        return None
-    if labels and not (0 <= min(labels.values()) and max(labels.values()) < top):
-        return None
-    return labels
-
-
-def _pair_columns(lines: list[str], kind: str, top: int) -> tuple[list[int], list[int]] | None:
-    """The two 0-based label columns of lines that all read '<kind> <a> <b>'
-    with a and b in 1..top; None if any line does not.
-
-    The lines are split as one text, so that no list is made per line.  That
-    still checks each line: every line starts with the token <kind>, which
-    is no integer, so with three tokens per line in all and integers in the
-    second and third of every three places, the line starts fall on every
-    third place and each line holds exactly three tokens."""
-    if not all(map(str.startswith, lines, repeat(kind + " "))):
-        return None
-    tokens = " ".join(lines).split()
-    if len(tokens) != 3 * len(lines):
-        return None
-    a_col, b_col = tokens[1::3], tokens[2::3]
-    labels = _labels(a_col + b_col, top)
-    if labels is None:
-        return None
-    return list(map(labels.__getitem__, a_col)), list(map(labels.__getitem__, b_col))
+def _label_table(count: int, cap: int) -> dict[str, int]:
+    """The spellings "1".."count" to their 0-based labels, at most cap of them,
+    so that a header count never sizes an allocation."""
+    top = min(count, cap)
+    return dict(zip(map(str, range(1, top + 1)), range(top)))
 
 
 def _ints(parts: list[str], lineno: int) -> tuple[int, ...]:

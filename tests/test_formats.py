@@ -1,6 +1,7 @@
 import dataclasses
 import random
 import re
+import tracemalloc
 
 import pytest
 
@@ -10,7 +11,6 @@ from widthiso import (
     TreeDecomposition,
     build_minimal_tdd,
     compute_tree_decomposition,
-    formats,
     generate_partial_ktree,
     validate_tree_decomposition,
 )
@@ -183,6 +183,18 @@ def test_malformed_input_is_rejected(parse, text, message):
         (parse_tree_decomposition, "p td -1 0 -5\n", "line 1: negative count in 'p td -1 0 -5'"),
         (parse_tree_decomposition, "p td 1 0 -5\nb 1\n", "line 1: negative count in 'p td 1 0 -5'"),
         (parse_tree_decomposition, "c x\np td 0 -1 0\n", "line 2: negative count in 'p td 0 -1 0'"),
+        (parse_graph, "p tw -1 0\n", "line 1: negative count in 'p tw -1 0'"),
+        (parse_graph, "e 1 2\np tw 2 1\n", "line 1: e line before p line"),
+        (parse_graph, "p tw 2 2\ne 1 2\n", "header promises 2 edges, file has 1"),
+        (parse_tree_decomposition, "b 1 1\np td 1 1 1\n", "line 1: b line before p line"),
+        (parse_tree_decomposition, "p td 1 2 3\nb 1 1\nb 1 2\n", "line 3: duplicate bag 1"),
+        (parse_tree_decomposition, "p td 1 2 3\nb 1 1\nr 1 1\n", "line 3: expected 'r <id>'"),
+        (parse_tree_decomposition, "p td 2 2 3\nb 1 1\n", "bag 2 missing"),
+        (
+            parse_tree_decomposition,
+            "p td 2 3 3\nb 1 1 2\nb 2 2 3\nt 1 2\n",
+            "header width+1 is 3, but the largest bag has 2 vertices",
+        ),
     ],
 )
 def test_first_fault_in_line_order_is_reported(parse, text, message):
@@ -254,41 +266,49 @@ def test_reordered_and_padded_layouts_parse_alike():
             assert parse_tree_decomposition(text) == expected, text
 
 
-def test_bulk_check_never_disagrees_with_the_line_reader():
+def test_table_lookup_agrees_with_the_checked_conversion():
+    # A 0 put before every digit run keeps each label's value but takes it
+    # out of the readers' label tables, so the padded copy of each mutant is
+    # read by the checked conversion alone.
     rng = random.Random(11)
-    pairs = [
-        (formats._graph_in_bulk, formats._graph_by_line, write_graph(g))
-        for g in GRAPHS
-    ] + [
-        (formats._decomposition_in_bulk, formats._decomposition_by_line, write_tree_decomposition(d, n))
-        for d, n in DECOMPOSITIONS
-    ]
-    taken = 0
-    for bulk, by_line, written in pairs:
+    cases = [(parse_graph, write_graph(g)) for g in GRAPHS]
+    cases += [(parse_tree_decomposition, write_tree_decomposition(d, n)) for d, n in DECOMPOSITIONS]
+    accepted = 0
+    for parse, written in cases:
         for text in mutants(written, rng, 40):
-            lines = text.splitlines()
-            fast = bulk(lines)
+            padded = re.sub(r"\d+", r"0\g<0>", text)
             try:
-                slow = by_line(lines)
-            except FormatError:
-                assert fast is None, text
+                looked_up = parse(text)
+            except FormatError as fault:
+                with pytest.raises(FormatError) as caught:
+                    parse(padded)
+                # Messages may echo tokens: drop the one padding 0 of each.
+                assert re.sub(r"\b0(?=\d)", "", str(caught.value)) == str(fault), text
                 continue
-            if fast is not None:
-                taken += 1
-                assert fast == slow, text
-                if isinstance(fast, Graph):
-                    assert fast._adj == slow._adj, text
-    assert taken > 100  # the bulk check does accept some mutants
+            checked = parse(padded)
+            assert looked_up == checked, text
+            if isinstance(looked_up, Graph):
+                assert looked_up._adj == checked._adj, text
+            accepted += 1
+    assert accepted > 100
 
 
-def test_written_files_are_read_in_bulk(monkeypatch):
-    def refuse(lines):
-        raise AssertionError("the bulk check refused text the writers emit")
-
-    monkeypatch.setattr(formats, "_graph_by_line", refuse)
-    monkeypatch.setattr(formats, "_decomposition_by_line", refuse)
-    for g in GRAPHS:
-        assert parse_graph(write_graph(g)) == g
-        assert parse_graph(write_graph(g, comment="made by\nhand")) == g
-    for d, n in DECOMPOSITIONS:
-        assert parse_tree_decomposition(write_tree_decomposition(d, n)) == (d, n)
+@pytest.mark.parametrize(
+    "text, expected",
+    [
+        ("p td 100000000 0 100000000\n", "bag 1 missing"),
+        ("p td 0 0 100000000\n", (TreeDecomposition(bags=(), tree_edges=frozenset()), 100000000)),
+    ],
+)
+def test_header_counts_size_no_allocation(text, expected):
+    tracemalloc.start()
+    try:
+        try:
+            parsed = parse_tree_decomposition(text)
+        except FormatError as fault:
+            parsed = str(fault)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert parsed == expected
+    assert peak < 1 << 20
