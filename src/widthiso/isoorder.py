@@ -40,7 +40,8 @@ child trace replaced by its id in one table where equal traces share one id.
 Two traces are ordered by walking their fields and descending into the
 first pair of child ids that differ, which decides because traces are
 prefix-free.  Depths appear only in the serialised trace, which is written
-out for the winning root set alone.
+out for the winning root set alone.  Each trace also records the child
+order it chose, and the canonical map is read off the winner's orders once.
 
 The subtree below a bag B whose parent bag is P is the component of G - P
 holding B, so all that is known of it is one record per pair, shared by
@@ -60,7 +61,7 @@ from enum import Enum
 from functools import cmp_to_key, lru_cache
 from itertools import combinations, groupby, permutations, product
 from operator import itemgetter
-from typing import NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .augtree import AugmentedTree, SubtreeHandle, bag_split
 from .errors import (
@@ -146,15 +147,16 @@ def _sep_head(pos: dict[int, int], sep: tuple[int, ...], n_kids: int) -> list[in
 class _Pair:
     """The subtree below a bag B hung from parent bag P: its vertex count,
     its child bags sorted by content (augtree.bag_split makes B's split of
-    them), its width (the largest bag in it) and its trace id under each
-    ordering of B; each but size None until known.
+    them), its width (the largest bag in it), its trace id under each
+    ordering of B and, in the same order, the child order each of those
+    traces chose (see _Tracer.local); each but size None until known.
     """
 
-    __slots__ = ("size", "kids", "width", "traces")
+    __slots__ = ("size", "kids", "width", "traces", "orders")
 
     def __init__(self, size: int) -> None:
         self.size = size
-        self.kids = self.width = self.traces = None
+        self.kids = self.width = self.traces = self.orders = None
 
 
 class _Tracer:
@@ -325,7 +327,9 @@ class _Tracer:
         The subtree below a bag B whose parent bag is P is the component of
         G - P holding B, so its depth-free traces depend on (B, P) alone.
         Pairs already traced are not entered; the others are traced deepest
-        first, from an explicit stack.
+        first, from an explicit stack.  Each pair traced keeps, beside its
+        trace ids, the child order of each of those traces (see local), in
+        the same order; _positions reads the canonical map off them.
         """
         pairs = self.pairs
         todo, stack = [], [start]
@@ -336,32 +340,29 @@ class _Tracer:
                 todo.append(key)
                 stack.extend((c, key[0]) for c in rec.kids)
         for key in reversed(todo):
-            split = bag_split(self.g, key[0], pairs[key].kids)
-            pairs[key].traces = {
-                sigma: self.intern(self.local(key, split, sigma)[0])
-                for sigma in _orderings(key[0])
-            }
+            rec = pairs[key]
+            split = bag_split(self.g, key[0], rec.kids)
+            traces, orders = {}, []
+            for sigma in _orderings(key[0]):
+                fields, order = self.local(key, split, sigma)
+                traces[sigma] = self.intern(fields)
+                orders.append(order)
+            rec.traces, rec.orders = traces, tuple(orders)
         return pairs[start].traces
-
-    def keep(self, start: tuple) -> None:
-        """Drop every pair record but those below start, and the index."""
-        kept, stack = {}, [start]
-        while stack:
-            key = stack.pop()
-            kept[key] = rec = self.pairs[key]
-            stack.extend((c, key[0]) for c in rec.kids)
-        self.pairs, self.kids_of = kept, {}
 
     def local(
         self, key: tuple, split: tuple, sigma: tuple[int, ...]
-    ) -> tuple[tuple[int, ...], list[tuple[tuple[int, ...], list[tuple]]]]:
+    ) -> tuple[tuple[int, ...], tuple]:
         """Depth-free fields of the pair key's trace under sigma, from its
-        bag's split, and its separating-set blocks least first.
+        bag's split, and the child order that trace chose.
 
-        Each block comes with its children's least (entry, child bag,
-        ordering) in entry order; an entry is the bipartite code followed by
-        the child's trace id, which orders like the child block because the
-        code is length-prefixed.  Ties keep the split's order.
+        Each child bag's entry is the least over its orderings; an entry is
+        the bipartite code followed by the child's trace id, which orders
+        like the child block because the code is length-prefixed.  The
+        order lists each entry's child bag and ordering, flat, as (c, phi,
+        c, phi, ...), entries in their sorted order within each
+        separating-set block and the blocks least first.  Ties keep the
+        split's order.
         """
         bag = key[0]
         edges, seps = split
@@ -386,9 +387,12 @@ class _Tracer:
             blocks.append((tuple(head), entries))
         if len(blocks) > 1:
             blocks.sort(key=lambda block: sort_key(block[0]))
-        for head, _ in blocks:
+        order = []
+        for head, entries in blocks:
             out.extend(head)
-        return tuple(out), blocks
+            for _, c, phi in entries:
+                order += c, phi
+        return tuple(out), tuple(order)
 
     def flat(self, i: int) -> tuple[int, ...]:
         """Trace i written out in full at relative depth 0: each bag's fields
@@ -607,68 +611,82 @@ def _entry_prefix(
     return _root_prefix(g, s, {sep: len(group) for sep, group in kids.items()}, kids)
 
 
-def _root_search(tracer: _Tracer, k: int) -> list[tuple[int, ...]] | None:
-    """The root sets of tracer.g whose decompositions have width at most k
-    and may carry the least trace; None when no root set fits.
+def _root_search(tracer: _Tracer, caps: Iterable[int]) -> tuple[int, list[tuple[int, ...]]] | None:
+    """The first cap k in caps at which some root set of tracer.g has a
+    decomposition of width at most k, with the root sets of that width that
+    may carry the least trace; None when no cap admits one.
 
     Every trace starts (0, |S|, ...), so sizes are tried in increasing
     order.  Within a size, root sets are ranked in two stages, each by an
     exact prefix of their least traces.  All are ranked by their root
     prefix (see _root_prefix), read from the components of G - S, where a
     root set with a depth-1 bag above k drops out; a single vertex is only
-    checked by its degree, against k per component.  Only a group of more
-    than one equal prefix is ranked again, by the longer prefix through the
-    first child entry (_entry_prefix).  It reuses the components known
-    from the first stage, and a cut vertex with a depth-1 bag above k drops
-    out there, before its child orderings are enumerated.  Root
-    pairs (S, None) are filled in the tracer one equal-prefix group at a
-    time, and the first group with an admissible member is returned, its
-    admissible members only, in combinations order.  The empty graph's one
-    root set is empty and has nothing to fill."""
+    checked by its degree, against k per component, and its root prefix
+    depends on its separating-set count alone, so it is computed once per
+    count and kept for every cap.  Only a group of more than one equal
+    prefix is ranked again, by the longer prefix through the first child
+    entry (_entry_prefix).  It reuses the components known from the first
+    stage, and a cut vertex with a depth-1 bag above k drops out there,
+    before its child orderings are enumerated.  Root pairs (S, None) are
+    filled in the tracer one equal-prefix group at a time, and the first
+    group with an admissible member is returned, its admissible members
+    only, in combinations order.  The empty graph's one root set is empty
+    and has nothing to fill.  Connectivity and the articulation counts are
+    read once, for every cap."""
     g = tracer.g
     if not is_connected(g):
         raise DisconnectedGraphError("tree distance decompositions need a connected graph")
     n = g.vertex_count
-    if n == 0:
-        return [] if k >= 0 else None
     splits = _articulation_counts(g)
-    for size in range(1, min(k, n) + 1):
-        ranked = sorted(
-            (
-                (_root_prefix(g, s, found[0]), s, found[1])
-                for s in combinations(range(n), size)
-                if (found := _sep_counts(g, s, splits, k)) is not None
-            ),
-            key=itemgetter(0),
-        )
-        for _, ties in groupby(ranked, key=itemgetter(0)):
-            ties = list(ties)
-            if len(ties) > 1:
-                finer = sorted(
-                    (
-                        (key, s)
-                        for _, s, comps in ties
-                        if (key := _entry_prefix(g, s, k, comps)) is not None
-                    ),
-                    key=itemgetter(0),
-                )
-                groups = [[s for _, s in sub] for _, sub in groupby(finer, key=itemgetter(0))]
-            else:
-                groups = [[ties[0][1]]]
-            for group in groups:
-                group = [s for s in group if tracer.fill(s, (s, None), n) <= k]
-                if group:
-                    return group
+    single: dict[int, tuple[int, ...]] = {}
+
+    def prefix(s: tuple[int, ...], seps: dict) -> tuple[int, ...]:
+        if len(s) > 1:
+            return _root_prefix(g, s, seps)
+        count = splits[s[0]]
+        if count not in single:
+            single[count] = _root_prefix(g, s, seps)
+        return single[count]
+
+    for k in caps:
+        if n == 0 and k >= 0:
+            return k, []
+        for size in range(1, min(k, n) + 1):
+            ranked = sorted(
+                (
+                    (prefix(s, found[0]), s, found[1])
+                    for s in combinations(range(n), size)
+                    if (found := _sep_counts(g, s, splits, k)) is not None
+                ),
+                key=itemgetter(0),
+            )
+            for _, ties in groupby(ranked, key=itemgetter(0)):
+                ties = list(ties)
+                if len(ties) > 1:
+                    finer = sorted(
+                        (
+                            (key, s)
+                            for _, s, comps in ties
+                            if (key := _entry_prefix(g, s, k, comps)) is not None
+                        ),
+                        key=itemgetter(0),
+                    )
+                    groups = [[s for _, s in sub] for _, sub in groupby(finer, key=itemgetter(0))]
+                else:
+                    groups = [[ties[0][1]]]
+                for group in groups:
+                    group = [s for s in group if tracer.fill(s, (s, None), n) <= k]
+                    if group:
+                        return k, group
     return None
 
 
 def tree_distance_width(g: Graph, k_max: int) -> int | None:
     """Least width of a tree distance decomposition of g, None above k_max:
-    the least cap w at which _root_search, one tracer serving every cap,
+    the least cap w at which _root_search, one search serving every cap,
     finds a root set, since a decomposition of width w has one of size <= w."""
-    tracer = _Tracer(g)
-    widths = range(min(k_max, g.vertex_count) + 1)
-    return next((w for w in widths if _root_search(tracer, w) is not None), None)
+    found = _root_search(_Tracer(g), range(min(k_max, g.vertex_count) + 1))
+    return None if found is None else found[0]
 
 
 def _min_trace(tree: AugmentedTree, node: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -742,33 +760,68 @@ class _CanonState(NamedTuple):
     trace: tuple[int, ...]
     root_set: tuple[int, ...]
     sigma: tuple[int, ...]
-    tracer: _Tracer
+    positions: tuple[int, ...]
 
 
-# Graphs whose canonisation state stays cached; an entry keeps the interned
-# traces of every root set traced and the winner's pair records.
+# Graphs whose canonisation state stays cached; an entry is the least trace,
+# its root set and ordering, and the canonical map, but no tracer: the pair
+# records and the interned traces go once the map is read off.
 # Large enough for all-pairs iso_tdw over the 434 connected graphs with
 # n <= 7 and width <= 2.
 _CANON_CACHE_SIZE = 512
+
+
+def _positions(tracer: _Tracer, s: tuple[int, ...], sigma: tuple[int, ...]) -> tuple[int, ...]:
+    """Canonical position of every vertex of tracer.g: the order in which
+    the depth-first walk from the traced pair (s, None) under sigma lists
+    them, each bag's vertices in its ordering, then its child bags in the
+    order its trace under that ordering recorded.  InternalError unless the
+    walk places every vertex exactly once."""
+    pairs = tracer.pairs
+    n = tracer.g.vertex_count
+    positions = [-1] * n
+    placed = 0
+    stack = [((s, None), sigma)]
+    while stack:
+        key, sigma = stack.pop()
+        rec = pairs.get(key)
+        recorded = () if rec is None or rec.orders is None else zip(rec.traces, rec.orders)
+        for phi, order in recorded:
+            if phi == sigma:
+                break
+        else:
+            raise InternalError(f"no child order recorded for {key} under {sigma}")
+        for v in sigma:
+            if positions[v] >= 0:
+                raise InternalError(f"the canonical walk places vertex {v} twice")
+            positions[v] = placed
+            placed += 1
+        bag = key[0]
+        for i in range(len(order) - 2, -1, -2):
+            stack.append(((order[i], bag), order[i + 1]))
+    if placed != n:
+        raise InternalError(f"the canonical walk places {placed} of {n} vertices")
+    return tuple(positions)
 
 
 @lru_cache(maxsize=_CANON_CACHE_SIZE)
 def _canon_state(g: Graph, k: int) -> _CanonState | None:
     """Least trace over the group _root_search returns, traced by one tracer
     that serves every root set; the first minimiser in combinations order,
-    then ordering order, wins.  None when no root set fits k; the empty
-    graph's trace is empty."""
+    then ordering order, wins.  Its canonical map is read off the child
+    orders recorded while tracing (see _positions), and the tracer is then
+    dropped.  None when no root set fits k; the empty graph's trace and map
+    are empty."""
     tracer = _Tracer(g)
-    group = _root_search(tracer, k)
-    if group is None:
+    found = _root_search(tracer, (k,))
+    if found is None:
         return None
-    traces = {(s, sigma): t for s in group for sigma, t in tracer.traces((s, None)).items()}
+    traces = {(s, sigma): t for s in found[1] for sigma, t in tracer.traces((s, None)).items()}
     best = tracer.least(traces)
     if best is None:
-        return _CanonState((), (), (), tracer)
+        return _CanonState((), (), (), ())
     s, sigma = best
-    tracer.keep((s, None))
-    return _CanonState(tracer.flat(traces[best]), s, sigma, tracer)
+    return _CanonState(tracer.flat(traces[best]), s, sigma, _positions(tracer, s, sigma))
 
 
 def iso_tdw(g: Graph, h: Graph, k: int) -> bool:
@@ -802,18 +855,11 @@ def canonical_map(g: Graph, k: int) -> tuple[int, ...]:
     Positions follow the depth-first walk of the winner's pair records from
     (root set, None), children in their least block order, under the
     minimizing orderings; exact ties keep the first minimizer in
-    lexicographic ordering order, so the map is deterministic.
+    lexicographic ordering order, so the map is deterministic.  The walk is
+    made once, when the state is cached, from the child orders the traces
+    recorded, so this call traces nothing.
     """
     state = _canon_state(g, k)
     if state is None:
         raise WidthExceededError(f"tree distance width exceeds {k}")
-    positions: dict[int, int] = {}
-    stack = [((state.root_set, None), state.sigma)] if state.root_set else []
-    while stack:
-        key, sigma = stack.pop()
-        for v in sigma:
-            positions[v] = len(positions)
-        split = bag_split(g, key[0], state.tracer.pairs[key].kids)
-        _, blocks = state.tracer.local(key, split, sigma)
-        stack.extend(reversed([((c, key[0]), phi) for _, es in blocks for _, c, phi in es]))
-    return tuple(positions[v] for v in range(g.vertex_count))
+    return state.positions

@@ -12,12 +12,16 @@ few fixed graphs, the canonisation states and maps of 360 seeded graphs
 and the augmented-tree order over a fixed pool are pinned.  The (bag,
 parent bag) pair records that root sets share are checked against built
 decompositions, and paths, a caterpillar, a cycle with a pendant vertex
-and the width query against the builds they may make.  Deep paths and a
-deep spider check that no tdw traversal depends on the interpreter's
-recursion limit, and that a relabelled 4,000-vertex path is canonised in
-bounded memory.
+and the width query against the builds they may make.  The canonical map
+is read off the child orders the traces recorded: canonical_map traces
+nothing, the cache holds no tracer, and a corrupt order raises
+InternalError; a single vertex's root prefix is computed once per
+separating-set count.  Deep paths and a deep spider check that no tdw
+traversal depends on the interpreter's recursion limit, and that a
+relabelled 4,000-vertex path is canonised in bounded memory.
 """
 
+import gc
 import hashlib
 import inspect
 import random
@@ -296,16 +300,27 @@ def test_path_width_builds_only_its_ends(monkeypatch):
 
 def test_width_builds_each_root_set_once(monkeypatch):
     """tree_distance_width keeps one tracer for every cap it tries, so a
-    root set whose width exceeded one cap is not built again at the next."""
+    root set whose width exceeded one cap is not built again at the next,
+    and it reads connectivity and the articulation counts once per query."""
     rng = random.Random(5)
     built, _ = _count_builds(monkeypatch)
+    setup = []
+
+    def counted(name):
+        read = getattr(isoorder, name)
+        return lambda g: setup.append(name) or read(g)
+
+    for name in ("is_connected", "_articulation_counts"):
+        monkeypatch.setattr(isoorder, name, counted(name))
     repeats = 0
     for _ in range(60):
         g = random_narrow_graph(rng, rng.randint(8, 20))
         g, _ = random_relabel(g, seed=rng.randrange(10**6))
         built.clear()
+        setup.clear()
         assert tree_distance_width(g, 3) is not None
         repeats += len(built) - len(set(built))
+        assert sorted(setup) == ["_articulation_counts", "is_connected"]
     assert repeats == 0
 
 
@@ -349,6 +364,107 @@ def test_caterpillar_builds_at_most_once(monkeypatch):
     assert peak < 100 * 2**20
     assert form == expected[0]
     assert is_isomorphism(g, original, compose_permutations(inverse_permutation(expected[1]), cmap))
+
+
+@pytest.mark.parametrize(
+    "original,k",
+    [
+        (_caterpillar(300, seed=2), 1),
+        (spider_graph(4, 4, 2, 7), 1),
+        (Graph(40, benchmark_inputs().layered_tdw2(40, random.Random(4))), 2),
+    ],
+    ids=["caterpillar", "spider", "layered40"],
+)
+def test_map_is_read_off_the_recorded_orders(original, k, monkeypatch):
+    """The traces keep the child order each of them chose, so once
+    canon_tdw has run, canonical_map neither splits a bag nor traces one."""
+    expected = canonical_map(original, k)
+    g, _ = random_relabel(original, seed=8)
+    _canon_state.cache_clear()
+    canon_tdw(g, k)
+
+    def fail(*args):
+        raise AssertionError("canonical_map traced again")
+
+    monkeypatch.setattr(_Tracer, "local", fail)
+    monkeypatch.setattr(isoorder, "bag_split", fail)
+    cmap = canonical_map(g, k)
+    assert is_isomorphism(g, original, compose_permutations(inverse_permutation(expected), cmap))
+
+
+def test_cache_keeps_the_map_not_the_tracer():
+    """A cached state is the trace, root set, ordering and map: tuples of
+    integers, no tracer, and for a relabelled 2,000-vertex caterpillar less
+    than 0.6 MB once the results are dropped (2.3 MB with the tracer)."""
+    g, _ = random_relabel(_caterpillar(2000, seed=1), seed=5)
+    _canon_state.cache_clear()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        form, cmap = canon_tdw(g, 1), canonical_map(g, 1)
+        del form, cmap
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    state = _canon_state(g, 1)
+    assert not any(isinstance(x, _Tracer) for x in gc.get_referents(state))
+    assert all(isinstance(v, int) for field in state for v in field)
+    assert sorted(state.positions) == list(range(2000))
+    assert held < 0.6 * 2**20
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        lambda order, g: order * 2,
+        lambda order, g: (),
+        lambda order, g: ((g.vertex_count - 1,),) + order[1:],
+    ],
+    ids=["child twice", "child dropped", "foreign bag"],
+)
+def test_map_walk_refuses_a_corrupt_order(corrupt, monkeypatch):
+    """The map walk places every vertex exactly once or raises
+    InternalError: here each root pair's first recorded order lists its one
+    child bag twice, not at all, or swaps in a bag not recorded under it."""
+    g = star_graph(6)
+    traces = _Tracer.traces
+
+    def corrupting(tracer, start):
+        out = traces(tracer, start)
+        rec = tracer.pairs[start]
+        if start[1] is None:
+            rec.orders = (corrupt(rec.orders[0], g), *rec.orders[1:])
+        return out
+
+    monkeypatch.setattr(_Tracer, "traces", corrupting)
+    _canon_state.cache_clear()
+    with pytest.raises(InternalError):
+        canonical_map(g, 1)
+
+
+@pytest.mark.parametrize("g", [_caterpillar(400, seed=3), star_graph(30)], ids=["caterpillar", "star"])
+def test_single_vertex_prefix_once_per_count(g, monkeypatch):
+    """A single vertex's root prefix depends on its separating-set count
+    alone: canonisation and the width query, over every cap, compute it at
+    most once per count."""
+    g, _ = random_relabel(g, seed=6)
+    splits = _articulation_counts(g)
+    counts = []
+
+    def counting(graph, s, seps, kids=None):
+        if len(s) == 1 and kids is None:
+            counts.append(splits[s[0]])
+        return _root_prefix(graph, s, seps, kids)
+
+    monkeypatch.setattr(isoorder, "_root_prefix", counting)
+    _canon_state.cache_clear()
+    canon_tdw(g, 1)
+    assert counts and len(counts) == len(set(counts))
+    counts.clear()
+    assert tree_distance_width(g, 3) == 1
+    assert counts and len(counts) == len(set(counts))
 
 
 def _subtree_reference(g: Graph, bag: tuple[int, ...], parent) -> tuple[int, list, int]:
