@@ -27,6 +27,7 @@ from .graph import (
 from .tdd import (
     TreeDistanceDecomposition,
     build_minimal_tdd,
+    tree_distance_width,
     validate_tdd,
 )
 from .augtree import (
@@ -43,7 +44,6 @@ from .isoorder import (
     compare_augmented,
     full_theta,
     iso_tdw,
-    tree_distance_width,
 )
 from .treewidth import (
     TreeDecomposition,

@@ -26,9 +26,9 @@ from .formats import (
 )
 from .generate import generate_partial_ktree
 from .graph import Graph
-from .isoorder import canon_tdw, canonical_map, iso_tdw, tree_distance_width
+from .isoorder import canon_tdw, canonical_map, iso_tdw
 from .oracle import brute_force_iso
-from .tdd import build_minimal_tdd
+from .tdd import build_minimal_tdd, tree_distance_width
 from .treewidth import TreeDecomposition, iso_one_decomp, iso_respecting_both, iso_tw
 
 

@@ -1,13 +1,13 @@
 """Isomorphism order on augmented trees, and for bounded tree distance width
-graphs the isomorphism decision, canonization and the width itself.
+graphs the isomorphism decision and canonization.
 
-One search over root sets serves the last three: _root_search ranks the
-root sets by exact prefixes of their least traces, read off the components
-of G - S, and returns the first group of equal prefixes that fits the width
+One search over root sets serves the last two: _root_search ranks the root
+sets by exact prefixes of their least traces, read off the components of
+G - S, and returns the first group of equal prefixes that fits the width
 bound.  The ranking has two stages: every root set by its root prefix, then
 a group of equal root prefixes by the longer prefix through its first child
 entry, so that only the least group is filled.  Canonization traces that
-group; tree_distance_width is the least bound at which the search finds one.
+group.  The width itself needs no trace; it is tdd.tree_distance_width.
 
 The order is realized through canonical traces, read from (bag, parent bag)
 pair records (below) rather than from stored decompositions, each bag split
@@ -50,7 +50,6 @@ tree canonisation, the records are read off the graph, not off a stored
 decomposition: a new pair is filled by re-rooting (_Tracer._reroot), and
 only where that rule cannot group a bag's child bags is one decomposition
 built and all its pairs recorded.  A relabelled path needs no build at all.
-Decompositions are unique, so a record's width is exact: it serves any bound.
 """
 
 from __future__ import annotations
@@ -61,7 +60,7 @@ from enum import Enum
 from functools import cmp_to_key, lru_cache
 from itertools import combinations, groupby, permutations, product
 from operator import itemgetter
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from .augtree import AugmentedTree, SubtreeHandle, bag_split
 from .errors import (
@@ -71,7 +70,7 @@ from .errors import (
     WidthExceededError,
 )
 from .graph import Graph, _articulation_counts, is_connected
-from .tdd import _build
+from .tdd import _build, _components
 
 
 class OrderResult(Enum):
@@ -462,45 +461,6 @@ def _bag_traces(tracer: _Tracer, memo: dict, g: Graph, d, bag: int, parent: int 
     return best
 
 
-def _components(g: Graph, s: tuple[int, ...], cap: int) -> list[tuple] | None:
-    """The components C of G - S, one breadth-first search each, as triples:
-    N(C) ∩ S sorted, the child bag N(S) ∩ C in search order, and |C|.  None
-    as soon as a child bag holds more than cap vertices: the decomposition
-    rooted at S holds that bag, so its width exceeds cap.
-
-    The child bags of the root are the components of G - S, each cut down to
-    its neighbours of S, and the component C hangs from N(C) ∩ S.
-    """
-    adj = g._adj
-    inside = set(s)
-    seen = [False] * g.vertex_count
-    for v in s:
-        seen[v] = True
-    comps = []
-    for start in range(g.vertex_count):
-        if seen[start]:
-            continue
-        seen[start] = True
-        comp = [start]
-        sep = set()
-        bag = []
-        for x in comp:  # comp grows while it is read: a breadth-first search
-            near = False
-            for y in adj[x]:
-                if y in inside:
-                    sep.add(y)
-                    near = True
-                elif not seen[y]:
-                    seen[y] = True
-                    comp.append(y)
-            if near:
-                bag.append(x)
-        if len(bag) > cap:
-            return None
-        comps.append((tuple(sorted(sep)), bag, len(comp)))
-    return comps
-
-
 def _sep_counts(
     g: Graph, s: tuple[int, ...], splits: list[int], cap: int
 ) -> tuple[dict[tuple[int, ...], int], list[tuple] | None] | None:
@@ -611,10 +571,9 @@ def _entry_prefix(
     return _root_prefix(g, s, {sep: len(group) for sep, group in kids.items()}, kids)
 
 
-def _root_search(tracer: _Tracer, caps: Iterable[int]) -> tuple[int, list[tuple[int, ...]]] | None:
-    """The first cap k in caps at which some root set of tracer.g has a
-    decomposition of width at most k, with the root sets of that width that
-    may carry the least trace; None when no cap admits one.
+def _root_search(tracer: _Tracer, k: int) -> list[tuple[int, ...]] | None:
+    """The root sets of tracer.g with a decomposition of width at most k
+    that may carry the least trace; None when no root set fits k.
 
     Every trace starts (0, |S|, ...), so sizes are tried in increasing
     order.  Within a size, root sets are ranked in two stages, each by an
@@ -623,20 +582,20 @@ def _root_search(tracer: _Tracer, caps: Iterable[int]) -> tuple[int, list[tuple[
     root set with a depth-1 bag above k drops out; a single vertex is only
     checked by its degree, against k per component, and its root prefix
     depends on its separating-set count alone, so it is computed once per
-    count and kept for every cap.  Only a group of more than one equal
-    prefix is ranked again, by the longer prefix through the first child
-    entry (_entry_prefix).  It reuses the components known from the first
-    stage, and a cut vertex with a depth-1 bag above k drops out there,
-    before its child orderings are enumerated.  Root pairs (S, None) are
-    filled in the tracer one equal-prefix group at a time, and the first
-    group with an admissible member is returned, its admissible members
-    only, in combinations order.  The empty graph's one root set is empty
-    and has nothing to fill.  Connectivity and the articulation counts are
-    read once, for every cap."""
+    count.  Only a group of more than one equal prefix is ranked again, by
+    the longer prefix through the first child entry (_entry_prefix).  It
+    reuses the components known from the first stage, and a cut vertex with
+    a depth-1 bag above k drops out there, before its child orderings are
+    enumerated.  Root pairs (S, None) are filled in the tracer one
+    equal-prefix group at a time, and the first group with an admissible
+    member is returned, its admissible members only, in combinations order.
+    The empty graph's one root set is empty and has nothing to fill."""
     g = tracer.g
     if not is_connected(g):
         raise DisconnectedGraphError("tree distance decompositions need a connected graph")
     n = g.vertex_count
+    if n == 0:
+        return [] if k >= 0 else None
     splits = _articulation_counts(g)
     single: dict[int, tuple[int, ...]] = {}
 
@@ -648,45 +607,34 @@ def _root_search(tracer: _Tracer, caps: Iterable[int]) -> tuple[int, list[tuple[
             single[count] = _root_prefix(g, s, seps)
         return single[count]
 
-    for k in caps:
-        if n == 0 and k >= 0:
-            return k, []
-        for size in range(1, min(k, n) + 1):
-            ranked = sorted(
-                (
-                    (prefix(s, found[0]), s, found[1])
-                    for s in combinations(range(n), size)
-                    if (found := _sep_counts(g, s, splits, k)) is not None
-                ),
-                key=itemgetter(0),
-            )
-            for _, ties in groupby(ranked, key=itemgetter(0)):
-                ties = list(ties)
-                if len(ties) > 1:
-                    finer = sorted(
-                        (
-                            (key, s)
-                            for _, s, comps in ties
-                            if (key := _entry_prefix(g, s, k, comps)) is not None
-                        ),
-                        key=itemgetter(0),
-                    )
-                    groups = [[s for _, s in sub] for _, sub in groupby(finer, key=itemgetter(0))]
-                else:
-                    groups = [[ties[0][1]]]
-                for group in groups:
-                    group = [s for s in group if tracer.fill(s, (s, None), n) <= k]
-                    if group:
-                        return k, group
+    for size in range(1, min(k, n) + 1):
+        ranked = sorted(
+            (
+                (prefix(s, found[0]), s, found[1])
+                for s in combinations(range(n), size)
+                if (found := _sep_counts(g, s, splits, k)) is not None
+            ),
+            key=itemgetter(0),
+        )
+        for _, ties in groupby(ranked, key=itemgetter(0)):
+            ties = list(ties)
+            if len(ties) > 1:
+                finer = sorted(
+                    (
+                        (key, s)
+                        for _, s, comps in ties
+                        if (key := _entry_prefix(g, s, k, comps)) is not None
+                    ),
+                    key=itemgetter(0),
+                )
+                groups = [[s for _, s in sub] for _, sub in groupby(finer, key=itemgetter(0))]
+            else:
+                groups = [[ties[0][1]]]
+            for group in groups:
+                group = [s for s in group if tracer.fill(s, (s, None), n) <= k]
+                if group:
+                    return group
     return None
-
-
-def tree_distance_width(g: Graph, k_max: int) -> int | None:
-    """Least width of a tree distance decomposition of g, None above k_max:
-    the least cap w at which _root_search, one search serving every cap,
-    finds a root set, since a decomposition of width w has one of size <= w."""
-    found = _root_search(_Tracer(g), range(min(k_max, g.vertex_count) + 1))
-    return None if found is None else found[0]
 
 
 def _min_trace(tree: AugmentedTree, node: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -813,10 +761,10 @@ def _canon_state(g: Graph, k: int) -> _CanonState | None:
     dropped.  None when no root set fits k; the empty graph's trace and map
     are empty."""
     tracer = _Tracer(g)
-    found = _root_search(tracer, (k,))
+    found = _root_search(tracer, k)
     if found is None:
         return None
-    traces = {(s, sigma): t for s in found[1] for sigma, t in tracer.traces((s, None)).items()}
+    traces = {(s, sigma): t for s in found for sigma, t in tracer.traces((s, None)).items()}
     best = tracer.least(traces)
     if best is None:
         return _CanonState((), (), (), ())

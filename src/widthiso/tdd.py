@@ -1,10 +1,11 @@
 """Building and validating minimal tree distance decompositions of connected
-graphs.  The search over root sets, and with it the width, is in isoorder,
-which keeps one record per (bag, parent bag) pair and builds a decomposition
-only where its re-rooting rule cannot read a bag's child bags off the pairs
-it has recorded; it then records every pair of the build in one pass over
-_build's rows, which list a bag's children before it, in content order.
-build_minimal_tdd renumbers the rows depth-first for callers that read ids.
+graphs, and their width, the least over root sets.  The canonisation's
+search over root sets is in isoorder, which keeps one record per (bag,
+parent bag) pair and builds a decomposition only where its re-rooting rule
+cannot read a bag's child bags off the pairs it has recorded; it then
+records every pair of the build in one pass over _build's rows, which list
+a bag's children before it, in content order.  build_minimal_tdd renumbers
+the rows depth-first for callers that read ids.
 
 A tree distance decomposition rooted at a vertex set S partitions V into
 disjoint bags; the bag holding v sits at tree depth d(S, v) and every edge
@@ -24,6 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import combinations
 from typing import Iterable
 
 from .errors import DisconnectedGraphError, EmptySetError
@@ -129,6 +131,75 @@ def _build(g: Graph, s: tuple[int, ...]) -> tuple[list, list[int], list[int]]:
         v = bags[i][0]
         parent[i] = bag_of[next(y for y in adj[v] if level[y] == depth[i] - 1)]
     return bags, parent, depth
+
+
+def _components(g: Graph, s: tuple[int, ...], cap: int) -> list[tuple] | None:
+    """The components C of G - S, one breadth-first search each, as triples:
+    N(C) ∩ S sorted, the child bag N(S) ∩ C in search order, and |C|.  None
+    as soon as a child bag holds more than cap vertices: the decomposition
+    rooted at S holds that bag, so its width exceeds cap.
+
+    The child bags of the root are the components of G - S, each cut down to
+    its neighbours of S, and the component C hangs from N(C) ∩ S.
+    """
+    adj = g._adj
+    inside = set(s)
+    seen = [False] * g.vertex_count
+    for v in s:
+        seen[v] = True
+    comps = []
+    for start in range(g.vertex_count):
+        if seen[start]:
+            continue
+        seen[start] = True
+        comp = [start]
+        sep = set()
+        bag = []
+        for x in comp:  # comp grows while it is read: a breadth-first search
+            near = False
+            for y in adj[x]:
+                if y in inside:
+                    sep.add(y)
+                    near = True
+                elif not seen[y]:
+                    seen[y] = True
+                    comp.append(y)
+            if near:
+                bag.append(x)
+        if len(bag) > cap:
+            return None
+        comps.append((tuple(sorted(sep)), bag, len(comp)))
+    return comps
+
+
+def tree_distance_width(g: Graph, k_max: int) -> int | None:
+    """Least width of a tree distance decomposition of g, None above k_max.
+
+    The minimal decomposition rooted at S is unique and has the least width
+    of any rooted at S, so the width is the least over root sets of their
+    largest bag.  A root bag counts, and only a tree has a decomposition of
+    one-vertex bags, so a root set cannot beat the best width so far once
+    its size, or 2 for a graph that is not a tree, reaches it.  Sizes are
+    tried in increasing order, and a root set whose depth-1 bag is already
+    too wide (_components) is not built.
+    """
+    if not is_connected(g):
+        raise DisconnectedGraphError("tree distance decompositions need a connected graph")
+    n = g.vertex_count
+    if n == 0:
+        return 0 if k_max >= 0 else None
+    least = 1 if g.edge_count == n - 1 else 2
+    best = min(k_max, n) + 1
+    size = 1
+    while max(size, least) < best:
+        for s in combinations(range(n), size):
+            if _components(g, s, best - 1) is None:
+                continue
+            best = min(best, max(map(len, _build(g, s)[0])))
+            if best == max(size, least):
+                return best
+        size += 1
+    return best if best <= k_max else None
 
 
 def build_minimal_tdd(g: Graph, s: Iterable[int]) -> TreeDistanceDecomposition:

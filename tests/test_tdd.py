@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from widthiso import (
@@ -179,10 +181,23 @@ def test_tree_distance_width_k4():
     assert tree_distance_width(complete_graph(4), 1) is None
 
 
-@pytest.mark.parametrize("m", range(2, 10))
-def test_tree_distance_width_complete(m):
-    # a root set of size s leaves one depth-1 bag of size m - s
-    assert tree_distance_width(complete_graph(m), m) == (m + 1) // 2
+WIDE_QUERIES = [
+    *((str(m), complete_graph(m), m, (m + 1) // 2) for m in range(2, 13)),
+    ("K2,400", Graph(402, [(u, v) for u in (0, 1) for v in range(2, 402)]), 2, 2),
+    ("star2000", random_relabel(star_graph(2000), 5)[0], 1, 1),
+]
+
+
+@pytest.mark.parametrize(
+    "g,k,width", [q[1:] for q in WIDE_QUERIES], ids=[q[0] for q in WIDE_QUERIES]
+)
+def test_tree_distance_width_complete(g, k, width):
+    # In K(m) a root set of size s leaves one depth-1 bag of size m - s; a
+    # leaf of K(2, 400) or of the star is a root set of the least width.  The
+    # width query orders no root set, so each query is far below the bound.
+    start = time.perf_counter()
+    assert tree_distance_width(g, k) == width
+    assert time.perf_counter() - start < 2
 
 
 def test_tree_distance_width_cycle():

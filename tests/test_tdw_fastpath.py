@@ -2,20 +2,20 @@
 
 The minimal decomposition builder is checked against the definition, the
 canonisation search that stops at the first admissible root-set size is
-checked against the minimum over every root set, and so is the width query
-that runs the same search.  The two prefixes that rank root sets (read from
-the components of G - S), the root prefix and the longer one through the
-first child entry, are checked against the decomposition-based reference
-and the full trace, the articulation counts behind the single-vertex
-prefixes against a component count, and the canonical bytes and maps of a
-few fixed graphs, the canonisation states and maps of 360 seeded graphs
-and the augmented-tree order over a fixed pool are pinned.  The (bag,
-parent bag) pair records that root sets share are checked against built
-decompositions, and paths, a caterpillar, a cycle with a pendant vertex
-and the width query against the builds they may make.  The canonical map
-is read off the child orders the traces recorded: canonical_map traces
-nothing, the cache holds no tracer, and a corrupt order raises
-InternalError; a single vertex's root prefix is computed once per
+checked against the minimum over every root set, and so is the width query,
+a minimum over root-set builds that reaches no trace.  The two prefixes that
+rank root sets (read from the components of G - S), the root prefix and the
+longer one through the first child entry, are checked against the
+decomposition-based reference and the full trace, the articulation counts
+behind the single-vertex prefixes against a component count, and the
+canonical bytes and maps of a few fixed graphs, the canonisation states and
+maps of 360 seeded graphs and the augmented-tree order over a fixed pool are
+pinned.  The (bag, parent bag) pair records that root sets share are checked
+against built decompositions, and paths, a caterpillar, a cycle with a
+pendant vertex and the width query against the builds they may make.  The
+canonical map is read off the child orders the traces recorded:
+canonical_map traces nothing, the cache holds no tracer, and a corrupt order
+raises InternalError; a single vertex's root prefix is computed once per
 separating-set count.  Deep paths and a deep spider check that no tdw
 traversal depends on the interpreter's recursion limit, and that a
 relabelled 4,000-vertex path is canonised in bounded memory.
@@ -52,7 +52,7 @@ from widthiso import (
     tree_distance_width,
     validate_tdd,
 )
-from widthiso import isoorder
+from widthiso import isoorder, tdd
 from widthiso.cli import main
 from widthiso.formats import write_graph
 from widthiso.generate import random_relabel
@@ -288,39 +288,65 @@ def test_path_traces_only_its_ends(monkeypatch):
     assert sorted(entered) == sorted((v,) for v in range(60) if g.degree(v) == 1)
 
 
+def _count_width_builds(monkeypatch) -> list:
+    """Root sets that the width query builds a decomposition for, from now on."""
+    built = []
+
+    def counting(g, s):
+        built.append(s)
+        return _build(g, s)
+
+    monkeypatch.setattr(tdd, "_build", counting)
+    return built
+
+
 def test_path_width_builds_only_its_ends(monkeypatch):
+    """Every single vertex of a path roots a decomposition of width 1, the
+    least a root set can have, so the first one built decides the width."""
     g, _ = random_relabel(path_graph(300), seed=4)
-    built, entered = _count_builds(monkeypatch)
+    built = _count_width_builds(monkeypatch)
+    _, entered = _count_builds(monkeypatch)
     cached = _canon_state.cache_info()
     assert tree_distance_width(g, 3) == 1
-    assert built == []
-    assert sorted(entered) == sorted((v,) for v in range(300) if g.degree(v) == 1)
+    assert built == [(0,)]
+    assert entered == []
     assert _canon_state.cache_info() == cached
 
 
 def test_width_builds_each_root_set_once(monkeypatch):
-    """tree_distance_width keeps one tracer for every cap it tries, so a
-    root set whose width exceeded one cap is not built again at the next,
-    and it reads connectivity and the articulation counts once per query."""
+    """tree_distance_width takes each root set once, in order of size, and
+    builds it at most once; it reads connectivity once per query and
+    touches no trace, prefix or articulation count."""
     rng = random.Random(5)
-    built, _ = _count_builds(monkeypatch)
-    setup = []
-
-    def counted(name):
-        read = getattr(isoorder, name)
-        return lambda g: setup.append(name) or read(g)
-
-    for name in ("is_connected", "_articulation_counts"):
-        monkeypatch.setattr(isoorder, name, counted(name))
-    repeats = 0
+    graphs = []
     for _ in range(60):
         g = random_narrow_graph(rng, rng.randint(8, 20))
-        g, _ = random_relabel(g, seed=rng.randrange(10**6))
+        graphs.append(random_relabel(g, seed=rng.randrange(10**6))[0])
+    built = _count_width_builds(monkeypatch)
+    setup = []
+
+    def counted(module, name):
+        read = getattr(module, name)
+        return lambda g: setup.append(name) or read(g)
+
+    monkeypatch.setattr(tdd, "is_connected", counted(tdd, "is_connected"))
+    monkeypatch.setattr(
+        isoorder, "_articulation_counts", counted(isoorder, "_articulation_counts")
+    )
+
+    def fail(*args, **kwargs):
+        raise AssertionError("the width query reached the trace engine")
+
+    monkeypatch.setattr(_Tracer, "fill", fail)
+    for name in ("_root_search", "_root_prefix", "_entry_prefix"):
+        monkeypatch.setattr(isoorder, name, fail)
+    repeats = 0
+    for g in graphs:
         built.clear()
         setup.clear()
         assert tree_distance_width(g, 3) is not None
         repeats += len(built) - len(set(built))
-        assert sorted(setup) == ["_articulation_counts", "is_connected"]
+        assert setup == ["is_connected"]
     assert repeats == 0
 
 
@@ -447,13 +473,14 @@ def test_map_walk_refuses_a_corrupt_order(corrupt, monkeypatch):
 @pytest.mark.parametrize("g", [_caterpillar(400, seed=3), star_graph(30)], ids=["caterpillar", "star"])
 def test_single_vertex_prefix_once_per_count(g, monkeypatch):
     """A single vertex's root prefix depends on its separating-set count
-    alone: canonisation and the width query, over every cap, compute it at
-    most once per count."""
+    alone: canonisation computes it at most once per count, and the width
+    query computes no prefix at all."""
     g, _ = random_relabel(g, seed=6)
     splits = _articulation_counts(g)
-    counts = []
+    calls, counts = [], []
 
     def counting(graph, s, seps, kids=None):
+        calls.append(s)
         if len(s) == 1 and kids is None:
             counts.append(splits[s[0]])
         return _root_prefix(graph, s, seps, kids)
@@ -462,9 +489,9 @@ def test_single_vertex_prefix_once_per_count(g, monkeypatch):
     _canon_state.cache_clear()
     canon_tdw(g, 1)
     assert counts and len(counts) == len(set(counts))
-    counts.clear()
+    calls.clear()
     assert tree_distance_width(g, 3) == 1
-    assert counts and len(counts) == len(set(counts))
+    assert calls == []
 
 
 def _subtree_reference(g: Graph, bag: tuple[int, ...], parent) -> tuple[int, list, int]:
