@@ -70,7 +70,7 @@ from .errors import (
     WidthExceededError,
 )
 from .graph import Graph, _articulation_counts, is_connected
-from .tdd import _build, _components
+from .tdd import _build, _components, _sep_counts
 
 
 class OrderResult(Enum):
@@ -459,35 +459,6 @@ def _bag_traces(tracer: _Tracer, memo: dict, g: Graph, d, bag: int, parent: int 
             if tau not in best or tracer.less(t, best[tau]):
                 best[tau] = t
     return best
-
-
-def _sep_counts(
-    g: Graph, s: tuple[int, ...], splits: list[int], cap: int
-) -> tuple[dict[tuple[int, ...], int], list[tuple] | None] | None:
-    """Separating sets of the root bag s, each with its number of child
-    bags, and the components of G - S when they are known (see
-    _components); None when a child bag is seen to hold more than cap
-    vertices.
-
-    A single vertex v separates all splits[v] components of G - v, and its
-    neighbours cannot fit when there are more than cap per component, so a
-    single vertex needs no search.  A vertex that cuts nothing has one
-    component, all of G - v, whose child bag is N(v).
-    """
-    if len(s) == 1:
-        v = s[0]
-        if len(g._adj[v]) > cap * splits[v]:
-            return None
-        if splits[v] == 1:
-            return {s: 1}, [(s, g._adj[v], g.vertex_count - 1)]
-        return ({s: splits[v]} if splits[v] else {}), None
-    comps = _components(g, s, cap)
-    if comps is None:
-        return None
-    counts: dict[tuple[int, ...], int] = {}
-    for sep, _, _ in comps:
-        counts[sep] = counts.get(sep, 0) + 1
-    return counts, comps
 
 
 def _kid(g: Graph, s: tuple[int, ...], bag: Sequence[int], size: int) -> tuple:

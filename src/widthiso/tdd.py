@@ -1,11 +1,12 @@
 """Building and validating minimal tree distance decompositions of connected
 graphs, and their width, the least over root sets.  The canonisation's
-search over root sets is in isoorder, which keeps one record per (bag,
-parent bag) pair and builds a decomposition only where its re-rooting rule
-cannot read a bag's child bags off the pairs it has recorded; it then
-records every pair of the build in one pass over _build's rows, which list
-a bag's children before it, in content order.  build_minimal_tdd renumbers
-the rows depth-first for callers that read ids.
+search over root sets is in isoorder: it keeps one record per (bag, parent
+bag) pair, builds only where re-rooting cannot read a bag's child bags off
+its records, and records a build's pairs in one pass over _build's rows,
+which list a bag's children before it, in content order.  Both it and the
+width query refuse a root set whose depth-1 bag is too wide by _sep_counts,
+a single vertex by its articulation count.  build_minimal_tdd renumbers the
+rows depth-first for callers that read ids.
 
 A tree distance decomposition rooted at a vertex set S partitions V into
 disjoint bags; the bag holding v sits at tree depth d(S, v) and every edge
@@ -29,7 +30,7 @@ from itertools import combinations
 from typing import Iterable
 
 from .errors import DisconnectedGraphError, EmptySetError
-from .graph import Graph, _levels, is_connected, vertex_set
+from .graph import Graph, _articulation_counts, _levels, is_connected, vertex_set
 
 
 @dataclass(frozen=True)
@@ -67,8 +68,9 @@ class TreeDistanceDecomposition:
             sizes[self.parent[i]] += sizes[i]
         return tuple(sizes)
 
-def _find(up: list[int], x: int) -> int:
-    """Union-find root of x, compressing the path walked."""
+def _find(up: list[int] | dict[int, int], x: int) -> int:
+    """Union-find root of x in the parent list or dict up, compressing the
+    path walked; _build, validate_tdd and the treewidth rooted view share it."""
     root = x
     while up[root] != root:
         root = up[root]
@@ -172,6 +174,35 @@ def _components(g: Graph, s: tuple[int, ...], cap: int) -> list[tuple] | None:
     return comps
 
 
+def _sep_counts(
+    g: Graph, s: tuple[int, ...], splits: list[int], cap: int
+) -> tuple[dict[tuple[int, ...], int], list[tuple] | None] | None:
+    """Separating sets of the root bag s, each with its number of child
+    bags, and the components of G - S when known (see _components); None
+    when a child bag is seen to hold more than cap.  tree_distance_width
+    and isoorder._root_search both refuse root sets by it.
+
+    A single vertex v separates all splits[v] components of G - v, and its
+    neighbours cannot fit when there are more than cap per component, so a
+    single vertex needs no search.  A vertex that cuts nothing has one
+    component, all of G - v, whose child bag is N(v).
+    """
+    if len(s) == 1:
+        v = s[0]
+        if len(g._adj[v]) > cap * splits[v]:
+            return None
+        if splits[v] == 1:
+            return {s: 1}, [(s, g._adj[v], g.vertex_count - 1)]
+        return ({s: splits[v]} if splits[v] else {}), None
+    comps = _components(g, s, cap)
+    if comps is None:
+        return None
+    counts: dict[tuple[int, ...], int] = {}
+    for sep, _, _ in comps:
+        counts[sep] = counts.get(sep, 0) + 1
+    return counts, comps
+
+
 def tree_distance_width(g: Graph, k_max: int) -> int | None:
     """Least width of a tree distance decomposition of g, None above k_max.
 
@@ -181,19 +212,20 @@ def tree_distance_width(g: Graph, k_max: int) -> int | None:
     one-vertex bags, so a root set cannot beat the best width so far once
     its size, or 2 for a graph that is not a tree, reaches it.  Sizes are
     tried in increasing order, and a root set whose depth-1 bag is already
-    too wide (_components) is not built.
+    too wide (_sep_counts) is not built.
     """
     if not is_connected(g):
         raise DisconnectedGraphError("tree distance decompositions need a connected graph")
     n = g.vertex_count
     if n == 0:
         return 0 if k_max >= 0 else None
+    splits = _articulation_counts(g)
     least = 1 if g.edge_count == n - 1 else 2
     best = min(k_max, n) + 1
     size = 1
     while max(size, least) < best:
         for s in combinations(range(n), size):
-            if _components(g, s, best - 1) is None:
+            if _sep_counts(g, s, splits, best - 1) is None:
                 continue
             best = min(best, max(map(len, _build(g, s)[0])))
             if best == max(size, least):

@@ -40,6 +40,7 @@ from .errors import (
 from .graph import Graph, _components, connected_components, stable_colours
 from .isoorder import _bag_traces, _Tracer
 from .oracle import is_isomorphism
+from .tdd import _find
 
 
 @dataclass(frozen=True)
@@ -212,12 +213,6 @@ class _Rooted:
         # a's subtree, so it joins a's vertices only.
         link: dict[int, int] = {}
         total: dict[int, int] = {}
-
-        def find(v: int) -> int:
-            while link[v] != v:
-                link[v] = v = link[link[v]]
-            return v
-
         roots: dict[int, list[int]] = {}  # bag -> its components' roots, until its parent reads them
         for a in reversed(self.parent):
             size = len(bags[a])
@@ -232,12 +227,14 @@ class _Rooted:
                 link[v], total[v] = v, colour[v]
                 for w in g._adj[v]:
                     if w in link:
-                        x, y = find(v), find(w)
+                        x, y = _find(link, v), _find(link, w)
                         if x != y:
                             link[y] = x
                             total[x] += total.pop(y)
-            meet = {find(v) for v in fresh}
-            passed = [r for b in self.children[a] for r in roots.pop(b) if find(r) not in meet]
+            meet = {_find(link, v) for v in fresh}
+            passed = [
+                r for b in self.children[a] for r in roots.pop(b) if _find(link, r) not in meet
+            ]
             roots[a] = [*meet, *passed]
             self.forced[a] = sorted(total[r] for r in meet)
             if passed:

@@ -12,13 +12,14 @@ canonical bytes and maps of a few fixed graphs, the canonisation states and
 maps of 360 seeded graphs and the augmented-tree order over a fixed pool are
 pinned.  The (bag, parent bag) pair records that root sets share are checked
 against built decompositions, and paths, a caterpillar, a cycle with a
-pendant vertex and the width query against the builds they may make.  The
-canonical map is read off the child orders the traces recorded:
-canonical_map traces nothing, the cache holds no tracer, and a corrupt order
-raises InternalError; a single vertex's root prefix is computed once per
-separating-set count.  Deep paths and a deep spider check that no tdw
-traversal depends on the interpreter's recursion limit, and that a
-relabelled 4,000-vertex path is canonised in bounded memory.
+pendant vertex and the width query against the builds they may make, and a
+ladder's width query against component searches.  The canonical map is read
+off the child orders the traces recorded: canonical_map traces nothing, the
+cache holds no tracer, and a corrupt order raises InternalError; a single
+vertex's root prefix is computed once per separating-set count.  Deep paths
+and a deep spider check that no tdw traversal depends on the interpreter's
+recursion limit, and that a relabelled 4,000-vertex path is canonised in
+bounded memory.
 """
 
 import gc
@@ -63,11 +64,10 @@ from widthiso.isoorder import (
     _entry_prefix,
     _min_trace,
     _root_prefix,
-    _sep_counts,
     _serialize,
 )
 from widthiso.graph import _articulation_counts, induced_subgraph
-from widthiso.tdd import _build
+from widthiso.tdd import _build, _sep_counts
 
 from helpers import (
     benchmark_inputs,
@@ -315,8 +315,9 @@ def test_path_width_builds_only_its_ends(monkeypatch):
 
 def test_width_builds_each_root_set_once(monkeypatch):
     """tree_distance_width takes each root set once, in order of size, and
-    builds it at most once; it reads connectivity once per query and
-    touches no trace, prefix or articulation count."""
+    builds it at most once; it reads connectivity and the articulation
+    counts once per query, through tdd's own bindings, and touches no trace
+    or prefix."""
     rng = random.Random(5)
     graphs = []
     for _ in range(60):
@@ -330,9 +331,7 @@ def test_width_builds_each_root_set_once(monkeypatch):
         return lambda g: setup.append(name) or read(g)
 
     monkeypatch.setattr(tdd, "is_connected", counted(tdd, "is_connected"))
-    monkeypatch.setattr(
-        isoorder, "_articulation_counts", counted(isoorder, "_articulation_counts")
-    )
+    monkeypatch.setattr(tdd, "_articulation_counts", counted(tdd, "_articulation_counts"))
 
     def fail(*args, **kwargs):
         raise AssertionError("the width query reached the trace engine")
@@ -346,8 +345,42 @@ def test_width_builds_each_root_set_once(monkeypatch):
         setup.clear()
         assert tree_distance_width(g, 3) is not None
         repeats += len(built) - len(set(built))
-        assert setup == ["is_connected"]
+        assert setup == ["is_connected", "_articulation_counts"]
     assert repeats == 0
+
+
+def _ladder_corners_last(rungs: int, seed: int) -> Graph:
+    """A ladder of rungs rungs, its inner vertices relabelled at random and
+    its four corners numbered last."""
+    n = 2 * rungs
+    edges = [(2 * i, 2 * i + 1) for i in range(rungs)]
+    edges += [(v, v + 2) for v in range(n - 2)]
+    corners = [0, 1, n - 2, n - 1]
+    inner = list(range(2, n - 2))
+    random.Random(seed).shuffle(inner)
+    label = {v: i for i, v in enumerate(inner + corners)}
+    return Graph(n, [(label[u], label[v]) for u, v in edges])
+
+
+def test_ladder_width_refuses_single_vertices_by_articulation_count(monkeypatch):
+    """Every inner vertex of a ladder has degree 3 and cuts nothing, so its
+    one child bag is too wide for k = 2; the articulation counts refuse each
+    without a component search, and the first corner, numbered after all of
+    them, is the only root set built.  A component search per vertex made
+    this quadratic."""
+    g = _ladder_corners_last(1000, seed=0)
+    built = _count_width_builds(monkeypatch)
+    searched = []
+    components = tdd._components
+
+    def counted(g, s, cap):
+        searched.append(s)
+        return components(g, s, cap)
+
+    monkeypatch.setattr(tdd, "_components", counted)
+    assert tree_distance_width(g, 2) == 2
+    assert len(searched) == 0
+    assert built == [(1996,)]
 
 
 def test_pendant_cycle_builds_only_the_pendant(monkeypatch):

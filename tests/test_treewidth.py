@@ -285,19 +285,25 @@ def test_iso_one_decomp_disconnected_components():
 def test_iso_one_decomp_many_components(monkeypatch):
     # 1,200 and 6,000 components; matching them must not recurse once per
     # component, nor rebuild either graph for one: each component is
-    # eliminated and searched in place, so no induced subgraph is built.
-    def refuse(*args):
-        raise AssertionError("the treewidth route built an induced subgraph")
+    # eliminated and searched in place, so no graph (an induced subgraph or
+    # any other) is constructed.
+    built = []
+    init = Graph.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(args[0])
+        init(self, *args, **kwargs)
 
     for n in (2400, 12000):
         g = Graph(n, [(2 * i, 2 * i + 1) for i in range(n // 2)])
         h, _ = random_relabel(g, 5)
         with monkeypatch.context() as patch:
-            patch.setattr(treewidth_module, "induced_subgraph", refuse, raising=False)
+            patch.setattr(Graph, "__init__", counted)
             d = compute_tree_decomposition(g, 1)
             start = time.perf_counter()
             perm = iso_one_decomp(g, d, h, 1)
             assert time.perf_counter() - start < 5.0
+        assert built == []
         assert perm is not None and is_isomorphism(g, h, perm)
 
 
