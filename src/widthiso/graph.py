@@ -31,7 +31,8 @@ class Graph:
     def __init__(self, vertex_count: int, edges: Iterable[tuple[int, int]] = ()) -> None:
         if vertex_count < 0:
             raise ValueError("vertex_count must be non-negative")
-        adj: list[set[int]] = [set() for _ in range(vertex_count)]
+        # A set only for a vertex on an edge; the others share the empty tuple.
+        adj: list[set[int] | None] = [None] * vertex_count
         for u, v in edges:
             if not (0 <= u < vertex_count and 0 <= v < vertex_count):
                 raise InvalidVertexError(
@@ -39,10 +40,14 @@ class Graph:
                 )
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
+            if adj[u] is None:
+                adj[u] = set()
+            if adj[v] is None:
+                adj[v] = set()
             adj[u].add(v)
             adj[v].add(u)
         self.vertex_count = vertex_count
-        self._adj = tuple([tuple(sorted(nbrs)) for nbrs in adj])
+        self._adj = tuple([tuple(sorted(nbrs)) if nbrs else () for nbrs in adj])
         self.edge_count = sum(map(len, self._adj)) // 2
         self._hash: int | None = None
 

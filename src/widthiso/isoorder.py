@@ -6,8 +6,9 @@ sets by exact prefixes of their least traces, read off the components of
 G - S, and returns the first group of equal prefixes that fits the width
 bound.  The ranking has two stages: every root set by its root prefix, then
 a group of equal root prefixes by the longer prefix through its first child
-entry, so that only the least group is filled.  Canonization traces that
-group.  The width itself needs no trace; it is tdd.tree_distance_width.
+entry, so that only the least group is walked: one walk per root set is
+refused at its first bag above the bound, or traces the root set.  The
+width itself needs no trace; it is tdd.tree_distance_width.
 
 The order is realized through canonical traces, read from (bag, parent bag)
 pair records (below) rather than from stored decompositions, each bag split
@@ -47,9 +48,10 @@ The subtree below a bag B whose parent bag is P is the component of G - P
 holding B, so all that is known of it is one record per pair, shared by
 every root set of a graph.  Like the paper's logspace walk and Lindell's
 tree canonisation, the records are read off the graph, not off a stored
-decomposition: a new pair is filled by re-rooting (_Tracer._reroot), and
+decomposition: a new pair is recorded by re-rooting (_Tracer._reroot), and
 only where that rule cannot group a bag's child bags is one decomposition
-built and all its pairs recorded.  A relabelled path needs no build at all.
+built under the bound and all its pairs recorded.  A relabelled path needs
+no build at all.
 """
 
 from __future__ import annotations
@@ -146,16 +148,16 @@ def _sep_head(pos: dict[int, int], sep: tuple[int, ...], n_kids: int) -> list[in
 class _Pair:
     """The subtree below a bag B hung from parent bag P: its vertex count,
     its child bags sorted by content (augtree.bag_split makes B's split of
-    them), its width (the largest bag in it), its trace id under each
-    ordering of B and, in the same order, the child order each of those
-    traces chose (see _Tracer.local); each but size None until known.
+    them), its trace id under each ordering of B and, in the same order, the
+    child order each of those traces chose (see _Tracer.local); each but
+    size None until known.
     """
 
-    __slots__ = ("size", "kids", "width", "traces", "orders")
+    __slots__ = ("size", "kids", "traces", "orders")
 
     def __init__(self, size: int) -> None:
         self.size = size
-        self.kids = self.width = self.traces = self.orders = None
+        self.kids = self.traces = self.orders = None
 
 
 class _Tracer:
@@ -269,75 +271,57 @@ class _Tracer:
         rec.kids = tuple(sorted(kids))
         return True
 
-    def _record(self, s: tuple[int, ...]) -> None:
-        """Build the decomposition rooted at s and record every pair of it.
-        Its rows list a bag's children before the bag, in content order, and
-        the root last, as its own parent (what it adds to itself is never
-        read), so one forward pass sums sizes and widths into parents and
-        lists each bag's child bags sorted."""
-        bags, parent, _ = _build(self.g, s)
+    def _record(self, s: tuple[int, ...], cap: int) -> bool:
+        """Build the decomposition rooted at s under cap and record every
+        pair of it; False, recording nothing, at a bag above cap.  Its rows
+        list a bag's children before the bag, in content order, and the root
+        last, as its own parent (what it adds to itself is never read), so
+        one forward pass sums sizes into parents and lists child bags sorted."""
+        rows = _build(self.g, s, cap)
+        if rows is None:
+            return False
+        bags, parent, _ = rows
         sizes = [len(bag) for bag in bags]
-        widths = sizes[:]
         kids: list[list[tuple[int, ...]]] = [[] for _ in bags]
         for i, bag in enumerate(bags):
             p = parent[i]
             rec = self._pair(bag, bags[p] if p != i else None, sizes[i])
             if rec.kids is None:
                 rec.kids = tuple(kids[i])
-            rec.width = widths[i]
             sizes[p] += sizes[i]
-            if widths[i] > widths[p]:
-                widths[p] = widths[i]
             kids[p].append(bag)
+        return True
 
-    def fill(self, s: tuple[int, ...], key: tuple, size: int) -> int:
-        """Width of the pair key, of size vertices, recording the pairs
-        below it top-down first.
+    def traces(
+        self, s: tuple[int, ...], start: tuple, size: int, cap: int
+    ) -> dict[tuple[int, ...], int] | None:
+        """Trace id of the subtree of the pair start, of size vertices, under
+        every ordering of its bag; None when that subtree holds a bag above
+        cap.  s is a root set whose decomposition holds start.
 
-        s is a root set whose decomposition holds key.  Where _reroot cannot
-        split a new pair, that decomposition is built once and all its pairs
-        are recorded with their widths; the pairs walked take theirs
-        bottom-up from their child bags.
+        One walk from start records each new pair by _reroot, which adds
+        single vertices only, or else by one build of s under cap, which
+        records nothing when refused: every recorded bag fits cap.  Pairs
+        already traced were walked under the same cap and are not entered.
+        The subtree below B with parent bag P is the component of G - P
+        holding B, so its depth-free traces depend on (B, P) alone.  The
+        pairs walked are traced deepest first, each keeping the child order
+        of each of its traces (see local); _positions reads the map off them.
         """
+        if len(start[0]) > cap:
+            return None
         pairs = self.pairs
-        top = self._pair(*key, size)
-        if top.width is not None:
-            return top.width
-        walk, stack = [], [key]
+        top = self._pair(*start, size)
+        todo, stack = [], [start]
         while stack:
             bag, parent = key = stack.pop()
             rec = pairs[key]
-            if rec.width is not None:
+            if rec.traces is not None:
                 continue
-            if rec.kids is None and not self._reroot(bag, parent, rec):
-                self._record(s)
-                continue
-            walk.append(key)
+            if rec.kids is None and not self._reroot(bag, parent, rec) and not self._record(s, cap):
+                return None
+            todo.append(key)
             stack.extend((c, bag) for c in rec.kids)
-        for bag, parent in reversed(walk):
-            rec = pairs[bag, parent]
-            rec.width = max([len(bag), *[pairs[c, bag].width for c in rec.kids]])
-        return top.width
-
-    def traces(self, start: tuple) -> dict[tuple[int, ...], int]:
-        """Trace id of the subtree of the filled pair start under every
-        ordering of its bag.
-
-        The subtree below a bag B whose parent bag is P is the component of
-        G - P holding B, so its depth-free traces depend on (B, P) alone.
-        Pairs already traced are not entered; the others are traced deepest
-        first, from an explicit stack.  Each pair traced keeps, beside its
-        trace ids, the child order of each of those traces (see local), in
-        the same order; _positions reads the canonical map off them.
-        """
-        pairs = self.pairs
-        todo, stack = [], [start]
-        while stack:
-            key = stack.pop()
-            rec = pairs[key]
-            if rec.traces is None:
-                todo.append(key)
-                stack.extend((c, key[0]) for c in rec.kids)
         for key in reversed(todo):
             rec = pairs[key]
             split = bag_split(self.g, key[0], rec.kids)
@@ -347,7 +331,7 @@ class _Tracer:
                 traces[sigma] = self.intern(fields)
                 orders.append(order)
             rec.traces, rec.orders = traces, tuple(orders)
-        return pairs[start].traces
+        return top.traces
 
     def local(
         self, key: tuple, split: tuple, sigma: tuple[int, ...]
@@ -557,10 +541,11 @@ def _root_search(tracer: _Tracer, k: int) -> list[tuple[int, ...]] | None:
     the longer prefix through the first child entry (_entry_prefix).  It
     reuses the components known from the first stage, and a cut vertex with
     a depth-1 bag above k drops out there, before its child orderings are
-    enumerated.  Root pairs (S, None) are filled in the tracer one
+    enumerated.  Root pairs (S, None) are traced under the cap k one
     equal-prefix group at a time, and the first group with an admissible
-    member is returned, its admissible members only, in combinations order.
-    The empty graph's one root set is empty and has nothing to fill."""
+    member, one the walk does not refuse, is returned, its admissible
+    members only, in combinations order.  The empty graph's one root set is
+    empty and has nothing to trace."""
     g = tracer.g
     if not is_connected(g):
         raise DisconnectedGraphError("tree distance decompositions need a connected graph")
@@ -602,7 +587,7 @@ def _root_search(tracer: _Tracer, k: int) -> list[tuple[int, ...]] | None:
             else:
                 groups = [[ties[0][1]]]
             for group in groups:
-                group = [s for s in group if tracer.fill(s, (s, None), n) <= k]
+                group = [s for s in group if tracer.traces(s, (s, None), n, k) is not None]
                 if group:
                     return group
     return None
@@ -616,8 +601,8 @@ def _min_trace(tree: AugmentedTree, node: int) -> tuple[tuple[int, ...], tuple[i
         tracer = tree._tracer = _Tracer(tree.graph)
     bag = tuple(sorted(tree.vertices[node]))
     parent = tuple(sorted(tree.vertices[tree.parent[tree.parent[node]]])) if node else None
-    tracer.fill(tuple(sorted(tree.vertices[0])), (bag, parent), tree.sizes[node])
-    traces = tracer.traces((bag, parent))
+    root = tuple(sorted(tree.vertices[0]))
+    traces = tracer.traces(root, (bag, parent), tree.sizes[node], tree.graph.vertex_count)
     sigma = tracer.least(traces)
     return tracer.flat(traces[sigma]), sigma
 
@@ -725,17 +710,17 @@ def _positions(tracer: _Tracer, s: tuple[int, ...], sigma: tuple[int, ...]) -> t
 
 @lru_cache(maxsize=_CANON_CACHE_SIZE)
 def _canon_state(g: Graph, k: int) -> _CanonState | None:
-    """Least trace over the group _root_search returns, traced by one tracer
-    that serves every root set; the first minimiser in combinations order,
-    then ordering order, wins.  Its canonical map is read off the child
-    orders recorded while tracing (see _positions), and the tracer is then
-    dropped.  None when no root set fits k; the empty graph's trace and map
-    are empty."""
+    """Least trace over the group _root_search returns, read off the traces
+    its walks made in one tracer that serves every root set; the first
+    minimiser in combinations order, then ordering order, wins.  Its
+    canonical map is read off the child orders recorded while tracing (see
+    _positions), and the tracer is then dropped.  None when no root set fits
+    k; the empty graph's trace and map are empty."""
     tracer = _Tracer(g)
     found = _root_search(tracer, k)
     if found is None:
         return None
-    traces = {(s, sigma): t for s in found for sigma, t in tracer.traces((s, None)).items()}
+    traces = {(s, sigma): t for s in found for sigma, t in tracer.pairs[s, None].traces.items()}
     best = tracer.least(traces)
     if best is None:
         return _CanonState((), (), (), ())

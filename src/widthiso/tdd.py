@@ -5,7 +5,8 @@ bag) pair, builds only where re-rooting cannot read a bag's child bags off
 its records, and records a build's pairs in one pass over _build's rows,
 which list a bag's children before it, in content order.  Both it and the
 width query refuse a root set whose depth-1 bag is too wide by _sep_counts,
-a single vertex by its articulation count.  build_minimal_tdd renumbers the
+a single vertex by its articulation count, and both build under a cap, at
+whose first bag above it _build stops.  build_minimal_tdd renumbers the
 rows depth-first for callers that read ids.
 
 A tree distance decomposition rooted at a vertex set S partitions V into
@@ -79,17 +80,20 @@ def _find(up: list[int] | dict[int, int], x: int) -> int:
     return root
 
 
-def _build(g: Graph, s: tuple[int, ...]) -> tuple[list, list[int], list[int]]:
+def _build(g: Graph, s: tuple[int, ...], cap: int) -> tuple[list, list[int], list[int]] | None:
     """The minimal decomposition rooted at s as rows (bags, parent ids,
     depths), in the order they are built: deepest level first, the bags of
     one level by least vertex, and s last, its own parent.  So a bag's
     children come before it, in content order, and every bag below s is
-    sorted.
+    sorted.  None at the first bag found to hold more than cap vertices:
+    the decomposition's width exceeds cap.
 
     One BFS and one union-find pass over the adjacency lists: O(n + m) per
     root set up to the slowly growing factor of the path-compressed
     union-find.
     """
+    if len(s) > cap:
+        return None
     adj = g._adj
     level = _levels(g, s)
     layers: list[list[int]] = [[] for _ in range(max(level) + 1)]
@@ -117,6 +121,8 @@ def _build(g: Graph, s: tuple[int, ...]) -> tuple[list, list[int], list[int]]:
         for v in layer:
             groups.setdefault(_find(up, v), []).append(v)
         for bag in groups.values():
+            if len(bag) > cap:
+                return None
             for v in bag:
                 bag_of[v] = len(bags)
             bags.append(tuple(bag))
@@ -211,8 +217,9 @@ def tree_distance_width(g: Graph, k_max: int) -> int | None:
     largest bag.  A root bag counts, and only a tree has a decomposition of
     one-vertex bags, so a root set cannot beat the best width so far once
     its size, or 2 for a graph that is not a tree, reaches it.  Sizes are
-    tried in increasing order, and a root set whose depth-1 bag is already
-    too wide (_sep_counts) is not built.
+    tried in increasing order, a root set whose depth-1 bag is already too
+    wide (_sep_counts) is not built, and a build stops at a bag that cannot
+    beat the best.
     """
     if not is_connected(g):
         raise DisconnectedGraphError("tree distance decompositions need a connected graph")
@@ -227,7 +234,9 @@ def tree_distance_width(g: Graph, k_max: int) -> int | None:
         for s in combinations(range(n), size):
             if _sep_counts(g, s, splits, best - 1) is None:
                 continue
-            best = min(best, max(map(len, _build(g, s)[0])))
+            if (rows := _build(g, s, best - 1)) is None:
+                continue
+            best = max(map(len, rows[0]))
             if best == max(size, least):
                 return best
         size += 1
@@ -242,7 +251,7 @@ def build_minimal_tdd(g: Graph, s: Iterable[int]) -> TreeDistanceDecomposition:
         raise EmptySetError("root set must be nonempty")
     if not is_connected(g):
         raise DisconnectedGraphError("tree distance decompositions need a connected graph")
-    bags, parent, depth = _build(g, root)
+    bags, parent, depth = _build(g, root, g.vertex_count)
     kids: list[list[int]] = [[] for _ in bags]
     for i in range(len(bags) - 1):
         kids[parent[i]].append(i)

@@ -312,3 +312,18 @@ def test_header_counts_size_no_allocation(text, expected):
         tracemalloc.stop()
     assert parsed == expected
     assert peak < 1 << 20
+
+
+def test_edgeless_header_parses_in_bounded_memory():
+    """A 16-byte text declaring a million vertices and no edges gives each
+    vertex the shared empty adjacency tuple, not a set of its own: the
+    parse peaks under 32 MB (230 MB with one set per vertex)."""
+    tracemalloc.start()
+    try:
+        g = parse_graph("p tw 1000000 0\n")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (g.vertex_count, g.edge_count) == (1000000, 0)
+    assert len(set(map(id, g._adj))) == 1 and g._adj[0] == ()
+    assert peak < 32 << 20

@@ -11,12 +11,14 @@ behind the single-vertex prefixes against a component count, and the
 canonical bytes and maps of a few fixed graphs, the canonisation states and
 maps of 360 seeded graphs and the augmented-tree order over a fixed pool are
 pinned.  The (bag, parent bag) pair records that root sets share are checked
-against built decompositions, and paths, a caterpillar, a cycle with a
-pendant vertex and the width query against the builds they may make, and a
-ladder's width query against component searches.  The canonical map is read
-off the child orders the traces recorded: canonical_map traces nothing, the
-cache holds no tracer, and a corrupt order raises InternalError; a single
-vertex's root prefix is computed once per separating-set count.  Deep paths
+against built decompositions, capped walks and builds against their widths,
+and paths, a caterpillar, a cycle with a pendant vertex and the width query
+against the builds they may make, and a ladder's width query against
+component searches; after the search no pair record holds a bag above k.
+The canonical map is read off the child orders the traces recorded:
+canonical_map traces nothing, the cache holds no tracer, and a corrupt order
+raises InternalError; a single vertex's root prefix is computed once per
+separating-set count.  Deep paths
 and a deep spider check that no tdw traversal depends on the interpreter's
 recursion limit, and that a relabelled 4,000-vertex path is canonised in
 bounded memory.
@@ -64,6 +66,7 @@ from widthiso.isoorder import (
     _entry_prefix,
     _min_trace,
     _root_prefix,
+    _root_search,
     _serialize,
 )
 from widthiso.graph import _articulation_counts, induced_subgraph
@@ -103,11 +106,17 @@ def _graphs(seed: int, count: int, max_n: int) -> list[Graph]:
 @pytest.mark.parametrize("g", _graphs(2024, 16, 12), ids=lambda g: f"n{g.vertex_count}m{g.edge_count}")
 def test_build_matches_definition(g):
     """The renumbered decomposition is valid, and the builder's rows list
-    each bag's children before it, in content order, with the root last."""
-    for size in range(1, min(3, g.vertex_count) + 1):
-        for s in combinations(range(g.vertex_count), size):
-            assert validate_tdd(g, build_minimal_tdd(g, s)) == []
-            bags, parent, _ = _build(g, s)
+    each bag's children before it, in content order, with the root last.
+    Under a cap the builder refuses exactly the root sets whose
+    decomposition is wider."""
+    n = g.vertex_count
+    for size in range(1, min(3, n) + 1):
+        for s in combinations(range(n), size):
+            d = build_minimal_tdd(g, s)
+            assert validate_tdd(g, d) == []
+            for cap in range(1, n + 1):
+                assert (_build(g, s, cap) is None) == (d.width() > cap)
+            bags, parent, _ = _build(g, s, n)
             root = len(bags) - 1
             assert bags[root] == s and parent[root] == root
             assert all(i < p for i, p in enumerate(parent[:root]))
@@ -261,21 +270,21 @@ def test_articulation_counts_match_components(g):
 
 def _count_builds(monkeypatch) -> tuple[list, list]:
     """Root sets that isoorder builds a decomposition for, and root pairs
-    (S, None) that a tracer is filled from, from now on."""
+    (S, None) that a tracer walks from, from now on."""
     built, entered = [], []
 
-    def counting(g, s):
+    def counting(g, s, cap):
         built.append(s)
-        return _build(g, s)
+        return _build(g, s, cap)
 
-    def filling(tracer, s, key, size):
+    def walking(tracer, s, key, size, cap):
         if key[1] is None:
             entered.append(s)
-        return fill(tracer, s, key, size)
+        return traces(tracer, s, key, size, cap)
 
-    fill = _Tracer.fill
+    traces = _Tracer.traces
     monkeypatch.setattr(isoorder, "_build", counting)
-    monkeypatch.setattr(_Tracer, "fill", filling)
+    monkeypatch.setattr(_Tracer, "traces", walking)
     return built, entered
 
 
@@ -292,9 +301,9 @@ def _count_width_builds(monkeypatch) -> list:
     """Root sets that the width query builds a decomposition for, from now on."""
     built = []
 
-    def counting(g, s):
+    def counting(g, s, cap):
         built.append(s)
-        return _build(g, s)
+        return _build(g, s, cap)
 
     monkeypatch.setattr(tdd, "_build", counting)
     return built
@@ -336,7 +345,7 @@ def test_width_builds_each_root_set_once(monkeypatch):
     def fail(*args, **kwargs):
         raise AssertionError("the width query reached the trace engine")
 
-    monkeypatch.setattr(_Tracer, "fill", fail)
+    monkeypatch.setattr(_Tracer, "traces", fail)
     for name in ("_root_search", "_root_prefix", "_entry_prefix"):
         monkeypatch.setattr(isoorder, name, fail)
     repeats = 0
@@ -490,8 +499,8 @@ def test_map_walk_refuses_a_corrupt_order(corrupt, monkeypatch):
     g = star_graph(6)
     traces = _Tracer.traces
 
-    def corrupting(tracer, start):
-        out = traces(tracer, start)
+    def corrupting(tracer, s, start, size, cap):
+        out = traces(tracer, s, start, size, cap)
         rec = tracer.pairs[start]
         if start[1] is None:
             rec.orders = (corrupt(rec.orders[0], g), *rec.orders[1:])
@@ -527,24 +536,26 @@ def test_single_vertex_prefix_once_per_count(g, monkeypatch):
     assert calls == []
 
 
-def _subtree_reference(g: Graph, bag: tuple[int, ...], parent) -> tuple[int, list, int]:
-    """Vertex count, child bags and width of the subtree below bag hung from
+def _subtree_reference(g: Graph, bag: tuple[int, ...], parent) -> tuple[int, list]:
+    """Vertex count and child bags of the subtree below bag hung from
     parent: the minimal decomposition of the component of G - parent that
     holds bag, rooted at bag."""
     comp = next(c for c in connected_components(g, parent or ()) if bag[0] in c)
     sub, index = induced_subgraph(g, comp)
     d = build_minimal_tdd(sub, [index[v] for v in bag])
     kids = sorted(tuple(sorted(comp[v] for v in d.bags[c])) for c in d.children(d.root))
-    return len(comp), kids, d.width()
+    return len(comp), kids
 
 
 @pytest.mark.parametrize("seed", range(4))
 def test_pair_records_match_built_decompositions(seed, monkeypatch):
-    """One tracer per graph is filled from every root set of size <= 3, in
-    shuffled order.  Each pair a root set reaches is checked once, against
-    the built decomposition and child_groups (its split is augtree.bag_split
-    of those child bags); at the end every record is checked against the
-    decomposition of its own subtree, its width exactly."""
+    """One tracer per graph walks every root set of size <= 3, in shuffled
+    order, under a cap k of 1 to 3, and refuses exactly the root sets whose
+    decomposition is wider than k.  Each pair an admitted root set reaches
+    is checked once, against the built decomposition and child_groups (its
+    split is augtree.bag_split of those child bags); at the end every record
+    holds a bag of at most k and is checked against the decomposition of
+    its own subtree, its child bags where a walk has split it."""
     rng = random.Random(seed)
     built, _ = _count_builds(monkeypatch)
     subtracted = deep_misfits = 0
@@ -570,9 +581,11 @@ def test_pair_records_match_built_decompositions(seed, monkeypatch):
         checked = set()
         for s in roots:
             d = build_minimal_tdd(g, s)
-            assert tracer.fill(s, (s, None), n) == d.width()
-            if d.width() > k:
+            refused = tracer.traces(s, (s, None), n, k) is None
+            assert refused == (d.width() > k)
+            if refused:
                 deep_misfits += len(s) <= k and _sep_counts(g, s, splits, k) is not None
+                continue
             for b, bag in enumerate(d.bags):
                 key = (bag, d.bags[d.parent[b]] if b != d.root else None)
                 if key in checked:
@@ -583,11 +596,28 @@ def test_pair_records_match_built_decompositions(seed, monkeypatch):
                 assert (rec.size, list(rec.kids)) == (d.subtree_sizes[b], kids)
                 assert kids == child_groups(g, s, bag)
         for (bag, parent), rec in tracer.pairs.items():
-            size, kids, width = _subtree_reference(g, bag, parent)
+            size, kids = _subtree_reference(g, bag, parent)
+            assert len(bag) <= k
             assert rec.size == size
-            assert list(rec.kids) == kids
-            assert rec.width == width
+            assert rec.kids is None or list(rec.kids) == kids
     assert built and subtracted and deep_misfits
+
+
+def test_root_search_records_no_bag_above_k():
+    """The search walks each root set under the cap k: a build is refused at
+    its first bag above k and records nothing, so after the search over
+    relabelled layered tdw-2 graphs of 20 to 45 vertices, drawn as the
+    benchmark draws them, no pair record holds a bag above 2."""
+    inputs = benchmark_inputs()
+    rng = random.Random(3)
+    wide = []
+    for _ in range(40):
+        n = rng.randint(20, 45)
+        g = Graph(n, inputs.relabel(n, inputs.layered_tdw2(n, rng), rng)[0])
+        tracer = _Tracer(g)
+        assert _root_search(tracer, 2)
+        wide += [bag for bag, _ in tracer.pairs if len(bag) > 2]
+    assert wide == []
 
 
 def test_width_is_least_over_all_root_sets():
