@@ -40,9 +40,11 @@ keeps the order.  A depth-free trace is stored as its bag's own fields, each
 child trace replaced by its id in one table where equal traces share one id.
 Two traces are ordered by walking their fields and descending into the
 first pair of child ids that differ, which decides because traces are
-prefix-free.  Depths appear only in the serialised trace, which is written
-out for the winning root set alone.  Each trace also records the child
-order it chose, and the canonical map is read off the winner's orders once.
+prefix-free.  Each trace also records the child order it chose.  The
+winner alone is read out, by one walk (_read_out) over its fields that
+writes the depths into the trace and lists the vertices in canonical order
+as it goes, taking each child from the recorded order and checking that
+child's trace id against the field; the canonical map is that vertex order.
 
 The subtree below a bag B whose parent bag is P is the component of G - P
 holding B, so all that is known of it is one record per pair, shared by
@@ -72,6 +74,7 @@ from .errors import (
     WidthExceededError,
 )
 from .graph import Graph, _articulation_counts, is_connected
+from .oracle import inverse_permutation
 from .tdd import _build, _components, _sep_counts
 
 
@@ -148,9 +151,9 @@ def _sep_head(pos: dict[int, int], sep: tuple[int, ...], n_kids: int) -> list[in
 class _Pair:
     """The subtree below a bag B hung from parent bag P: its vertex count,
     its child bags sorted by content (augtree.bag_split makes B's split of
-    them), its trace id under each ordering of B and, in the same order, the
-    child order each of those traces chose (see _Tracer.local); each but
-    size None until known.
+    them), and two dicts keyed by the orderings of B: the trace id under
+    each, and the child order each of those traces chose (see
+    _Tracer.local); each but size None until known.
     """
 
     __slots__ = ("size", "kids", "traces", "orders")
@@ -306,7 +309,7 @@ class _Tracer:
         The subtree below B with parent bag P is the component of G - P
         holding B, so its depth-free traces depend on (B, P) alone.  The
         pairs walked are traced deepest first, each keeping the child order
-        of each of its traces (see local); _positions reads the map off them.
+        of each of its traces (see local), which _read_out follows.
         """
         if len(start[0]) > cap:
             return None
@@ -325,12 +328,11 @@ class _Tracer:
         for key in reversed(todo):
             rec = pairs[key]
             split = bag_split(self.g, key[0], rec.kids)
-            traces, orders = {}, []
+            traces, orders = {}, {}
             for sigma in _orderings(key[0]):
-                fields, order = self.local(key, split, sigma)
+                fields, orders[sigma] = self.local(key, split, sigma)
                 traces[sigma] = self.intern(fields)
-                orders.append(order)
-            rec.traces, rec.orders = traces, tuple(orders)
+            rec.traces, rec.orders = traces, orders
         return top.traces
 
     def local(
@@ -377,22 +379,44 @@ class _Tracer:
                 order += c, phi
         return tuple(out), tuple(order)
 
-    def flat(self, i: int) -> tuple[int, ...]:
-        """Trace i written out in full at relative depth 0: each bag's fields
-        after its depth, each child trace in place of its id."""
-        out = [0]
-        stack = [(iter(self.fields[i]), 0)]
-        while stack:
-            fields, depth = stack[-1]
-            for x in fields:
-                if x < 0:
-                    out.append(depth + 2)
-                    stack.append((iter(self.fields[~x]), depth + 2))
-                    break
-                out.append(x)
-            else:
-                stack.pop()
-        return tuple(out)
+
+def _read_out(
+    tracer: _Tracer, key: tuple, sigma: tuple[int, ...]
+) -> tuple[tuple[int, ...], list[int]]:
+    """The trace of the traced pair key under sigma, written out in full at
+    relative depth 0, and its subtree's vertices in canonical order.
+
+    One depth-first walk over the trace fields: each bag's fields after its
+    depth, and at each child id the next (child bag, ordering) of the child
+    order recorded with the trace, whose trace there must be that id; the
+    walk lists a bag's vertices in its ordering as it enters it.
+    InternalError unless every child recorded exists with that trace, no
+    recorded child is left over, and the walk lists each of the pair's
+    vertices exactly once."""
+    pairs = tracer.pairs
+    rec = pairs[key]
+    trace, order = [0], list(sigma)
+    stack = [(iter(tracer.fields[rec.traces[sigma]]), key[0], iter(rec.orders[sigma]), 0)]
+    while stack:
+        fields, bag, kids, depth = stack[-1]
+        for x in fields:
+            if x < 0:
+                c, phi = next(kids, None), next(kids, None)
+                kid = pairs.get((c, bag))
+                if kid is None or kid.traces is None or kid.traces.get(phi) != ~x:
+                    raise InternalError(f"{bag}'s recorded child {c} under {phi} is not trace {~x}")
+                trace.append(depth + 2)
+                order += phi
+                stack.append((iter(tracer.fields[~x]), c, iter(kid.orders[phi]), depth + 2))
+                break
+            trace.append(x)
+        else:
+            if next(kids, None) is not None:
+                raise InternalError(f"{bag}'s recorded child order has entries left over")
+            stack.pop()
+    if len(order) != rec.size or len(set(order)) != rec.size:
+        raise InternalError(f"the canonical walk lists {len(order)} vertices for {rec.size}")
+    return tuple(trace), order
 
 
 def _bag_traces(tracer: _Tracer, memo: dict, g: Graph, d, bag: int, parent: int | None):
@@ -604,7 +628,7 @@ def _min_trace(tree: AugmentedTree, node: int) -> tuple[tuple[int, ...], tuple[i
     root = tuple(sorted(tree.vertices[0]))
     traces = tracer.traces(root, (bag, parent), tree.sizes[node], tree.graph.vertex_count)
     sigma = tracer.least(traces)
-    return tracer.flat(traces[sigma]), sigma
+    return _read_out(tracer, (bag, parent), sigma)[0], sigma
 
 
 def compare_augmented(
@@ -675,47 +699,14 @@ class _CanonState(NamedTuple):
 _CANON_CACHE_SIZE = 512
 
 
-def _positions(tracer: _Tracer, s: tuple[int, ...], sigma: tuple[int, ...]) -> tuple[int, ...]:
-    """Canonical position of every vertex of tracer.g: the order in which
-    the depth-first walk from the traced pair (s, None) under sigma lists
-    them, each bag's vertices in its ordering, then its child bags in the
-    order its trace under that ordering recorded.  InternalError unless the
-    walk places every vertex exactly once."""
-    pairs = tracer.pairs
-    n = tracer.g.vertex_count
-    positions = [-1] * n
-    placed = 0
-    stack = [((s, None), sigma)]
-    while stack:
-        key, sigma = stack.pop()
-        rec = pairs.get(key)
-        recorded = () if rec is None or rec.orders is None else zip(rec.traces, rec.orders)
-        for phi, order in recorded:
-            if phi == sigma:
-                break
-        else:
-            raise InternalError(f"no child order recorded for {key} under {sigma}")
-        for v in sigma:
-            if positions[v] >= 0:
-                raise InternalError(f"the canonical walk places vertex {v} twice")
-            positions[v] = placed
-            placed += 1
-        bag = key[0]
-        for i in range(len(order) - 2, -1, -2):
-            stack.append(((order[i], bag), order[i + 1]))
-    if placed != n:
-        raise InternalError(f"the canonical walk places {placed} of {n} vertices")
-    return tuple(positions)
-
-
 @lru_cache(maxsize=_CANON_CACHE_SIZE)
 def _canon_state(g: Graph, k: int) -> _CanonState | None:
     """Least trace over the group _root_search returns, read off the traces
     its walks made in one tracer that serves every root set; the first
-    minimiser in combinations order, then ordering order, wins.  Its
-    canonical map is read off the child orders recorded while tracing (see
-    _positions), and the tracer is then dropped.  None when no root set fits
-    k; the empty graph's trace and map are empty."""
+    minimiser in combinations order, then ordering order, wins.  Its trace
+    and canonical map come from one walk over the child orders recorded
+    while tracing (see _read_out), and the tracer is then dropped.  None
+    when no root set fits k; the empty graph's trace and map are empty."""
     tracer = _Tracer(g)
     found = _root_search(tracer, k)
     if found is None:
@@ -725,7 +716,8 @@ def _canon_state(g: Graph, k: int) -> _CanonState | None:
     if best is None:
         return _CanonState((), (), (), ())
     s, sigma = best
-    return _CanonState(tracer.flat(traces[best]), s, sigma, _positions(tracer, s, sigma))
+    trace, order = _read_out(tracer, (s, None), sigma)
+    return _CanonState(trace, s, sigma, inverse_permutation(order))
 
 
 def iso_tdw(g: Graph, h: Graph, k: int) -> bool:
@@ -760,8 +752,8 @@ def canonical_map(g: Graph, k: int) -> tuple[int, ...]:
     (root set, None), children in their least block order, under the
     minimizing orderings; exact ties keep the first minimizer in
     lexicographic ordering order, so the map is deterministic.  The walk is
-    made once, when the state is cached, from the child orders the traces
-    recorded, so this call traces nothing.
+    the one that writes out the trace, made once, when the state is cached,
+    from the child orders the traces recorded, so this call traces nothing.
     """
     state = _canon_state(g, k)
     if state is None:

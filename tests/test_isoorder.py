@@ -19,6 +19,7 @@ from widthiso import (
     canonical_map,
     compare_augmented,
     compose_permutations,
+    enumerate_connected_graphs,
     full_theta,
     inverse_permutation,
     is_isomorphism,
@@ -207,13 +208,29 @@ def test_canonical_map_composition_is_isomorphism():
 
 
 def test_canonical_map_random_trials():
+    """Every connected graph with n <= 6 and 25 seeded narrow graphs, each
+    against relabelled copies at k = 1-3 where its width fits: the two
+    canonical maps compose into an isomorphism, and each maps its graph
+    onto the same canonical graph."""
     rng = random.Random(7)
+    pairs = []
     for _ in range(25):
         g = random_narrow_graph(rng, rng.randint(3, 12))
-        h, _ = random_relabel(g, rng.randint(1, 10**6))
-        mg = canonical_map(g, 2)
-        mh = canonical_map(h, 2)
+        pairs.append((g, random_relabel(g, rng.randint(1, 10**6))[0]))
+    for n in range(1, 7):
+        for i, g in enumerate(enumerate_connected_graphs(n)):
+            pairs += [(g, random_relabel(g, 4 * i + j)[0]) for j in range(1, 5)]
+    checked = 0
+    for (g, h), k in itertools.product(pairs, (1, 2, 3)):
+        try:
+            mg = canonical_map(g, k)
+        except WidthExceededError:
+            continue
+        mh = canonical_map(h, k)
         assert is_isomorphism(g, h, compose_permutations(inverse_permutation(mh), mg))
+        assert apply_permutation(g, mg) == apply_permutation(h, mh), (sorted(g.edges), k)
+        checked += 1
+    assert checked == 1102, checked
 
 
 def test_iso_tdw_identity():

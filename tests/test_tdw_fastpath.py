@@ -15,10 +15,12 @@ against built decompositions, capped walks and builds against their widths,
 and paths, a caterpillar, a cycle with a pendant vertex and the width query
 against the builds they may make, and a ladder's width query against
 component searches; after the search no pair record holds a bag above k.
-The canonical map is read off the child orders the traces recorded:
-canonical_map traces nothing, the cache holds no tracer, and a corrupt order
-raises InternalError; a single vertex's root prefix is computed once per
-separating-set count.  Deep paths
+The winner's trace and canonical map are read out by one walk over the
+child orders the traces recorded: canonical_map traces nothing, the cache
+holds no tracer, and a corrupt order (a child bag listed twice, dropped or
+foreign, or an ordering of the right child bag whose trace id is not the
+one in its parent's fields) raises InternalError; a single vertex's root
+prefix is computed once per separating-set count.  Deep paths
 and a deep spider check that no tdw traversal depends on the interpreter's
 recursion limit, and that a relabelled 4,000-vertex path is canonised in
 bounded memory.
@@ -483,33 +485,51 @@ def test_cache_keeps_the_map_not_the_tracer():
     assert held < 0.6 * 2**20
 
 
+def _other_ordering(order, tracer, bag):
+    """order with its first child bag's ordering swapped for one under
+    which that child's trace id differs."""
+    c, phi = order[:2]
+    traces = tracer.pairs[c, bag].traces
+    other = next((psi for psi in traces if traces[psi] != traces[phi]), phi)
+    return (c, other, *order[2:])
+
+
+# A 5-cycle with a chord: at k = 2 its least root set (1,) has the child
+# bag (0, 3), whose two orderings give different traces.
+_HOUSE = Graph(5, [(0, 1), (0, 2), (0, 4), (1, 3), (2, 4), (3, 4)])
+
+
 @pytest.mark.parametrize(
-    "corrupt",
+    "corrupt, g, k",
     [
-        lambda order, g: order * 2,
-        lambda order, g: (),
-        lambda order, g: ((g.vertex_count - 1,),) + order[1:],
+        (lambda order, tracer, bag: order * 2, star_graph(6), 1),
+        (lambda order, tracer, bag: (), star_graph(6), 1),
+        (lambda order, tracer, bag: ((tracer.g.vertex_count - 1,),) + order[1:], star_graph(6), 1),
+        (_other_ordering, _HOUSE, 2),
     ],
-    ids=["child twice", "child dropped", "foreign bag"],
+    ids=["child twice", "child dropped", "foreign bag", "other ordering"],
 )
-def test_map_walk_refuses_a_corrupt_order(corrupt, monkeypatch):
-    """The map walk places every vertex exactly once or raises
-    InternalError: here each root pair's first recorded order lists its one
-    child bag twice, not at all, or swaps in a bag not recorded under it."""
-    g = star_graph(6)
+def test_map_walk_refuses_a_corrupt_order(corrupt, g, k, monkeypatch):
+    """The read-out walk follows the recorded child orders, checks each
+    child's trace id against its parent's fields and lists every vertex
+    exactly once, or raises InternalError: here each root pair's first
+    recorded order lists its child bags twice or not at all, swaps in a bag
+    not recorded under it, or keeps its first child bag but swaps in an
+    ordering of it under which that child's trace differs."""
     traces = _Tracer.traces
 
     def corrupting(tracer, s, start, size, cap):
         out = traces(tracer, s, start, size, cap)
         rec = tracer.pairs[start]
         if start[1] is None:
-            rec.orders = (corrupt(rec.orders[0], g), *rec.orders[1:])
+            sigma = next(iter(rec.orders))
+            rec.orders[sigma] = corrupt(rec.orders[sigma], tracer, start[0])
         return out
 
     monkeypatch.setattr(_Tracer, "traces", corrupting)
     _canon_state.cache_clear()
     with pytest.raises(InternalError):
-        canonical_map(g, 1)
+        canonical_map(g, k)
 
 
 @pytest.mark.parametrize("g", [_caterpillar(400, seed=3), star_graph(30)], ids=["caterpillar", "star"])
