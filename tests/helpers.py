@@ -6,7 +6,7 @@ from __future__ import annotations
 import importlib.util
 import random
 from collections import deque
-from itertools import permutations
+from itertools import combinations, permutations
 from pathlib import Path
 from typing import Iterable
 
@@ -406,3 +406,23 @@ def brute_force_respecting_iso(
         if is_isomorphism(g, h, phi)
         for psi in bijections
     )
+
+
+def bag_bijections_reference(
+    g: Graph, g_bag, h: Graph, h_bag, pinned: dict, g_colour, h_colour
+) -> list[dict]:
+    """Every bijection g_bag -> h_bag that extends pinned, keeps colours and
+    preserves adjacency on every pair of bag vertices, pinned pairs
+    included, in the order of the permutations of h_bag's unpinned part."""
+    pinned_img = set(pinned.values())
+    fresh_g = [v for v in g_bag if v not in pinned]
+    fresh_h = [w for w in h_bag if w not in pinned_img]
+    out = []
+    for image in permutations(fresh_h):
+        mapping = {**pinned, **dict(zip(fresh_g, image))}
+        if all(g_colour[v] == h_colour[w] for v, w in zip(fresh_g, image)) and all(
+            g.has_edge(u, v) == h.has_edge(mapping[u], mapping[v])
+            for u, v in combinations(mapping, 2)
+        ):
+            out.append(mapping)
+    return out

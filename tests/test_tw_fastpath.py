@@ -22,6 +22,7 @@ verdicts of iso_one_decomp, iso_tw and iso_tdw against AHU tree codes.
 import hashlib
 import inspect
 import random
+from itertools import combinations
 import sys
 import time
 import tracemalloc
@@ -29,6 +30,8 @@ import tracemalloc
 import pytest
 
 import widthiso.treewidth as treewidth_module
+from widthiso.errors import FormatError
+from widthiso.formats import parse_tree_decomposition, write_tree_decomposition
 from widthiso.graph import stable_colours
 from widthiso import (
     Graph,
@@ -45,9 +48,11 @@ from widthiso import (
 )
 
 from helpers import (
+    bag_bijections_reference,
     benchmark_inputs,
     cycle_graph,
     grid_graph,
+    mutants,
     path_graph,
     relabel_decomposition,
     spider_edge_bags,
@@ -135,6 +140,99 @@ RESPECT_GOLDEN = {
 @pytest.mark.parametrize("k", sorted(RESPECT_GOLDEN))
 def test_golden_respecting_both(k):
     assert _digest(_respect_outputs(k)) == RESPECT_GOLDEN[k]
+
+
+def _colour_outputs() -> list:
+    """stable_colours of partial 1-, 2- and 3-trees against a relabelled
+    copy and a relabelled copy after one degree-preserving edge swap, and
+    of relabelled grids against relabelled grids of the same size."""
+    inputs = benchmark_inputs()
+    rng = random.Random(7000)
+    out = []
+    for k in (1, 2, 3):
+        for _ in range(40):
+            n = rng.randint(k + 6, 14 + 3 * k)
+            bundle = generate_partial_ktree(n, k, rng.choice([0.6, 0.8, 1.0]), rng.randrange(1 << 30))
+            g = bundle.graph
+            out.append(stable_colours(g, random_relabel(g, rng.randrange(1, 1 << 30))[0]))
+            edges = sorted(g.edges)
+            swapped = inputs.edge_swap(n, edges, rng) if len(edges) > 1 else None
+            h = Graph(n, inputs.relabel(n, swapped or edges, rng)[0])
+            out.append(stable_colours(g, h))
+    for rows, cols in ((2, 6), (3, 4), (3, 5), (4, 4), (4, 5), (5, 5)):
+        g, _ = random_relabel(grid_graph(rows, cols), rng.randrange(1, 1 << 30))
+        for other in ((rows, cols), (1, rows * cols), (cols, rows)):
+            h, _ = random_relabel(grid_graph(*other), rng.randrange(1, 1 << 30))
+            out.append(stable_colours(g, h))
+    return out
+
+
+COLOUR_GOLDEN = "2a11129c3b58eb5f9f9a763b8baa49496c61072fb806731dd28eac085d35b5e0"
+
+
+def test_golden_stable_colours():
+    assert _digest(_colour_outputs()) == COLOUR_GOLDEN
+
+
+def _validator_outputs() -> list:
+    """validate_tree_decomposition's messages on every mutant of the
+    generator and computed decompositions of seeded partial k-trees that
+    the decomposition reader accepts, with the vertex count it declares."""
+    rng = random.Random(8000)
+    out = []
+    for k in (1, 2, 3):
+        for _ in range(12):
+            n = rng.randint(k + 3, 10 + 2 * k)
+            bundle = generate_partial_ktree(n, k, rng.choice([0.6, 1.0]), rng.randrange(1 << 30))
+            g = bundle.graph
+            for d in (bundle.decomposition, compute_tree_decomposition(g, k)):
+                for text in mutants(write_tree_decomposition(d, n), rng, 40):
+                    try:
+                        mutant, declared = parse_tree_decomposition(text)
+                    except FormatError:
+                        continue
+                    out.append((declared, validate_tree_decomposition(g, mutant)))
+    return out
+
+
+VALIDATOR_GOLDEN = "0669e32a15d03c00d0d34e8ad0d0d8e3c129505f986cb675908d0c0a65cc33c7"
+
+
+def test_golden_validator_messages():
+    outputs = _validator_outputs()
+    kinds = {message.split(":")[0] for _, messages in outputs for message in messages}
+    assert kinds == {"structure", "coverage", "edge-coverage", "connectivity"}
+    assert _digest(outputs) == VALIDATOR_GOLDEN
+
+
+def test_bag_bijections_match_all_pairs_reference():
+    # Pinned pairs were tested at the parent bag, so only pairs with a fresh
+    # vertex are tested; on bags whose pinned part preserves edges the
+    # bijections, and their order, are those of testing every pair.
+    rng = random.Random(9000)
+    yielded = 0
+    for _ in range(300):
+        n = rng.randint(4, 9)
+        g = Graph(n, [e for e in combinations(range(n), 2) if rng.random() < 0.45])
+        h, perm = random_relabel(g, rng.randrange(1, 1 << 30))
+        g_colour = [rng.randrange(rng.choice([1, 2, 3])) for _ in range(n)]
+        h_colour = [0] * n
+        for v in range(n):
+            h_colour[perm[v]] = g_colour[v]
+        g_bag = rng.sample(range(n), rng.randint(1, min(5, n)))
+        pinned = {v: perm[v] for v in rng.sample(g_bag, rng.randint(0, len(g_bag) - 1))}
+        if rng.random() < 0.5:
+            fresh = [perm[v] for v in g_bag if v not in pinned]
+        else:
+            others = [w for w in range(n) if w not in pinned.values()]
+            fresh = rng.sample(others, len(g_bag) - len(pinned))
+        h_bag = list(pinned.values()) + fresh
+        rng.shuffle(h_bag)
+        found = list(treewidth_module._bag_bijections(g, g_bag, h, h_bag, pinned, g_colour, h_colour))
+        expected = bag_bijections_reference(g, g_bag, h, h_bag, pinned, g_colour, h_colour)
+        assert [list(m.items()) for m in found] == [list(m.items()) for m in expected]
+        yielded += len(found)
+    assert yielded > 200
 
 
 def test_symmetric_graphs_keep_their_first_witness():
