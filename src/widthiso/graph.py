@@ -46,9 +46,20 @@ class Graph:
                 adj[v] = set()
             adj[u].add(v)
             adj[v].add(u)
-        self.vertex_count = vertex_count
-        self._adj = tuple([tuple(sorted(nbrs)) if nbrs else () for nbrs in adj])
-        self.edge_count = sum(map(len, self._adj)) // 2
+        self._store(tuple([tuple(sorted(nbrs)) if nbrs else () for nbrs in adj]))
+
+    @classmethod
+    def _from_adjacency(cls, adj: tuple[tuple[int, ...], ...]) -> Graph:
+        """The graph whose sorted adjacency is adj, taken as it stands: the
+        caller has checked every edge already (see formats.parse_graph)."""
+        g = cls.__new__(cls)
+        g._store(adj)
+        return g
+
+    def _store(self, adj: tuple[tuple[int, ...], ...]) -> None:
+        self.vertex_count = len(adj)
+        self._adj = adj
+        self.edge_count = sum(map(len, adj)) // 2
         self._hash: int | None = None
 
     @property
@@ -175,59 +186,75 @@ def stable_colours(g: Graph, h: Graph) -> tuple[list[int], list[int]] | None:
     last part (Hopcroft's rule, Cardon and Crochemore 1982), so each vertex
     is a splitter O(log n) times.  Every isomorphism maps each vertex to one
     of the same colour.
+
+    A touched cell whose vertices all have the same count does not split
+    and is dropped before any grouping.  Every cell holds as many vertices
+    of g as of h (unequal degree sequences answer None at once), so a split
+    cell's largest part is balanced when its other parts are, and only
+    those are counted.
     """
     n = g.vertex_count
     if n != h.vertex_count:
         return None
+    if sorted(map(len, g._adj)) != sorted(map(len, h._adj)):
+        return None  # the degree cells below would not all be halved
     # Vertex v of h is vertex n + v of the union.
-    adj = g._adj + tuple([tuple([w + n for w in nbrs]) for nbrs in h._adj])
+    shift = n.__add__
+    adj = g._adj + tuple([tuple(map(shift, nbrs)) for nbrs in h._adj])
+    degrees = list(map(len, adj))
     by_degree: dict[int, list[int]] = {}
-    for v, nbrs in enumerate(adj):
-        by_degree.setdefault(len(nbrs), []).append(v)
+    for v, degree in enumerate(degrees):
+        by_degree.setdefault(degree, []).append(v)
     cells = list(by_degree.values())
-    colour = [0] * (2 * n)
-    for c, cell in enumerate(cells):
-        if 2 * len([v for v in cell if v < n]) != len(cell):
-            return None
-        for v in cell:
-            colour[v] = c
+    colour = list(map({degree: c for c, degree in enumerate(by_degree)}.__getitem__, degrees))
     # The counts into the whole union are the degrees, so all cells but the
     # largest are the splitters to start from.
-    largest = max(range(len(cells)), key=lambda c: len(cells[c]), default=0)
+    sizes = list(map(len, cells))
+    largest = sizes.index(max(sizes)) if cells else 0
     waiting = [c for c in range(len(cells)) if c != largest]
     hits = [0] * (2 * n)  # neighbours in the current splitter, per vertex
     while waiting:
-        touched = []
+        by_cell: dict[int, list[int]] = {}  # colour -> its touched vertices, first touch first
         for v in cells[waiting.pop()]:
             for w in adj[v]:
-                if not hits[w]:
-                    touched.append(w)
-                hits[w] += 1
-        by_cell: dict[int, list[int]] = {}
-        for w in touched:
-            by_cell.setdefault(colour[w], []).append(w)
+                if hits[w]:
+                    hits[w] += 1
+                else:
+                    hits[w] = 1
+                    by_cell.setdefault(colour[w], []).append(w)
         for c, ws in by_cell.items():
+            cell = cells[c]
+            if len(ws) == len(cell):
+                first = hits[ws[0]]
+                for w in ws:
+                    if hits[w] != first:
+                        break
+                else:
+                    continue  # every vertex of c has the same count: no split
             groups: dict[int, list[int]] = {}  # count -> vertices
-            if len(ws) < len(cells[c]):
-                groups[0] = [v for v in cells[c] if not hits[v]]
+            if len(ws) < len(cell):
+                groups[0] = [v for v in cell if not hits[v]]
             for w in ws:
                 groups.setdefault(hits[w], []).append(w)
-            if len(groups) == 1:
-                continue
             parts = [groups[count] for count in sorted(groups)]
+            # Cell c keeps its largest part, so if c waits, all its parts do.
+            sizes = list(map(len, parts))
+            keep = sizes.index(max(sizes))
+            cells[c] = parts[keep]
+            del parts[keep]
+            # Cell c holds as many vertices of g as of h, so its largest part
+            # does too when every other part does.
             for part in parts:
                 if 2 * len([v for v in part if v < n]) != len(part):
                     return None
-            # Cell c keeps its largest part, so if c waits, all its parts do.
-            keep = max(range(len(parts)), key=lambda i: len(parts[i]))
-            cells[c] = parts[keep]
-            for part in parts[:keep] + parts[keep + 1 :]:
+            for part in parts:
                 for v in part:
                     colour[v] = len(cells)
                 waiting.append(len(cells))
                 cells.append(part)
-        for w in touched:
-            hits[w] = 0
+        for ws in by_cell.values():
+            for w in ws:
+                hits[w] = 0
     return colour[:n], colour[n:]
 
 

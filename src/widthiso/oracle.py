@@ -177,25 +177,38 @@ def canonical_code(g: Graph) -> int:
 
 @lru_cache(maxsize=None)
 def enumerate_connected_graphs(n: int) -> tuple[Graph, ...]:
-    """All connected graphs on n vertices, one per isomorphism class.
+    """All connected graphs on n vertices, one per isomorphism class, in
+    ascending order of canonical_code.
 
     Built by attaching a fresh vertex to every nonempty subset of every
-    (n-1)-vertex representative and deduping by canonical_code: every
-    connected graph has a non-cut vertex, so nothing is missed.  Needs
-    numpy, as canonical_code does.
+    (n-1)-vertex representative: every connected graph has a non-cut vertex,
+    so nothing is missed.  Candidates are bucketed by a labelling-free
+    invariant, the sorted (degree, sorted neighbour degrees) pairs of their
+    vertices, and a candidate joins the first class of its bucket whose
+    representative brute_force_iso matches, or founds a class of its own.
+    canonical_code then runs once per class, for the order.  Needs numpy, as
+    canonical_code does.
     """
     if n < 1 or n > 8:
         raise ValueError("enumerator supports 1..8 vertices")
     if n == 1:
         return (Graph(1),)
-    reps: dict[int, Graph] = {}
+    buckets: dict[tuple, list[Graph]] = {}  # invariant -> class representatives
     new = n - 1
     for base in enumerate_connected_graphs(n - 1):
         base_edges = list(base.edges)
         for mask in range(1, 1 << new):
             edges = base_edges + [(v, new) for v in range(new) if mask >> v & 1]
             g = Graph(n, edges)
-            code = canonical_code(g)
-            if code not in reps:
-                reps[code] = g
-    return tuple(reps[c] for c in sorted(reps))
+            degree = list(map(len, g._adj))
+            key = tuple(sorted(
+                (degree[v], tuple(sorted([degree[w] for w in nbrs])))
+                for v, nbrs in enumerate(g._adj)
+            ))
+            reps = buckets.setdefault(key, [])
+            if all(brute_force_iso(g, rep) is None for rep in reps):
+                reps.append(g)
+    coded = {canonical_code(g): g for reps in buckets.values() for g in reps}
+    if len(coded) != sum(map(len, buckets.values())):
+        raise InternalError("two classes share a canonical code")
+    return tuple(coded[c] for c in sorted(coded))

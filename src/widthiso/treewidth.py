@@ -21,11 +21,20 @@ its bag's bijection and its children's nodes, one walk writes the map, and
 it is returned only after an edge-preserving check in both directions.
 Elimination works on each component in place too, so no induced subgraph
 is built anywhere on the route.
+
+Each fact about a call is checked once.  Validation walks the bag tree
+once, from the root the search uses, and on a connected graph the search's
+rooted view (_Rooted) reads that walk instead of making its own.  A bag's
+vertices outside its parent's bag are its fresh ones; the others are
+pinned by the parent's bijection, which matched their colours and edges
+already, so a candidate image is filtered by the colours, signature and
+edge count at its fresh part only, and a bag bijection tests only the
+pairs with a fresh vertex.
 """
 
 from __future__ import annotations
 
-from collections import deque
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property, partial
 from itertools import combinations, permutations
@@ -73,83 +82,125 @@ class TreeDecomposition:
 
     def rooted(self, root: int) -> tuple[dict[int, int], dict[int, list[int]]]:
         """Parent and children maps when the bag tree hangs from root."""
-        parent = {root: root}
-        children: dict[int, list[int]] = {i: [] for i in range(len(self.bags))}
-        queue = deque([root])
-        while queue:
-            a = queue.popleft()
-            for b in self.neighbors(a):
-                if b not in parent:
-                    parent[b] = a
-                    children[a].append(b)
-                    queue.append(b)
-        return parent, children
+        order, parent, children, _ = _bag_tree(self, root)
+        return {a: parent[a] for a in order}, dict(enumerate(children))
+
+
+def _bag_tree(d: TreeDecomposition, root: int) -> tuple:
+    """One breadth-first walk of the bag tree from root: the bags it reaches
+    in walk order, each bag's parent (root's is root, an unreached bag's -1),
+    each bag's children, ascending, and each reached bag's fresh vertices,
+    those outside its parent's bag (all of the root's)."""
+    bags = d.bags
+    adjacency = d.tree_adjacency
+    parent = [-1] * len(bags)
+    parent[root] = root
+    children: list[list[int]] = [[] for _ in bags]
+    fresh: list[list[int]] = [[] for _ in bags]
+    fresh[root] = list(bags[root])
+    order = [root]
+    for a in order:  # order grows while it is read
+        up = bags[a]
+        for b in adjacency[a]:
+            if parent[b] < 0:
+                parent[b] = a
+                children[a].append(b)
+                fresh[b] = [v for v in bags[b] if v not in up]
+                order.append(b)
+    return order, parent, children, fresh
 
 
 def validate_tree_decomposition(g: Graph, d: TreeDecomposition) -> list[str]:
-    """Check bag coverage, edge coverage and per-vertex connectivity."""
-    problems: list[str] = []
+    """Check bag coverage, edge coverage and per-vertex connectivity.
+
+    The structure is checked first: vertex labels, tree edges, the root, and
+    that the bag tree is a tree, by one breadth-first walk from the root
+    (bag 0 when d names none).  Each vertex's top bags are then read off
+    that walk: the bags holding it whose parent bag does not.  A vertex with
+    none is in no bag, and one with two or more is held by bags that do not
+    form a subtree.  Bags that form subtrees share a vertex exactly when one
+    holds the other's top bag, so an edge needs no search unless an end
+    fails the subtree test.
+    """
+    return _validate(g, d)[0]
+
+
+def _validate(g: Graph, d: TreeDecomposition) -> tuple[list[str], tuple | None]:
+    """validate_tree_decomposition's messages, and when there are none the
+    walk of the bag tree it made (see _bag_tree)."""
     n_bags = len(d.bags)
     if n_bags == 0:
-        return ["structure: no bags"]
-    for i, bag in enumerate(d.bags):
-        seen: set[int] = set()
-        for v in bag:
-            if not (0 <= v < g.vertex_count):
-                problems.append(f"structure: bag {i} holds invalid vertex {v}")
-            elif v in seen:
-                problems.append(f"structure: bag {i} repeats vertex {v}")
-            seen.add(v)
+        return ["structure: no bags"], None
+    n = g.vertex_count
+    bags = d.bags
+    problems: list[str] = []
+    for i, bag in enumerate(bags):
+        if bag and not (0 <= min(bag) and max(bag) < n and len(set(bag)) == len(bag)):
+            seen: set[int] = set()
+            for v in bag:
+                if not (0 <= v < n):
+                    problems.append(f"structure: bag {i} holds invalid vertex {v}")
+                elif v in seen:
+                    problems.append(f"structure: bag {i} repeats vertex {v}")
+                seen.add(v)
     for a, b in d.tree_edges:
         if not (0 <= a < n_bags and 0 <= b < n_bags) or a == b:
             problems.append(f"structure: invalid tree edge ({a}, {b})")
     if d.root is not None and not (0 <= d.root < n_bags):
         problems.append(f"structure: root {d.root} out of range")
     if problems:
-        return problems
+        return problems, None
     if len(d.tree_edges) != n_bags - 1:
-        problems.append(
-            f"structure: {len(d.tree_edges)} tree edges on {n_bags} bags is not a tree"
-        )
-    elif len(d.rooted(0)[0]) != n_bags:
-        problems.append("structure: bag tree is disconnected")
-    if problems:
-        return problems
-
-    holders: dict[int, set[int]] = {}  # vertex -> ids of the bags holding it
-    for i, bag in enumerate(d.bags):
-        for v in bag:
-            holders.setdefault(v, set()).add(i)
-    for v in range(g.vertex_count):
-        if v not in holders:
-            problems.append(f"coverage: vertex {v} is in no bag")
-    adj = g._adj
-    for u in range(g.vertex_count):  # edges in ascending order
-        for v in adj[u]:
-            if v > u and holders.get(u, set()).isdisjoint(holders.get(v, ())):
+        return [f"structure: {len(d.tree_edges)} tree edges on {n_bags} bags is not a tree"], None
+    walk = _bag_tree(d, d.root if d.root is not None else 0)
+    order, fresh = walk[0], walk[3]
+    if len(order) != n_bags:
+        return ["structure: bag tree is disconnected"], None
+    top = [-1] * n  # the top bag of each vertex nearest the root, -1 if none
+    split = [False] * n  # whether a vertex has a second top bag
+    for a in order:
+        for v in fresh[a]:
+            if top[v] < 0:
+                top[v] = a
+            else:
+                split[v] = True
+    problems = [f"coverage: vertex {v} is in no bag" for v in range(n) if top[v] < 0]
+    for u, nbrs in enumerate(g._adj):  # edges in ascending order
+        home = bags[top[u]] if top[u] >= 0 else ()
+        for v in nbrs:
+            if v > u and v not in home and not (
+                top[v] >= 0
+                and (
+                    u in bags[top[v]]
+                    or (split[u] or split[v]) and any(u in bag and v in bag for bag in bags)
+                )
+            ):
                 problems.append(f"edge-coverage: edge ({u}, {v}) is inside no bag")
-    # The bag tree is a tree here, so the bags holding v form a subtree
-    # exactly when |holders(v)| - 1 tree edges join two of them.
-    joins = dict.fromkeys(holders, 0)
-    for a, b in d.tree_edges:
-        for v in set(d.bags[a]).intersection(d.bags[b]):
-            joins[v] += 1
-    for v in range(g.vertex_count):
-        if v in holders and joins[v] != len(holders[v]) - 1:
-            problems.append(f"connectivity: bags holding vertex {v} do not form a subtree")
-    return problems
+    problems += [
+        f"connectivity: bags holding vertex {v} do not form a subtree"
+        for v in range(n)
+        if split[v]
+    ]
+    return problems, None if problems else walk
 
 
-def _require_valid(g: Graph, d: TreeDecomposition, prefix: str = "") -> None:
-    problems = validate_tree_decomposition(g, d)
+def _require_valid(g: Graph, d: TreeDecomposition, prefix: str = "") -> tuple:
+    """The walk _validate made of a valid d; raises if d is invalid."""
+    problems, walk = _validate(g, d)
     if problems:
         raise InvalidDecompositionError(prefix + "; ".join(problems))
+    return walk
 
 
-def _inner_edges(g: Graph, verts: set[int] | frozenset[int]) -> int:
-    """Number of edges of g with both ends in verts."""
-    adj = g._adj
-    return sum(1 for v in verts for w in adj[v] if w in verts) // 2
+def _edges_at(adj: Sequence[Sequence[int]], fresh: Sequence[int], pinned: set[int]) -> int:
+    """Number of edges, in adjacency adj, with one end in fresh and the other
+    in fresh or in pinned, a set disjoint from it, counted by set
+    intersections with the fresh vertices' neighbours."""
+    count = sum([len(pinned.intersection(adj[v])) for v in fresh])
+    if len(fresh) > 1:
+        inside = set(fresh)
+        count += sum([len(inside.intersection(adj[v])) for v in fresh]) // 2
+    return count
 
 
 def _spread(colour: Sequence[int]) -> list[int]:
@@ -167,11 +218,19 @@ def _spread(colour: Sequence[int]) -> list[int]:
 
 
 class _Rooted:
-    """Rooted view of one decomposition of g with per-bag invariants (each
-    bag's signature and number of inner edges) and per-subtree facts from
-    one bottom-up pass over the vertices the decomposition holds: size is
-    the subtree's vertex count; sort_key is (1, the least subtree vertex
-    outside the parent's bag), or (0, the bag itself) when there is none.
+    """Rooted view of one decomposition of g with per-bag invariants and
+    per-subtree facts from one bottom-up pass over the vertices the
+    decomposition holds: size is the subtree's vertex count; sort_key is
+    (1, the least subtree vertex outside the parent's bag), or (0, the bag
+    itself) when there is none.
+
+    walk is the breadth-first walk of the bag tree from root (see _bag_tree),
+    made here unless validation made it already.  Each bag's fresh vertices
+    are those outside its parent's bag; the others are pinned by the
+    parent's bijection, which matched their colours and edges already.  So
+    the search tests a candidate image of bag a only against fresh_colours[a],
+    fresh_sig[a], the signature of its fresh vertices, and fresh_edges[a],
+    the number of bag a's edges with a fresh end.
 
     colour is a colouring of g that every isomorphism sought preserves,
     spread (see _spread).  The vertices of a bag c's subtree outside its
@@ -181,40 +240,40 @@ class _Rooted:
     an empty bag, so its facts cover the whole part.
     """
 
-    def __init__(self, g: Graph, d: TreeDecomposition, root: int, colour: Sequence[int]) -> None:
+    def __init__(
+        self, g: Graph, d: TreeDecomposition, root: int, colour: Sequence[int],
+        walk: tuple | None = None,
+    ) -> None:
         self.d = d
         self.root = root
         self.bags = bags = d.bags
-        self.parent, self.children = d.rooted(root)
+        order, self.parent, self.children, self.fresh = walk or _bag_tree(d, root)
+        fresh = self.fresh
         self.colour = colour
-        self.bag_sig = [sum([colour[v] for v in bag]) for bag in bags]
-        self.bag_inner = [_inner_edges(g, set(bag)) for bag in bags]
+        adj = g._adj
+        n = g.vertex_count
+        self.fresh_colours = [{colour[v] for v in f} for f in fresh]
+        self.fresh_sig = [sum([colour[v] for v in f]) for f in fresh]
+        self.fresh_edges = [_edges_at(adj, f, set(bag).difference(f)) for bag, f in zip(bags, fresh)]
         self.size = [0] * len(bags)
         self.sort_key: list[tuple] = [()] * len(bags)
         self.forced: list[list[int]] = [[] for _ in bags]
         self.optional: list[dict[int, int] | None] = [None] * len(bags)
         # Each vertex is counted at its top bag, the one nearest the root
-        # that holds it.  The top bags of a child's subtree count exactly its
-        # vertices that are not in the parent's bag.
-        top: dict[int, int] = {}
-        for a in self.parent:  # breadth first, so parents come first
-            for v in bags[a]:
-                top.setdefault(v, a)
-        n = g.vertex_count
-        below = [0] * len(bags)  # vertices counted in the subtree
-        least = [n] * len(bags)  # least vertex counted in the subtree, n if none
-        for v, a in top.items():
-            below[a] += 1
-            least[a] = min(least[a], v)
+        # that holds it, where it is fresh.  The top bags of a child's
+        # subtree count exactly its vertices that are not in the parent's bag.
+        below = [len(f) for f in fresh]  # vertices counted in the subtree
+        least = [min(f, default=n) for f in fresh]  # least of them, n if none
         # The components of the vertices counted in a child's subtree, which
         # are its vertices outside the parent's bag, come from one union-find
-        # over the vertices counted so far, each component's root holding
-        # its signature; an edge from a vertex counted at bag a runs inside
-        # a's subtree, so it joins a's vertices only.
-        link: dict[int, int] = {}
+        # over the vertices counted so far (link[v] < 0 for the others), each
+        # component's root holding its signature; an edge from a vertex
+        # counted at bag a runs inside a's subtree, so it joins a's vertices
+        # only.
+        link = [-1] * n
         total: dict[int, int] = {}
         roots: dict[int, list[int]] = {}  # bag -> its components' roots, until its parent reads them
-        for a in reversed(self.parent):
+        for a in reversed(order):
             size = len(bags[a])
             for b in self.children[a]:
                 size += below[b]
@@ -222,16 +281,16 @@ class _Rooted:
                 least[a] = min(least[a], least[b])
             self.size[a] = size
             self.sort_key[a] = (1, least[a]) if least[a] < n else (0, bags[a])
-            fresh = [v for v in bags[a] if top[v] == a]
-            for v in fresh:
+            for v in fresh[a]:
+                # v stays its component's root: every root it meets joins it.
                 link[v], total[v] = v, colour[v]
-                for w in g._adj[v]:
-                    if w in link:
-                        x, y = _find(link, v), _find(link, w)
-                        if x != y:
-                            link[y] = x
-                            total[x] += total.pop(y)
-            meet = {_find(link, v) for v in fresh}
+                for w in adj[v]:
+                    if link[w] >= 0:
+                        y = _find(link, w)
+                        if y != v:
+                            link[y] = v
+                            total[v] += total.pop(y)
+            meet = {_find(link, v) for v in fresh[a]}
             passed = [
                 r for b in self.children[a] for r in roots.pop(b) if _find(link, r) not in meet
             ]
@@ -256,7 +315,7 @@ def lex_subtree_order(
         raise ValueError(f"bag {r} outside 0..{d.bag_count() - 1}")
     rooted = _Rooted(g, d, r, [0] * g.vertex_count)
     for c in children:
-        if rooted.parent.get(c) != r:
+        if c not in range(len(rooted.parent)) or rooted.parent[c] != r:
             raise ValueError(f"bag {c} is not a child of bag {r}")
     return sorted(children, key=rooted.sort_key.__getitem__)
 
@@ -266,32 +325,46 @@ def _bag_bijections(
     g_colour: Sequence[int], h_colour: Sequence[int],
 ):
     """Bijections g_bag -> h_bag extending pinned and preserving colours and
-    bag edges."""
+    bag edges, in the order of the permutations of h_bag's unpinned part.
+
+    pinned is the parent bag's bijection on the shared vertices, so pairs of
+    pinned vertices were tested there: only pairs with a fresh vertex are
+    tested.  Each fresh vertex's neighbours in its bag are found once per
+    side (see _bag_neighbours), those of an image only once it is reached,
+    and a mapping keeps the pairs of a fresh vertex v exactly when it maps
+    v's bag neighbours onto those of v's image.
+    """
     pinned_img = set(pinned.values())
     fresh_g = [v for v in g_bag if v not in pinned]
     fresh_h = [w for w in h_bag if w not in pinned_img]
+    near_g = [_bag_neighbours(g, v, g_bag) for v in fresh_g]
+    near_h: dict[int, set[int]] = {}
     for image in permutations(fresh_h):
-        mapping = dict(pinned)
-        ok = True
         for v, w in zip(fresh_g, image):
             if g_colour[v] != h_colour[w]:
-                ok = False
                 break
-            mapping[v] = w
-        if not ok:
-            continue
-        items = list(mapping.items())
-        for i in range(len(items)):
-            u, x = items[i]
-            for j in range(i + 1, len(items)):
-                v, y = items[j]
-                if g.has_edge(u, v) != h.has_edge(x, y):
-                    ok = False
+        else:
+            mapping = dict(pinned)
+            mapping.update(zip(fresh_g, image))
+            for near, w in zip(near_g, image):
+                if w not in near_h:
+                    near_h[w] = _bag_neighbours(h, w, h_bag)
+                if {mapping[u] for u in near} != near_h[w]:
                     break
-            if not ok:
-                break
-        if ok:
-            yield mapping
+            else:
+                yield mapping
+
+
+def _bag_neighbours(g: Graph, v: int, bag: Sequence[int]) -> set[int]:
+    """The vertices of bag adjacent to v: a set intersection with v's
+    neighbours when they are few, else a binary search in them per bag
+    vertex, as Graph.has_edge does, so a vertex of high degree costs
+    O(|bag| log deg)."""
+    nbrs = g._adj[v]
+    if len(nbrs) <= 4 * len(bag):
+        return set(bag).intersection(nbrs)
+    end = len(nbrs)
+    return {u for u in bag if (i := bisect_left(nbrs, u)) < end and nbrs[i] == u}
 
 
 def _unions(units: list[tuple[frozenset[int], int]], wanted: dict[int, int]):
@@ -412,7 +485,7 @@ class _IsoSearch:
         classes: list[list[int]] = []
         groups: dict[tuple, dict] = {}  # key -> trace id (None: untraced) -> class
         for c in sorted(L.children[a], key=L.sort_key.__getitem__):
-            overlap = tuple(v for v in L.bags[c] if v in bag_a)
+            overlap = tuple([v for v in L.bags[c] if v in bag_a])
             group = groups.setdefault((overlap, L.size[c]), {})
             label = None
             if group:
@@ -441,23 +514,22 @@ class _IsoSearch:
 
     def _cuts(self, i: int, pinned: dict[int, int], available: Iterable[int]):
         """Candidate images of bag i: pinned's image plus fresh vertices from
-        available, in lexicographic order of the fresh part, with bag i's
-        signature and number of inner edges.  Yields (image, fresh)."""
-        bag = self.L.bags[i]
+        available, in lexicographic order of the fresh part, whose colours,
+        signature and edges at the fresh part are those of bag i's fresh
+        vertices (see _Rooted).  Yields (image, fresh)."""
+        L = self.L
         colour = self.h_colour
+        adj = self.h._adj
         pinned_img = set(pinned.values())
+        sig, edges = L.fresh_sig[i], L.fresh_edges[i]
         # Every mapped vertex keeps its colour, so the fresh vertices carry the
-        # colours of the unpinned vertices of bag i; leaving out every other
-        # vertex only drops candidates, the rest keep their order.
-        wanted = {self.L.colour[v] for v in bag if v not in pinned}
-        pool = sorted(w for w in available if colour[w] in wanted)
-        for fresh in combinations(pool, len(bag) - len(pinned)):
-            cut = tuple(sorted(pinned_img.union(fresh))) if pinned else fresh
-            if sum([colour[w] for w in cut]) != self.L.bag_sig[i]:
-                continue
-            if _inner_edges(self.h, set(cut)) != self.L.bag_inner[i]:
-                continue
-            yield cut, fresh
+        # colours of bag i's fresh vertices; leaving out every other vertex
+        # only drops candidates, the rest keep their order.
+        wanted = L.fresh_colours[i]
+        pool = sorted([w for w in available if colour[w] in wanted])
+        for fresh in combinations(pool, len(L.fresh[i])):
+            if sum([colour[w] for w in fresh]) == sig and _edges_at(adj, fresh, pinned_img) == edges:
+                yield (tuple(sorted(pinned_img.union(fresh))) if pinned else fresh), fresh
 
     def _map_bag(
         self, i: int, image: Sequence[int], interior: frozenset[int], pinned: dict[int, int]
@@ -467,6 +539,12 @@ class _IsoSearch:
         its components, found once and kept with the image vertices they touch
         and their signatures.  Returns the node of i's subtree, the bijection
         and the list of its children's nodes (see _placements), or None."""
+        bijections = _bag_bijections(
+            self.g, self.L.bags[i], self.h, image, pinned, self.L.colour, self.h_colour
+        )
+        if not self.L.children[i]:  # a leaf bag: its image must use up interior
+            ext = None if interior else next(bijections, None)
+            return None if ext is None else (ext, [])
         adj = self.h._adj
         colour = self.h_colour
         image_set = set(image)
@@ -478,9 +556,6 @@ class _IsoSearch:
             )
             for c in _components(self.h, interior)
         ]
-        bijections = _bag_bijections(
-            self.g, self.L.bags[i], self.h, image, pinned, self.L.colour, self.h_colour
-        )
         kids = [(c, cls) for cls, members in enumerate(self._classes(i)) for c in members]
         for ext in bijections:
             maps = yield self._placements(kids, 0, comps, ext, None)
@@ -493,7 +568,7 @@ class _IsoSearch:
         comps: list[tuple[frozenset[int], set[int], int]],
         phi: dict[int, int], prev: tuple | None,
     ):
-        """Task: place the subtree at the j-th child of a bag a on whole
+        """Task: place the subtree at the j-th child of a bag a, j < len(kids), on whole
         components from comps, the unused ones below bag a's image, in each
         way in turn until the later children take up the rest.  phi is bag
         a's bijection.  The root bag is placed as the one child of an empty
@@ -517,8 +592,6 @@ class _IsoSearch:
         Returns the nodes of the j-th and later children's subtrees, or None;
         each placement's node, or None when it fails, is memoised.
         """
-        if j == len(kids):
-            return None if comps else []
         i, class_id = kids[j]
         if j == 0 or kids[j - 1][1] != class_id:
             prev = None
@@ -533,7 +606,7 @@ class _IsoSearch:
             if sorted(sig for _, sig in forced) != L.forced[i]:
                 continue
             optional = [(c, sig) for c, sig in fits if sig in wanted and c.isdisjoint(fresh)]
-            for chosen in _unions(optional, wanted):
+            for chosen in _unions(optional, wanted) if wanted else [[]]:
                 taken = [c for c, _ in forced] + chosen
                 interior = frozenset().union(*taken).difference(fresh)
                 choice = (cut, min(interior, default=-1))
@@ -547,7 +620,10 @@ class _IsoSearch:
                 if found is None:
                     continue
                 rest = [comp for comp in comps if comp[0] not in taken]
-                maps = yield self._placements(kids, j + 1, rest, phi, choice)
+                if j + 1 < len(kids):
+                    maps = yield self._placements(kids, j + 1, rest, phi, choice)
+                else:  # the last child: the children must use up comps
+                    maps = None if rest else []
                 if maps is not None:
                     maps.append(found)
                     return maps
@@ -615,7 +691,7 @@ def iso_one_decomp(
     returns its bijection and its children's nodes, written into one map by
     one walk; every child placement's outcome is memoized, its node or None.
     """
-    _require_valid(g, d_g)
+    walk = _require_valid(g, d_g)
     if d_g.width() > k:
         raise InvalidDecompositionError(f"decomposition width {d_g.width()} exceeds {k}")
     if g.vertex_count != h.vertex_count:
@@ -623,13 +699,15 @@ def iso_one_decomp(
             f"graphs have {g.vertex_count} and {h.vertex_count} vertices"
         )
     colours = stable_colours(g, h)
-    return None if colours is None else _search_components(g, d_g, h, colours)
+    return None if colours is None else _search_components(g, d_g, h, colours, walk)
 
 
 def _search_components(
-    g: Graph, d_g: TreeDecomposition, h: Graph, colours: tuple[list[int], list[int]]
+    g: Graph, d_g: TreeDecomposition, h: Graph, colours: tuple[list[int], list[int]],
+    walk: tuple | None = None,
 ) -> tuple[int, ...] | None:
-    """iso_one_decomp's search, given the stable colours of g and h."""
+    """iso_one_decomp's search, given the stable colours of g and h, and the
+    walk of d_g's bag tree from its root that validation made, if any."""
     g_colour, h_colour = map(_spread, colours)
     g_comps = connected_components(g)
     g_sigs = [sum([g_colour[v] for v in c]) for c in g_comps]
@@ -642,11 +720,14 @@ def _search_components(
     # to the first free h component isomorphic to it never has to be undone.
     # A run keeps no map of its own, only memo entries, which hold only its
     # own region's vertices, so one search per part serves every candidate.
-    parts = [d_g] if len(g_comps) == 1 else _split_decomposition(d_g, g_comps)
+    if len(g_comps) == 1:
+        parts = [(d_g, walk)]
+    else:
+        parts = [(part, None) for part in _split_decomposition(d_g, g_comps)]
     nodes = []
-    for sig, part in zip(g_sigs, parts):
+    for sig, (part, part_walk) in zip(g_sigs, parts):
         root = part.root if part.root is not None else 0
-        search = _IsoSearch(g, _Rooted(g, part, root, g_colour), h, h_colour)
+        search = _IsoSearch(g, _Rooted(g, part, root, g_colour, part_walk), h, h_colour)
         candidates = free[sig]
         for idx, region in enumerate(candidates):
             found = search.run(region)

@@ -327,3 +327,20 @@ def test_edgeless_header_parses_in_bounded_memory():
     assert (g.vertex_count, g.edge_count) == (1000000, 0)
     assert len(set(map(id, g._adj))) == 1 and g._adj[0] == ()
     assert peak < 32 << 20
+
+
+def test_parsed_edges_are_checked_once(monkeypatch):
+    """The reader checks each edge as it reads it and hands Graph the sorted
+    adjacency it built: Graph(n, edges), which checks every edge, never
+    runs, and the parsed graph equals the one it would build."""
+    text = "c a 5-cycle with a chord\np tw 6 6\ne 1 2\ne 2 3\ne 3 4\ne 4 5\ne 5 1\ne 2 5\n"
+    expected = Graph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (1, 4)])
+
+    def refuse(*args):
+        raise AssertionError("Graph.__init__ checked the parsed edges again")
+
+    monkeypatch.setattr(Graph, "__init__", refuse)
+    g = parse_graph(text)
+    assert g == expected and g.edge_count == 6 and g._adj[5] == ()
+    with pytest.raises(FormatError, match="duplicate edges in file"):
+        parse_graph("p tw 3 2\ne 1 2\ne 2 1\n")

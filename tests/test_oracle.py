@@ -1,3 +1,4 @@
+import hashlib
 import inspect
 import random
 import sys
@@ -95,6 +96,16 @@ KNOWN_CONNECTED_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853}
 def test_enumerator_counts_match_known_values():
     for n, expected in KNOWN_CONNECTED_COUNTS.items():
         assert len(enumerate_connected_graphs(n)) == expected
+
+
+def test_enumerator_output_is_pinned():
+    # Classes are found by an invariant and brute_force_iso, and ordered by
+    # one canonical_code per class: the representatives and their order are
+    # those of deduplicating every candidate by its canonical_code.
+    adjacency = [g._adj for n in range(1, 8) for g in enumerate_connected_graphs(n)]
+    assert hashlib.sha256(repr(adjacency).encode()).hexdigest() == (
+        "9231c360d16974fff5992f38778b3fca1a542281705c5d383b5ce6b094ef8fd1"
+    )
 
 
 def test_enumerator_members_are_connected_and_distinct():

@@ -235,6 +235,27 @@ def test_bag_bijections_match_all_pairs_reference():
     assert yielded > 200
 
 
+def test_one_bag_tree_walk_per_search(monkeypatch):
+    # On a connected graph, validation's walk of the bag tree is the one the
+    # search's rooted view reads: one walk per call, none kept on d.
+    calls = 0
+    walk = treewidth_module._bag_tree
+
+    def counted_walk(*args):
+        nonlocal calls
+        calls += 1
+        return walk(*args)
+
+    monkeypatch.setattr(treewidth_module, "_bag_tree", counted_walk)
+    bundle = generate_partial_ktree(30, 3, 1.0, 5)
+    g, d = bundle.graph, bundle.decomposition
+    h, _ = random_relabel(g, 5)
+    perm = iso_one_decomp(g, d, h, 3)
+    assert perm is not None and is_isomorphism(g, h, perm)
+    assert calls == 1
+    assert set(vars(d)) == {"bags", "tree_edges", "root", "tree_adjacency"}
+
+
 def test_symmetric_graphs_keep_their_first_witness():
     # Graphs with many automorphisms admit many witnesses; the search must
     # return the first one in candidate order.
