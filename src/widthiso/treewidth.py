@@ -168,14 +168,11 @@ def _validate(g: Graph, d: TreeDecomposition) -> tuple[list[str], tuple | None]:
     for u, nbrs in enumerate(g._adj):  # edges in ascending order
         home = bags[top[u]] if top[u] >= 0 else ()
         for v in nbrs:
-            if v > u and v not in home and not (
-                top[v] >= 0
-                and (
-                    u in bags[top[v]]
-                    or (split[u] or split[v]) and any(u in bag and v in bag for bag in bags)
-                )
-            ):
-                problems.append(f"edge-coverage: edge ({u}, {v}) is inside no bag")
+            if v > u and v not in home and not (top[v] >= 0 and u in bags[top[v]]):
+                # Subtrees meet exactly when one holds the other's top bag, so
+                # only an end whose bags are split needs a search.
+                if not (split[u] or split[v]) or not any(u in bag and v in bag for bag in bags):
+                    problems.append(f"edge-coverage: edge ({u}, {v}) is inside no bag")
     problems += [
         f"connectivity: bags holding vertex {v} do not form a subtree"
         for v in range(n)
@@ -255,10 +252,11 @@ class _Rooted:
         self.fresh_colours = [{colour[v] for v in f} for f in fresh]
         self.fresh_sig = [sum([colour[v] for v in f]) for f in fresh]
         self.fresh_edges = [_edges_at(adj, f, set(bag).difference(f)) for bag, f in zip(bags, fresh)]
-        self.size = [0] * len(bags)
+        self.size = sizes = [0] * len(bags)
         self.sort_key: list[tuple] = [()] * len(bags)
         self.forced: list[list[int]] = [[] for _ in bags]
         self.optional: list[dict[int, int] | None] = [None] * len(bags)
+        children, sort_key, forced, optional = self.children, self.sort_key, self.forced, self.optional
         # Each vertex is counted at its top bag, the one nearest the root
         # that holds it, where it is fresh.  The top bags of a child's
         # subtree count exactly its vertices that are not in the parent's bag.
@@ -275,12 +273,13 @@ class _Rooted:
         roots: dict[int, list[int]] = {}  # bag -> its components' roots, until its parent reads them
         for a in reversed(order):
             size = len(bags[a])
-            for b in self.children[a]:
+            for b in children[a]:
                 size += below[b]
                 below[a] += below[b]
-                least[a] = min(least[a], least[b])
-            self.size[a] = size
-            self.sort_key[a] = (1, least[a]) if least[a] < n else (0, bags[a])
+                if least[b] < least[a]:
+                    least[a] = least[b]
+            sizes[a] = size
+            sort_key[a] = (1, least[a]) if least[a] < n else (0, bags[a])
             for v in fresh[a]:
                 # v stays its component's root: every root it meets joins it.
                 link[v], total[v] = v, colour[v]
@@ -291,13 +290,11 @@ class _Rooted:
                             link[y] = v
                             total[v] += total.pop(y)
             meet = {_find(link, v) for v in fresh[a]}
-            passed = [
-                r for b in self.children[a] for r in roots.pop(b) if _find(link, r) not in meet
-            ]
+            passed = [r for b in children[a] for r in roots.pop(b) if _find(link, r) not in meet]
             roots[a] = [*meet, *passed]
-            self.forced[a] = sorted(total[r] for r in meet)
+            forced[a] = sorted([total[r] for r in meet])
             if passed:
-                counts = self.optional[a] = {}
+                counts = optional[a] = {}
                 for r in passed:
                     counts[total[r]] = counts.get(total[r], 0) + 1
 
@@ -512,24 +509,24 @@ class _IsoSearch:
         maps = _drive(self._placements([(self.L.root, 0)], 0, [comp], {}, None))
         return None if maps is None else maps[0]
 
-    def _cuts(self, i: int, pinned: dict[int, int], available: Iterable[int]):
-        """Candidate images of bag i: pinned's image plus fresh vertices from
-        available, in lexicographic order of the fresh part, whose colours,
-        signature and edges at the fresh part are those of bag i's fresh
-        vertices (see _Rooted).  Yields (image, fresh)."""
+    def _cuts(self, i: int, pinned_img: set[int], fits: list[tuple[frozenset[int], int]]):
+        """Candidate images of bag i: pinned_img, the image of its pinned
+        vertices, plus fresh vertices from the components in fits, in
+        lexicographic order of the fresh part, whose colours, signature and
+        edges at the fresh part are those of bag i's fresh vertices (see
+        _Rooted).  Yields (image, fresh)."""
         L = self.L
         colour = self.h_colour
         adj = self.h._adj
-        pinned_img = set(pinned.values())
         sig, edges = L.fresh_sig[i], L.fresh_edges[i]
         # Every mapped vertex keeps its colour, so the fresh vertices carry the
         # colours of bag i's fresh vertices; leaving out every other vertex
         # only drops candidates, the rest keep their order.
         wanted = L.fresh_colours[i]
-        pool = sorted([w for w in available if colour[w] in wanted])
+        pool = sorted([w for c, _ in fits for w in c if colour[w] in wanted])
         for fresh in combinations(pool, len(L.fresh[i])):
             if sum([colour[w] for w in fresh]) == sig and _edges_at(adj, fresh, pinned_img) == edges:
-                yield (tuple(sorted(pinned_img.union(fresh))) if pinned else fresh), fresh
+                yield (tuple(sorted(pinned_img.union(fresh))) if pinned_img else fresh), fresh
 
     def _map_bag(
         self, i: int, image: Sequence[int], interior: frozenset[int], pinned: dict[int, int]
@@ -601,9 +598,9 @@ class _IsoSearch:
         fits = [(c, sig) for c, touch, sig in comps if touch <= pinned_img]
         pin_key = tuple(pinned.values())
         wanted = L.optional[i] or {}
-        for cut, fresh in self._cuts(i, pinned, [w for c, _ in fits for w in c]):
+        for cut, fresh in self._cuts(i, pinned_img, fits):
             forced = [(c, sig) for c, sig in fits if not c.isdisjoint(fresh)]
-            if sorted(sig for _, sig in forced) != L.forced[i]:
+            if sorted([sig for _, sig in forced]) != L.forced[i]:
                 continue
             optional = [(c, sig) for c, sig in fits if sig in wanted and c.isdisjoint(fresh)]
             for chosen in _unions(optional, wanted) if wanted else [[]]:
