@@ -81,7 +81,8 @@ class TreeDecomposition:
         return self.tree_adjacency.get(i, ())
 
     def rooted(self, root: int) -> tuple[dict[int, int], dict[int, list[int]]]:
-        """Parent and children maps when the bag tree hangs from root."""
+        """Parent and children maps when the bag tree hangs from root; every
+        tree edge must join two of the bags (see validate_tree_decomposition)."""
         order, parent, children, _ = _bag_tree(self, root)
         return {a: parent[a] for a in order}, dict(enumerate(children))
 
