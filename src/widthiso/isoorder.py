@@ -7,7 +7,13 @@ G - S, and returns the first group of equal prefixes that fits the width
 bound.  The ranking has two stages: every root set by its root prefix, then
 a group of equal root prefixes by the longer prefix through its first child
 entry, so that only the least group is walked: one walk per root set is
-refused at its first bag above the bound, or traces the root set.  The
+refused at its first bag above the bound, or traces the root set.  As in
+Lindell's tree canonisation, two traces are ordered by their first field
+that differs, so a root set whose exact prefix is larger is never traced.
+Where a one-vertex root set's first child bag is one vertex u, the longer
+prefix goes on with u's separating-set count and block head, which the
+articulation counts of the graph give (_kid): on a tree this sets the leaves
+apart by their neighbours, which the child's size alone does not.  The
 width itself needs no trace; it is tdd.tree_distance_width.
 
 The order is realized through canonical traces, read from (bag, parent bag)
@@ -469,22 +475,41 @@ def _bag_traces(tracer: _Tracer, memo: dict, g: Graph, d, bag: int, parent: int 
     return best
 
 
-def _kid(g: Graph, s: tuple[int, ...], bag: Sequence[int], size: int) -> tuple:
+def _kid(
+    g: Graph, s: tuple[int, ...], bag: Sequence[int], size: int, splits: list[int]
+) -> tuple:
     """A child bag of the root bag s, of a subtree of size vertices, with
     what its trace entry opens with: its edges from s as (s vertex, child
-    vertex) pairs and its inner edges."""
+    vertex) pairs, its inner edges, and the fields after its subtree size
+    that splits, the articulation counts of g, give away.
+
+    Those fields are known when s is one vertex v and the bag one vertex u.
+    Then u is v's only neighbour in its component C of G - v, so the
+    components of G - u are the one holding v (G - C is v and the other
+    components of G - v, all joined to v) and those of C - u.  u thus has
+    splits[u] - 1 child bags, all hung from the separating set {u}: its
+    trace goes on with the separating-set count 1 and the head (1, 0,
+    splits[u] - 1) of that set's block, or with the count 0 alone.  For a
+    larger root set G - C may fall apart, and the count no longer gives
+    the child bags, so nothing is added."""
     adj = g._adj
     inner = set(bag)
     pairs = [(m, w) for w in bag for m in adj[w] if m in s]
     edges = [(u, w) for u in bag for w in adj[u] if w > u and w in inner]
-    return bag, pairs, edges, size
+    tail = ()
+    if len(s) == 1 and len(bag) == 1:
+        count = splits[bag[0]] - 1
+        tail = (1, 1, 0, count) if count else (0,)
+    return bag, pairs, edges, size, tail
 
 
 def _entry_head(pos: dict[int, int], kid: tuple) -> tuple[int, ...]:
     """Opening of kid's entry under the root bag positions pos, least over
-    the child bag's orderings: the bipartite code, relative depth 2, and the
-    child's header up to its subtree size."""
-    bag, pairs, edges, size = kid
+    the child bag's orderings: the bipartite code, relative depth 2, the
+    child's header up to its subtree size, and the fields _kid read off the
+    articulation counts, if any (the same under every ordering of a
+    one-vertex bag)."""
+    bag, pairs, edges, size, tail = kid
     best = None
     for phi in _orderings(bag):
         child_pos = {v: i for i, v in enumerate(phi)}
@@ -493,7 +518,7 @@ def _entry_head(pos: dict[int, int], kid: tuple) -> tuple[int, ...]:
         entry = _bip_code(pos, child_pos, pairs) + (2, *head)
         if best is None or entry < best:
             best = entry
-    return best
+    return best + tail
 
 
 def _root_prefix(
@@ -534,19 +559,23 @@ def _root_prefix(
 
 
 def _entry_prefix(
-    g: Graph, s: tuple[int, ...], cap: int, comps: list[tuple] | None = None
+    g: Graph,
+    s: tuple[int, ...],
+    cap: int,
+    splits: list[int],
+    comps: list[tuple] | None = None,
 ) -> tuple[int, ...] | None:
     """Root set s's root prefix through its first child entry (see
-    _root_prefix), from the components comps of G - S when given; None when
-    a child bag holds more than cap vertices, as no decomposition rooted at
-    s then fits cap."""
+    _root_prefix), from the components comps of G - S when given and the
+    articulation counts splits of g (see _kid); None when a child bag holds
+    more than cap vertices, as no decomposition rooted at s then fits cap."""
     if comps is None:
         comps = _components(g, s, cap)
         if comps is None:
             return None
     kids: dict[tuple[int, ...], list[tuple]] = {}
     for sep, bag, size in comps:
-        kids.setdefault(sep, []).append(_kid(g, s, bag, size))
+        kids.setdefault(sep, []).append(_kid(g, s, bag, size, splits))
     return _root_prefix(g, s, {sep: len(group) for sep, group in kids.items()}, kids)
 
 
@@ -562,14 +591,20 @@ def _root_search(tracer: _Tracer, k: int) -> list[tuple[int, ...]] | None:
     checked by its degree, against k per component, and its root prefix
     depends on its separating-set count alone, so it is computed once per
     count.  Only a group of more than one equal prefix is ranked again, by
-    the longer prefix through the first child entry (_entry_prefix).  It
-    reuses the components known from the first stage, and a cut vertex with
-    a depth-1 bag above k drops out there, before its child orderings are
-    enumerated.  Root pairs (S, None) are traced under the cap k one
-    equal-prefix group at a time, and the first group with an admissible
-    member, one the walk does not refuse, is returned, its admissible
-    members only, in combinations order.  The empty graph's one root set is
-    empty and has nothing to trace."""
+    the longer prefix through the first child entry (_entry_prefix), which
+    for a single vertex whose first child bag is one vertex u goes on with
+    u's separating-set fields, read off the articulation counts splits (see
+    _kid).  Equal root prefixes have equal root-set sizes, and a one-vertex
+    root set's entries open with their child bag's size (its edge count
+    from the root vertex), so two members of a group either both carry
+    those fields or both lack them.  The second stage reuses the components
+    known from the first, and a cut vertex with a depth-1 bag above k drops
+    out there, before its child orderings are enumerated.  Root pairs (S,
+    None) are traced under the cap k one equal-prefix group at a time, and
+    the first group with an admissible member, one the walk does not
+    refuse, is returned, its admissible members only, in combinations
+    order.  The empty graph's one root set is empty and has nothing to
+    trace."""
     g = tracer.g
     if not is_connected(g):
         raise DisconnectedGraphError("tree distance decompositions need a connected graph")
@@ -603,7 +638,7 @@ def _root_search(tracer: _Tracer, k: int) -> list[tuple[int, ...]] | None:
                     (
                         (key, s)
                         for _, s, comps in ties
-                        if (key := _entry_prefix(g, s, k, comps)) is not None
+                        if (key := _entry_prefix(g, s, k, splits, comps)) is not None
                     ),
                     key=itemgetter(0),
                 )

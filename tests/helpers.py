@@ -322,11 +322,13 @@ def root_prefix(g: Graph, d: TreeDistanceDecomposition, entry: bool = True) -> t
     set, the least block head, then with entry the least opening of a child
     entry of that block: the bipartite code, relative depth 2, and the
     child bag's size, edge code and subtree vertex count, least over the
-    child bag's orderings.  The whole is minimised over the root bag's
-    orderings.
+    child bag's orderings.  When the root set and the child bag are single
+    vertices, the child's separating-set count and its least block head
+    follow.  The whole is minimised over the root bag's orderings.
     """
-    sizes = {d.bags[c]: d.subtree_sizes[c] for c in d.children(d.root)}
-    edges, seps = bag_split(g, d.bags[d.root], sorted(sizes))
+    node = {d.bags[c]: c for c in d.children(d.root)}
+    edges, seps = bag_split(g, d.bags[d.root], sorted(node))
+    single = len(d.bags[d.root]) == 1
     best = None
     for sigma in _orderings(d.bags[d.root]):
         pos = {v: i for i, v in enumerate(sigma)}
@@ -335,14 +337,19 @@ def root_prefix(g: Graph, d: TreeDistanceDecomposition, entry: bool = True) -> t
             head, kids = min((_sep_head(pos, sep, len(kids)), kids) for sep, kids in seps)
             out.extend(head)
             if entry:
-                out.extend(min(_entry_opening(g, pos, kid, pairs, sizes[kid]) for kid, pairs in kids))
+                out.extend(min(_entry_opening(g, d, pos, node[kid], pairs, single) for kid, pairs in kids))
         if best is None or out < best:
             best = out
     return tuple(best)
 
 
-def _entry_opening(g: Graph, pos: dict, kid: tuple[int, ...], pairs: list, size: int) -> list[int]:
-    """The child entry of kid up to its subtree size, least over kid's orderings."""
+def _entry_opening(
+    g: Graph, d: TreeDistanceDecomposition, pos: dict, c: int, pairs: list, single: bool
+) -> list[int]:
+    """The child entry of bag c up to its subtree size, least over its
+    orderings; when single (a one-vertex root set) and c holds one vertex,
+    followed by c's separating-set count and least block head."""
+    kid = d.bags[c]
     inner = [(u, w) for u in kid for w in g.neighbors(u) if w > u and w in kid]
     best = None
     for phi in _orderings(kid):
@@ -350,7 +357,12 @@ def _entry_opening(g: Graph, pos: dict, kid: tuple[int, ...], pairs: list, size:
         out = [len(pairs)]
         for ab in sorted((pos[m], kid_pos[w]) for m, w in pairs):
             out.extend(ab)
-        out += [2, *_header(kid_pos, inner, size, 0)[:-1]]
+        out += [2, *_header(kid_pos, inner, d.subtree_sizes[c], 0)[:-1]]
+        if single and len(kid) == 1:
+            _, seps = bag_split(g, kid, sorted(d.bags[x] for x in d.children(c)))
+            out.append(len(seps))
+            if seps:
+                out.extend(min(_sep_head(kid_pos, sep, len(group)) for sep, group in seps))
         if best is None or out < best:
             best = out
     return best

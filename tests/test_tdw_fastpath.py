@@ -6,15 +6,18 @@ checked against the minimum over every root set, and so is the width query,
 a minimum over root-set builds that reaches no trace.  The two prefixes that
 rank root sets (read from the components of G - S), the root prefix and the
 longer one through the first child entry, are checked against the
-decomposition-based reference and the full trace, the articulation counts
-behind the single-vertex prefixes against a component count, and the
-canonical bytes and maps of a few fixed graphs, the canonisation states and
-maps of 360 seeded graphs and the augmented-tree order over a fixed pool are
-pinned.  The (bag, parent bag) pair records that root sets share are checked
-against built decompositions, capped walks and builds against their widths,
-and paths, a caterpillar, a cycle with a pendant vertex and the width query
-against the builds they may make, and a ladder's width query against
-component searches; after the search no pair record holds a bag above k.
+decomposition-based reference and the full trace, on random graphs and on
+trees whose leaves tie (with a one-vertex child's separating-set fields),
+the articulation counts behind the single-vertex prefixes against a
+component count, and the canonical bytes and maps of a few fixed graphs, the
+canonisation states and maps of 360 seeded graphs and of 200 seeded trees
+and the augmented-tree order over a fixed pool are pinned.  The (bag,
+parent bag) pair records that root sets share are checked against built
+decompositions, capped walks and builds against their widths, and paths, a
+caterpillar, a path with a second leaf, a cycle with a pendant vertex and
+the width query against the builds and walks they may make, and a ladder's
+width query against component searches; after the search no pair record
+holds a bag above k.
 The winner's trace and canonical map are read out by one walk over the
 child orders the traces recorded: canonical_map traces nothing, the cache
 holds no tracer, and a corrupt order (a child bag listed twice, dropped or
@@ -160,6 +163,20 @@ def _bound_orderings(monkeypatch, k: int) -> None:
     monkeypatch.setattr(isoorder, "_orderings", bounded)
 
 
+def _prefix_graphs(rng: random.Random) -> list[Graph]:
+    """60 random connected graphs with 1 to 12 vertices, then 40 trees with
+    2 to 12 of the benchmark's four shapes (a spider has at least 6), whose
+    leaves tie through the root prefix and the first child's size."""
+    inputs = benchmark_inputs()
+    shapes = list(inputs.TREE_SHAPES.values())
+    graphs = [_random_connected(rng, rng.randint(1, 12)) for _ in range(60)]
+    for i in range(40):
+        shape = shapes[i % 4]
+        n = rng.randint(6 if shape is inputs.spider else 2, 12)
+        graphs.append(random_relabel(Graph(n, shape(n, rng)), seed=rng.randrange(1 << 30))[0])
+    return graphs
+
+
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_root_prefix_opens_min_trace(k, monkeypatch):
     """The root prefix of every root set matches the reference read off the
@@ -167,12 +184,13 @@ def test_root_prefix_opens_min_trace(k, monkeypatch):
     is None exactly where a depth-1 bag exceeds k, so that no such root set
     is ranked by it; elsewhere it matches the reference, with or without the
     components searched for the root prefix, and both open the least trace
-    where the width fits k."""
+    where the width fits k.  On the trees, the single-vertex root sets with
+    a one-vertex first child bag carry that child's separating-set fields
+    from the articulation counts."""
     _bound_orderings(monkeypatch, k)
     rng = random.Random(500 + k)
-    checked = 0
-    for _ in range(60):
-        g = _random_connected(rng, rng.randint(1, 12))
+    checked = longer = 0
+    for g in _prefix_graphs(rng):
         splits = _articulation_counts(g)
         for size in range(1, min(k, g.vertex_count) + 1):
             for s in combinations(range(g.vertex_count), size):
@@ -181,24 +199,30 @@ def test_root_prefix_opens_min_trace(k, monkeypatch):
                 prefix = _root_prefix(g, s, seps)
                 assert prefix == root_prefix(g, d, entry=False)
                 wide = any(len(d.bags[c]) > k for c in d.children(d.root))
-                key = _entry_prefix(g, s, k)
+                key = _entry_prefix(g, s, k, splits)
                 assert (key is None) == wide
                 found = _sep_counts(g, s, splits, k)
                 if found is None:
                     assert wide
                     continue
-                assert _entry_prefix(g, s, k, found[1]) == key
+                assert _entry_prefix(g, s, k, splits, found[1]) == key
                 if wide:
                     continue
                 assert key == root_prefix(g, d)
                 assert key[: len(prefix)] == prefix
+                if size == 1 and key[len(prefix) : len(prefix) + 1] == (1,):
+                    # a one-vertex child bag: bipartite code (1, 0, 0), depth
+                    # 2, bag size 1, no edges, subtree size, then the fields
+                    # that the articulation counts give
+                    assert len(key) - len(prefix) in (8, 11)
+                    longer += 1
                 if d.width() > k:
                     continue
                 tree = build_augmented_tree(g, d, check=False)
                 trace, _ = _min_trace(tree, 0)
                 assert trace[: len(key)] == key
                 checked += 1
-    assert checked >= 100
+    assert checked >= 100 and longer >= 100
 
 
 def _two_hubs() -> Graph:
@@ -230,7 +254,7 @@ def test_wide_cut_vertices_order_no_wide_bag(monkeypatch):
         g, (1,), _sep_counts(g, (1,), splits, 3)[0]
     )
     _bound_orderings(monkeypatch, 3)
-    assert _entry_prefix(g, (0,), 3) is None
+    assert _entry_prefix(g, (0,), 3, splits) is None
     _canon_state.cache_clear()
     start = time.perf_counter()
     state = _canon_state(g, 3)
@@ -417,11 +441,16 @@ def _caterpillar(n: int, seed: int) -> Graph:
 
 
 def test_caterpillar_builds_at_most_once(monkeypatch):
-    """Every leaf survives the root prefix; the first one builds, and every
-    later one re-roots through the pairs already recorded."""
+    """Every leaf survives the root prefix, and the first child entry keeps
+    only the leaves whose neighbour has the least articulation count; the
+    first one builds, and every later one re-roots through the pairs
+    already recorded."""
     original = _caterpillar(2000, seed=1)
     g, perm = random_relabel(original, seed=5)
     expected = (canon_tdw(original, 1), canonical_map(original, 1))
+    splits = _articulation_counts(g)
+    leaves = {v: g.neighbors(v)[0] for v in range(2000) if g.degree(v) == 1}
+    least = min(splits[u] for u in leaves.values())
     built, entered = _count_builds(monkeypatch)
     tracemalloc.start()
     try:
@@ -430,10 +459,24 @@ def test_caterpillar_builds_at_most_once(monkeypatch):
     finally:
         tracemalloc.stop()
     assert len(built) <= 1
-    assert len(entered) == sum(g.degree(v) == 1 for v in range(2000))
+    assert sorted(entered) == sorted((v,) for v, u in leaves.items() if splits[u] == least)
     assert peak < 100 * 2**20
     assert form == expected[0]
     assert is_isomorphism(g, original, compose_permutations(inverse_permutation(expected[1]), cmap))
+
+
+def test_leaves_split_by_their_neighbours_articulation_counts(monkeypatch):
+    """The path 0-1-2-3-4 with the leaf 5 on vertex 3: the leaves 0, 4 and 5
+    share the root prefix and the first child's subtree size, but 0's
+    neighbour leaves one component behind it and 3 leaves two, so only 0
+    is walked."""
+    original = Graph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (3, 5)])
+    g, perm = random_relabel(original, seed=2)
+    expected = canon_tdw(original, 1)
+    _canon_state.cache_clear()
+    _, entered = _count_builds(monkeypatch)
+    assert canon_tdw(g, 1) == expected
+    assert entered == [(perm[0],)]
 
 
 @pytest.mark.parametrize(
@@ -750,6 +793,40 @@ CANON_STATE_DIGEST = "690c1584c2592ade2608399252b5a4f91fae86bb8d18c1dfd744bfe58d
 
 def test_golden_canon_states():
     assert hashlib.sha256(repr(_pinned_states()).encode()).hexdigest() == CANON_STATE_DIGEST
+
+
+def _pinned_tree_states() -> list:
+    """_canon_state's (trace, root set, sigma) and canonical_map at k = 1
+    and 2 of 200 relabelled trees: 160 of the benchmark's four tree shapes
+    with 2 to 120 vertices (a spider has at least 6), and 40 random trees
+    with 2 to 60.  Their leaves and cut vertices tie in the root prefix."""
+    inputs = benchmark_inputs()
+    shapes = list(inputs.TREE_SHAPES.values())
+    rng = random.Random(3707)
+    graphs = []
+    for i in range(160):
+        n = rng.randint(2, 120)
+        if shapes[i % 4] is inputs.spider:
+            n = max(n, 6)
+        graphs.append(Graph(n, shapes[i % 4](n, rng)))
+    for _ in range(40):
+        n = rng.randint(2, 60)
+        graphs.append(Graph(n, [(rng.randrange(v), v) for v in range(1, n)]))
+    out = []
+    for g in graphs:
+        g, _ = random_relabel(g, seed=rng.randrange(1 << 30))
+        for k in (1, 2):
+            state = _canon_state(g, k)
+            out.append((state.trace, state.root_set, state.sigma, canonical_map(g, k)))
+    return out
+
+
+# sha256 of repr(_pinned_tree_states()).
+TREE_STATE_DIGEST = "75a142d0e0a397d00340cda17fec4596f0295dc67ea870a247ab44dd588367d0"
+
+
+def test_golden_tree_canon_states():
+    assert hashlib.sha256(repr(_pinned_tree_states()).encode()).hexdigest() == TREE_STATE_DIGEST
 
 
 # sha256 of the compare_augmented values over every ordered pair of the
