@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import Sequence
 
 from .augtree import build_augmented_tree
-from .errors import GraphError
+from .errors import FormatError, GraphError
 from .formats import (
     format_tdd_records,
     parse_graph,
@@ -32,12 +32,21 @@ from .tdd import build_minimal_tdd, tree_distance_width
 from .treewidth import TreeDecomposition, iso_one_decomp, iso_respecting_both, iso_tw
 
 
+def _read_text(path: str) -> str:
+    """The file at path as UTF-8 text, whatever the locale, or a FormatError."""
+    data = Path(path).read_bytes()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not UTF-8 text (byte {exc.start})") from exc
+
+
 def _read_graph(path: str) -> Graph:
-    return parse_graph(Path(path).read_text())
+    return parse_graph(_read_text(path))
 
 
 def _read_decomposition(path: str, g: Graph) -> TreeDecomposition:
-    d, n = parse_tree_decomposition(Path(path).read_text())
+    d, n = parse_tree_decomposition(_read_text(path))
     if n != g.vertex_count:
         raise GraphError(
             f"decomposition declares {n} vertices, graph has {g.vertex_count}"
@@ -262,10 +271,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except GraphError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (GraphError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:

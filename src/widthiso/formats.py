@@ -86,19 +86,7 @@ def parse_graph(text: str) -> Graph:
         raise FormatError("missing 'p tw' header")
     if len(edges) != m:
         raise FormatError(f"header promises {m} edges, file has {len(edges)}")
-    # Every edge was checked as it was read: build the sorted adjacency once,
-    # a set only for a vertex on an edge, the others sharing the empty tuple.
-    adj: list[set[int] | None] = [None] * n
-    for u, v in edges:
-        if adj[u] is None:
-            adj[u] = {v}
-        else:
-            adj[u].add(v)
-        if adj[v] is None:
-            adj[v] = {u}
-        else:
-            adj[v].add(u)
-    g = Graph._from_adjacency(tuple([tuple(sorted(nbrs)) if nbrs else () for nbrs in adj]))
+    g = Graph.__new__(Graph)._build(n, edges)  # every edge was checked as it was read
     if g.edge_count != len(edges):
         raise FormatError("duplicate edges in file")
     return g

@@ -31,8 +31,7 @@ class Graph:
     def __init__(self, vertex_count: int, edges: Iterable[tuple[int, int]] = ()) -> None:
         if vertex_count < 0:
             raise ValueError("vertex_count must be non-negative")
-        # A set only for a vertex on an edge; the others share the empty tuple.
-        adj: list[set[int] | None] = [None] * vertex_count
+        edges = list(edges)
         for u, v in edges:
             if not (0 <= u < vertex_count and 0 <= v < vertex_count):
                 raise InvalidVertexError(
@@ -40,27 +39,27 @@ class Graph:
                 )
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
+        self._build(vertex_count, edges)
+
+    def _build(self, vertex_count: int, edges: Iterable[tuple[int, int]]) -> Graph:
+        """Store the sorted adjacency of edges, taken as they stand: the
+        caller has checked every one (see formats.parse_graph); returns self."""
+        # A set only for a vertex on an edge; the others share the empty tuple.
+        adj: list[set[int] | None] = [None] * vertex_count
+        for u, v in edges:
             if adj[u] is None:
-                adj[u] = set()
+                adj[u] = {v}
+            else:
+                adj[u].add(v)
             if adj[v] is None:
-                adj[v] = set()
-            adj[u].add(v)
-            adj[v].add(u)
-        self._store(tuple([tuple(sorted(nbrs)) if nbrs else () for nbrs in adj]))
-
-    @classmethod
-    def _from_adjacency(cls, adj: tuple[tuple[int, ...], ...]) -> Graph:
-        """The graph whose sorted adjacency is adj, taken as it stands: the
-        caller has checked every edge already (see formats.parse_graph)."""
-        g = cls.__new__(cls)
-        g._store(adj)
-        return g
-
-    def _store(self, adj: tuple[tuple[int, ...], ...]) -> None:
-        self.vertex_count = len(adj)
-        self._adj = adj
-        self.edge_count = sum(map(len, adj)) // 2
+                adj[v] = {u}
+            else:
+                adj[v].add(u)
+        self.vertex_count = vertex_count
+        self._adj = tuple([tuple(sorted(nbrs)) if nbrs else () for nbrs in adj])
+        self.edge_count = sum(map(len, self._adj)) // 2
         self._hash: int | None = None
+        return self
 
     @property
     def edges(self) -> frozenset[tuple[int, int]]:

@@ -590,10 +590,10 @@ def _root_search(tracer: _Tracer, k: int) -> list[tuple[int, ...]] | None:
     root set with a depth-1 bag above k drops out; a single vertex is only
     checked by its degree, against k per component, and its root prefix
     depends on its separating-set count alone, so it is computed once per
-    count.  Only a group of more than one equal prefix is ranked again, by
-    the longer prefix through the first child entry (_entry_prefix), which
-    for a single vertex whose first child bag is one vertex u goes on with
-    u's separating-set fields, read off the articulation counts splits (see
+    count.  Each group of equal root prefixes is ranked again by the longer
+    prefix through the first child entry (_entry_prefix), which for a
+    single vertex whose first child bag is one vertex u goes on with u's
+    separating-set fields, read off the articulation counts splits (see
     _kid).  Equal root prefixes have equal root-set sizes, and a one-vertex
     root set's entries open with their child bag's size (its edge count
     from the root vertex), so two members of a group either both carry
@@ -632,21 +632,16 @@ def _root_search(tracer: _Tracer, k: int) -> list[tuple[int, ...]] | None:
             key=itemgetter(0),
         )
         for _, ties in groupby(ranked, key=itemgetter(0)):
-            ties = list(ties)
-            if len(ties) > 1:
-                finer = sorted(
-                    (
-                        (key, s)
-                        for _, s, comps in ties
-                        if (key := _entry_prefix(g, s, k, splits, comps)) is not None
-                    ),
-                    key=itemgetter(0),
-                )
-                groups = [[s for _, s in sub] for _, sub in groupby(finer, key=itemgetter(0))]
-            else:
-                groups = [[ties[0][1]]]
-            for group in groups:
-                group = [s for s in group if tracer.traces(s, (s, None), n, k) is not None]
+            finer = sorted(
+                (
+                    (key, s)
+                    for _, s, comps in ties
+                    if (key := _entry_prefix(g, s, k, splits, comps)) is not None
+                ),
+                key=itemgetter(0),
+            )
+            for _, group in groupby(finer, key=itemgetter(0)):
+                group = [s for _, s in group if tracer.traces(s, (s, None), n, k) is not None]
                 if group:
                     return group
     return None

@@ -80,18 +80,12 @@ class TreeDecomposition:
     def neighbors(self, i: int) -> tuple[int, ...]:
         return self.tree_adjacency.get(i, ())
 
-    def rooted(self, root: int) -> tuple[dict[int, int], dict[int, list[int]]]:
-        """Parent and children maps when the bag tree hangs from root; every
-        tree edge must join two of the bags (see validate_tree_decomposition)."""
-        order, parent, children, _ = _bag_tree(self, root)
-        return {a: parent[a] for a in order}, dict(enumerate(children))
-
 
 def _bag_tree(d: TreeDecomposition, root: int) -> tuple:
     """One breadth-first walk of the bag tree from root: the bags it reaches
     in walk order, each bag's parent (root's is root, an unreached bag's -1),
     each bag's children, ascending, and each reached bag's fresh vertices,
-    those outside its parent's bag (all of the root's)."""
+    those outside its parent's bag (all of the root's).  Tree edges join bags."""
     bags = d.bags
     adjacency = d.tree_adjacency
     parent = [-1] * len(bags)
@@ -228,7 +222,8 @@ class _Rooted:
     parent's bijection, which matched their colours and edges already.  So
     the search tests a candidate image of bag a only against fresh_colours[a],
     fresh_sig[a], the signature of its fresh vertices, and fresh_edges[a],
-    the number of bag a's edges with a fresh end.
+    the number of bag a's edges with a fresh end, and a bag bijection
+    against near[a], the neighbours in bag a of each fresh vertex.
 
     colour is a colouring of g that every isomorphism sought preserves,
     spread (see _spread).  The vertices of a bag c's subtree outside its
@@ -253,6 +248,7 @@ class _Rooted:
         self.fresh_colours = [{colour[v] for v in f} for f in fresh]
         self.fresh_sig = [sum([colour[v] for v in f]) for f in fresh]
         self.fresh_edges = [_edges_at(adj, f, set(bag).difference(f)) for bag, f in zip(bags, fresh)]
+        self.near = [[_bag_neighbours(g, v, bag) for v in f] for bag, f in zip(bags, fresh)]
         self.size = sizes = [0] * len(bags)
         self.sort_key: list[tuple] = [()] * len(bags)
         self.forced: list[list[int]] = [[] for _ in bags]
@@ -313,29 +309,28 @@ def lex_subtree_order(
         raise ValueError(f"bag {r} outside 0..{d.bag_count() - 1}")
     rooted = _Rooted(g, d, r, [0] * g.vertex_count)
     for c in children:
-        if c not in range(len(rooted.parent)) or rooted.parent[c] != r:
+        if c not in range(len(rooted.parent)) or c == r or rooted.parent[c] != r:
             raise ValueError(f"bag {c} is not a child of bag {r}")
     return sorted(children, key=rooted.sort_key.__getitem__)
 
 
 def _bag_bijections(
-    g: Graph, g_bag: Sequence[int], h: Graph, h_bag: Sequence[int], pinned: dict[int, int],
+    pinned: dict[int, int], fresh_g: Sequence[int], near_g: Sequence[set[int]],
+    h: Graph, h_bag: Sequence[int], fresh_h: Sequence[int],
     g_colour: Sequence[int], h_colour: Sequence[int],
 ):
-    """Bijections g_bag -> h_bag extending pinned and preserving colours and
-    bag edges, in the order of the permutations of h_bag's unpinned part.
+    """Bijections from a bag of g onto h_bag extending pinned and preserving
+    colours and bag edges, in the order of the permutations of fresh_h.
 
     pinned is the parent bag's bijection on the shared vertices, so pairs of
     pinned vertices were tested there: only pairs with a fresh vertex are
-    tested.  Each fresh vertex's neighbours in its bag are found once per
-    side (see _bag_neighbours), those of an image only once it is reached,
-    and a mapping keeps the pairs of a fresh vertex v exactly when it maps
-    v's bag neighbours onto those of v's image.
+    tested.  fresh_g lists the g bag's other vertices, in bag order, near_g
+    their neighbours in the bag (see _bag_neighbours), and fresh_h the
+    vertices of h_bag outside pinned's image.  An image's bag neighbours
+    are found once it is reached, and a mapping keeps the pairs of a fresh
+    vertex v exactly when it maps v's bag neighbours onto those of v's
+    image.
     """
-    pinned_img = set(pinned.values())
-    fresh_g = [v for v in g_bag if v not in pinned]
-    fresh_h = [w for w in h_bag if w not in pinned_img]
-    near_g = [_bag_neighbours(g, v, g_bag) for v in fresh_g]
     near_h: dict[int, set[int]] = {}
     for image in permutations(fresh_h):
         for v, w in zip(fresh_g, image):
@@ -418,10 +413,9 @@ def _drive(task):
 def _centres(d: TreeDecomposition) -> list[int]:
     """The middle bags of a longest path in the bag tree, found by two
     breadth-first walks, each ending at a bag farthest from its start."""
-    parent, _ = d.rooted(0)
-    end = list(parent)[-1]
-    parent, _ = d.rooted(end)
-    path = [list(parent)[-1]]
+    end = _bag_tree(d, 0)[0][-1]
+    order, parent, _, _ = _bag_tree(d, end)
+    path = [order[-1]]
     while path[-1] != end:
         path.append(parent[path[-1]])
     return path[(len(path) - 1) // 2 : len(path) // 2 + 1]
@@ -515,7 +509,7 @@ class _IsoSearch:
         vertices, plus fresh vertices from the components in fits, in
         lexicographic order of the fresh part, whose colours, signature and
         edges at the fresh part are those of bag i's fresh vertices (see
-        _Rooted).  Yields (image, fresh)."""
+        _Rooted).  Yields (image, fresh), both ascending."""
         L = self.L
         colour = self.h_colour
         adj = self.h._adj
@@ -530,17 +524,20 @@ class _IsoSearch:
                 yield (tuple(sorted(pinned_img.union(fresh))) if pinned_img else fresh), fresh
 
     def _map_bag(
-        self, i: int, image: Sequence[int], interior: frozenset[int], pinned: dict[int, int]
+        self, i: int, image: Sequence[int], fresh: Sequence[int], interior: frozenset[int],
+        pinned: dict[int, int],
     ):
-        """Task: map bag i onto image, extending pinned, in each way in turn
-        until the subtrees of i's children use up interior exactly, placed on
-        its components, found once and kept with the image vertices they touch
-        and their signatures.  Returns the node of i's subtree, the bijection
-        and the list of its children's nodes (see _placements), or None."""
+        """Task: map bag i onto image, whose vertices outside pinned's image
+        are fresh, extending pinned, in each way in turn until the subtrees
+        of i's children use up interior exactly, placed on its components,
+        found once and kept with the image vertices they touch and their
+        signatures.  Returns the node of i's subtree, the bijection and the
+        list of its children's nodes (see _placements), or None."""
+        L = self.L
         bijections = _bag_bijections(
-            self.g, self.L.bags[i], self.h, image, pinned, self.L.colour, self.h_colour
+            pinned, L.fresh[i], L.near[i], self.h, image, fresh, L.colour, self.h_colour
         )
-        if not self.L.children[i]:  # a leaf bag: its image must use up interior
+        if not L.children[i]:  # a leaf bag: its image must use up interior
             ext = None if interior else next(bijections, None)
             return None if ext is None else (ext, [])
         adj = self.h._adj
@@ -614,7 +611,7 @@ class _IsoSearch:
                 if key in self.memo:
                     found = self.memo[key]
                 else:
-                    found = self.memo[key] = yield self._map_bag(i, cut, interior, pinned)
+                    found = self.memo[key] = yield self._map_bag(i, cut, fresh, interior, pinned)
                 if found is None:
                     continue
                 rest = [comp for comp in comps if comp[0] not in taken]
@@ -635,29 +632,23 @@ def _split_decomposition(
 
     A part keeps the bags meeting its component in id order, renumbered
     from 0, each cut down to the component and sorted, and the tree edges
-    between kept bags.  Its root is the kept bag nearest the root of d, the
-    least id on ties.
+    between kept bags.  The kept bags form a subtree, rooted at the first
+    of them that the walk of the bag tree from d's root reaches.
     """
     where = {v: ci for ci, comp in enumerate(comps) for v in comp}
-    anchor = d.root if d.root is not None else 0
-    parent, _ = d.rooted(anchor)
-    depth = {anchor: 0}
-    for b, a in parent.items():  # breadth-first: a parent precedes its children
-        if b != anchor:
-            depth[b] = depth[a] + 1
     bags: list[list[tuple[int, ...]]] = [[] for _ in comps]
-    roots = [-1] * len(comps)
     ids: list[dict[int, int]] = []  # per bag of d: part -> id of its piece
-    for i, bag in enumerate(d.bags):
+    for bag in d.bags:
         pieces: dict[int, list[int]] = {}
         for v in bag:
             pieces.setdefault(where[v], []).append(v)
-        ids.append({})
+        ids.append({ci: len(bags[ci]) for ci in pieces})
         for ci, piece in pieces.items():
-            if roots[ci] < 0 or depth[i] < depth[roots[ci]]:
-                roots[ci] = i
-            ids[i][ci] = len(bags[ci])
             bags[ci].append(tuple(sorted(piece)))
+    roots = [-1] * len(comps)
+    for a in reversed(_bag_tree(d, d.root if d.root is not None else 0)[0]):
+        for ci in ids[a]:
+            roots[ci] = a  # the last write is by the first bag reached
     edges: list[set[tuple[int, int]]] = [set() for _ in comps]
     for a, b in d.tree_edges:
         for ci, na in ids[a].items():

@@ -24,6 +24,7 @@ from widthiso import (
 from widthiso.augtree import bag_split
 from widthiso.isoorder import _header, _orderings, _sep_head
 from widthiso.tdd import TreeDistanceDecomposition
+from widthiso.treewidth import _bag_tree
 
 
 def benchmark_inputs():
@@ -290,9 +291,9 @@ def brute_force_treewidth(g: Graph) -> int:
 def subtree_vertex_sets(d: TreeDecomposition, root: int) -> dict[int, frozenset[int]]:
     """Every vertex in the bags of each subtree when d hangs from root,
     gathered by a separate walk below every bag."""
-    parent, children = d.rooted(root)
+    order, _, children, _ = _bag_tree(d, root)
     out: dict[int, frozenset[int]] = {}
-    for a in parent:
+    for a in order:
         verts: set[int] = set()
         stack = [a]
         while stack:

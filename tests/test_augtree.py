@@ -50,6 +50,14 @@ def test_single_bag_tree():
     assert t.to_debug_text() == "B(0,1,2)"
 
 
+def test_handle_refuses_a_node_out_of_range():
+    t = _tree(path_graph(3), [0])  # 5 nodes: three bags, two separating sets
+    assert t.handle(4).node == 4
+    for node in (-1, 5):
+        with pytest.raises(ValueError, match=f"node {node} out of range"):
+            t.handle(node)
+
+
 def test_rejects_invalid_decomposition():
     broken = TreeDistanceDecomposition(
         bags=((0,), (2,), (1,)),

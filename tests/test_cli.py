@@ -266,6 +266,29 @@ _FILE_COMMANDS = [
 ]
 
 
+@pytest.mark.parametrize("command", _FILE_COMMANDS, ids=lambda command: command[0])
+def test_non_utf8_file_exits_with_usage_error(tmp_path, capsys, command):
+    # Each file a command reads, in turn, holds bytes that are not UTF-8
+    # while the others are valid: the reader refuses it by name, whatever
+    # the locale, and no command reports an internal error.
+    value = {"k": "1", "root": "1"}
+    for name, text in (
+        ("g", write_graph(path_graph(3))),
+        ("d", "p td 2 2 3\nb 1 1 2\nb 2 2 3\nt 1 2\n"),
+        ("h", write_graph(path_graph(3))),
+        ("e", "p td 2 2 3\nb 1 1 2\nb 2 2 3\nt 1 2\n"),
+    ):
+        value[name] = tmp_path / name
+        value[name].write_text(text)
+    bad = tmp_path / "bad"
+    bad.write_bytes(b"\xff\xfe p tw 2 1\ne 1 2\n")
+    for slot in [name for name in "gdhe" if "{" + name + "}" in command]:
+        argv = [arg.format(**{**value, slot: bad}) for arg in command]
+        assert main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(bad) in err and "not UTF-8" in err, (argv, err)
+
+
 def _fuzz_texts(rng: random.Random) -> dict[str, str]:
     """Files of a seeded partial k-tree with n <= 9 (g, d) and of a relabelled
     copy or another such graph (h, e); each file is mutated with chance 0.3."""

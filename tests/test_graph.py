@@ -54,6 +54,9 @@ def test_graph_dedupes_and_normalizes():
     # Edges may come from a one-shot generator: it is read once.
     once = Graph(3, (e for e in [(1, 0), (0, 1), (2, 1)]))
     assert once == g and once._adj == g._adj and hash(once) == hash(g)
+    # A graph equals no other kind of object, and prints its sorted edges.
+    assert g.__eq__(g._adj) is NotImplemented and g != g._adj
+    assert repr(g) == "Graph(3, [(0, 1), (1, 2)])" and repr(Graph(0)) == "Graph(0, [])"
 
 
 @pytest.mark.parametrize("seed", range(8))

@@ -158,6 +158,7 @@ def test_canon_single_vertex():
     form = canon_tdw(Graph(1), 1)
     assert form.data  # fixed nonempty encoding
     assert form == canon_tdw(Graph(1), 1)
+    assert bytes(form) == form.data and form.hex == form.data.hex()
 
 
 @pytest.mark.parametrize("k", range(3))

@@ -20,6 +20,7 @@ from widthiso import (
     iso_tw,
     random_relabel,
 )
+from widthiso.oracle import canonical_code
 
 from helpers import cycle_graph, path_graph, petersen_graph, random_narrow_graph, star_graph
 
@@ -96,6 +97,18 @@ KNOWN_CONNECTED_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853}
 def test_enumerator_counts_match_known_values():
     for n, expected in KNOWN_CONNECTED_COUNTS.items():
         assert len(enumerate_connected_graphs(n)) == expected
+
+
+@pytest.mark.parametrize("n", [0, 9])
+def test_enumerator_refuses_sizes_outside_its_range(n):
+    with pytest.raises(ValueError, match="supports 1..8 vertices"):
+        enumerate_connected_graphs(n)
+
+
+def test_canonical_code_of_graphs_without_edge_slots():
+    # Graphs on at most one vertex have no vertex pair to hold an edge.
+    assert canonical_code(Graph(0)) == canonical_code(Graph(1)) == 0
+    assert canonical_code(Graph(2, [(0, 1)])) == 1
 
 
 def test_enumerator_output_is_pinned():

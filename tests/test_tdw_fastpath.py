@@ -575,6 +575,53 @@ def test_map_walk_refuses_a_corrupt_order(corrupt, g, k, monkeypatch):
         canonical_map(g, k)
 
 
+def _corrupt_recount(tracer):
+    tracer.pairs[(0,), None].size = 4
+    return (0,)
+
+
+def _corrupt_oversized_child(tracer):
+    tracer.pairs[(3,), (2,)].size = 4
+    return (2,)
+
+
+def _corrupt_undersized_child(tracer):
+    tracer.pairs[(3,), (2,)].size = 1
+    return (2,)
+
+
+def _corrupt_overlapping_child(tracer):
+    tracer._pair((3, 4), (2,), 2)
+    return (2,)
+
+
+@pytest.mark.parametrize(
+    "corrupt, roots, message",
+    [
+        (_corrupt_recount, [0], "counted 4 and 5"),
+        (_corrupt_oversized_child, [0], "counts 0 vertices"),
+        (_corrupt_undersized_child, [0, 4], "miss 1 vertices"),
+        (_corrupt_overlapping_child, [0, 4], "lies in two child bags"),
+    ],
+    ids=["size recounted", "size zero", "children miss vertices", "two child bags"],
+)
+def test_tracer_refuses_a_corrupt_pair_record(corrupt, roots, message):
+    """On the path 0-1-2-3-4 under cap 1, the root sets in roots are traced,
+    then one record is corrupted and the root set corrupt returns is traced:
+    the root pair (0,) with its size changed is met again with another
+    count; the re-rooting of (2,), with only the child (3,) known, counts
+    its new child (1,) as empty once (3,)'s size is too large; with both
+    children known, they leave a vertex over once (3,)'s size is too small;
+    and a bogus child (3, 4) recorded under (2,) shares vertex 3 with (3,).
+    Each raises InternalError."""
+    tracer = _Tracer(path_graph(5))
+    for v in roots:
+        assert tracer.traces((v,), ((v,), None), 5, 1) is not None
+    s = corrupt(tracer)
+    with pytest.raises(InternalError, match=message):
+        tracer.traces(s, (s, None), 5, 1)
+
+
 @pytest.mark.parametrize("g", [_caterpillar(400, seed=3), star_graph(30)], ids=["caterpillar", "star"])
 def test_single_vertex_prefix_once_per_count(g, monkeypatch):
     """A single vertex's root prefix depends on its separating-set count

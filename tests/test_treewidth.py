@@ -189,6 +189,18 @@ def test_lex_subtree_order_stale_children_first():
     assert lex_subtree_order(g, d, 0, [1, 2]) == [2, 1]
 
 
+def test_lex_subtree_order_rejects_a_bag_that_is_no_child():
+    # Bag 1 is the root's child; the root itself and bag 3 are not.
+    g = path_graph(4)
+    d = TreeDecomposition(
+        bags=((0, 1), (1, 2), (2, 3)), tree_edges=frozenset({(0, 1), (1, 2)}), root=0
+    )
+    assert lex_subtree_order(g, d, 0, [1]) == [1]
+    for bad in (0, 2, 3, -1):
+        with pytest.raises(ValueError, match=f"bag {bad} is not a child of bag 0"):
+            lex_subtree_order(g, d, 0, [1, bad])
+
+
 def test_lex_subtree_order_rejects_invalid_decomposition():
     # Vertex 0 sits in bags 0 and 2 but not in bag 1 between them.
     g = Graph(4, [(0, 1), (0, 3)])
@@ -353,8 +365,8 @@ def test_search_clash_raises_internal_error(monkeypatch):
     # fresh vertex disagrees with the parent bag's map on that vertex.
     bijections = treewidth_module._bag_bijections
 
-    def swapped(g, g_bag, h, h_bag, pinned, *colours):
-        for mapping in bijections(g, g_bag, h, h_bag, pinned, *colours):
+    def swapped(pinned, *rest):
+        for mapping in bijections(pinned, *rest):
             if pinned:
                 v = next(iter(pinned))
                 u = next(u for u in mapping if u not in pinned)
@@ -373,8 +385,8 @@ def test_search_reused_image_raises_internal_error(monkeypatch):
     bijections = treewidth_module._bag_bijections
     root_map = {}
 
-    def reusing(g, g_bag, h, h_bag, pinned, *colours):
-        for mapping in bijections(g, g_bag, h, h_bag, pinned, *colours):
+    def reusing(pinned, *rest):
+        for mapping in bijections(pinned, *rest):
             if pinned:
                 u = next(u for u in mapping if u not in pinned)
                 mapping[u] = next(w for v, w in root_map.items() if v not in mapping)
@@ -386,6 +398,22 @@ def test_search_reused_image_raises_internal_error(monkeypatch):
     d = TreeDecomposition(bags=((0, 1), (1, 2)), tree_edges=frozenset({(0, 1)}), root=0)
     with pytest.raises(InternalError, match="two vertices onto one"):
         iso_one_decomp(path_graph(3), d, path_graph(3), 1)
+
+
+def test_search_non_isomorphism_raises_internal_error(monkeypatch):
+    # A one-bag decomposition whose bijection swaps the images of the path's
+    # end 0 and middle 1: a permutation, but edge (1, 2) is lost.
+    bijections = treewidth_module._bag_bijections
+
+    def swapped(*args):
+        for mapping in bijections(*args):
+            mapping[0], mapping[1] = mapping[1], mapping[0]
+            yield mapping
+
+    monkeypatch.setattr(treewidth_module, "_bag_bijections", swapped)
+    d = TreeDecomposition(bags=((0, 1, 2),), tree_edges=frozenset(), root=0)
+    with pytest.raises(InternalError, match="not an isomorphism"):
+        iso_one_decomp(path_graph(3), d, path_graph(3), 2)
 
 
 def _hub_gadget(m: int, split: int = -1) -> tuple[Graph, TreeDecomposition]:

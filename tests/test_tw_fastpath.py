@@ -228,7 +228,14 @@ def test_bag_bijections_match_all_pairs_reference():
             fresh = rng.sample(others, len(g_bag) - len(pinned))
         h_bag = list(pinned.values()) + fresh
         rng.shuffle(h_bag)
-        found = list(treewidth_module._bag_bijections(g, g_bag, h, h_bag, pinned, g_colour, h_colour))
+        fresh_g = [v for v in g_bag if v not in pinned]
+        fresh_h = [w for w in h_bag if w not in pinned.values()]
+        near_g = [treewidth_module._bag_neighbours(g, v, g_bag) for v in fresh_g]
+        found = list(
+            treewidth_module._bag_bijections(
+                pinned, fresh_g, near_g, h, h_bag, fresh_h, g_colour, h_colour
+            )
+        )
         expected = bag_bijections_reference(g, g_bag, h, h_bag, pinned, g_colour, h_colour)
         assert [list(m.items()) for m in found] == [list(m.items()) for m in expected]
         yielded += len(found)
