@@ -425,18 +425,24 @@ def _read_out(
     return tuple(trace), order
 
 
-def _bag_traces(tracer: _Tracer, memo: dict, g: Graph, d, bag: int, parent: int | None):
-    """Least trace ids of the subtree at bag of the tree decomposition d,
+def _bag_traces(
+    tracer: _Tracer, memo: dict, g: Graph, bags: Sequence[Sequence[int]],
+    nbrs: Sequence[Sequence[int]] | dict[int, Sequence[int]], bag: int, parent: int | None,
+):
+    """Least trace ids of the subtree at bag of a tree decomposition of g,
     hung from bag parent (None at the root), keyed by each order of the
     vertices the two bags share: the least over the bag orderings that list
-    them first, in that order.  A trace is the bag's _header with its child
-    count, then per child bag, sorted: the number and ascending positions of
-    the shared vertices, and ~id of the child's least trace for their order.
-    memo maps (bag, parent) to the subtree's vertex count and its traces;
-    pairs not in it are traced deepest first, from an explicit stack.  The
-    pair (bag, parent) itself, when not in memo, is traced under one order
-    of the shared vertices only, the one they have in bag, and is not
-    memoised, since memo entries hold every order.
+    them first, in that order.  The decomposition is read through its bags
+    and nbrs, the bags next to each bag, ascending: all its tree neighbours,
+    or its children in a rooted view; a pair's parent is skipped in either.
+    A trace is the bag's _header with its child count, then per child bag,
+    sorted: the number and ascending positions of the shared vertices, and
+    ~id of the child's least trace for their order.  memo maps (bag,
+    parent) to the subtree's vertex count and its traces; pairs not in it
+    are traced deepest first, from an explicit stack.  The pair (bag,
+    parent) itself, when not in memo, is traced under one order of the
+    shared vertices only, the one they have in bag, and is not memoised,
+    since memo entries hold every order.
     """
     if (bag, parent) in memo:
         return memo[bag, parent][1]
@@ -445,13 +451,13 @@ def _bag_traces(tracer: _Tracer, memo: dict, g: Graph, d, bag: int, parent: int 
         b, p = key = stack.pop()
         if key not in memo:
             todo.append(key)
-            stack.extend((c, b) for c in d.neighbors(b) if c != p)
+            stack.extend((c, b) for c in nbrs[b] if c != p)
     for b, p in reversed(todo):  # the top pair comes last
-        inside = set(d.bags[b])
-        shared = tuple(v for v in d.bags[b] if p is not None and v in d.bags[p])
-        private = tuple(v for v in d.bags[b] if v not in shared)
+        inside = set(bags[b])
+        shared = tuple(v for v in bags[b] if p is not None and v in bags[p])
+        private = tuple(v for v in bags[b] if v not in shared)
         edges = [(u, w) for u in inside for w in g._adj[u] if w > u and w in inside]
-        kids = [(d.bags[c], memo[c, b]) for c in d.neighbors(b) if c != p]
+        kids = [(bags[c], memo[c, b]) for c in nbrs[b] if c != p]
         size = len(inside) + sum(count - len(inside.intersection(kid)) for kid, (count, _) in kids)
         best: dict[tuple[int, ...], int] = {}
         if b == bag:

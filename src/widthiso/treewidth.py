@@ -23,8 +23,9 @@ Elimination works on each component in place too, so no induced subgraph
 is built anywhere on the route.
 
 Each fact about a call is checked once.  Validation walks the bag tree
-once, from the root the search uses, and on a connected graph the search's
-rooted view (_Rooted) reads that walk instead of making its own.  A bag's
+once, from the root the search uses, and the search's rooted view (_Rooted)
+reads that walk instead of making its own; on a disconnected graph each
+component's part is read off the same walk (_parts).  A bag's
 vertices outside its parent's bag are its fresh ones; the others are
 pinned by the parent's bijection, which matched their colours and edges
 already, so a candidate image is filtered by the colours, signature and
@@ -210,20 +211,21 @@ def _spread(colour: Sequence[int]) -> list[int]:
 
 
 class _Rooted:
-    """Rooted view of one decomposition of g with per-bag invariants and
-    per-subtree facts from one bottom-up pass over the vertices the
-    decomposition holds: size is the subtree's vertex count; sort_key is
-    (1, the least subtree vertex outside the parent's bag), or (0, the bag
-    itself) when there is none.
+    """Rooted view of one decomposition of g, given by its bags and a walk
+    of its bag tree (see _bag_tree), whose first bag is the root, with
+    per-bag invariants and per-subtree facts from one bottom-up pass over
+    the vertices the decomposition holds: size is the subtree's vertex
+    count; sort_key is (1, the least subtree vertex outside the parent's
+    bag), or (0, the bag itself) when there is none.
 
-    walk is the breadth-first walk of the bag tree from root (see _bag_tree),
-    made here unless validation made it already.  Each bag's fresh vertices
-    are those outside its parent's bag; the others are pinned by the
-    parent's bijection, which matched their colours and edges already.  So
-    the search tests a candidate image of bag a only against fresh_colours[a],
-    fresh_sig[a], the signature of its fresh vertices, and fresh_edges[a],
-    the number of bag a's edges with a fresh end, and a bag bijection
-    against near[a], the neighbours in bag a of each fresh vertex.
+    The caller hands the walk in, validation's or its part for one
+    component (see _parts); the view makes none of its own.  Each bag's
+    fresh vertices are those outside its parent's bag; the others are
+    pinned by the parent's bijection, which matched their colours and edges
+    already.  So the search tests a candidate image of bag a only against
+    fresh_colours[a], fresh_sig[a], the signature of its fresh vertices, and
+    fresh_edges[a], the number of bag a's edges with a fresh end, and a bag
+    bijection against near[a], the neighbours in bag a of each fresh vertex.
 
     colour is a colouring of g that every isomorphism sought preserves,
     spread (see _spread).  The vertices of a bag c's subtree outside its
@@ -234,13 +236,11 @@ class _Rooted:
     """
 
     def __init__(
-        self, g: Graph, d: TreeDecomposition, root: int, colour: Sequence[int],
-        walk: tuple | None = None,
+        self, g: Graph, bags: Sequence[Sequence[int]], walk: tuple, colour: Sequence[int]
     ) -> None:
-        self.d = d
-        self.root = root
-        self.bags = bags = d.bags
-        order, self.parent, self.children, self.fresh = walk or _bag_tree(d, root)
+        self.bags = bags
+        order, self.parent, self.children, self.fresh = walk
+        self.root = order[0]
         fresh = self.fresh
         self.colour = colour
         adj = g._adj
@@ -307,7 +307,7 @@ def lex_subtree_order(
     _require_valid(g, d)
     if not 0 <= r < d.bag_count():
         raise ValueError(f"bag {r} outside 0..{d.bag_count() - 1}")
-    rooted = _Rooted(g, d, r, [0] * g.vertex_count)
+    rooted = _Rooted(g, d.bags, _bag_tree(d, r), [0] * g.vertex_count)
     for c in children:
         if c not in range(len(rooted.parent)) or c == r or rooted.parent[c] != r:
             raise ValueError(f"bag {c} is not a child of bag {r}")
@@ -410,10 +410,11 @@ def _drive(task):
             result = done.value
 
 
-def _centres(d: TreeDecomposition) -> list[int]:
+def _centres(d: TreeDecomposition, walk: tuple) -> list[int]:
     """The middle bags of a longest path in the bag tree, found by two
-    breadth-first walks, each ending at a bag farthest from its start."""
-    end = _bag_tree(d, 0)[0][-1]
+    breadth-first walks, each ending at a bag farthest from its start: walk,
+    validation's, from any bag (the centre is unique), then one from its end."""
+    end = walk[0][-1]
     order, parent, _, _ = _bag_tree(d, end)
     path = [order[-1]]
     while path[-1] != end:
@@ -431,15 +432,14 @@ def iso_respecting_both(
     side's, into one table where equal traces share an id: the answer is
     whether the two sides' least traces at their centres have the same ids.
     """
-    _require_valid(g, d_g, "first decomposition: ")
-    _require_valid(h, d_h, "second decomposition: ")
+    walk_g = _require_valid(g, d_g, "first decomposition: ")
+    walk_h = _require_valid(h, d_h, "second decomposition: ")
     if d_g.bag_count() != d_h.bag_count():
         return False
-    tracer = _Tracer()
-    ends = [
-        {_bag_traces(tracer, memo, x, d, c, None)[()] for c in _centres(d)}
-        for x, d, memo in ((g, d_g, {}), (h, d_h, {}))
-    ]
+    tracer, ends = _Tracer(), []
+    for x, d, walk in ((g, d_g, walk_g), (h, d_h, walk_h)):
+        trace = partial(_bag_traces, tracer, {}, x, d.bags, d.tree_adjacency)
+        ends.append({trace(c, None)[()] for c in _centres(d, walk)})
     return ends[0] == ends[1]
 
 
@@ -481,7 +481,7 @@ class _IsoSearch:
             group = groups.setdefault((overlap, L.size[c]), {})
             label = None
             if group:
-                trace = partial(_bag_traces, self.tracer, self.traces, self.g, L.d)
+                trace = partial(_bag_traces, self.tracer, self.traces, self.g, L.bags, L.children)
                 if None in group:
                     first = group.pop(None)
                     group[trace(first[0], a)[overlap]] = first
@@ -625,44 +625,38 @@ class _IsoSearch:
         return None
 
 
-def _split_decomposition(
-    d: TreeDecomposition, comps: Sequence[tuple[int, ...]]
-) -> list[TreeDecomposition]:
-    """Restriction of d to each component, in one pass over the bags.
+def _parts(
+    bags: Sequence[Sequence[int]], walk: tuple, comps: Sequence[tuple[int, ...]]
+) -> list[tuple[list[tuple[int, ...]], tuple]]:
+    """Restriction of a walk of a bag tree (see _bag_tree) to each
+    component, in one pass over the walk: each part's bags and its walk.
 
-    A part keeps the bags meeting its component in id order, renumbered
-    from 0, each cut down to the component and sorted, and the tree edges
-    between kept bags.  The kept bags form a subtree, rooted at the first
-    of them that the walk of the bag tree from d's root reaches.
+    A part keeps the bags meeting its component in walk order, numbered
+    from 0 and cut down to the component, sorted.  They form a subtree,
+    topped by the first of them, so every other kept bag's parent is kept;
+    a bag's fresh vertices are its old ones in the component, sorted.
     """
+    order, parent, _, fresh = walk
     where = {v: ci for ci, comp in enumerate(comps) for v in comp}
-    bags: list[list[tuple[int, ...]]] = [[] for _ in comps]
-    ids: list[dict[int, int]] = []  # per bag of d: part -> id of its piece
-    for bag in d.bags:
+    parts = [([], ([], [], [], [])) for _ in comps]
+    ids: dict[int, dict[int, int]] = {}  # bag -> part -> id of its piece
+    for a in order:
         pieces: dict[int, list[int]] = {}
-        for v in bag:
+        for v in sorted(bags[a]):
             pieces.setdefault(where[v], []).append(v)
-        ids.append({ci: len(bags[ci]) for ci in pieces})
+        above = ids.get(parent[a], {})  # the root is its own parent
+        here = ids[a] = {}
         for ci, piece in pieces.items():
-            bags[ci].append(tuple(sorted(piece)))
-    roots = [-1] * len(comps)
-    for a in reversed(_bag_tree(d, d.root if d.root is not None else 0)[0]):
-        for ci in ids[a]:
-            roots[ci] = a  # the last write is by the first bag reached
-    edges: list[set[tuple[int, int]]] = [set() for _ in comps]
-    for a, b in d.tree_edges:
-        for ci, na in ids[a].items():
-            nb = ids[b].get(ci)
-            if nb is not None:
-                edges[ci].add((min(na, nb), max(na, nb)))
-    return [
-        TreeDecomposition(
-            bags=tuple(bags[ci]),
-            tree_edges=frozenset(edges[ci]),
-            root=ids[roots[ci]][ci],
-        )
-        for ci in range(len(comps))
-    ]
+            part_bags, (part_order, up, down, new) = parts[ci]
+            i = here[ci] = len(part_bags)
+            part_bags.append(tuple(piece))
+            part_order.append(i)
+            up.append(above.get(ci, i))
+            down.append([])
+            if up[i] != i:
+                down[up[i]].append(i)
+            new.append(sorted([v for v in fresh[a] if where[v] == ci]))
+    return parts
 
 
 def iso_one_decomp(
@@ -688,15 +682,16 @@ def iso_one_decomp(
             f"graphs have {g.vertex_count} and {h.vertex_count} vertices"
         )
     colours = stable_colours(g, h)
-    return None if colours is None else _search_components(g, d_g, h, colours, walk)
+    return None if colours is None else _search_components(g, d_g.bags, walk, h, colours)
 
 
 def _search_components(
-    g: Graph, d_g: TreeDecomposition, h: Graph, colours: tuple[list[int], list[int]],
-    walk: tuple | None = None,
+    g: Graph, bags: Sequence[Sequence[int]], walk: tuple, h: Graph,
+    colours: tuple[list[int], list[int]],
 ) -> tuple[int, ...] | None:
-    """iso_one_decomp's search, given the stable colours of g and h, and the
-    walk of d_g's bag tree from its root that validation made, if any."""
+    """iso_one_decomp's search, given the bags of g's decomposition, a walk
+    of its bag tree (see _bag_tree) and the stable colours of g and h; each
+    component of a disconnected g has its part read off the walk (_parts)."""
     g_colour, h_colour = map(_spread, colours)
     g_comps = connected_components(g)
     g_sigs = [sum([g_colour[v] for v in c]) for c in g_comps]
@@ -709,14 +704,10 @@ def _search_components(
     # to the first free h component isomorphic to it never has to be undone.
     # A run keeps no map of its own, only memo entries, which hold only its
     # own region's vertices, so one search per part serves every candidate.
-    if len(g_comps) == 1:
-        parts = [(d_g, walk)]
-    else:
-        parts = [(part, None) for part in _split_decomposition(d_g, g_comps)]
+    parts = [(bags, walk)] if len(g_comps) == 1 else _parts(bags, walk, g_comps)
     nodes = []
-    for sig, (part, part_walk) in zip(g_sigs, parts):
-        root = part.root if part.root is not None else 0
-        search = _IsoSearch(g, _Rooted(g, part, root, g_colour, part_walk), h, h_colour)
+    for sig, (part_bags, part_walk) in zip(g_sigs, parts):
+        search = _IsoSearch(g, _Rooted(g, part_bags, part_walk, g_colour), h, h_colour)
         candidates = free[sig]
         for idx, region in enumerate(candidates):
             found = search.run(region)
@@ -895,7 +886,8 @@ def iso_tw(g: Graph, h: Graph, k: int) -> bool:
         return False
     d_g = compute_tree_decomposition(g, k)
     if d_g is not None:
-        return _search_components(g, d_g, h, colours) is not None
+        walk = _bag_tree(d_g, d_g.root)
+        return _search_components(g, d_g.bags, walk, h, colours) is not None
     if compute_tree_decomposition(h, k) is None:
         raise WidthExceededError(f"neither graph has treewidth <= {k}")
     return False

@@ -7,6 +7,7 @@ import pytest
 
 from widthiso import (
     Graph,
+    InternalError,
     apply_permutation,
     brute_force_iso,
     compose_permutations,
@@ -20,6 +21,7 @@ from widthiso import (
     iso_tw,
     random_relabel,
 )
+from widthiso import oracle
 from widthiso.oracle import canonical_code
 
 from helpers import cycle_graph, path_graph, petersen_graph, random_narrow_graph, star_graph
@@ -179,3 +181,23 @@ def test_width_two_engines_agree_with_the_oracle():
             assert iso_tdw(g, h, 2) == iso_tw(g, h, 3) == expected, (g.edges, h.edges)
             verdicts.append(expected)
     assert len(verdicts) == 200 and set(verdicts) == {False, True}
+
+
+def test_brute_force_iso_checks_the_map_it_found(monkeypatch):
+    # The backtracking's map is checked before it is returned: a check that
+    # refuses it turns into an InternalError, never a wrong witness.
+    monkeypatch.setattr(oracle, "is_isomorphism", lambda g, h, perm: False)
+    with pytest.raises(InternalError, match="not an isomorphism"):
+        brute_force_iso(cycle_graph(5), cycle_graph(5))
+
+
+def test_enumerator_refuses_classes_that_share_a_code(monkeypatch):
+    # The path and the triangle on three vertices are two classes; a code
+    # that cannot tell them apart is refused, not used to merge them.
+    monkeypatch.setattr(oracle, "canonical_code", lambda g: 0)
+    oracle.enumerate_connected_graphs.cache_clear()
+    try:
+        with pytest.raises(InternalError, match="share a canonical code"):
+            oracle.enumerate_connected_graphs(3)
+    finally:
+        oracle.enumerate_connected_graphs.cache_clear()

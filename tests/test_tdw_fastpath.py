@@ -622,6 +622,19 @@ def test_tracer_refuses_a_corrupt_pair_record(corrupt, roots, message):
         tracer.traces(s, (s, None), 5, 1)
 
 
+def test_read_out_refuses_a_root_pair_of_the_wrong_size():
+    """The canonical walk lists every vertex of the root pair once: with the
+    pair's recorded size raised by one, reading out its trace raises."""
+    tracer = _Tracer(path_graph(5))
+    key = ((2,), None)
+    traces = tracer.traces((2,), key, 5, 1)
+    assert traces is not None
+    isoorder._read_out(tracer, key, next(iter(traces)))
+    tracer.pairs[key].size += 1
+    with pytest.raises(InternalError, match="lists 5 vertices for 6"):
+        isoorder._read_out(tracer, key, next(iter(traces)))
+
+
 @pytest.mark.parametrize("g", [_caterpillar(400, seed=3), star_graph(30)], ids=["caterpillar", "star"])
 def test_single_vertex_prefix_once_per_count(g, monkeypatch):
     """A single vertex's root prefix depends on its separating-set count

@@ -228,14 +228,83 @@ def _seeded_decompositions():
             yield bundle.graph, compute_tree_decomposition(bundle.graph, k)
 
 
+def _root(d):
+    return d.root if d.root is not None else 0
+
+
+def _restricted(d, comps):
+    """The restriction of d to each component as a TreeDecomposition: the
+    bags meeting it in id order, renumbered from 0, cut down and sorted,
+    the tree edges between them, rooted at the first of them that the walk
+    of d's bag tree from its root reaches."""
+    order = treewidth_module._bag_tree(d, _root(d))[0]
+    parts = []
+    for comp in comps:
+        keep = [a for a in range(d.bag_count()) if set(d.bags[a]) & set(comp)]
+        new = {a: i for i, a in enumerate(keep)}
+        parts.append(TreeDecomposition(
+            bags=tuple(tuple(sorted(set(d.bags[a]) & set(comp))) for a in keep),
+            tree_edges=frozenset(
+                (min(new[a], new[b]), max(new[a], new[b]))
+                for a, b in d.tree_edges if a in new and b in new
+            ),
+            root=new[next(a for a in order if a in new)],
+        ))
+    return parts
+
+
+def _forest_and_seeded_decompositions():
+    forest = generate_partial_ktree(40, 2, 0.5, 3)
+    assert len(connected_components(forest.graph)) == 12
+    for g, d in [(forest.graph, forest.decomposition), *_seeded_decompositions()]:
+        yield g, d
+        # the same tree hung from its last bag, each bag listed backwards
+        yield g, TreeDecomposition(
+            tuple(bag[::-1] for bag in d.bags), d.tree_edges, d.bag_count() - 1
+        )
+
+
+def test_parts_match_restricted_decompositions():
+    # Each part read off the walk of d is the restriction of d to its
+    # component, walked from its top bag: the same bags, parents, children
+    # and fresh vertices, compared in walk order.
+    parted = 0
+    for g, d in _forest_and_seeded_decompositions():
+        comps = connected_components(g)
+        walk = treewidth_module._bag_tree(d, _root(d))
+        parts = treewidth_module._parts(d.bags, walk, comps)
+        assert len(parts) == len(comps)
+        for (bags, got), ref in zip(parts, _restricted(d, comps)):
+            order, parent, children, fresh = treewidth_module._bag_tree(ref, ref.root)
+            at = {a: j for j, a in enumerate(order)}
+            assert len(order) == ref.bag_count() == len(bags)
+            assert got[0] == list(range(len(bags)))
+            assert [bags[a] for a in got[0]] == [ref.bags[a] for a in order]
+            assert got[1] == [at[parent[a]] for a in order]
+            assert got[2] == [[at[c] for c in children[a]] for a in order]
+            assert got[3] == [fresh[a] for a in order]
+        parted += len(comps) > 1
+    assert parted >= 10
+
+
 def test_subtree_counts_match_naive_vertex_sets():
     # Whole decompositions and the part of each component, rooted anywhere:
     # a part holds only its component's vertices, in the original labels.
     for g, d in _seeded_decompositions():
-        parts = treewidth_module._split_decomposition(d, connected_components(g))
+        walk = treewidth_module._bag_tree(d, _root(d))
+        parts = [
+            TreeDecomposition(
+                bags=tuple(bags),
+                tree_edges=frozenset((p, a) for a, p in enumerate(parent) if p != a),
+                root=0,
+            )
+            for bags, (_, parent, _, _) in treewidth_module._parts(d.bags, walk, connected_components(g))
+        ]
         for dec in (d, *parts):
             for root in range(dec.bag_count()):
-                rooted = treewidth_module._Rooted(g, dec, root, [0] * g.vertex_count)
+                dec_walk = treewidth_module._bag_tree(dec, root)
+                rooted = treewidth_module._Rooted(g, dec.bags, dec_walk, [0] * g.vertex_count)
+                assert rooted.root == root
                 for a, verts in subtree_vertex_sets(dec, root).items():
                     fresh = verts - set(dec.bags[rooted.parent[a]] if a != root else ())
                     assert rooted.size[a] == len(verts)
@@ -533,6 +602,19 @@ def test_elimination_refuses_past_the_lower_bound():
     assert d is not None and d.width() == 5
     with pytest.raises(WidthExceededError):
         iso_tw(g, random_relabel(g, 3)[0], 4)
+
+
+def test_elimination_refuses_a_bag_attached_upwards():
+    # An elimination bag attaches to the first of its closure neighbours
+    # eliminated later.  With vertex 0 dropped from its own neighbour list
+    # on the path 0-1-2-3-4, vertex 1 still reaches 0 once 0 is eliminated,
+    # so at k = 2 the bag of 1, the last step, would attach to the earlier
+    # bag of 0.
+    g = path_graph(5)
+    assert treewidth_module._eliminate(g, tuple(range(5)), 2) is not None
+    g._adj = ((), *g._adj[1:])
+    with pytest.raises(InternalError, match="bag 1 attaches to earlier bag 0"):
+        treewidth_module._eliminate(g, tuple(range(5)), 2)
 
 
 def test_compute_tree_decomposition_negative_width_is_none():

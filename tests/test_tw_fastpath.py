@@ -38,6 +38,7 @@ from widthiso import (
     is_isomorphism,
     TreeDecomposition,
     compute_tree_decomposition,
+    connected_components,
     generate_partial_ktree,
     iso_one_decomp,
     iso_respecting_both,
@@ -263,6 +264,36 @@ def test_one_bag_tree_walk_per_search(monkeypatch):
     assert set(vars(d)) == {"bags", "tree_edges", "root", "tree_adjacency"}
 
 
+def test_one_bag_tree_walk_per_call_on_a_forest(monkeypatch):
+    # On a 12-component forest each component's part of the decomposition
+    # is read off the one walk the call makes: iso_one_decomp walks the bag
+    # tree in validation, iso_tw its computed decomposition once, and
+    # iso_respecting_both validates each side and finds its centres from
+    # validation's walk and one more.
+    calls = 0
+    walk = treewidth_module._bag_tree
+
+    def counted_walk(*args):
+        nonlocal calls
+        calls += 1
+        return walk(*args)
+
+    monkeypatch.setattr(treewidth_module, "_bag_tree", counted_walk)
+    bundle = generate_partial_ktree(40, 2, 0.5, 3)
+    g, d = bundle.graph, bundle.decomposition
+    assert len(connected_components(g)) == 12
+    h, _ = random_relabel(g, 3)
+    perm = iso_one_decomp(g, d, h, 2)
+    assert perm is not None and is_isomorphism(g, h, perm)
+    assert calls == 1
+    calls = 0
+    assert iso_tw(g, h, 2)
+    assert calls == 1
+    calls = 0
+    assert iso_respecting_both(g, d, g, d)
+    assert calls <= 4
+
+
 def test_symmetric_graphs_keep_their_first_witness():
     # Graphs with many automorphisms admit many witnesses; the search must
     # return the first one in candidate order.
@@ -410,7 +441,8 @@ def test_rooted_view_of_deep_path_stays_small():
     d = compute_tree_decomposition(g, 1)
     tracemalloc.start()
     try:
-        treewidth_module._Rooted(g, d, d.root, [0] * g.vertex_count)
+        walk = treewidth_module._bag_tree(d, d.root)
+        treewidth_module._Rooted(g, d.bags, walk, [0] * g.vertex_count)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
