@@ -5,7 +5,8 @@ per distinct set X_a intersect N(X_b) over its child bags b; that set is the
 smallest piece of the parent bag cutting b's subtree off from the root.
 Child bags producing the same separating set hang under the same node, so
 bag levels and separating-set levels strictly alternate.  bag_split is the
-one code that splits a bag, given its child bags; canonisation splits the
+one code that splits a bag, given its child bags, and every trace reads a
+bag's edges through its _bag_edges and _bag_links; canonisation splits the
 bags of its (bag, parent bag) records through it, and the tree is the
 paper-level view for the CLI ``augtree`` command and compare_augmented.
 """
@@ -13,7 +14,7 @@ paper-level view for the CLI ``augtree`` command and compare_augmented.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable, Container, Iterable, Sequence
 
 from .errors import InvalidDecompositionError
 from .graph import Graph
@@ -29,7 +30,8 @@ class AugmentedTree:
     Node 0 is the bag node of the decomposition root.  Per node we keep its
     kind, the associated vertices (bag contents or separating set), parent
     and children links, and the number of distinct graph vertices associated
-    to the subtree.
+    to the subtree, and nothing else: compare_augmented traces a node in a
+    table of its own.
     """
 
     __slots__ = (
@@ -39,7 +41,6 @@ class AugmentedTree:
         "parent",
         "children",
         "sizes",
-        "_tracer",
     )
 
     def __init__(
@@ -57,7 +58,6 @@ class AugmentedTree:
         self.parent = parent
         self.children = children
         self.sizes = sizes
-        self._tracer = None  # isoorder's trace table for this graph, made on first use
 
     @property
     def root(self) -> int:
@@ -102,24 +102,35 @@ class SubtreeHandle:
     node: int
 
 
+def _bag_edges(g: Graph, bag: Sequence[int]) -> list[tuple[int, int]]:
+    """Edges inside bag as (u, w) pairs with u < w, in bag order of u."""
+    adj = g._adj
+    inside = set(bag)
+    return [(u, w) for u in bag for w in adj[u] if w > u and w in inside]
+
+
+def _bag_links(g: Graph, bag: Sequence[int], near: Container[int]) -> list[tuple[int, int]]:
+    """Edges from bag to the set near as (near vertex, bag vertex) pairs."""
+    adj = g._adj
+    return [(m, w) for w in bag for m in adj[w] if m in near]
+
+
 def bag_split(
     g: Graph, bag: tuple[int, ...], kids: Iterable[tuple[int, ...]]
-) -> tuple[tuple[tuple[int, int], ...], list[tuple[tuple[int, ...], list]]]:
+) -> tuple[list[tuple[int, int]], list[tuple[tuple[int, ...], list]]]:
     """Edges inside bag, and its separating sets in ascending order.
 
     kids are the bag's child bags, sorted by content.  A child bag's
     separating set is the part of bag adjacent to it.  Each set comes with
     its child bags in that order, each child bag with its edges from the set
-    as (set vertex, child vertex) pairs.
+    (_bag_links).
     """
-    adj = g._adj
     inside = set(bag)
-    edges = tuple((u, w) for u in bag for w in adj[u] if w > u and w in inside)
     groups: dict[tuple[int, ...], list] = {}
     for child in kids:
-        pairs = [(m, w) for w in child for m in adj[w] if m in inside]
+        pairs = _bag_links(g, child, inside)
         groups.setdefault(tuple(sorted({m for m, _ in pairs})), []).append((child, pairs))
-    return edges, sorted(groups.items())
+    return _bag_edges(g, bag), sorted(groups.items())
 
 
 def build_augmented_tree(

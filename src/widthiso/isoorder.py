@@ -72,16 +72,11 @@ from itertools import combinations, groupby, permutations, product
 from operator import itemgetter
 from typing import NamedTuple, Sequence
 
-from .augtree import AugmentedTree, SubtreeHandle, bag_split
-from .errors import (
-    DisconnectedGraphError,
-    InternalError,
-    NoAdmissibleMappingError,
-    WidthExceededError,
-)
-from .graph import Graph, _articulation_counts, is_connected
+from .augtree import AugmentedTree, SubtreeHandle, _bag_edges, _bag_links, bag_split
+from .errors import InternalError, NoAdmissibleMappingError, WidthExceededError
+from .graph import Graph, _articulation_counts
 from .oracle import inverse_permutation
-from .tdd import _build, _components, _sep_counts
+from .tdd import _build, _components, _require_connected, _sep_counts
 
 
 class OrderResult(Enum):
@@ -130,11 +125,11 @@ def _header(
     pos: dict[int, int],
     edges: Sequence[tuple[int, int]],
     size: int,
-    n_seps: int,
+    n_seps: int | None,
 ) -> list[int]:
     """Trace fields after the depth and ahead of the blocks: bag size, the
     bag's edges as length-prefixed position pairs, subtree size,
-    separating-set count."""
+    separating-set count (left out when n_seps is None, not yet known)."""
     edge_pos = sorted(
         [(pos[u], pos[v]) if pos[u] < pos[v] else (pos[v], pos[u]) for u, v in edges]
     )
@@ -142,7 +137,8 @@ def _header(
     for xy in edge_pos:
         out += xy
     out.append(size)
-    out.append(n_seps)
+    if n_seps is not None:
+        out.append(n_seps)
     return out
 
 
@@ -178,6 +174,8 @@ class _Tracer:
     at the root), to its _Pair record, and kids_of maps a bag B to the child
     bags recorded under it, under any parent bag.  The table also interns
     tree-decomposition traces, for _bag_traces, which needs no graph.
+    Each call that traces makes a table of its own and drops it when done.
+    Two traces are ordered by cmp, or by sort_key, its key function, alone.
     """
 
     def __init__(self, g: Graph | None = None) -> None:
@@ -213,18 +211,6 @@ class _Tracer:
             if p >= 0:
                 return -1 if p < q else 1
             x, y = self.fields[~p], self.fields[~q]
-
-    def less(self, a: int, b: int) -> bool:
-        """Whether trace a orders strictly before trace b."""
-        return a != b and self.cmp(self.fields[a], self.fields[b]) < 0
-
-    def least(self, traces: dict):
-        """The first key of traces whose trace id is least; None if empty."""
-        best = None
-        for key in traces:
-            if best is None or self.less(traces[key], traces[best]):
-                best = key
-        return best
 
     def _pair(self, bag: tuple[int, ...], parent: tuple[int, ...] | None, size: int) -> _Pair:
         """The record of (bag, parent), made with the subtree's vertex count
@@ -456,7 +442,7 @@ def _bag_traces(
         inside = set(bags[b])
         shared = tuple(v for v in bags[b] if p is not None and v in bags[p])
         private = tuple(v for v in bags[b] if v not in shared)
-        edges = [(u, w) for u in inside for w in g._adj[u] if w > u and w in inside]
+        edges = _bag_edges(g, bags[b])
         kids = [(bags[c], memo[c, b]) for c in nbrs[b] if c != p]
         size = len(inside) + sum(count - len(inside.intersection(kid)) for kid, (count, _) in kids)
         best: dict[tuple[int, ...], int] = {}
@@ -476,7 +462,7 @@ def _bag_traces(
             for entry in sorted(entries, key=tracer.sort_key):
                 out.extend(entry)
             t = tracer.intern(tuple(out))
-            if tau not in best or tracer.less(t, best[tau]):
+            if tau not in best or tracer.cmp(tracer.fields[t], tracer.fields[best[tau]]) < 0:
                 best[tau] = t
     return best
 
@@ -485,46 +471,41 @@ def _kid(
     g: Graph, s: tuple[int, ...], bag: Sequence[int], size: int, splits: list[int]
 ) -> tuple:
     """A child bag of the root bag s, of a subtree of size vertices, with
-    what its trace entry opens with: its edges from s as (s vertex, child
-    vertex) pairs, its inner edges, and the fields after its subtree size
-    that splits, the articulation counts of g, give away.
+    what its trace entry opens with: its edges from s (augtree._bag_links),
+    its inner edges (augtree._bag_edges), and its own separating sets, each
+    with its number of child bags, where splits, the articulation counts of
+    g, give them away; None where they do not.
 
-    Those fields are known when s is one vertex v and the bag one vertex u.
-    Then u is v's only neighbour in its component C of G - v, so the
-    components of G - u are the one holding v (G - C is v and the other
-    components of G - v, all joined to v) and those of C - u.  u thus has
-    splits[u] - 1 child bags, all hung from the separating set {u}: its
-    trace goes on with the separating-set count 1 and the head (1, 0,
-    splits[u] - 1) of that set's block, or with the count 0 alone.  For a
-    larger root set G - C may fall apart, and the count no longer gives
-    the child bags, so nothing is added."""
-    adj = g._adj
-    inner = set(bag)
-    pairs = [(m, w) for w in bag for m in adj[w] if m in s]
-    edges = [(u, w) for u in bag for w in adj[u] if w > u and w in inner]
-    tail = ()
+    They are known when s is one vertex v and the bag one vertex u.  Then u
+    is v's only neighbour in its component C of G - v, so the components of
+    G - u are the one holding v (G - C is v and the other components of
+    G - v, all joined to v) and those of C - u.  u thus has splits[u] - 1
+    child bags, all hung from the separating set {u}, or none.  For a
+    larger root set G - C may fall apart, and the count no longer gives the
+    child bags."""
+    seps = None
     if len(s) == 1 and len(bag) == 1:
         count = splits[bag[0]] - 1
-        tail = (1, 1, 0, count) if count else (0,)
-    return bag, pairs, edges, size, tail
+        seps = {tuple(bag): count} if count else {}
+    return bag, _bag_links(g, bag, s), _bag_edges(g, bag), size, seps
 
 
 def _entry_head(pos: dict[int, int], kid: tuple) -> tuple[int, ...]:
     """Opening of kid's entry under the root bag positions pos, least over
-    the child bag's orderings: the bipartite code, relative depth 2, the
-    child's header up to its subtree size, and the fields _kid read off the
-    articulation counts, if any (the same under every ordering of a
-    one-vertex bag)."""
-    bag, pairs, edges, size, tail = kid
+    the child bag's orderings: the bipartite code, relative depth 2 and the
+    child's _header, through its separating-set count and least block head
+    where _kid knows its separating sets, else up to its subtree size."""
+    bag, pairs, edges, size, seps = kid
     best = None
     for phi in _orderings(bag):
         child_pos = {v: i for i, v in enumerate(phi)}
-        head = _header(child_pos, edges, size, 0)
-        head.pop()
+        head = _header(child_pos, edges, size, None if seps is None else len(seps))
+        if seps:
+            head += min(_sep_head(child_pos, sep, count) for sep, count in seps.items())
         entry = _bip_code(pos, child_pos, pairs) + (2, *head)
         if best is None or entry < best:
             best = entry
-    return best + tail
+    return best
 
 
 def _root_prefix(
@@ -547,9 +528,7 @@ def _root_prefix(
     trace, and comparing two root sets' prefixes orders their traces
     whenever the prefixes differ.
     """
-    adj = g._adj
-    inside = set(s)
-    edges = [(u, w) for u in s for w in adj[u] if w > u and w in inside]
+    edges = _bag_edges(g, s)
     best = None
     for sigma in _orderings(s):
         pos = {v: i for i, v in enumerate(sigma)}
@@ -612,8 +591,7 @@ def _root_search(tracer: _Tracer, k: int) -> list[tuple[int, ...]] | None:
     order.  The empty graph's one root set is empty and has nothing to
     trace."""
     g = tracer.g
-    if not is_connected(g):
-        raise DisconnectedGraphError("tree distance decompositions need a connected graph")
+    _require_connected(g)
     n = g.vertex_count
     if n == 0:
         return [] if k >= 0 else None
@@ -655,15 +633,14 @@ def _root_search(tracer: _Tracer, k: int) -> list[tuple[int, ...]] | None:
 
 def _min_trace(tree: AugmentedTree, node: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Least trace of a bag node over its bag's orderings, and the first
-    ordering reaching it."""
-    tracer = tree._tracer
-    if tracer is None:
-        tracer = tree._tracer = _Tracer(tree.graph)
+    ordering reaching it, traced in a table of its own: the tree is left as
+    it was."""
+    tracer = _Tracer(tree.graph)
     bag = tuple(sorted(tree.vertices[node]))
     parent = tuple(sorted(tree.vertices[tree.parent[tree.parent[node]]])) if node else None
     root = tuple(sorted(tree.vertices[0]))
     traces = tracer.traces(root, (bag, parent), tree.sizes[node], tree.graph.vertex_count)
-    sigma = tracer.least(traces)
+    sigma = min(traces, key=lambda phi: tracer.sort_key(tracer.fields[traces[phi]]))
     return _read_out(tracer, (bag, parent), sigma)[0], sigma
 
 
@@ -748,7 +725,7 @@ def _canon_state(g: Graph, k: int) -> _CanonState | None:
     if found is None:
         return None
     traces = {(s, sigma): t for s in found for sigma, t in tracer.pairs[s, None].traces.items()}
-    best = tracer.least(traces)
+    best = min(traces, key=lambda key: tracer.sort_key(tracer.fields[traces[key]]), default=None)
     if best is None:
         return _CanonState((), (), (), ())
     s, sigma = best

@@ -7,7 +7,8 @@ which list a bag's children before it, in content order.  Both it and the
 width query refuse a root set whose depth-1 bag is too wide by _sep_counts,
 a single vertex by its articulation count, and both build under a cap, at
 whose first bag above it _build stops.  build_minimal_tdd renumbers the
-rows depth-first for callers that read ids.
+rows depth-first for callers that read ids.  All three refuse a disconnected
+graph by _require_connected.
 
 A tree distance decomposition rooted at a vertex set S partitions V into
 disjoint bags; the bag holding v sits at tree depth d(S, v) and every edge
@@ -209,6 +210,12 @@ def _sep_counts(
     return counts, comps
 
 
+def _require_connected(g: Graph) -> None:
+    """DisconnectedGraphError unless g is connected."""
+    if not is_connected(g):
+        raise DisconnectedGraphError("tree distance decompositions need a connected graph")
+
+
 def tree_distance_width(g: Graph, k_max: int) -> int | None:
     """Least width of a tree distance decomposition of g, None above k_max.
 
@@ -221,8 +228,7 @@ def tree_distance_width(g: Graph, k_max: int) -> int | None:
     wide (_sep_counts) is not built, and a build stops at a bag that cannot
     beat the best.
     """
-    if not is_connected(g):
-        raise DisconnectedGraphError("tree distance decompositions need a connected graph")
+    _require_connected(g)
     n = g.vertex_count
     if n == 0:
         return 0 if k_max >= 0 else None
@@ -249,8 +255,7 @@ def build_minimal_tdd(g: Graph, s: Iterable[int]) -> TreeDistanceDecomposition:
     root = vertex_set(g, s)
     if not root:
         raise EmptySetError("root set must be nonempty")
-    if not is_connected(g):
-        raise DisconnectedGraphError("tree distance decompositions need a connected graph")
+    _require_connected(g)
     bags, parent, depth = _build(g, root, g.vertex_count)
     kids: list[list[int]] = [[] for _ in bags]
     for i in range(len(bags) - 1):

@@ -4,6 +4,7 @@ import random
 import pytest
 
 from widthiso import (
+    AugmentedTree,
     DisconnectedGraphError,
     Graph,
     NoAdmissibleMappingError,
@@ -139,6 +140,24 @@ def test_compare_on_a_decomposition_build_would_not_produce():
             a, b = twin.handle(x), built.handle(node_of[tuple(sorted(twin.vertices[x]))])
             assert twin.sizes[x] == built.sizes[b.node]
             assert compare_augmented(g, a, g, b, full_theta(a, b)) is OrderResult.EQUAL
+
+
+def test_compare_leaves_the_trees_as_they_were():
+    """compare_augmented traces in a table of its own: an AugmentedTree has
+    no slot for one and no __dict__, and comparing a tree with itself, node
+    by node, and with another root set's tree leaves every slot holding the
+    object it held."""
+    assert "_tracer" not in AugmentedTree.__slots__
+    g = random_narrow_graph(random.Random(3), 12)
+    tree, other = _tree(g, [0]), _tree(g, [1])
+    assert not hasattr(tree, "__dict__")
+    before = [[getattr(t, name) for name in AugmentedTree.__slots__] for t in (tree, other)]
+    pairs = [(tree.handle(x), tree.handle(x)) for x in range(tree.node_count()) if tree.is_bag(x)]
+    pairs.append((tree.handle(), other.handle()))
+    for a, b in pairs:
+        compare_augmented(g, a, g, b, full_theta(a, b))
+    for t, objects in zip((tree, other), before):
+        assert all(getattr(t, name) is obj for name, obj in zip(AugmentedTree.__slots__, objects))
 
 
 def test_compare_is_deterministic_and_antisymmetric():

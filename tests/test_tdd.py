@@ -1,4 +1,5 @@
 import time
+from functools import partial
 
 import pytest
 
@@ -8,7 +9,10 @@ from widthiso import (
     Graph,
     TreeDistanceDecomposition,
     build_minimal_tdd,
+    canon_tdw,
+    canonical_map,
     enumerate_connected_graphs,
+    iso_tdw,
     random_relabel,
     set_distance,
     tree_distance_width,
@@ -206,10 +210,21 @@ def test_tree_distance_width_cycle():
 
 
 def test_tree_distance_width_disconnected():
+    """Every tdw entry point refuses a disconnected graph with one message."""
+    message = "^tree distance decompositions need a connected graph$"
     for g in (Graph(2, []), Graph(5, [(0, 1), (1, 2), (3, 4)])):
+        calls = [partial(build_minimal_tdd, g, [0])]
         for k in range(4):
-            with pytest.raises(DisconnectedGraphError):
-                tree_distance_width(g, k)
+            calls += [
+                partial(tree_distance_width, g, k),
+                partial(canon_tdw, g, k),
+                partial(canonical_map, g, k),
+                partial(iso_tdw, g, g, k),
+                partial(iso_tdw, path_graph(g.vertex_count), g, k),
+            ]
+        for call in calls:
+            with pytest.raises(DisconnectedGraphError, match=message):
+                call()
 
 
 def _shape(g, d, node, perm):

@@ -622,6 +622,26 @@ def test_tracer_refuses_a_corrupt_pair_record(corrupt, roots, message):
         tracer.traces(s, (s, None), 5, 1)
 
 
+def test_tracer_cmp_on_a_prefix_equal_fields_and_child_ids():
+    """cmp orders a proper prefix first, both ways round, finds equal field
+    sequences equal, and at a first difference between child ids decides
+    inside the two children, not by the ids: the child interned first has
+    the smaller id and the larger ~id, yet its trace is the lesser one."""
+    tracer = _Tracer()
+    small, big = tracer.intern((1, 2)), tracer.intern((1, 5))
+    stub = tracer.intern((1, 2, 0))
+    assert tracer.cmp((3, 4), (3, 4, 0)) == -1
+    assert tracer.cmp((3, 4, 0), (3, 4)) == 1
+    assert tracer.cmp((3, ~small, 7), (3, ~small, 7)) == 0
+    assert ~small > ~big
+    assert tracer.cmp((3, ~small, 9), (3, ~big, 0)) == -1
+    assert tracer.cmp((3, ~big, 0), (3, ~small, 9)) == 1
+    assert tracer.cmp((~small,), (~stub,)) == -1  # the prefix inside the children
+    assert sorted([(~big,), (~stub,), (~small,)], key=tracer.sort_key) == [
+        (~small,), (~stub,), (~big,)
+    ]
+
+
 def test_read_out_refuses_a_root_pair_of_the_wrong_size():
     """The canonical walk lists every vertex of the root pair once: with the
     pair's recorded size raised by one, reading out its trace raises."""
